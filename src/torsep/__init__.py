@@ -22,6 +22,7 @@ from .cones import (
     homogenize,
     is_strictly_convex,
     minimal_face,
+    minimal_face_witness,
 )
 from .verdict import Verdict
 from .separation import (
@@ -80,6 +81,7 @@ __all__ = [
     "homogenize",
     "is_strictly_convex",
     "minimal_face",
+    "minimal_face_witness",
     "Verdict",
     "cone_hypothesis",
     "decide",

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 Poly = tuple[Fraction, ...]  # ascending coefficients, no trailing zeros
 
@@ -39,17 +39,6 @@ def _add(p: Poly, q: Poly) -> Poly:
     )
 
 
-def _mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
 def _divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
@@ -70,7 +59,8 @@ def _divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 def _exact_div(p: Poly, q: Poly) -> Poly:
     quot, rem = _divmod(p, q)
-    assert not rem, "division was expected to be exact"
+    if rem:
+        raise InternalError("polynomial division was expected to be exact")
     return quot
 
 
@@ -171,7 +161,8 @@ class SquarefreeDecomposition:
         for part, mult in self.parts:
             for _ in range(mult):
                 form = part if form is None else multiply(form, part)
-        assert form is not None
+        if form is None:
+            raise InternalError("squarefree decomposition has no parts")
         return scale(self.constant, form)
 
 
@@ -239,7 +230,6 @@ def substitute(f: BinaryForm, matrix) -> BinaryForm:
     return BinaryForm(tuple(total))
 
 
-_TERM_RE = re.compile(r"^\s*([+-]?[^+-]+)")
 _FACTOR_RE = re.compile(
     r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[xy])(?:\^(?P<exp>\d+))?)$"
 )

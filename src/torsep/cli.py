@@ -26,7 +26,7 @@ from .errors import (
 )
 from .ideals import binomial_generators, sp_violation_scan, verify_vanishing
 from .reports import Instance, Report, emit_report, parse_instance
-from .separation import cone_hypothesis, decide
+from .separation import _PROJ_NOTE, cone_hypothesis, decide
 from .verdict import Verdict
 from .strata import (
     characteristic_pairs,
@@ -83,7 +83,7 @@ def _cmd_oracle(instance: Instance, args) -> Report:
     if args.mode == "projective":
         verdicts = [
             Verdict(v.property_name, "projective", v.holds, v.certificate,
-                    v.notes + ("decided on homogenized weights (appended coordinate 1)",))
+                    v.notes + (_PROJ_NOTE,))
             for v in verdicts
         ]
     report.verdicts = verdicts

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, ResourceGuardError
+from .errors import InputError, InternalError, ResourceGuardError
 from .linalg import IntMatrix, dot, is_zero_vector, primitive_vector
 from .lp import ConeMembership, cone_member, lp_feasible
 
@@ -136,8 +136,8 @@ def is_strictly_convex(ws: WeightSystem) -> PointednessResult:
     res = lp_feasible([], ineqs, num_vars=ws.dim)
     if res.feasible:
         gamma = primitive_vector(res.solution) if nonzero else tuple([0] * ws.dim)
-        for _, w in nonzero:
-            assert dot(gamma, w) >= 1
+        if any(dot(gamma, w) < 1 for _, w in nonzero):
+            raise InternalError("pointedness functional fails its arithmetic check")
         return PointednessResult(True, functional=gamma)
     relation = [Fraction(0)] * ws.n
     for (i, _), mult in zip(nonzero, res.certificate):
@@ -169,27 +169,60 @@ def edge_conditions(ws: WeightSystem, i: int) -> EdgeConditions:
 def minimal_face(ws: WeightSystem, i: int) -> tuple[int, ...]:
     """Index set of the smallest face containing weight i.
 
-    Position j belongs iff every supporting functional vanishing on
-    weight i also vanishes on weight j, i.e. the system
-    {g.w_k >= 0 for all k, g.w_i <= 0, g.w_j >= 1} is infeasible.
-    Weight i lies in the relative interior of the returned face.
+    Weight i lies in the relative interior of the returned face; see
+    ``minimal_face_witness`` for how it is computed.
+    """
+    ws._check_index(i)
+    return _minimal_face_cached(ws, i).indices
+
+
+def minimal_face_witness(ws: WeightSystem, i: int) -> ConeFace:
+    """The smallest face containing weight i, with its witness.
+
+    Computed by accumulating supporting functionals.  Starting from an
+    empty set S of positions known to lie off the face, each feasible
+    LP {g.w_k >= 0 for all k, g.w_i <= 0, sum_{j not in S} g.w_j >= 1}
+    yields a g vanishing on weight i and positive on some position
+    outside S; every such position joins S.  Once the LP is infeasible
+    (a Farkas certificate) the face is the complement of S, and the
+    primitive sum of the g's vanishes on the face and is >= 1 off it.
+    That takes at most ``n - |face| + 1`` LPs.
     """
     ws._check_index(i)
     return _minimal_face_cached(ws, i)
 
 
-@lru_cache(maxsize=None)
-def _minimal_face_cached(ws: WeightSystem, i: int) -> tuple[int, ...]:
-    chi_i = ws.weights[i]
-    members = []
-    for j in range(ws.n):
-        ineqs = [(w, 0) for w in ws.weights]
-        ineqs.append((tuple(-x for x in chi_i), 0))
-        ineqs.append((ws.weights[j], 1))
-        res = lp_feasible([], ineqs, num_vars=ws.dim)
+@lru_cache(maxsize=64)
+def _minimal_face_cached(ws: WeightSystem, i: int) -> ConeFace:
+    weights = ws.weights
+    base = [(w, 0) for w in weights]
+    base.append((tuple(-x for x in weights[i]), 0))
+    off = set()
+    total = [Fraction(0)] * ws.dim
+    while True:
+        # Position i never joins ``off`` (g.w_i = 0): the sum is never empty.
+        rest = [w for j, w in enumerate(weights) if j not in off]
+        objective = tuple(sum(col) for col in zip(*rest))
+        res = lp_feasible([], base + [(objective, 1)], num_vars=ws.dim)
         if not res.feasible:
-            members.append(j)
-    return tuple(members)
+            break
+        gamma = res.solution
+        total = [a + b for a, b in zip(total, gamma)]
+        off.update(j for j, w in enumerate(weights) if dot(gamma, w) > 0)
+    face = tuple(j for j in range(ws.n) if j not in off)
+    witness = primitive_vector(total)
+    _check_face_witness(ws, face, witness)
+    return ConeFace(face, witness)
+
+
+def _check_face_witness(ws: WeightSystem, indices, gamma) -> None:
+    """Raise unless ``gamma`` vanishes on ``indices`` and is >= 1 elsewhere."""
+    inside = set(indices)
+    for k, w in enumerate(ws.weights):
+        value = dot(gamma, w)
+        holds = value == 0 if k in inside else value >= 1
+        if not holds:
+            raise InternalError(f"face witness fails its arithmetic check at {k}")
 
 
 def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
@@ -210,11 +243,7 @@ def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
     gamma = primitive_vector(res.solution)
     # Primitive rescaling keeps integer dots >= 1: a dot divisible by the
     # content and >= 1 stays >= 1 after division.
-    for k in inside:
-        assert dot(gamma, ws.weights[k]) == 0
-    for j in range(ws.n):
-        if j not in inside:
-            assert dot(gamma, ws.weights[j]) >= 1
+    _check_face_witness(ws, inside, gamma)
     return gamma
 
 
@@ -232,7 +261,7 @@ def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> FaceLattice
     return _enumerate_faces_cached(ws)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _enumerate_faces_cached(ws: WeightSystem) -> FaceLattice:
     n = ws.n
     weights = ws.weights

@@ -177,7 +177,8 @@ def _zonotope_lattice_points(rays, dim, max_nodes):
         lo = sum(v for v in values if v < 0)
         hi = sum(v for v in values if v > 0)
         bounded.append((nu, lo, hi))
-    assert bounded, "rays were expected to span the working space"
+    if not bounded:
+        raise InternalError("rays were expected to span the working space")
 
     box_lo = [sum(min(0, r[i]) for r in rays) for i in range(dim)]
     box_hi = [sum(max(0, r[i]) for r in rays) for i in range(dim)]
@@ -258,17 +259,15 @@ def octant_semigroup_generators(
     span_rank = rank(IntMatrix(tuple(tuple(r) for r in rays)))
     if span_rank < m:
         sub_basis = _saturated_span_basis(rays, m)
-        assert len(sub_basis) == span_rank
+        if len(sub_basis) != span_rank:
+            raise InternalError("saturated span basis has the wrong rank")
         columns = [[sub_basis[j][r] for j in range(span_rank)] for r in range(m)]
         work_rays = []
         for ray in rays:
             coords = solve_exact(columns, ray)
-            assert coords is not None
-            ints = []
-            for f in coords:
-                assert f.denominator == 1
-                ints.append(int(f))
-            work_rays.append(tuple(ints))
+            if coords is None or any(f.denominator != 1 for f in coords):
+                raise InternalError("ray has no integer coordinates in the span basis")
+            work_rays.append(tuple(int(f) for f in coords))
         lift = sub_basis
         work_dim = span_rank
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 Vector = tuple[int, ...]
 
@@ -22,18 +22,6 @@ def dot(u, v) -> int | Fraction:
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def is_zero_vector(v) -> bool:
@@ -166,7 +154,8 @@ def determinant(rows) -> int:
             f = mat[i][col] / pr[col]
             if f:
                 mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalError("determinant of an integer matrix is not an integer")
     return int(det)
 
 

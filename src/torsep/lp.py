@@ -1,14 +1,24 @@
 """Exact rational linear feasibility with verifiable certificates.
 
-A dense phase-1 simplex over ``fractions.Fraction`` using Bland's rule,
-so termination is unconditional and results are deterministic.  Every
-answer carries an exact witness: a solution vector when feasible,
-otherwise a Farkas refutation -- a vector of multipliers, nonnegative on
-inequality rows, whose combination of the constraint rows is the zero
-functional while the combined right-hand side is positive.
+One routine does the work: a phase-1 simplex over ``fractions.Fraction``
+on a standard-form system ``{A y = b, y >= 0}``, with nonnegativity
+native (never a constraint row) and Bland's rule, so termination is
+unconditional and results are deterministic.  It returns either a
+solution ``y`` or Farkas multipliers ``z`` with ``z A <= 0`` and
+``z b > 0``, read from the final reduced costs.
 
-Systems are given as equalities ``sum(coeffs * x) == rhs`` and
-inequalities ``sum(coeffs * x) >= rhs`` over a free rational vector x.
+Two entry points route through it:
+
+- ``lp_feasible`` decides ``{B x = b, C x >= c}`` over free rational x
+  by solving the Farkas alternative in standard form, which has one row
+  per variable plus one, not one row per constraint.
+- ``cone_member`` decides ``{G lam = v, lam >= 0}`` directly.
+
+Every answer carries an exact witness that is re-checked by plain
+arithmetic before it is returned: a solution vector when feasible,
+otherwise a Farkas refutation -- multipliers, nonnegative on inequality
+rows, whose combination of the constraint rows is the zero functional
+while the combined right-hand side is positive.
 """
 
 from __future__ import annotations
@@ -20,6 +30,9 @@ from .errors import InputError, InternalError
 from .linalg import dot, primitive_vector
 
 Constraint = tuple  # (coefficient sequence, rhs)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -49,61 +62,45 @@ def _coerce(system, num_vars):
     return rows, num_vars
 
 
-def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
-    """Decide feasibility of {B x = b, C x >= c} over free rational x.
+def _phase1(matrix, rhs, ncols):
+    """Phase-1 simplex on ``{A y = b, y >= 0}`` (A is m x ncols, entries
+    and right-hand sides all ``Fraction``).
 
-    Phase-1 simplex on the standard form (x split into a difference of
-    nonnegative parts, one slack per inequality, one artificial per
-    row).  When the artificial optimum is positive, the final simplex
-    multipliers yield the Farkas certificate.  The returned object is
-    re-checked internally before being handed back.
+    Returns ``(True, y)`` with a feasible y, or ``(False, z)`` with
+    ``z . A_j <= 0`` for every column j and ``z . b > 0``.
+
+    Rows are sign-normalised so that b >= 0 and given one artificial
+    each; the artificial columns of the tableau hold the basis inverse,
+    so the simplex multipliers are ``1 - (reduced cost of artificial
+    i)``.  Artificials never re-enter the basis: the multipliers only
+    need ``z A <= 0``, which optimality on the original columns gives.
     """
-    eqs, num_vars = _coerce(equalities, num_vars)
-    ineqs, num_vars = _coerce(inequalities, num_vars)
-    if num_vars is None:
-        num_vars = 0
-    n = num_vars
-    m_in = len(ineqs)
-    m = len(eqs) + m_in
-    ncols = 2 * n + m_in  # x+ | x- | slacks
-
-    rows = []
-    rhs = []
-    for coeffs, b in eqs:
-        rows.append(coeffs + [-c for c in coeffs] + [Fraction(0)] * m_in)
-        rhs.append(b)
-    for idx, (coeffs, b) in enumerate(ineqs):
-        slack = [Fraction(0)] * m_in
-        slack[idx] = Fraction(-1)
-        rows.append(coeffs + [-c for c in coeffs] + slack)
-        rhs.append(b)
-
+    m = len(matrix)
     sigma = []
+    tableau = []
     for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
+        row = list(matrix[i])
+        b = rhs[i]
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
             sigma.append(-1)
         else:
             sigma.append(1)
-
-    # Tableau columns: standard vars | artificials | rhs.
-    total = ncols + m
-    tableau = []
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append(rows[i] + art + [rhs[i]])
+        art = [_ZERO] * m
+        art[i] = _ONE
+        tableau.append(row + art + [b])
     basis = [ncols + i for i in range(m)]
+    width = ncols + m + 1
 
-    # Phase-1 reduced-cost row (artificial costs are 1, others 0).
-    cost = [Fraction(0)] * (total + 1)
-    for j in range(ncols):
-        cost[j] = -sum(tableau[i][j] for i in range(m))
-    cost[total] = -sum(rhs)
+    # Reduced costs of the phase-1 objective (artificial costs 1), with
+    # the negated objective value in the last entry.
+    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(ncols)]
+    cost += [_ZERO] * m
+    cost.append(-sum(tableau[i][-1] for i in range(m)))
 
     while True:
-        enter = next((j for j in range(total) if cost[j] < 0), None)
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -111,8 +108,7 @@ def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][total] / a
-                key = (ratio, basis[i])
+                key = (tableau[i][-1] / a, basis[i])
                 if best is None or key < best:
                     best = key
                     leave = i
@@ -121,29 +117,59 @@ def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
         piv_row = tableau[leave]
         piv = piv_row[enter]
         if piv != 1:
-            tableau[leave] = piv_row = [a / piv for a in piv_row]
+            tableau[leave] = piv_row = [a / piv if a else a for a in piv_row]
+        support = [k for k in range(width) if piv_row[k]]
         for i in range(m):
             if i != leave:
-                f = tableau[i][enter]
+                row = tableau[i]
+                f = row[enter]
                 if f:
-                    tableau[i] = [a - f * b for a, b in zip(tableau[i], piv_row)]
+                    for k in support:
+                        row[k] -= f * piv_row[k]
         f = cost[enter]
-        if f:
-            cost = [a - f * b for a, b in zip(cost, piv_row)]
+        for k in support:
+            cost[k] -= f * piv_row[k]
         basis[leave] = enter
 
-    objective = -cost[total]
-    if objective == 0:
-        values = [Fraction(0)] * total
-        for i, bv in enumerate(basis):
-            values[bv] = tableau[i][total]
-        x = tuple(values[k] - values[n + k] for k in range(n))
-        result = FeasibilityResult(True, solution=x)
-    else:
-        y = [Fraction(1) - cost[ncols + i] for i in range(m)]
-        cert = tuple(sigma[i] * y[i] for i in range(m))
+    if cost[-1] == 0:
+        y = [_ZERO] * ncols
+        for i, col in enumerate(basis):
+            if col < ncols:
+                y[col] = tableau[i][-1]
+        return True, y
+    return False, [sigma[i] * (_ONE - cost[ncols + i]) for i in range(m)]
+
+
+def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
+    """Decide feasibility of {B x = b, C x >= c} over free rational x.
+
+    Solves the Farkas alternative in standard form: find u (free, split
+    into two nonnegative columns) and y >= 0 with B^T u + C^T y = 0 and
+    b.u + c.y = 1.  That system has ``num_vars + 1`` rows.  A solution
+    is the infeasibility certificate (u, y).  When it has none, its
+    Farkas multipliers (q, t) satisfy t > 0, and x = -q/t solves the
+    original system.  The returned object is re-checked before being
+    handed back.
+    """
+    eqs, num_vars = _coerce(equalities, num_vars)
+    ineqs, num_vars = _coerce(inequalities, num_vars)
+    n = num_vars or 0
+    columns = (
+        [coeffs + [b] for coeffs, b in eqs]
+        + [[-a for a in coeffs] + [-b] for coeffs, b in eqs]
+        + [coeffs + [c] for coeffs, c in ineqs]
+    )
+    matrix = [[col[r] for col in columns] for r in range(n + 1)]
+    rhs = [_ZERO] * n + [_ONE]
+    dual_feasible, vec = _phase1(matrix, rhs, len(columns))
+    if dual_feasible:
+        e = len(eqs)
+        cert = tuple(vec[k] - vec[e + k] for k in range(e)) + tuple(vec[2 * e:])
         result = FeasibilityResult(False, certificate=cert)
-    verify_feasibility(eqs, ineqs, num_vars, result)
+    else:
+        t = vec[n]
+        result = FeasibilityResult(True, solution=tuple(-q / t for q in vec[:n]))
+    _check_feasibility(eqs, ineqs, n, result)
     return result
 
 
@@ -155,8 +181,14 @@ def verify_feasibility(equalities, inequalities, num_vars, result) -> None:
     """
     eqs, num_vars = _coerce(equalities, num_vars)
     ineqs, num_vars = _coerce(inequalities, num_vars)
+    _check_feasibility(eqs, ineqs, num_vars or 0, result)
+
+
+def _check_feasibility(eqs, ineqs, n, result) -> None:
     if result.feasible:
         x = result.solution
+        if len(x) != n:
+            raise InternalError("solution length does not match variable count")
         for coeffs, b in eqs:
             if dot(coeffs, x) != b:
                 raise InternalError("claimed solution violates an equality")
@@ -171,7 +203,6 @@ def verify_feasibility(equalities, inequalities, num_vars, result) -> None:
         if mult < 0:
             raise InternalError("certificate negative on an inequality row")
     all_rows = eqs + ineqs
-    n = num_vars or 0
     for k in range(n):
         if sum(mult * row[0][k] for mult, row in zip(u, all_rows)) != 0:
             raise InternalError("certificate does not annihilate the system")
@@ -194,20 +225,26 @@ class ConeMembership:
 
 
 def cone_member(vector, generators) -> ConeMembership:
-    """Decide whether ``vector`` lies in the cone of ``generators``."""
+    """Decide whether ``vector`` lies in the cone of ``generators``.
+
+    Solves ``{G lam = v, lam >= 0}`` (one row per coordinate) directly.
+    The coefficients, or else the negated Farkas multipliers made
+    primitive, are checked by arithmetic before being returned.
+    """
     v = tuple(vector)
     gens = [tuple(g) for g in generators]
     d = len(v)
     for g in gens:
         if len(g) != d:
             raise InputError(f"generator length {len(g)} does not match {d}")
-    k = len(gens)
-    eqs = [([g[r] for g in gens], v[r]) for r in range(d)]
-    ineqs = [([Fraction(int(i == j)) for i in range(k)], 0) for j in range(k)]
-    res = lp_feasible(eqs, ineqs, num_vars=k)
-    if res.feasible:
-        return ConeMembership(True, coefficients=res.solution)
-    gamma = primitive_vector(tuple(-u for u in res.certificate[:d]))
+    matrix = [[Fraction(g[r]) for g in gens] for r in range(d)]
+    inside, vec = _phase1(matrix, [Fraction(x) for x in v], len(gens))
+    if inside:
+        combo = tuple(sum(c * g[r] for c, g in zip(vec, gens)) for r in range(d))
+        if any(c < 0 for c in vec) or combo != v:
+            raise InternalError("cone coefficients failed their arithmetic check")
+        return ConeMembership(True, coefficients=tuple(vec))
+    gamma = primitive_vector(tuple(-z for z in vec))
     if any(dot(gamma, g) < 0 for g in gens) or dot(gamma, v) >= 0:
         raise InternalError("separating functional failed its arithmetic check")
     return ConeMembership(False, functional=gamma)

@@ -21,19 +21,17 @@ from .cones import (
     DEFAULT_MAX_N,
     WeightSystem,
     edge_conditions,
-    face_witness,
     homogenize,
     is_strictly_convex,
     minimal_face,
+    minimal_face_witness,
 )
 from .errors import CrossCheckError, HypothesisError, InternalError
 from .linalg import (
     determinant,
-    dot,
     independent_rows,
     is_zero_vector,
     kernel_lattice,
-    primitive_vector,
     rank,
 )
 from .lp import lp_feasible
@@ -104,21 +102,6 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     return Verdict("SP", "affine", True, {"kind": "edge-separation", "separators": tuple(separators)})
 
 
-def _pair_separator(ws: WeightSystem, vanish: int, positive: int):
-    """Supporting functional vanishing on one weight, >= 1 on another."""
-    eqs = [(ws.weights[vanish], 0)]
-    ineqs = [(w, 0) for w in ws.weights]
-    ineqs.append((ws.weights[positive], 1))
-    res = lp_feasible(eqs, ineqs, num_vars=ws.dim)
-    if not res.feasible:
-        return None
-    gamma = primitive_vector(res.solution)
-    assert dot(gamma, ws.weights[vanish]) == 0
-    assert all(dot(gamma, w) >= 0 for w in ws.weights)
-    assert dot(gamma, ws.weights[positive]) >= 1
-    return gamma
-
-
 def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, tuple[int, ...]]:
     """Integer relation M * w_idx = sum of strictly positive multiples of
     the other face weights, witnessing that w_idx lies in the relative
@@ -158,15 +141,18 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
             "pair": (support[0], support[1]),
         }
         return Verdict("WSP", "affine", False, cert)
-    faces = [minimal_face(ws, i) for i in range(ws.n)]
+    # Each minimal face is read twice from the same cached computation:
+    # the index set, then the witness vanishing on it and >= 1 off it.
+    faces = []
+    witnesses = []
+    for i in range(ws.n):
+        faces.append(minimal_face(ws, i))
+        witnesses.append(minimal_face_witness(ws, i).witness)
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
             if faces[i] != faces[j]:
                 continue
             shared = faces[i]
-            gamma = face_witness(ws, shared)
-            if gamma is None:
-                raise InternalError("minimal face is not a face index set")
             relations = []
             for idx in (i, j):
                 mult, coeffs = _interior_relation(ws, idx, shared)
@@ -177,23 +163,20 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
                 "kind": "shared-face-interior",
                 "pair": (i, j),
                 "face_indices": shared,
-                "face_witness": gamma,
+                "face_witness": witnesses[i],
                 "relations": tuple(relations),
             }
             return Verdict("WSP", "affine", False, cert)
+    # Distinct minimal faces: if j is off F(i), the witness of F(i)
+    # vanishes at i and is >= 1 at j.  Otherwise F(j) is strictly inside
+    # F(i), so i is off F(j) and the witness of F(j) separates instead.
     separators = []
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
-            if j not in faces[i]:
-                gamma = _pair_separator(ws, vanish=i, positive=j)
-                vanishes_at = i
-            else:
-                gamma = _pair_separator(ws, vanish=j, positive=i)
-                vanishes_at = j
-            if gamma is None:
-                raise InternalError("distinct minimal faces without a separator")
+            vanishes_at = i if j not in faces[i] else j
             separators.append(
-                {"pair": (i, j), "vanishes_at": vanishes_at, "functional": gamma}
+                {"pair": (i, j), "vanishes_at": vanishes_at,
+                 "functional": witnesses[vanishes_at]}
             )
     cert = {
         "kind": "face-separation",

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .errors import InputError
+
 PROPERTIES = ("SP", "WSP", "SSP")
 MODES = ("affine", "projective")
 
@@ -29,8 +31,10 @@ class Verdict:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        assert self.property_name in PROPERTIES
-        assert self.mode in MODES
+        if self.property_name not in PROPERTIES:
+            raise InputError(f"unknown property {self.property_name!r}")
+        if self.mode not in MODES:
+            raise InputError(f"unknown mode {self.mode!r}")
 
     @property
     def kind(self) -> str:

@@ -17,6 +17,7 @@ from torsep.cones import (
     homogenize,
     is_strictly_convex,
     minimal_face,
+    minimal_face_witness,
 )
 from torsep.errors import InputError, ResourceGuardError
 from torsep.linalg import dot, is_zero_vector
@@ -148,6 +149,21 @@ def test_minimal_face_matches_enumeration():
                 if i in s:
                     expected &= set(s)
             assert minimal_face(ws, i) == tuple(sorted(expected))
+
+
+def test_minimal_face_witnesses_check_out():
+    rng = random.Random(29)
+    systems = [M_WEIGHTS, N_WEIGHTS, WeightSystem.from_rows([[1], [-1], [0]])]
+    systems += [random_weights(rng, rng.choice((1, 2, 3, 4)), rng.choice((1, 3, 5, 7)))
+                for _ in range(30)]
+    for ws in systems:
+        for i in range(ws.n):
+            face = minimal_face_witness(ws, i)
+            assert face.indices == minimal_face(ws, i)
+            inside = set(face.indices)
+            for k in range(ws.n):
+                value = dot(face.witness, ws.weights[k])
+                assert value == 0 if k in inside else value >= 1
 
 
 def test_unimodular_equivariance_of_index_sets():

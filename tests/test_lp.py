@@ -114,3 +114,87 @@ def test_cone_member_agrees_with_brute_force():
         else:
             assert all(dot(res.functional, g) >= 0 for g in gens)
             assert dot(res.functional, v) < 0
+
+
+def _solve_and_check(eqs, ineqs, num_vars=None):
+    """Solve twice, require identical answers and a passing re-check."""
+    first = lp_feasible(eqs, ineqs, num_vars=num_vars)
+    assert lp_feasible(eqs, ineqs, num_vars=num_vars) == first
+    n = num_vars if num_vars is not None else len((eqs + ineqs)[0][0])
+    verify_feasibility(eqs, ineqs, n, first)
+    return first
+
+
+def test_no_constraints():
+    res = _solve_and_check([], [], num_vars=3)
+    assert res.feasible and len(res.solution) == 3
+    assert lp_feasible([], []).feasible
+
+
+def test_no_variables_edge_cases():
+    assert _solve_and_check([], [], num_vars=0).feasible
+    assert _solve_and_check([([], 0)], [([], 0)], num_vars=0).feasible
+    res = _solve_and_check([], [([], 1)], num_vars=0)
+    assert not res.feasible and res.certificate[0] > 0
+    res = _solve_and_check([([], -2)], [], num_vars=0)
+    assert not res.feasible
+
+
+def test_equality_only_systems():
+    res = _solve_and_check([([1, 1], 2), ([1, -1], 0)], [])
+    assert res.solution == (1, 1)
+    res = _solve_and_check([([1, 1], 1), ([2, 2], 3)], [])
+    assert not res.feasible
+    # Underdetermined: any solution will do, but it must check out.
+    assert _solve_and_check([([1, 2, 3], -4)], []).feasible
+
+
+def test_zero_rows():
+    assert _solve_and_check([([0, 0], 0)], [([0, 0], -1), ([1, 0], 1)]).feasible
+    assert not _solve_and_check([([0, 0], 1)], [([1, 0], 1)]).feasible
+    assert not _solve_and_check([], [([0, 0], 1)]).feasible
+
+
+def test_duplicate_rows():
+    row = ([1, -2, 1], 3)
+    assert _solve_and_check([row, row], [row, row]).feasible
+    res = _solve_and_check([], [([1, 1], 1), ([1, 1], 1), ([-1, -1], 0), ([-1, -1], 0)])
+    assert not res.feasible
+
+
+def test_right_hand_sides_of_both_signs():
+    eqs = [([1, 0, 1], -3), ([0, 1, -1], 2)]
+    ineqs = [([1, 0, 0], -5), ([0, -1, 0], -4), ([0, 0, 1], 1)]
+    assert _solve_and_check(eqs, ineqs).feasible
+    ineqs = [([1, 0, 0], -5), ([0, -1, 0], -4), ([0, 0, -1], 2), ([0, 1, 0], -1)]
+    # x3 lies in [-3, -2], so x1 = -3 - x3 lies in [-1, 0]: x1 >= 1 fails.
+    assert _solve_and_check(eqs, ineqs).feasible
+    assert not _solve_and_check(eqs, ineqs + [([1, 0, 0], 1)]).feasible
+
+
+def test_random_systems_check_out():
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randrange(0, 4)
+        eqs = [([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+               for _ in range(rng.randrange(0, 3))]
+        ineqs = [([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+                 for _ in range(rng.randrange(0, 5))]
+        _solve_and_check(eqs, ineqs, num_vars=n)
+
+
+def test_cone_member_without_generators_or_target():
+    rng = random.Random(23)
+    for d in (1, 2, 3):
+        zero = (0,) * d
+        for k in range(4):
+            gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+            res = cone_member(zero, gens)
+            assert res.inside == brute_force_cone_member(zero, gens)
+            assert res.coefficients == (0,) * k
+        for _ in range(5):
+            v = tuple(rng.randint(-2, 2) for _ in range(d))
+            res = cone_member(v, [])
+            assert res.inside == brute_force_cone_member(v, [])
+            if not res.inside:
+                assert dot(res.functional, v) < 0

@@ -1,0 +1,48 @@
+"""Invariants that must not depend on ``assert`` statements."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from torsep.errors import InputError
+from torsep.verdict import Verdict
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_verdict_rejects_unknown_property_and_mode():
+    with pytest.raises(InputError):
+        Verdict("XX", "affine", True, {})
+    with pytest.raises(InputError):
+        Verdict("SP", "bogus", True, {})
+
+
+def test_verdict_validation_survives_optimize_flag():
+    code = (
+        "from torsep.errors import InputError\n"
+        "from torsep.verdict import Verdict\n"
+        "try:\n"
+        "    Verdict('XX', 'bogus', True, {})\n"
+        "except InputError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "raised"
+
+
+def test_package_holds_no_assert_statements():
+    offenders = []
+    for path in sorted((SRC / "torsep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []

@@ -178,3 +178,36 @@ def test_decide_dispatcher():
     assert decide(M_WEIGHTS, "sp").holds is False
     assert decide(M_WEIGHTS, "WSP", "affine").holds is True
     assert decide(M_WEIGHTS, "SP", "projective").property_name == "SP"
+
+
+def _count_wsp_lps(monkeypatch, ws):
+    """Run decide_affine_wsp from a cold cache, counting lp_feasible calls."""
+    import torsep.cones
+    import torsep.separation
+    from torsep.lp import lp_feasible
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lp_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(torsep.cones, "lp_feasible", counting)
+    monkeypatch.setattr(torsep.separation, "lp_feasible", counting)
+    torsep.cones._minimal_face_cached.cache_clear()
+    verdict = _verified(ws, decide_affine_wsp(ws))
+    return verdict, len(calls)
+
+
+def test_wsp_lp_count_bound(monkeypatch):
+    from torsep.cones import minimal_face
+
+    ws = WeightSystem.from_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1]]
+    )
+    verdict, count = _count_wsp_lps(monkeypatch, ws)
+    assert verdict.holds
+    bound = 1 + sum(ws.n - len(minimal_face(ws, i)) + 1 for i in range(ws.n))
+    assert 0 < count <= bound
+    # The pair-separator route spent one LP per pair on top of n^2 face LPs.
+    assert count < ws.n * (ws.n - 1) // 2 + ws.n * ws.n
