@@ -1,10 +1,11 @@
 """Walkthrough: building a binomial generating system for the ideal.
 
 Every integer relation c among the weights gives a binomial
-x^(c+) - x^(c-) vanishing on the orbit closure.  The generator
-construction walks all sign patterns (octants) of the relation lattice,
-finds the extreme rays of each octant cone, and collects the lattice
-points of the zonotope they span.  Run with:
+x^(c+) - x^(c-) vanishing on the orbit closure.  The generating system
+is the Graver basis of the relation lattice (its conformally minimal
+relations), computed by a completion procedure; inside each sign
+pattern (octant) it restricts to the Hilbert basis of the relation
+semigroup there.  Run with:
     python3 demos/02_binomial_ideals.py
 """
 

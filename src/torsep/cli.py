@@ -303,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _process_one(text: str, args, out) -> int:
+def _process_one(text: str, args, out, where: str = "") -> int:
+    """Run one instance; ``where`` prefixes its stderr messages."""
     try:
         if args.command == "binary" and args.form is not None:
             instance = Instance("binary-form", parse_form(args.form))
@@ -313,20 +314,20 @@ def _process_one(text: str, args, out) -> int:
         certificates_ok = _verify_all(report)
         out.write(emit_report(report, args.format))
         if not certificates_ok:
-            print("error: a certificate failed re-verification", file=sys.stderr)
+            print(f"{where}error: a certificate failed re-verification", file=sys.stderr)
             return 4
         if report.extra.get("agreement") is False:
-            print("error: independent decision routes disagree", file=sys.stderr)
+            print(f"{where}error: independent decision routes disagree", file=sys.stderr)
             return 4
         return 0
     except (InputError, ResourceGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{where}error: {exc}", file=sys.stderr)
         return 2
     except HypothesisError as exc:
-        print(f"hypothesis error: {exc}", file=sys.stderr)
+        print(f"{where}hypothesis error: {exc}", file=sys.stderr)
         return 3
     except (CrossCheckError, InternalError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"{where}internal error: {exc}", file=sys.stderr)
         return 4
 
 
@@ -342,9 +343,9 @@ def main(argv=None) -> int:
         return 2
     if args.batch:
         code = 0
-        for line in text.splitlines():
+        for k, line in enumerate(text.splitlines(), 1):
             if line.strip():
-                code = max(code, _process_one(line, args, out))
+                code = max(code, _process_one(line, args, out, f"line {k}: "))
         return code
     return _process_one(text, args, out)
 

@@ -1,42 +1,30 @@
 """Finite binomial generating systems for the defining ideal.
 
 Every integer relation c among the weights yields a binomial
-x^(c+) - x^(c-) vanishing on the orbit closure.  A finite generating
-system is assembled octant by octant: inside each sign pattern the
-relation lattice meets the octant in a finitely generated semigroup,
-generated by the lattice points of the zonotope spanned by the extreme
-rays of the corresponding cone.  The union over all octants generates
-the ideal.
-
-The construction is exponential in the number of weights and in the
-relation rank; both are guarded.
+x^(c+) - x^(c-) vanishing on the orbit closure.  The generating system
+is the Graver basis of the relation lattice: its nonzero elements that
+are minimal in the conformal order (same signs, no larger entry in
+absolute value).  Inside each octant these are the Hilbert basis of the
+semigroup (relation lattice & octant), so together they generate the
+ideal.  They are computed by a completion procedure (Pottier 1996),
+guarded by the number of weights and the number of critical pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from math import isqrt, prod
 
 from .cones import DEFAULT_MAX_N, WeightSystem
 from .errors import InputError, InternalError, ResourceGuardError
-from .linalg import (
-    IntMatrix,
-    Vector,
-    dot,
-    is_zero_vector,
-    kernel_lattice,
-    lattice_equal,
-    primitive_vector,
-    rank,
-    solve_exact,
-)
+from .linalg import Vector, is_zero_vector, kernel_lattice, lattice_equal
 
 DEFAULT_MAX_NODES = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Binomial:
     """x^a - x^b with disjoint supports, larger monomial first.
 
@@ -60,10 +48,9 @@ class Binomial:
     def from_vector(cls, c) -> "Binomial":
         """Binomial attached to an integer relation vector (nonzero)."""
         c = tuple(c)
-        lead = next((x for x in c if x != 0), None)
-        if lead is None:
+        if not any(c):
             raise InputError("zero vector has no binomial")
-        if lead < 0:
+        if next(x for x in c if x) < 0:
             c = tuple(-x for x in c)
         return cls(
             tuple(x if x > 0 else 0 for x in c),
@@ -78,12 +65,8 @@ class Binomial:
     def to_string(self) -> str:
         """Human-readable form such as 'x1^3*x3 - x2*x5^2'."""
         def monomial(exp):
-            factors = [
-                f"x{k + 1}" + (f"^{e}" if e > 1 else "")
-                for k, e in enumerate(exp)
-                if e > 0
-            ]
-            return "*".join(factors) if factors else "1"
+            return "*".join(f"x{k + 1}" + (f"^{e}" if e > 1 else "")
+                            for k, e in enumerate(exp) if e > 0) or "1"
 
         return f"{monomial(self.a)} - {monomial(self.b)}"
 
@@ -93,137 +76,79 @@ class Binomial:
 
 @dataclass(frozen=True)
 class Octant:
-    """Sign pattern: coordinates in ``positives`` are constrained >= 0,
-    all others <= 0."""
+    """Sign pattern: coordinates in ``positives`` are >= 0, the rest <= 0."""
 
     positives: tuple[int, ...]
 
 
-def _fraction_kernel_generator(rows, dim):
-    """Primitive generator of the nullspace of ``rows`` in Q^dim when it
-    is one-dimensional, else None."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    if dim - r != 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    gen = [Fraction(0)] * dim
-    gen[free] = Fraction(1)
-    for row_i, col_i in enumerate(pivots):
-        gen[col_i] = -mat[row_i][free]
-    return primitive_vector(gen)
+def _signed(v) -> tuple[Vector, int, int]:
+    """v with the bit masks of its positive and of its negative support."""
+    return (v, sum(1 << i for i, x in enumerate(v) if x > 0),
+            sum(1 << i for i, x in enumerate(v) if x < 0))
 
 
-def _extreme_rays(constraints, dim):
-    """Extreme rays of the pointed cone {t : h @ t >= 0 for h in constraints}.
+def _reducer(s, pos, neg, basis):
+    """(sign, g) for the first g in ``basis``, other than s itself, with
+    sign * g ⊑ s, or None; pos and neg are the masks of s, and g ⊑ s
+    when g and s have the same signs and |g_i| <= |s_i|."""
+    for g, gpos, gneg in basis:
+        sign = (1 if not (gpos & ~pos or gneg & ~neg)
+                else -1 if not (gpos & ~neg or gneg & ~pos) else 0)
+        if sign and g is not s and all(abs(x) <= abs(y) for x, y in zip(g, s)):
+            return sign, g
+    return None
 
-    The constraint matrix must have full column rank (which makes the
-    cone pointed); each ray is the kernel of dim-1 constraint rows.
+
+def _graver_basis(generators, max_nodes: int) -> tuple[Vector, ...]:
+    """Graver basis of the lattice spanned by ``generators``, sorted.
+
+    The Graver basis is the set of ⊑-minimal nonzero lattice vectors,
+    each taken with a positive leading entry.  Completion (Pottier 1996):
+    a spanning set G is closed under the critical vectors f +- g of its
+    elements, taken by increasing 1-norm and reduced by +-G (subtracting
+    elements ⊑ the vector) before joining G.  The sum of two
+    sign-compatible vectors is already conformal and is never formed.
+    At the end every lattice vector is a conformal sum of elements of
+    +-G, so the ⊑-minimal elements of G are the Graver basis.
+    ``max_nodes`` bounds the number of critical vectors formed.
     """
-    rays = set()
-    for subset in combinations(constraints, dim - 1):
-        gen = _fraction_kernel_generator(subset, dim)
-        if gen is None:
-            continue
-        for cand in (gen, tuple(-x for x in gen)):
-            if all(dot(h, cand) >= 0 for h in constraints):
-                rays.add(cand)
-                break
-    return sorted(rays)
+    basis: list[tuple[Vector, int, int]] = []
+    queue: list[tuple[int, Vector]] = []
+    queued: set[Vector] = set()
+    formed = 0
 
-
-def _saturated_span_basis(rays, dim):
-    """Basis of the saturation span(rays) & Z^dim, via a double kernel."""
-    ortho = kernel_lattice(IntMatrix(tuple(tuple(r) for r in rays)))
-    if not ortho:
-        return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    return kernel_lattice(IntMatrix(tuple(tuple(y) for y in ortho)))
-
-
-def _zonotope_lattice_points(rays, dim, max_nodes):
-    """All integer points of {sum s_j r_j : 0 <= s_j <= 1}, zero included.
-
-    The rays must span Q^dim.  Points are found by depth-first search
-    over coordinates, pruned with the zonotope's two-sided facet
-    inequalities (support-function bounds over kernels of dim-1 ray
-    subsets), which describe the zonotope exactly.
-    """
-    normals = set()
-    for subset in combinations(rays, dim - 1):
-        nu = _fraction_kernel_generator(subset, dim)
-        if nu is None:
-            continue
-        lead = next(x for x in nu if x != 0)
-        if lead < 0:
-            nu = tuple(-x for x in nu)
-        normals.add(nu)
-    bounded = []
-    for nu in sorted(normals):
-        values = [dot(nu, r) for r in rays]
-        lo = sum(v for v in values if v < 0)
-        hi = sum(v for v in values if v > 0)
-        bounded.append((nu, lo, hi))
-    if not bounded:
-        raise InternalError("rays were expected to span the working space")
-
-    box_lo = [sum(min(0, r[i]) for r in rays) for i in range(dim)]
-    box_hi = [sum(max(0, r[i]) for r in rays) for i in range(dim)]
-
-    # Per-normal interval contributions of each still-free coordinate.
-    contrib = []
-    for nu, lo, hi in bounded:
-        mins = [min(nu[i] * box_lo[i], nu[i] * box_hi[i]) for i in range(dim)]
-        maxs = [max(nu[i] * box_lo[i], nu[i] * box_hi[i]) for i in range(dim)]
-        suffix_min = [0] * (dim + 1)
-        suffix_max = [0] * (dim + 1)
-        for i in range(dim - 1, -1, -1):
-            suffix_min[i] = suffix_min[i + 1] + mins[i]
-            suffix_max[i] = suffix_max[i + 1] + maxs[i]
-        contrib.append((nu, lo, hi, suffix_min, suffix_max))
-
-    points = []
-    point = [0] * dim
-    nodes = 0
-
-    def descend(depth, partials):
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise ResourceGuardError(
-                f"zonotope lattice-point search exceeded {max_nodes} nodes"
-            )
-        if depth == dim:
-            points.append(tuple(point))
+    def admit(v):
+        nonlocal formed
+        r, pos, neg = _signed(tuple(v))
+        while (pos or neg) and (hit := _reducer(r, pos, neg, basis)):
+            r, pos, neg = _signed(tuple(x - hit[0] * y for x, y in zip(r, hit[1])))
+        if not (pos or neg):
             return
-        for value in range(box_lo[depth], box_hi[depth] + 1):
-            point[depth] = value
-            nxt = []
-            ok = True
-            for (nu, lo, hi, smin, smax), part in zip(contrib, partials):
-                part = part + nu[depth] * value
-                if part + smin[depth + 1] > hi or part + smax[depth + 1] < lo:
-                    ok = False
-                    break
-                nxt.append(part)
-            if ok:
-                descend(depth + 1, nxt)
+        if next(x for x in r if x) < 0:
+            r, pos, neg = tuple(-x for x in r), neg, pos
+        for g, gpos, gneg in basis:
+            for sign, clash in ((1, pos & gneg or neg & gpos),
+                                (-1, pos & gpos or neg & gneg)):
+                if not clash:
+                    continue
+                formed += 1
+                if formed > max_nodes:
+                    raise ResourceGuardError(
+                        f"Graver completion formed more than {max_nodes} "
+                        "critical pairs (max_nodes)")
+                c = tuple(x + sign * y for x, y in zip(r, g))
+                c = c if next(x for x in c if x) > 0 else tuple(-x for x in c)
+                if c not in queued:
+                    queued.add(c)
+                    heapq.heappush(queue, (sum(map(abs, c)), c))
+        basis.append((r, pos, neg))
 
-    descend(0, [0] * len(contrib))
-    return points
+    for v in generators:
+        admit(v)
+    while queue:
+        admit(heapq.heappop(queue)[1])
+    return tuple(sorted(g for g, pos, neg in basis
+                        if not _reducer(g, pos, neg, basis)))
 
 
 def octant_semigroup_generators(
@@ -232,61 +157,18 @@ def octant_semigroup_generators(
     n: int,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[Vector, ...]:
-    """Finite generating set of the semigroup (relation lattice & octant).
+    """Hilbert basis of the semigroup (relation lattice & octant).
 
-    ``basis`` is an integer basis of the relation lattice in Z^n;
-    ``octant`` gives the coordinates constrained >= 0 (the rest <= 0).
-    Extreme rays of the octant cone are computed first (primitive in the
-    lattice, not in Z^n); the returned set is every nonzero lattice
-    point of the zonotope they span that lies in the octant, and every
-    element of the semigroup is a nonnegative integer combination of it.
+    ``basis`` spans the relation lattice in Z^n; ``octant`` gives the
+    coordinates constrained >= 0 (the rest <= 0).  The irreducible
+    elements of the semigroup are its ⊑-minimal elements, that is, the
+    Graver elements (with either sign) that lie in the octant.
     """
     positives = set(octant.positives if isinstance(octant, Octant) else octant)
-    basis = [tuple(v) for v in basis]
-    m = len(basis)
-    if m == 0:
-        return ()
     sigma = [1 if i in positives else -1 for i in range(n)]
-    # Constraint rows in lattice coordinates: sign * (coefficients of
-    # coordinate i across the basis vectors).
-    constraints = [
-        tuple(sigma[i] * basis[r][i] for r in range(m)) for i in range(n)
-    ]
-    rays = _extreme_rays(constraints, m)
-    if not rays:
-        return ()
-
-    span_rank = rank(IntMatrix(tuple(tuple(r) for r in rays)))
-    if span_rank < m:
-        sub_basis = _saturated_span_basis(rays, m)
-        if len(sub_basis) != span_rank:
-            raise InternalError("saturated span basis has the wrong rank")
-        columns = [[sub_basis[j][r] for j in range(span_rank)] for r in range(m)]
-        work_rays = []
-        for ray in rays:
-            coords = solve_exact(columns, ray)
-            if coords is None or any(f.denominator != 1 for f in coords):
-                raise InternalError("ray has no integer coordinates in the span basis")
-            work_rays.append(tuple(int(f) for f in coords))
-        lift = sub_basis
-        work_dim = span_rank
-    else:
-        work_rays = rays
-        lift = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-        work_dim = m
-
-    generators = []
-    for coords in _zonotope_lattice_points(work_rays, work_dim, max_nodes):
-        if all(c == 0 for c in coords):
-            continue
-        t = tuple(
-            sum(coords[j] * lift[j][r] for j in range(work_dim)) for r in range(m)
-        )
-        x = tuple(sum(basis[r][i] * t[r] for r in range(m)) for i in range(n))
-        if any(sigma[i] * x[i] < 0 for i in range(n)):
-            raise InternalError("zonotope point escaped its octant")
-        generators.append(x)
-    return tuple(sorted(generators))
+    graver = _graver_basis(basis, max_nodes)
+    return tuple(sorted(v for g in graver for v in (g, tuple(-x for x in g))
+                        if all(s * x >= 0 for s, x in zip(sigma, v))))
 
 
 def binomial_generators(
@@ -296,36 +178,21 @@ def binomial_generators(
 ) -> tuple[Binomial, ...]:
     """Finite binomial generating system for the ideal of the closure.
 
-    Union of the per-octant semigroup generators over all sign patterns
-    (opposite octants merge under the canonical binomial sign).  The
-    output is sorted, deduplicated, and its relation vectors are checked
-    to span the full relation lattice.
+    The binomials of the Graver basis of the relation lattice (the union
+    of the Hilbert bases of its octant semigroups).  The output is
+    sorted, and its relation vectors are checked to be weight relations
+    that span the full relation lattice.
     """
     if ws.n > max_n:
         raise ResourceGuardError(
-            f"octant scan over 2^{ws.n} sign patterns exceeds the guard "
+            f"Graver basis completion over {ws.n} weights exceeds the guard "
             f"(max_n={max_n}); raise it explicitly if this is intended"
         )
     lattice = kernel_lattice(ws.matrix)
-    if not lattice:
-        return ()
-    n = ws.n
-    seen: set[Binomial] = set()
-    rest = list(range(1, n))
-    # Octants come in opposite pairs producing identical binomials, so
-    # only the patterns containing coordinate 0 are scanned.
-    for size in range(len(rest) + 1):
-        for extra in combinations(rest, size):
-            positives = (0,) + extra
-            for vec in octant_semigroup_generators(
-                lattice, positives, n, max_nodes=max_nodes
-            ):
-                seen.add(Binomial.from_vector(vec))
-    result = tuple(sorted(seen, key=lambda b: (b.a, b.b)))
+    result = tuple(sorted(map(Binomial.from_vector, _graver_basis(lattice, max_nodes))))
     vectors = [b.vector for b in result]
-    for vec in vectors:
-        if any(x != 0 for x in ws.matrix.mul_vector(vec)):
-            raise InternalError("emitted binomial is not a weight relation")
+    if any(any(ws.matrix.mul_vector(v)) for v in vectors):
+        raise InternalError("emitted binomial is not a weight relation")
     if not lattice_equal(vectors, lattice):
         raise InternalError("binomial relation vectors do not span the lattice")
     return result
@@ -374,19 +241,6 @@ class VanishingReport:
         return not self.failures
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def verify_vanishing(
     binomials, ws: WeightSystem, trials: int, prime: int, seed: int = 0
 ) -> VanishingReport:
@@ -399,26 +253,19 @@ def verify_vanishing(
     """
     if trials < 1:
         raise InputError("at least one trial is required")
-    if prime <= 2 or not _is_prime(prime):
+    if prime % 2 == 0 or prime < 3 or any(
+            prime % f == 0 for f in range(3, isqrt(prime) + 1, 2)):
         raise InputError(f"{prime} is not an odd prime")
     rng = random.Random(seed)
+    moduli = [prime] * ws.n
     failures = []
     for trial in range(trials):
         t = tuple(rng.randrange(1, prime) for _ in range(ws.dim))
-        point = []
-        for w in ws.weights:
-            value = 1
-            for base, e in zip(t, w):
-                value = value * pow(base, e % (prime - 1), prime) % prime
-            point.append(value)
+        point = [prod(pow(base, e % (prime - 1), prime) for base, e in zip(t, w))
+                 % prime for w in ws.weights]
         for binom in binomials:
-            lhs = 1
-            rhs = 1
-            for x, ea, eb in zip(point, binom.a, binom.b):
-                if ea:
-                    lhs = lhs * pow(x, ea, prime) % prime
-                if eb:
-                    rhs = rhs * pow(x, eb, prime) % prime
-            if (lhs - rhs) % prime != 0:
-                failures.append((trial, t, binom, (lhs - rhs) % prime))
+            value = (prod(map(pow, point, binom.a, moduli))
+                     - prod(map(pow, point, binom.b, moduli))) % prime
+            if value:
+                failures.append((trial, t, binom, value))
     return VanishingReport(prime, trials, seed, tuple(failures))

@@ -36,15 +36,7 @@ from .linalg import (
 )
 from .lp import lp_feasible
 from .strata import ssp_coordinate_witness
-from .verdict import Verdict
-
-_VACUOUS_REASON = (
-    "a single coordinate admits no pair of linearly independent linear forms"
-)
-
-
-def _vacuous(property_name: str, mode: str) -> Verdict:
-    return Verdict(property_name, mode, True, {"kind": "vacuous", "reason": _VACUOUS_REASON})
+from .verdict import Verdict, vacuous
 
 
 def _sanitize(ws: WeightSystem, coefficients, i: int) -> list[Fraction]:
@@ -61,7 +53,7 @@ def _sanitize(ws: WeightSystem, coefficients, i: int) -> list[Fraction]:
 def decide_affine_sp(ws: WeightSystem) -> Verdict:
     """Separation property of the affine orbit closure of a general point."""
     if ws.n == 1:
-        return _vacuous("SP", "affine")
+        return vacuous("SP", "affine")
     separators = []
     for i in range(ws.n):
         cond = edge_conditions(ws, i)
@@ -131,7 +123,7 @@ def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, t
 def decide_affine_wsp(ws: WeightSystem) -> Verdict:
     """Weak separation property of the affine orbit closure."""
     if ws.n == 1:
-        return _vacuous("WSP", "affine")
+        return vacuous("WSP", "affine")
     pointed = is_strictly_convex(ws)
     if not pointed.pointed:
         support = [k for k in range(ws.n) if pointed.relation[k] > 0]

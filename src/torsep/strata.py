@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces
 from .linalg import IntMatrix, rank
-from .verdict import Verdict
+from .verdict import Verdict, vacuous
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,6 @@ def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
     )
 
 
-def _vacuous(property_name: str) -> Verdict:
-    return Verdict(
-        property_name,
-        "affine",
-        True,
-        {
-            "kind": "vacuous",
-            "reason": "a single coordinate admits no pair of "
-            "linearly independent linear forms",
-        },
-        notes=("stratum oracle",),
-    )
-
-
 def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     """SP verdict from vanishing patterns alone.
 
@@ -65,7 +51,7 @@ def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     missing j also missing i (so x_{j+1} = 0 forces x_{i+1} = 0).
     """
     if ws.n == 1:
-        return _vacuous("SP")
+        return vacuous("SP", "affine", ("stratum oracle",))
     sets = [set(s.indices) for s in strata(ws, max_n=max_n)]
     notes = ("stratum oracle",)
     for i in range(ws.n):
@@ -98,7 +84,7 @@ def oracle_wsp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     the two coordinate hyperplanes cut the closure in the same set.
     """
     if ws.n == 1:
-        return _vacuous("WSP")
+        return vacuous("WSP", "affine", ("stratum oracle",))
     sets = [set(s.indices) for s in strata(ws, max_n=max_n)]
     notes = ("stratum oracle",)
     for i in range(ws.n):

@@ -39,3 +39,14 @@ class Verdict:
     @property
     def kind(self) -> str:
         return self.certificate.get("kind", "")
+
+
+_VACUOUS_REASON = (
+    "a single coordinate admits no pair of linearly independent linear forms"
+)
+
+
+def vacuous(property_name: str, mode: str, notes: tuple[str, ...] = ()) -> Verdict:
+    """The holding verdict of a single-coordinate system."""
+    return Verdict(property_name, mode, True,
+                   {"kind": "vacuous", "reason": _VACUOUS_REASON}, notes)

@@ -42,6 +42,24 @@ def brute_force_kernel_vectors(matrix: IntMatrix, bound: int = 3):
     return found
 
 
+def brute_force_graver(matrix: IntMatrix, bound: int = 3):
+    """Graver basis elements with sup-norm <= bound, by enumeration.
+
+    The nonzero kernel vectors of the box that are minimal in the
+    conformal order (same signs, entrywise no larger in absolute value),
+    one of each +-pair, sorted.  Every vector conformally below a box
+    vector lies in the box, so this is exactly the part of the Graver
+    basis inside the box.
+    """
+    box = [c for c in brute_force_kernel_vectors(matrix, bound) if any(c)]
+
+    def below(h, g):
+        return h != g and all(x * y >= 0 and abs(x) <= abs(y) for x, y in zip(h, g))
+
+    return sorted(g for g in box if next(x for x in g if x) > 0
+                  and not any(below(h, g) for h in box))
+
+
 def brute_force_cone_member(v, gens) -> bool:
     """Exact cone membership through independent-subset solves.
 

@@ -174,6 +174,7 @@ def test_batch_mode_reports_per_line_errors(capsys, monkeypatch):
     )
     assert code == 2
     assert "SP" in out  # the good line still produced a report
+    assert "line 1:" in err
 
 
 def test_same_seed_identical_reports(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helpers import FIVE_WEIGHTS, M_WEIGHTS, random_weights
+from helpers import FIVE_WEIGHTS, M_WEIGHTS, brute_force_graver, random_weights
 from torsep.cones import WeightSystem
-from torsep.errors import InputError
+from torsep.errors import InputError, ResourceGuardError
 from torsep.ideals import (
     Binomial,
     binomial_generators,
@@ -151,3 +152,73 @@ def test_octant_type_accepted():
     direct = octant_semigroup_generators([(2, -1, -1)], (0,), 3)
     typed = octant_semigroup_generators([(2, -1, -1)], Octant((0,)), 3)
     assert direct == typed == ((2, -1, -1),)
+
+
+def test_generators_five_weight_system_is_exact_graver_basis():
+    vectors = {b.vector for b in binomial_generators(FIVE_WEIGHTS)}
+    assert vectors == {
+        (0, 1, 1, -1, -1),
+        (3, -3, -1, 2, 0),
+        (3, -2, 0, 1, -1),
+        (3, -1, 1, 0, -2),
+        (3, 0, 2, -1, -3),
+    }
+
+
+def test_generators_for_m_is_exact_graver_basis():
+    assert [b.vector for b in binomial_generators(M_WEIGHTS)] == [(2, -1, -1)]
+
+
+def test_generators_pair_budget_is_enforced():
+    with pytest.raises(ResourceGuardError, match="critical pairs"):
+        binomial_generators(FIVE_WEIGHTS, max_nodes=3)
+
+
+def _differential_systems():
+    """Seeded random systems, d up to 4, some with zero and duplicate weights."""
+    rng = random.Random(2024)
+    systems = []
+    for k in range(48):
+        d, n = rng.choice((1, 2, 3, 4)), rng.choice((2, 3, 4, 5))
+        weights = list(random_weights(rng, d, n).weights)
+        if k % 3 == 1:
+            weights[rng.randrange(n)] = (0,) * d
+        if k % 3 == 2:
+            weights[rng.randrange(n)] = weights[rng.randrange(n)]
+        systems.append(WeightSystem(d, tuple(weights)))
+    return systems
+
+
+def test_generators_match_brute_force_graver_basis():
+    bound = 3
+    inside_all = 0
+    for ws in _differential_systems():
+        graver = sorted(b.vector for b in binomial_generators(ws))
+        inside = [g for g in graver if max(map(abs, g)) <= bound]
+        assert inside == brute_force_graver(ws.matrix, bound), ws
+        inside_all += inside == graver
+    # For most systems the box holds the whole basis, so the check above
+    # is an exact equality there.
+    assert inside_all >= 40
+
+
+def test_octant_generators_are_the_octant_slice_of_the_graver_basis():
+    for ws in _differential_systems()[:24]:
+        lattice = kernel_lattice(ws.matrix)
+        graver = [b.vector for b in binomial_generators(ws)]
+        signed = graver + [tuple(-x for x in g) for g in graver]
+        for size in range(ws.n + 1):
+            for positives in combinations(range(ws.n), size):
+                expected = sorted(
+                    v for v in signed
+                    if all((x >= 0) if i in positives else (x <= 0)
+                           for i, x in enumerate(v))
+                )
+                assert list(octant_semigroup_generators(
+                    lattice, positives, ws.n)) == expected, (ws, positives)
+
+
+def test_octant_generators_from_a_non_minimal_spanning_set():
+    # (1, 1) and (1, 2) span Z^2, whose Graver basis is the unit vectors.
+    assert octant_semigroup_generators([(1, 1), (1, 2)], (0, 1), 2) == ((0, 1), (1, 0))
+    assert octant_semigroup_generators([(1, 1), (1, 2)], (0,), 2) == ((0, -1), (1, 0))

@@ -11,7 +11,14 @@ import pytest
 from torsep.errors import InputError
 from torsep.verdict import Verdict
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def _env_with_src():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_verdict_rejects_unknown_property_and_mode():
@@ -30,11 +37,9 @@ def test_verdict_validation_survives_optimize_flag():
         "except InputError:\n"
         "    print('raised')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=_env_with_src(), capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.strip() == "raised"
 
@@ -46,3 +51,12 @@ def test_package_holds_no_assert_statements():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_acceptance_suite_passes_under_optimize_flag():
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_acceptance.py")],
+        cwd=ROOT, env=_env_with_src(), capture_output=True, text=True, timeout=900,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
