@@ -25,7 +25,7 @@ from .errors import (
     ResourceGuardError,
 )
 from .ideals import binomial_generators, sp_violation_scan, verify_vanishing
-from .reports import Instance, Report, emit_report, parse_instance
+from .reports import Instance, Report, emit_report, parse_instance, parse_json_instance
 from .separation import _PROJ_NOTE, cone_hypothesis, decide
 from .verdict import Verdict
 from .strata import (
@@ -258,14 +258,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, guarded=True):
         p.add_argument("input", nargs="?", default="-",
                        help="instance file, or '-' for stdin (default)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("TORSEP_SEED", "0")))
-        p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N,
-                       help="guard for 2^n enumerations (default 12)")
+        if guarded:
+            p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N,
+                           help="guard for 2^n enumerations (default 12)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
         p.add_argument("--batch", action="store_true",
@@ -284,6 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="all routes plus agreement check")
     common(p)
     p.add_argument("--mode", choices=("affine", "projective"), default="affine")
+    p.add_argument("--seed", type=int,
+                   default=int(os.environ.get("TORSEP_SEED", "0")))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--prime", type=int, default=10007)
 
@@ -297,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("binary", help="separation property of a binary form orbit")
-    common(p)
+    common(p, guarded=False)
     p.add_argument("--form", help="binary form text, e.g. 'x*y^3 - x^4'")
 
     return parser
@@ -308,6 +309,8 @@ def _process_one(text: str, args, out, where: str = "") -> int:
     try:
         if args.command == "binary" and args.form is not None:
             instance = Instance("binary-form", parse_form(args.form))
+        elif args.batch:
+            instance = parse_json_instance(text)
         else:
             instance = parse_instance(text)
         report = run_command(args.command, instance, args)

@@ -1,18 +1,21 @@
 """Exact integer and rational linear algebra.
 
-Everything downstream reduces to the primitives here: ranks over the
-rationals, saturated integer kernel lattices, and canonical Hermite row
-forms for comparing lattices.  All arithmetic is arbitrary-precision and
-exact; no floating point appears anywhere in the package.
+Everything downstream reduces to the primitives here, and all of them
+rest on one fraction-free elimination: the Hermite row form computed by
+``_hermite``.  Ranks, independent rows and determinants are read off the
+form, exact solves off the form of [A | b], saturated integer kernels
+off the form of [A^T | I], and lattices are compared by their forms.
+All arithmetic is arbitrary-precision and exact; no floating point
+appears anywhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .errors import InputError, InternalError
+from .errors import InputError
 
 Vector = tuple[int, ...]
 
@@ -94,85 +97,20 @@ class IntMatrix:
         return tuple(dot(row, v) for row in self.rows)
 
 
-def rank(matrix: IntMatrix) -> int:
-    """Rank over the rationals, by fraction-exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in matrix.rows]
-    m, n = len(rows), len(rows[0])
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        for i in range(r + 1, m):
-            f = rows[i][col] / pr[col]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def independent_rows(matrix: IntMatrix) -> tuple[int, ...]:
-    """Indices of a maximal linearly independent set of rows."""
-    rows = [[Fraction(x) for x in row] for row in matrix.rows]
-    m, n = len(rows), len(rows[0])
-    chosen: list[int] = []
-    basis: list[list[Fraction]] = []
-    for i in range(m):
-        cand = rows[i][:]
-        for b in basis:
-            lead = next((j for j in range(n) if b[j] != 0), None)
-            if lead is not None and cand[lead] != 0:
-                f = cand[lead] / b[lead]
-                cand = [a - f * c for a, c in zip(cand, b)]
-        if any(a != 0 for a in cand):
-            chosen.append(i)
-            basis.append(cand)
-    return tuple(chosen)
-
-
-def determinant(rows) -> int:
-    """Determinant of a square integer matrix (exact, via fractions)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise InputError("determinant requires a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        pr = mat[col]
-        for i in range(col + 1, n):
-            f = mat[i][col] / pr[col]
-            if f:
-                mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
-    if det.denominator != 1:
-        raise InternalError("determinant of an integer matrix is not an integer")
-    return int(det)
-
-
-def row_hnf(rows) -> tuple[Vector, ...]:
-    """Canonical Hermite row form of an integer row family.
+def _hermite(rows) -> tuple[tuple[Vector, ...], int]:
+    """Canonical Hermite row form of an integer row family, and the sign.
 
     Zero rows are dropped, pivots are positive and strictly to the right
     as you go down, and entries above each pivot are reduced into
-    [0, pivot).  Two row families span the same lattice iff their forms
-    are equal.
+    [0, pivot).  Only unimodular row operations are used, so the form
+    spans the same lattice and is unique to it.  The sign is that of the
+    swaps and negations applied, or 0 if a zero row was dropped, so a
+    square matrix has determinant sign * (product of the diagonal).
     """
-    mat = [list(r) for r in rows if not is_zero_vector(r)]
-    if not mat:
-        return ()
-    n = len(mat[0])
+    mat = [list(r) for r in rows]
+    sign = 1
     r = 0
-    for col in range(n):
+    for col in range(len(mat[0]) if mat else 0):
         while True:
             nz = [i for i in range(r, len(mat)) if mat[i][col] != 0]
             if len(nz) <= 1:
@@ -184,31 +122,55 @@ def row_hnf(rows) -> tuple[Vector, ...]:
                 q = mat[i][col] // mat[imin][col]
                 if q:
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[imin])]
-        nz = [i for i in range(r, len(mat)) if mat[i][col] != 0]
         if not nz:
             continue
         i = nz[0]
-        mat[r], mat[i] = mat[i], mat[r]
+        if i != r:
+            mat[r], mat[i] = mat[i], mat[r]
+            sign = -sign
         if mat[r][col] < 0:
             mat[r] = [-a for a in mat[r]]
+            sign = -sign
         for k in range(r):
             q = mat[k][col] // mat[r][col]
             if q:
                 mat[k] = [a - q * b for a, b in zip(mat[k], mat[r])]
         r += 1
-    return tuple(tuple(row) for row in mat[:r] if not is_zero_vector(row))
+    return tuple(tuple(row) for row in mat[:r]), sign if r == len(mat) else 0
+
+
+def rank(matrix: IntMatrix) -> int:
+    """Rank over the rationals: the number of rows of the Hermite form."""
+    return len(_hermite(matrix.rows)[0])
+
+
+def independent_rows(matrix: IntMatrix) -> tuple[int, ...]:
+    """Indices of the first maximal linearly independent set of rows,
+    i.e. the pivot columns of the Hermite form of the transpose."""
+    form = _hermite(matrix.columns())[0]
+    return tuple(next(j for j, a in enumerate(row) if a) for row in form)
+
+
+def determinant(rows) -> int:
+    """Determinant of a square integer matrix (exact, fraction-free)."""
+    rows = list(rows)
+    if any(len(row) != len(rows) for row in rows):
+        raise InputError("determinant requires a square matrix")
+    form, sign = _hermite(rows)
+    return sign * prod(row[i] for i, row in enumerate(form))
+
+
+def row_hnf(rows) -> tuple[Vector, ...]:
+    """Canonical Hermite row form of an integer row family.
+
+    Two row families span the same lattice iff their forms are equal.
+    """
+    return _hermite(rows)[0]
 
 
 def lattice_member(hnf_rows, v) -> bool:
-    """Whether v lies in the lattice spanned by rows already in Hermite form."""
-    rem = list(v)
-    for row in hnf_rows:
-        lead = next(j for j in range(len(row)) if row[j] != 0)
-        if rem[lead] % row[lead] == 0:
-            q = rem[lead] // row[lead]
-            if q:
-                rem = [a - q * b for a, b in zip(rem, row)]
-    return all(a == 0 for a in rem)
+    """Whether v lies in the lattice spanned by the rows."""
+    return row_hnf((*hnf_rows, v)) == row_hnf(hnf_rows)
 
 
 def lattice_equal(rows_a, rows_b) -> bool:
@@ -219,76 +181,34 @@ def lattice_equal(rows_a, rows_b) -> bool:
 def kernel_lattice(matrix: IntMatrix) -> tuple[Vector, ...]:
     """Canonical basis of the saturated integer kernel {c : A @ c = 0}.
 
-    Column reduction by unimodular operations: the columns of the
-    accumulated transform that map to zero columns of A form a basis of
-    the full integer kernel (saturation is automatic because the
-    transform is invertible over the integers).  The basis is then put
-    into canonical Hermite row form.
+    The Hermite form of [A^T | I] is U [A^T | I] for a unimodular U; its
+    rows with a zero A^T part carry, in their I part, rows u of U with
+    u A^T = 0.  They form a basis of the full integer kernel (saturated
+    because U is invertible over the integers), already in Hermite form
+    (Cohen 1993, Section 2.4).
     """
     d, n = matrix.d, matrix.n
-    work = [list(row) for row in matrix.rows]
-    trans = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivot_col = 0
-    for r in range(d):
-        while True:
-            nz = [j for j in range(pivot_col, n) if work[r][j] != 0]
-            if len(nz) <= 1:
-                break
-            jmin = min(nz, key=lambda j: abs(work[r][j]))
-            for j in nz:
-                if j == jmin:
-                    continue
-                q = work[r][j] // work[r][jmin]
-                if q:
-                    for i in range(d):
-                        work[i][j] -= q * work[i][jmin]
-                    for i in range(n):
-                        trans[i][j] -= q * trans[i][jmin]
-        nz = [j for j in range(pivot_col, n) if work[r][j] != 0]
-        if nz:
-            j = nz[0]
-            if j != pivot_col:
-                for i in range(d):
-                    work[i][j], work[i][pivot_col] = work[i][pivot_col], work[i][j]
-                for i in range(n):
-                    trans[i][j], trans[i][pivot_col] = trans[i][pivot_col], trans[i][j]
-            pivot_col += 1
-    basis = [tuple(trans[i][j] for i in range(n)) for j in range(pivot_col, n)]
-    return row_hnf(basis)
+    form, _ = _hermite(
+        col + tuple(int(i == j) for i in range(n))
+        for j, col in enumerate(matrix.columns())
+    )
+    return tuple(row[d:] for row in form if not any(row[:d]))
 
 
 def solve_exact(rows, rhs):
-    """Unique-or-none exact solve of a linear system (rows) @ x = rhs.
+    """Exact solve of an integer linear system (rows) @ x = rhs.
 
     Returns a Fraction tuple when the system is consistent, or None.
-    When the solution space is positive-dimensional an arbitrary member
-    is returned (free variables pinned to zero).
+    When the solution space is positive-dimensional the member with the
+    free variables pinned to zero is returned.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return ()
     n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[col]
-        aug[r] = [a * inv for a in pr]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
     x = [Fraction(0)] * n
-    for row_i, col_i in pivots:
-        x[col_i] = aug[row_i][n]
+    for row in reversed(_hermite([*row, b] for row, b in zip(rows, rhs))[0]):
+        lead = next(j for j, a in enumerate(row) if a)
+        if lead == n:
+            return None
+        x[lead] = (row[n] - dot(row[lead + 1:n], x[lead + 1:])) / Fraction(row[lead])
     return tuple(x)

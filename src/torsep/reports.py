@@ -44,17 +44,23 @@ def parse_instance(text: str) -> Instance:
     if not stripped:
         raise InputError("empty instance")
     if stripped.startswith("{"):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        return _instance_from_json(data)
+        return parse_json_instance(stripped)
     return _parse_text_weights(stripped)
 
 
-def _instance_from_json(data) -> Instance:
+def parse_json_instance(text: str) -> Instance:
+    """Parse a JSON instance; this is the only format of a ``--batch`` line."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"not a JSON instance: parse error at line {exc.lineno}, "
+            f"column {exc.colno}: {exc.msg}"
+        ) from exc
+    return instance_from_json(data)
+
+
+def instance_from_json(data) -> Instance:
     if not isinstance(data, dict):
         raise InputError("instance JSON must be an object")
     label = data.get("label")
@@ -148,10 +154,6 @@ def instance_to_json(instance: Instance) -> dict:
         "coeffs": [str(c) for c in form.coeffs],
         "label": instance.label,
     }
-
-
-def instance_from_json(data) -> Instance:
-    return _instance_from_json(data)
 
 
 @dataclass

@@ -32,7 +32,6 @@ from .linalg import (
     independent_rows,
     is_zero_vector,
     kernel_lattice,
-    rank,
 )
 from .lp import lp_feasible
 from .strata import ssp_coordinate_witness
@@ -216,10 +215,9 @@ def decide_affine_ssp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
             "(no rational functional takes the value 1 on every weight)"
         )
     matrix = ws.matrix
-    r = rank(matrix)
-    if r == ws.n:
-        row_idx = independent_rows(matrix)
-        det = determinant([[matrix.rows[i][j] for j in range(ws.n)] for i in row_idx])
+    row_idx = independent_rows(matrix)
+    if len(row_idx) == ws.n:
+        det = determinant([matrix.rows[i] for i in row_idx])
         cert = {
             "kind": "full-rank",
             "row_indices": row_idx,
@@ -277,9 +275,9 @@ def decide_projective_ssp(ws: WeightSystem) -> Verdict:
     """
     hws = homogenize(ws)
     matrix = hws.matrix
-    if rank(matrix) == ws.n:
-        row_idx = independent_rows(matrix)
-        det = determinant([[matrix.rows[i][j] for j in range(ws.n)] for i in row_idx])
+    row_idx = independent_rows(matrix)
+    if len(row_idx) == ws.n:
+        det = determinant([matrix.rows[i] for i in row_idx])
         cert = {"kind": "affine-independent", "row_indices": row_idx, "determinant": det}
         return Verdict("SSP", "projective", True, cert, notes=(_PROJ_NOTE,))
     relation = kernel_lattice(matrix)[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cones import WeightSystem, homogenize
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .linalg import IntMatrix, determinant, dot, is_zero_vector, rank
 from .strata import strata
 from .verdict import Verdict
@@ -175,7 +175,7 @@ def _check_full_rank(problems, ws, cert, holds):
     rows = cert["row_indices"]
     matrix = ws.matrix
     _require(problems, len(rows) == ws.n, "need as many rows as weights")
-    det = determinant([[matrix.rows[i][j] for j in range(ws.n)] for i in rows])
+    det = determinant([matrix.rows[i] for i in rows])
     _require(problems, det == cert["determinant"], "determinant mismatch")
     _require(problems, det != 0, "certifying minor is singular")
     u = cert.get("cone_functional")
@@ -216,16 +216,6 @@ def _check_kernel_witness(problems, ws, cert, holds):
     if u is not None:
         for w in ws.weights:
             _require(problems, dot(u, w) == 1, "cone functional does not take value 1")
-
-
-def _check_affine_independent(problems, ws, cert, holds):
-    _require(problems, holds, "affine-independent certifies a holding verdict")
-    matrix = homogenize(ws).matrix
-    rows = cert["row_indices"]
-    _require(problems, len(rows) == ws.n, "need as many rows as weights")
-    det = determinant([[matrix.rows[i][j] for j in range(ws.n)] for i in rows])
-    _require(problems, det == cert["determinant"], "determinant mismatch")
-    _require(problems, det != 0, "certifying minor is singular")
 
 
 def _check_affine_dependence(problems, ws, cert, holds):
@@ -312,7 +302,7 @@ _CHECKERS = {
     "shared-face-interior": _check_shared_face_interior,
     "full-rank": _check_full_rank,
     "kernel-witness": _check_kernel_witness,
-    "affine-independent": _check_affine_independent,
+    "affine-independent": _check_full_rank,
     "affine-dependence": _check_affine_dependence,
     "strata-missed-hyperplane": _check_strata_missed,
     "strata-forcing-pair": _check_strata_forcing,
@@ -323,7 +313,7 @@ _CHECKERS = {
 
 # Certificate kinds whose data refers to the original (unhomogenized)
 # weights even for projective verdicts.
-_ORIGINAL_COORDS = {"affine-independent", "affine-dependence"}
+_ORIGINAL_COORDS = {"affine-dependence"}
 
 
 def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
@@ -336,7 +326,10 @@ def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     target = ws
     if verdict.mode == "projective" and kind not in _ORIGINAL_COORDS:
         target = homogenize(ws)
-    checker(problems, target, verdict.certificate, verdict.holds)
+    try:
+        checker(problems, target, verdict.certificate, verdict.holds)
+    except (InputError, KeyError, IndexError, TypeError, ValueError) as exc:
+        problems.append(f"malformed certificate: {exc!r}")
     return problems
 
 

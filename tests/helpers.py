@@ -4,7 +4,8 @@ oracles, and small transformation utilities."""
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 
 from torsep.cones import WeightSystem
 from torsep.linalg import IntMatrix, rank, solve_exact
@@ -80,6 +81,41 @@ def brute_force_cone_member(v, gens) -> bool:
             if sol is not None and all(x >= 0 for x in sol):
                 return True
     return False
+
+
+def leibniz_determinant(rows) -> int:
+    """Determinant as the signed sum over all permutations (no elimination)."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = prod(row[p] for row, p in zip(rows, perm))
+        if term:
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            total += -term if inversions % 2 else term
+    return total
+
+
+def minors(rows, k):
+    """All k x k minors of a matrix, by the Leibniz formula."""
+    for ri in combinations(range(len(rows)), k):
+        for ci in combinations(range(len(rows[0])), k):
+            yield leibniz_determinant([[rows[r][c] for c in ci] for r in ri])
+
+
+def minor_rank(rows) -> int:
+    """The largest k such that some k x k minor is nonzero."""
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        if any(minors(rows, k)):
+            return k
+    return 0
+
+
+def greedy_independent_rows(rows) -> tuple[int, ...]:
+    """Indices of rows, in order, that raise the minor rank of those before."""
+    chosen: list[int] = []
+    for i in range(len(rows)):
+        if minor_rank([rows[j] for j in chosen + [i]]) == len(chosen) + 1:
+            chosen.append(i)
+    return tuple(chosen)
 
 
 def random_unimodular(rng: random.Random, d: int, steps: int = 6):

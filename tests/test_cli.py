@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from torsep import cli
 
 M_JSON = '{"d":2,"weights":[[1,1],[2,0],[0,2]],"label":"M"}'
@@ -175,6 +177,31 @@ def test_batch_mode_reports_per_line_errors(capsys, monkeypatch):
     assert code == 2
     assert "SP" in out  # the good line still produced a report
     assert "line 1:" in err
+
+
+def test_batch_line_must_be_json(capsys, monkeypatch):
+    good = '{"d":1,"weights":[[1]]}'
+    lines = good + "\n\n\ngarbage here\n"
+    code, out, err = run_cli(
+        capsys, ["decide", "--batch", "-"], stdin=lines, monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert err.startswith("line 4: error: not a JSON instance")
+    assert "invalid literal" not in err
+    _, alone, _ = run_cli(capsys, ["decide", "-"], stdin=good, monkeypatch=monkeypatch)
+    assert out == alone
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--seed", "3", "-"],
+    ["strata", "--seed", "3", "-"],
+    ["binary", "--max-n", "5", "-"],
+])
+def test_options_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_same_seed_identical_reports(capsys, monkeypatch):

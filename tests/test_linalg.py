@@ -1,8 +1,17 @@
 import random
+from math import gcd
 
 import pytest
 
-from helpers import FIVE_WEIGHTS, brute_force_kernel_vectors, random_weights
+from helpers import (
+    FIVE_WEIGHTS,
+    brute_force_kernel_vectors,
+    greedy_independent_rows,
+    leibniz_determinant,
+    minor_rank,
+    minors,
+    random_weights,
+)
 from torsep.errors import InputError
 from torsep.linalg import (
     IntMatrix,
@@ -14,6 +23,7 @@ from torsep.linalg import (
     primitive_vector,
     rank,
     row_hnf,
+    solve_exact,
 )
 
 
@@ -96,3 +106,76 @@ def test_matrix_validation():
         IntMatrix(((1.5, 2),))
     with pytest.raises(InputError):
         IntMatrix(((1, 2),)).mul_vector((1, 2, 3))
+
+
+def _random_matrices(seed, count, max_d=5, max_n=8):
+    """Seeded integer matrices with entries up to +-7, sparse entries,
+    and forced zero rows, zero columns and duplicate rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d, n = rng.randint(1, max_d), rng.randint(1, max_n)
+        rows = [[rng.randint(-7, 7) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(d)]
+        for _ in range(rng.randint(0, 2)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                rows[rng.randrange(d)] = [0] * n
+            elif kind == 1:
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = 0
+            else:
+                rows[rng.randrange(d)] = list(rows[rng.randrange(d)])
+        yield rows
+
+
+def test_rank_and_independent_rows_match_minor_references():
+    for rows in _random_matrices(11, 300):
+        matrix = IntMatrix(tuple(map(tuple, rows)))
+        assert rank(matrix) == minor_rank(rows), rows
+        assert independent_rows(matrix) == greedy_independent_rows(rows), rows
+
+
+def test_determinant_matches_leibniz():
+    for rows in _random_matrices(12, 400):
+        k = min(len(rows), len(rows[0]))
+        square = [row[:k] for row in rows[:k]]
+        assert determinant(square) == leibniz_determinant(square), square
+    with pytest.raises(InputError):
+        determinant([[1, 2]])
+
+
+def test_solve_exact_by_substitution_or_rank():
+    rng = random.Random(13)
+    for rows in _random_matrices(13, 300):
+        n = len(rows[0])
+        if rng.random() < 0.5:
+            x0 = [rng.randint(-3, 3) for _ in range(n)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+        else:
+            rhs = [rng.randint(-7, 7) for _ in rows]
+        sol = solve_exact(rows, rhs)
+        if sol is None:
+            augmented = [row + [b] for row, b in zip(rows, rhs)]
+            assert minor_rank(augmented) > minor_rank(rows), (rows, rhs)
+        else:
+            assert [sum(a * x for a, x in zip(row, sol)) for row in rows] == rhs
+
+
+def test_kernel_lattice_is_a_canonical_saturated_basis():
+    for rows in _random_matrices(14, 300):
+        matrix = IntMatrix(tuple(map(tuple, rows)))
+        basis = kernel_lattice(matrix)
+        assert basis == row_hnf(basis)
+        assert len(basis) == matrix.n - minor_rank(rows)
+        for c in basis:
+            assert all(x == 0 for x in matrix.mul_vector(c))
+        if basis:
+            # A basis spans a saturated lattice iff its maximal minors
+            # are coprime.
+            g = 0
+            for m in minors(basis, len(basis)):
+                g = gcd(g, m)
+                if g == 1:
+                    break
+            assert g == 1, rows

@@ -1,6 +1,8 @@
-"""Invariants that must not depend on ``assert`` statements."""
+"""Invariants that must not depend on ``assert`` statements, on
+well-formed certificates, or on the benchmark's tracer alone."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from torsep.errors import InputError
+from torsep.cones import WeightSystem
+from torsep.errors import InputError, InternalError
 from torsep.verdict import Verdict
+from torsep.verification import check_verdict, verify_verdict
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -60,3 +64,32 @@ def test_acceptance_suite_passes_under_optimize_flag():
         cwd=ROOT, env=_env_with_src(), capture_output=True, text=True, timeout=900,
     )
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+
+
+@pytest.mark.parametrize("verdict", [
+    Verdict("SSP", "affine", True,
+            {"kind": "full-rank", "row_indices": (0, 5), "determinant": 1}),
+    Verdict("SSP", "affine", True, {"kind": "full-rank", "determinant": 1}),
+    Verdict("SP", "affine", False,
+            {"kind": "generator-in-cone", "index": 0, "coefficients": [0, 1],
+             "pair": (7, 0)}),
+])
+def test_malformed_certificate_is_a_problem_not_a_crash(verdict):
+    ws = WeightSystem.from_rows([[1, 0], [0, 1]])
+    problems = check_verdict(ws, verdict)
+    assert any(p.startswith("malformed certificate:") for p in problems)
+    with pytest.raises(InternalError):
+        verify_verdict(ws, verdict)
+
+
+def test_traced_benchmark_names_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [f"torsep.{module}.{name}"
+               for module, names in layers.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"torsep.{module}"),
+                                       name, None))]
+    assert missing == []
