@@ -2,9 +2,14 @@
 
 Faces are represented purely by generator index sets (which weights lie
 on the face) together with a supporting integer functional as witness;
-no ray canonicalisation is ever needed.  Indices are 0-based
-throughout; the human-readable coordinate x{k} corresponds to position
-k-1.
+no ray canonicalisation is ever needed.  The face lattice is read off
+the facets: ``facets`` finds the primitive integer facet normals once
+per system by exact integer linear algebra, every face is an
+intersection of facet zero sets, and its witness is the sum of the
+normals of the facets containing it.  Minimal faces and the face
+lattice therefore run no LP; pointedness and the edge tests still do.
+Indices are 0-based throughout; the human-readable coordinate x{k}
+corresponds to position k-1.
 """
 
 from __future__ import annotations
@@ -12,9 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from operator import mul
 
 from .errors import InputError, InternalError, ResourceGuardError
-from .linalg import IntMatrix, dot, is_zero_vector, primitive_vector
+from .linalg import (
+    IntMatrix,
+    dot,
+    independent_rows,
+    is_zero_vector,
+    kernel_lattice,
+    primitive_vector,
+    rank,
+)
 from .lp import ConeMembership, cone_member, lp_feasible
 
 DEFAULT_MAX_N = 12
@@ -166,6 +181,106 @@ def edge_conditions(ws: WeightSystem, i: int) -> EdgeConditions:
     )
 
 
+@lru_cache(maxsize=64)
+def facets(ws: WeightSystem) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer normals of the facets of the weight cone, sorted.
+
+    Let r be the rank of the weights.  On the r coordinates of
+    ``independent_rows`` the weights span a full-dimensional cone in
+    Z^r, and a functional supported on those coordinates has the same
+    dot products with the weights as its restriction.  A facet is a
+    hyperplane spanned by r - 1 independent weights with every weight on
+    one side, so each (r - 1)-subset of distinct rays with a rank-1
+    integer kernel gives a candidate normal, oriented to be >= 0 on
+    every weight or dropped if it takes both signs.  A hyperplane is
+    examined once: every (r - 1)-subset of its zero set is marked seen.
+    The search costs at most C(rays, r - 1) kernels.  A cone that is a
+    linear space (this includes r = 0) has no facets.
+    """
+    coords = independent_rows(ws.matrix)
+    r = len(coords)
+    # Zero weights lie on every hyperplane, and positive multiples of one
+    # ray on the same ones: the search runs over distinct projected rays.
+    rays = sorted({primitive_vector([w[c] for c in coords])
+                   for w in ws.weights if not is_zero_vector(w)})
+    normals = set()
+    seen = set()
+    # r = 1 has the single empty subset, whose hyperplane is {0} in Z^1.
+    for subset in combinations(range(len(rays)), r - 1) if r else ():
+        if subset in seen:
+            continue
+        kernel = (kernel_lattice(IntMatrix(tuple(rays[k] for k in subset)))
+                  if subset else ((1,),))
+        if len(kernel) != 1:
+            continue
+        normal = kernel[0]
+        values = [sum(map(mul, normal, p)) for p in rays]
+        zero = [k for k, v in enumerate(values) if v == 0]
+        if len(zero) > r - 1:
+            seen.update(combinations(zero, r - 1))
+        if min(values) >= 0:
+            normals.add(normal)
+        elif max(values) <= 0:
+            normals.add(tuple(-a for a in normal))
+    # Lifting with zeros off ``coords`` keeps the sorted order.
+    lifted = []
+    for normal in sorted(normals):
+        full = [0] * ws.dim
+        for c, a in zip(coords, normal):
+            full[c] = a
+        lifted.append(tuple(full))
+        _check_facet(ws, lifted[-1], r)
+    return tuple(lifted)
+
+
+def _check_facet(ws: WeightSystem, normal, r: int) -> None:
+    """Raise unless ``normal`` is >= 0 on every weight and its zero set
+    has rank r - 1."""
+    zero = []
+    for w in ws.weights:
+        value = dot(normal, w)
+        if value < 0:
+            raise InternalError("facet normal is negative on a weight")
+        if value == 0:
+            zero.append(w)
+    if _rank_of(zero) != r - 1:
+        raise InternalError("facet normal's zero set has the wrong rank")
+
+
+def _rank_of(vectors) -> int:
+    return rank(IntMatrix.from_columns(vectors)) if vectors else 0
+
+
+@lru_cache(maxsize=64)
+def _facet_zero_sets(ws: WeightSystem) -> tuple[frozenset[int], ...]:
+    """The positions on each facet, in the order of ``facets``."""
+    return tuple(
+        frozenset(k for k, w in enumerate(ws.weights) if dot(normal, w) == 0)
+        for normal in facets(ws)
+    )
+
+
+def _supported_face(ws: WeightSystem, on) -> ConeFace:
+    """The intersection of the facets selected by ``on`` (a predicate on
+    facet zero sets), witnessed by the primitive sum of their normals.
+
+    Each normal vanishes on the intersection and is >= 0 everywhere, and
+    every position off the intersection is off one of the facets, so the
+    sum is >= 1 there; the empty selection gives the improper face and
+    the zero functional.
+    """
+    face = set(range(ws.n))
+    total = [0] * ws.dim
+    for normal, zero in zip(facets(ws), _facet_zero_sets(ws)):
+        if on(zero):
+            face &= zero
+            total = [a + b for a, b in zip(total, normal)]
+    indices = tuple(sorted(face))
+    witness = primitive_vector(total)
+    _check_face_witness(ws, indices, witness)
+    return ConeFace(indices, witness)
+
+
 def minimal_face(ws: WeightSystem, i: int) -> tuple[int, ...]:
     """Index set of the smallest face containing weight i.
 
@@ -179,14 +294,10 @@ def minimal_face(ws: WeightSystem, i: int) -> tuple[int, ...]:
 def minimal_face_witness(ws: WeightSystem, i: int) -> ConeFace:
     """The smallest face containing weight i, with its witness.
 
-    Computed by accumulating supporting functionals.  Starting from an
-    empty set S of positions known to lie off the face, each feasible
-    LP {g.w_k >= 0 for all k, g.w_i <= 0, sum_{j not in S} g.w_j >= 1}
-    yields a g vanishing on weight i and positive on some position
-    outside S; every such position joins S.  Once the LP is infeasible
-    (a Farkas certificate) the face is the complement of S, and the
-    primitive sum of the g's vanishes on the face and is >= 1 off it.
-    That takes at most ``n - |face| + 1`` LPs.
+    Every face of a polyhedral cone is the intersection of the facets
+    containing it, so the smallest face containing weight i is the
+    common zero set of the facets whose normal vanishes at w_i; the
+    primitive sum of those normals vanishes on it and is >= 1 off it.
     """
     ws._check_index(i)
     return _minimal_face_cached(ws, i)
@@ -194,25 +305,7 @@ def minimal_face_witness(ws: WeightSystem, i: int) -> ConeFace:
 
 @lru_cache(maxsize=64)
 def _minimal_face_cached(ws: WeightSystem, i: int) -> ConeFace:
-    weights = ws.weights
-    base = [(w, 0) for w in weights]
-    base.append((tuple(-x for x in weights[i]), 0))
-    off = set()
-    total = [Fraction(0)] * ws.dim
-    while True:
-        # Position i never joins ``off`` (g.w_i = 0): the sum is never empty.
-        rest = [w for j, w in enumerate(weights) if j not in off]
-        objective = tuple(sum(col) for col in zip(*rest))
-        res = lp_feasible([], base + [(objective, 1)], num_vars=ws.dim)
-        if not res.feasible:
-            break
-        gamma = res.solution
-        total = [a + b for a, b in zip(total, gamma)]
-        off.update(j for j, w in enumerate(weights) if dot(gamma, w) > 0)
-    face = tuple(j for j in range(ws.n) if j not in off)
-    witness = primitive_vector(total)
-    _check_face_witness(ws, face, witness)
-    return ConeFace(face, witness)
+    return _supported_face(ws, lambda zero: i in zero)
 
 
 def _check_face_witness(ws: WeightSystem, indices, gamma) -> None:
@@ -230,7 +323,8 @@ def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
 
     Returns a primitive integer functional vanishing exactly on the
     given positions and >= 1 elsewhere, or None when no face of the
-    cone has precisely this index set.
+    cone has precisely this index set.  One LP; a single-face
+    certificate independent of ``facets``.
     """
     inside = set(indices)
     eqs = [(ws.weights[k], 0) for k in sorted(inside)]
@@ -248,10 +342,12 @@ def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
 
 
 def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> FaceLattice:
-    """Complete face lattice by scanning all index subsets with one LP each.
+    """Complete face lattice: the closure of the facet zero sets under
+    intersection, starting from the full index set.
 
-    Exponential in n by design (certificates matter more than
-    asymptotics at this scale); guarded by ``max_n``.
+    Each face's witness is the primitive sum of the normals of the
+    facets containing it.  The work is polynomial in the number of
+    facets and faces; inputs with ``n > max_n`` are still refused.
     """
     if ws.n > max_n:
         raise ResourceGuardError(
@@ -263,30 +359,30 @@ def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> FaceLattice
 
 @lru_cache(maxsize=64)
 def _enumerate_faces_cached(ws: WeightSystem) -> FaceLattice:
-    n = ws.n
-    weights = ws.weights
-    zero_positions = {i for i, w in enumerate(weights) if is_zero_vector(w)}
-    faces = []
-    for mask in range(2 ** n - 1):
-        inside = tuple(i for i in range(n) if mask >> i & 1)
-        inside_set = set(inside)
-        # Cheap rejects: zero weights lie on every face, and equal
-        # weights always lie on the same faces.
-        if not zero_positions <= inside_set:
-            continue
-        if any(
-            weights[j] == weights[k]
-            for j in range(n)
-            if j not in inside_set
-            for k in inside
-        ):
-            continue
-        gamma = face_witness(ws, inside)
-        if gamma is not None:
-            faces.append(ConeFace(inside, gamma))
-    faces.append(ConeFace(tuple(range(n)), tuple([0] * ws.dim)))
+    sets = {frozenset(range(ws.n))}
+    for zero in _facet_zero_sets(ws):
+        sets |= {zero & s for s in sets}
+    # A face lies on exactly the facets whose zero sets contain it.
+    faces = [_supported_face(ws, face.__le__) for face in sets]
     faces.sort(key=lambda f: (len(f.indices), f.indices))
+    _check_euler_poincare(ws, faces)
     return FaceLattice(tuple(faces))
+
+
+def _check_euler_poincare(ws: WeightSystem, faces) -> None:
+    """Raise unless sum_F (-1)^(rank F - l) = 0, where l is the rank of
+    the smallest face (the lineality space).
+
+    The faces of the pointed quotient of a cone of dimension m >= 1 are
+    those of an (m - 1)-polytope, shifted up by one, with the empty
+    face and the polytope itself included, so the alternating sum
+    vanishes.  A necessary condition only, but one a dropped facet
+    rarely passes.
+    """
+    ranks = [_rank_of([ws.weights[k] for k in f.indices]) for f in faces]
+    low, top = ranks[0], ranks[-1]
+    if top > low and sum((-1) ** (k - low) for k in ranks) != 0:
+        raise InternalError("face lattice fails the Euler-Poincare relation")
 
 
 def homogenize(ws: WeightSystem) -> WeightSystem:

@@ -35,10 +35,14 @@ class Verdict:
             raise InputError(f"unknown property {self.property_name!r}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.certificate, Mapping):
+            raise InputError("certificate must be a mapping")
+        if not isinstance(self.certificate.get("kind"), str):
+            raise InputError("certificate needs a string 'kind'")
 
     @property
     def kind(self) -> str:
-        return self.certificate.get("kind", "")
+        return self.certificate["kind"]
 
 
 _VACUOUS_REASON = (

@@ -23,12 +23,25 @@ def _require(problems, condition, message):
         problems.append(message)
 
 
-def _valid_pair(problems, ws, pair):
+def _valid_index(problems, k, bound, what="index") -> bool:
+    """Record a problem unless ``k`` is an int (not a bool) with
+    0 <= k < bound; return whether it is."""
+    ok = isinstance(k, int) and not isinstance(k, bool) and 0 <= k < bound
+    _require(problems, ok,
+             f"malformed certificate: {what} {k!r} is not a position below {bound}")
+    return ok
+
+
+def _valid_indices(problems, ks, bound, what="index") -> bool:
+    return all([_valid_index(problems, k, bound, what) for k in ks])
+
+
+def _valid_pair(problems, ws, pair) -> bool:
     _require(problems, len(pair) == 2, "pair must have two entries")
-    if len(pair) == 2:
-        j, i = pair
-        _require(problems, 0 <= j < ws.n and 0 <= i < ws.n, "pair index out of range")
-        _require(problems, j != i, "pair entries must differ")
+    if len(pair) != 2 or not _valid_indices(problems, pair, ws.n, "pair index"):
+        return False
+    _require(problems, pair[0] != pair[1], "pair entries must differ")
+    return True
 
 
 def _check_vacuous(problems, ws, cert, holds):
@@ -40,8 +53,12 @@ def _check_edge_separation(problems, ws, cert, holds):
     _require(problems, holds, "edge-separation certifies a holding verdict")
     separators = cert.get("separators", ())
     _require(problems, len(separators) == ws.n, "one separator pair per weight required")
+    seen = set()
     for entry in separators:
         i = entry["index"]
+        if not _valid_index(problems, i, ws.n):
+            continue
+        seen.add(i)
         chi = ws.weights[i]
         others = ws.others(i)
         for key, target in (
@@ -59,11 +76,14 @@ def _check_edge_separation(problems, ws, cert, holds):
                 dot(gamma, target) < 0,
                 f"separator {key} for weight {i} does not exclude",
             )
+    _require(problems, seen == set(range(ws.n)), "separators must cover every weight")
 
 
 def _check_zero_weight(problems, ws, cert, holds):
     _require(problems, not holds, "zero-weight certifies a failure")
     i = cert["index"]
+    if not _valid_index(problems, i, ws.n):
+        return
     _require(problems, is_zero_vector(ws.weights[i]), f"weight {i} is not zero")
     _valid_pair(problems, ws, cert["pair"])
     _require(problems, cert["pair"][0] == i, "pair must start at the zero weight")
@@ -72,6 +92,8 @@ def _check_zero_weight(problems, ws, cert, holds):
 def _check_generator_in_cone(problems, ws, cert, holds):
     _require(problems, not holds, "generator-in-cone certifies a failure")
     i = cert["index"]
+    if not _valid_index(problems, i, ws.n):
+        return
     lam = cert["coefficients"]
     _require(problems, len(lam) == ws.n, "coefficient vector has wrong length")
     _require(problems, all(x >= 0 for x in lam), "coefficients must be nonnegative")
@@ -84,7 +106,8 @@ def _check_generator_in_cone(problems, ws, cert, holds):
         combo == tuple(Fraction(x) for x in ws.weights[i]),
         "combination does not reproduce the weight",
     )
-    _valid_pair(problems, ws, cert["pair"])
+    if not _valid_pair(problems, ws, cert["pair"]):
+        return
     j, tgt = cert["pair"]
     _require(problems, tgt == i, "pair must end at the dependent weight")
     _require(problems, lam[j] > 0, "pair's first coordinate has zero coefficient")
@@ -108,7 +131,10 @@ def _check_line_in_cone(problems, ws, cert, holds):
                 "relation supported on a zero weight",
             )
     pair = cert["pair"]
-    _valid_pair(problems, ws, pair)
+    if "index" in cert:
+        _valid_index(problems, cert["index"], ws.n)
+    if not _valid_pair(problems, ws, pair):
+        return
     _require(problems, c[pair[0]] > 0, "pair's first coordinate not in the relation")
     if "index" not in cert:  # WSP flavour: both coordinates never vanish
         _require(problems, c[pair[1]] > 0, "pair's second coordinate not in the relation")
@@ -122,6 +148,9 @@ def _check_face_separation(problems, ws, cert, holds):
             _require(problems, dot(gamma_p, w) >= 1, "pointedness functional fails")
     seen = set()
     for entry in cert.get("pair_separators", ()):
+        if not (_valid_pair(problems, ws, entry["pair"])
+                and _valid_index(problems, entry["vanishes_at"], ws.n, "vanishes_at")):
+            continue
         i, j = entry["pair"]
         seen.add((i, j))
         vanish = entry["vanishes_at"]
@@ -138,7 +167,9 @@ def _check_face_separation(problems, ws, cert, holds):
 def _check_shared_face_interior(problems, ws, cert, holds):
     _require(problems, not holds, "shared-face-interior certifies a failure")
     pair = cert["pair"]
-    _valid_pair(problems, ws, pair)
+    if not (_valid_pair(problems, ws, pair)
+            and _valid_indices(problems, cert["face_indices"], ws.n, "face index")):
+        return
     shared = set(cert["face_indices"])
     _require(problems, set(pair) <= shared, "pair must lie on the shared face")
     gamma = cert["face_witness"]
@@ -151,6 +182,8 @@ def _check_shared_face_interior(problems, ws, cert, holds):
     rel_indices = set()
     for rel in cert["relations"]:
         idx = rel["index"]
+        if not _valid_index(problems, idx, ws.n, "relation index"):
+            continue
         rel_indices.add(idx)
         mult = rel["multiplier"]
         coeffs = rel["coefficients"]
@@ -175,6 +208,8 @@ def _check_full_rank(problems, ws, cert, holds):
     rows = cert["row_indices"]
     matrix = ws.matrix
     _require(problems, len(rows) == ws.n, "need as many rows as weights")
+    if not _valid_indices(problems, rows, ws.dim, "row index"):
+        return
     det = determinant([matrix.rows[i] for i in rows])
     _require(problems, det == cert["determinant"], "determinant mismatch")
     _require(problems, det != 0, "certifying minor is singular")
@@ -194,7 +229,9 @@ def _check_kernel_witness(problems, ws, cert, holds):
         "kernel vector not in the kernel",
     )
     pair = cert["pair"]
-    _valid_pair(problems, ws, pair)
+    if not (_valid_pair(problems, ws, pair)
+            and _valid_indices(problems, cert["stratum_indices"], ws.n, "stratum index")):
+        return
     s = set(cert["stratum_indices"])
     _require(problems, not (s & set(pair)), "stratum must avoid the pair")
     gamma = cert["stratum_witness"]
@@ -235,6 +272,7 @@ def _strata_sets(ws):
 def _check_strata_missed(problems, ws, cert, holds):
     _require(problems, not holds, "strata-missed-hyperplane certifies a failure")
     i = cert["index"]
+    _valid_index(problems, i, ws.n)
     sets = _strata_sets(ws)
     _require(problems, all(i in s for s in sets), "coordinate does vanish somewhere")
     _valid_pair(problems, ws, cert["pair"])
@@ -242,8 +280,9 @@ def _check_strata_missed(problems, ws, cert, holds):
 
 def _check_strata_forcing(problems, ws, cert, holds):
     _require(problems, not holds, "strata-forcing-pair certifies a failure")
+    if not _valid_pair(problems, ws, cert["pair"]):
+        return
     j, i = cert["pair"]
-    _valid_pair(problems, ws, cert["pair"])
     sets = _strata_sets(ws)
     _require(
         problems,
@@ -257,6 +296,9 @@ def _check_strata_separation(problems, ws, cert, holds):
     sets = {tuple(sorted(s)) for s in _strata_sets(ws)}
     seen = set()
     for entry in cert.get("pair_witnesses", ()):
+        if not (_valid_pair(problems, ws, entry["pair"])
+                and _valid_indices(problems, entry["stratum"], ws.n, "stratum index")):
+            continue
         j, i = entry["pair"]
         seen.add((j, i))
         s = tuple(entry["stratum"])
@@ -268,8 +310,9 @@ def _check_strata_separation(problems, ws, cert, holds):
 
 def _check_strata_equivalent(problems, ws, cert, holds):
     _require(problems, not holds, "strata-equivalent-pair certifies a failure")
+    if not _valid_pair(problems, ws, cert["pair"]):
+        return
     i, j = cert["pair"]
-    _valid_pair(problems, ws, cert["pair"])
     sets = _strata_sets(ws)
     _require(
         problems,
@@ -283,6 +326,9 @@ def _check_strata_distinguished(problems, ws, cert, holds):
     sets = {tuple(sorted(s)) for s in _strata_sets(ws)}
     seen = set()
     for entry in cert.get("pair_witnesses", ()):
+        if not (_valid_pair(problems, ws, entry["pair"])
+                and _valid_indices(problems, entry["stratum"], ws.n, "stratum index")):
+            continue
         i, j = entry["pair"]
         seen.add((i, j))
         s = tuple(entry["stratum"])

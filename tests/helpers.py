@@ -7,8 +7,8 @@ import random
 from itertools import combinations, permutations, product
 from math import prod
 
-from torsep.cones import WeightSystem
-from torsep.linalg import IntMatrix, rank, solve_exact
+from torsep.cones import WeightSystem, face_witness
+from torsep.linalg import IntMatrix, is_zero_vector, rank, solve_exact
 
 # Golden weight systems used across modules.
 M_WEIGHTS = WeightSystem.from_rows([[1, 1], [2, 0], [0, 2]])
@@ -145,3 +145,28 @@ def apply_unimodular(ws: WeightSystem, mat) -> WeightSystem:
 
 def permute_weights(ws: WeightSystem, perm) -> WeightSystem:
     return WeightSystem(ws.dim, tuple(ws.weights[p] for p in perm))
+
+
+def brute_force_faces(ws: WeightSystem):
+    """Face index sets of the weight cone with their witnesses, sorted by
+    (size, index set), by scanning every index subset with one
+    ``face_witness`` LP each.
+
+    Two sound rejects skip LPs: zero weights lie on every face, and
+    equal weights lie on the same faces.
+    """
+    n, weights = ws.n, ws.weights
+    zeros = {i for i, w in enumerate(weights) if is_zero_vector(w)}
+    faces = []
+    for mask in range(2 ** n):
+        inside = tuple(i for i in range(n) if mask >> i & 1)
+        if not zeros <= set(inside):
+            continue
+        if any(weights[j] == weights[k] for j in range(n) if j not in inside
+               for k in inside):
+            continue
+        gamma = face_witness(ws, inside)
+        if gamma is not None:
+            faces.append((inside, gamma))
+    faces.sort(key=lambda f: (len(f[0]), f[0]))
+    return faces

@@ -6,21 +6,25 @@ from helpers import (
     M_WEIGHTS,
     N_WEIGHTS,
     apply_unimodular,
+    brute_force_faces,
     random_unimodular,
     random_weights,
 )
+from torsep import cones, lp
 from torsep.cones import (
     WeightSystem,
     edge_conditions,
     enumerate_faces,
     face_witness,
+    facets,
     homogenize,
     is_strictly_convex,
     minimal_face,
     minimal_face_witness,
 )
 from torsep.errors import InputError, ResourceGuardError
-from torsep.linalg import dot, is_zero_vector
+from torsep.linalg import IntMatrix, dot, is_zero_vector, rank
+from torsep.strata import characteristic_pairs, oracle_sp, oracle_wsp, strata
 
 
 def test_pointed_quadrant():
@@ -206,3 +210,91 @@ def test_homogenized_minimal_faces_of_collinear_triple():
     assert minimal_face(hom, 0) == (0,)
     assert minimal_face(hom, 1) == (0, 1, 2)
     assert minimal_face(hom, 2) == (2,)
+
+
+def _differential_systems():
+    """Seeded systems with d <= 4 and n <= 7, each also homogenized:
+    nonnegative (pointed) and signed draws, zero and duplicate weights,
+    entries up to +-50, and rank-1 systems."""
+    rng = random.Random(41)
+    base = [
+        WeightSystem.from_rows([[3], [1], [0], [1]]),
+        WeightSystem.from_rows([[-2], [-1]]),
+        WeightSystem.from_rows([[2, -4], [-1, 2], [0, 0]]),
+        WeightSystem.from_rows([[1, 2, 0], [3, 6, 0], [2, 4, 0]]),
+        WeightSystem.from_rows([[2], [-3], [0]]),
+        WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1], [1, 1]]),
+        WeightSystem.from_rows([[1, 0], [0, 1], [-1, -1], [0, 0]]),
+        WeightSystem.from_rows([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]),
+        WeightSystem.from_rows([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]]),
+    ]
+    for k in range(32):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        bound = 50 if k % 4 == 0 else 2
+        low = 0 if k % 3 == 0 else -bound
+        rows = []
+        for _ in range(n):
+            roll = rng.random()
+            if rows and roll < 0.15:
+                rows.append(rng.choice(rows))
+            elif roll < 0.25:
+                rows.append((0,) * d)
+            else:
+                rows.append(tuple(rng.randint(low, bound) for _ in range(d)))
+        base.append(WeightSystem(d, tuple(rows)))
+    return [ws for b in base for ws in (b, homogenize(b))]
+
+
+def test_face_lattice_matches_brute_force_scan():
+    for ws in _differential_systems():
+        lattice = enumerate_faces(ws)
+        reference = [indices for indices, _ in brute_force_faces(ws)]
+        assert lattice.index_sets() == tuple(reference), ws
+        for face in lattice:
+            inside = set(face.indices)
+            for k, w in enumerate(ws.weights):
+                value = dot(face.witness, w)
+                assert value == 0 if k in inside else value >= 1
+        for i in range(ws.n):
+            face = minimal_face_witness(ws, i)
+            assert face.indices == min((s for s in reference if i in s), key=len), ws
+            for k, w in enumerate(ws.weights):
+                value = dot(face.witness, w)
+                assert value == 0 if k in face.indices else value >= 1
+        full_rank = rank(ws.matrix)
+        for normal in facets(ws):
+            values = [dot(normal, w) for w in ws.weights]
+            assert min(values) >= 0 and max(values) >= 1
+            on = [w for w, v in zip(ws.weights, values) if v == 0]
+            assert (rank(IntMatrix.from_columns(on)) if on else 0) == full_rank - 1
+
+
+def _clear_cone_caches():
+    for cached in (facets, cones._facet_zero_sets, cones._minimal_face_cached,
+                   cones._enumerate_faces_cached):
+        cached.cache_clear()
+
+
+def test_face_work_runs_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("face work called the LP")
+
+    monkeypatch.setattr(cones, "lp_feasible", refuse)
+    monkeypatch.setattr(lp, "lp_feasible", refuse)
+    _clear_cone_caches()
+    rng = random.Random(17)
+    systems = [M_WEIGHTS, N_WEIGHTS]
+    systems += [random_weights(rng, rng.choice((2, 3, 4)), rng.choice((4, 6, 8)))
+                for _ in range(4)]
+    try:
+        for ws in systems:
+            enumerate_faces(ws)
+            for i in range(ws.n):
+                minimal_face(ws, i)
+                minimal_face_witness(ws, i)
+            strata(ws)
+            oracle_sp(ws)
+            oracle_wsp(ws)
+            characteristic_pairs(ws)
+    finally:
+        _clear_cone_caches()

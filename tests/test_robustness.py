@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,136 @@ def test_traced_benchmark_names_resolve():
                if not callable(getattr(importlib.import_module(f"torsep.{module}"),
                                        name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("certificate", [[0, 1], "full-rank", None, {}, {"kind": 3}])
+def test_verdict_rejects_certificate_without_string_kind(certificate):
+    with pytest.raises(InputError):
+        Verdict("SSP", "affine", True, certificate)
+
+
+def test_negative_row_index_is_reported():
+    ws = WeightSystem.from_rows([[1, 0], [0, 1]])
+    cert = {"kind": "full-rank", "row_indices": [0, -1], "determinant": 1}
+    assert check_verdict(ws, Verdict("SSP", "affine", True, cert))
+
+
+# Certificate fields whose leaves are positions: weights, except rows.
+_INDEX_KEYS = {"index", "pair", "face_indices", "stratum_indices", "vanishes_at",
+               "stratum", "row_indices"}
+
+
+def _leaves(obj, path=()):
+    """(path, value, nearest dict key) of every non-container leaf."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for k, value in enumerate(obj):
+            yield from _leaves(value, path + (k,))
+    else:
+        key = next((p for p in reversed(path) if isinstance(p, str)), None)
+        yield path, obj, key
+
+
+def _dicts(obj, path=()):
+    if isinstance(obj, dict):
+        yield path, obj
+        for key, value in obj.items():
+            yield from _dicts(value, path + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for k, value in enumerate(obj):
+            yield from _dicts(value, path + (k,))
+
+
+_DROP = object()
+
+
+def _edit(obj, path, value):
+    """A copy of ``obj`` with the leaf at ``path`` replaced, or removed
+    from its dict when ``value`` is ``_DROP``."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        out = dict(obj)
+        if value is _DROP and not rest:
+            del out[head]
+        else:
+            out[head] = _edit(obj[head], rest, value)
+        return out
+    out = list(obj)
+    out[head] = _edit(obj[head], rest, value)
+    return type(obj)(out)
+
+
+def _golden_verdicts():
+    from helpers import FIVE_WEIGHTS, M_WEIGHTS, N_WEIGHTS, QUARTET_WEIGHTS
+    from torsep.cones import homogenize
+    from torsep.errors import HypothesisError
+    from torsep.separation import decide
+    from torsep.strata import oracle_sp, oracle_wsp
+
+    systems = [M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS,
+               WeightSystem.from_rows([[1], [0]]),
+               WeightSystem.from_rows([[1], [-1]]),
+               WeightSystem.from_rows([[1, 0], [2, 0], [0, 1]]),
+               WeightSystem.from_rows([[2, 1]])]
+    for ws in systems:
+        for mode in ("affine", "projective"):
+            for prop in ("SP", "WSP", "SSP"):
+                try:
+                    yield ws, decide(ws, prop, mode)
+                except HypothesisError:
+                    pass
+            target = homogenize(ws) if mode == "projective" else ws
+            for oracle in (oracle_sp, oracle_wsp):
+                v = oracle(target)
+                yield ws, Verdict(v.property_name, mode, v.holds, v.certificate)
+
+
+def _mutants(ws, verdict):
+    """(verdict, must_report) for every one-leaf mutation of a verdict."""
+    cert = verdict.certificate
+    kinds_on_original = {"affine-dependence"}
+    rows = ws.dim + (verdict.mode == "projective" and verdict.kind not in kinds_on_original)
+    yield Verdict(verdict.property_name, verdict.mode, not verdict.holds, cert), True
+    for path, value, key in _leaves(cert):
+        numeric = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+        edits = [value + 1, value - 1, -value] if numeric else []
+        edits += ["x", None, True]
+        bad = []
+        if key in _INDEX_KEYS:
+            bad = [-1, rows if key == "row_indices" else ws.n]
+        for new, must in [(e, False) for e in edits] + [(b, True) for b in bad]:
+            try:
+                yield Verdict(verdict.property_name, verdict.mode, verdict.holds,
+                              _edit(cert, path, new)), must
+            except InputError:
+                assert path == ("kind",)
+    for path, mapping in _dicts(cert):
+        for key in mapping:
+            try:
+                yield Verdict(verdict.property_name, verdict.mode, verdict.holds,
+                              _edit(cert, path + (key,), _DROP)), False
+            except InputError:
+                assert path + (key,) == ("kind",)
+
+
+def test_certificate_mutations_never_raise():
+    kinds = set()
+    count = 0
+    for ws, verdict in _golden_verdicts():
+        assert check_verdict(ws, verdict) == []
+        kinds.add(verdict.kind)
+        for mutant, must_report in _mutants(ws, verdict):
+            count += 1
+            problems = check_verdict(ws, mutant)
+            if must_report:
+                assert problems, (ws, mutant)
+    assert count > 1000
+    assert {"edge-separation", "zero-weight", "generator-in-cone", "line-in-cone",
+            "face-separation", "shared-face-interior", "full-rank", "kernel-witness",
+            "affine-independent", "affine-dependence", "strata-separation",
+            "strata-forcing-pair", "strata-missed-hyperplane", "strata-distinguished",
+            "strata-equivalent-pair", "vacuous"} <= kinds
