@@ -4,10 +4,13 @@ Faces are represented purely by generator index sets (which weights lie
 on the face) together with a supporting integer functional as witness;
 no ray canonicalisation is ever needed.  The face lattice is read off
 the facets: ``facets`` finds the primitive integer facet normals once
-per system by exact integer linear algebra, every face is an
-intersection of facet zero sets, and its witness is the sum of the
-normals of the facets containing it.  Minimal faces and the face
-lattice therefore run no LP; pointedness and the edge tests still do.
+per system by double description in exact integer arithmetic, every
+face is an intersection of facet zero sets, and its witness is the sum
+of the normals of the facets containing it.  Minimal faces, the face
+lattice and pointedness (the sum of all normals, checked >= 1 on every
+nonzero weight) therefore run no LP.  The LP is left to the edge tests,
+the relation of a cone that is not pointed, and single-face
+certificates.
 Indices are 0-based throughout; the human-readable coordinate x{k}
 corresponds to position k-1.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from operator import mul
 
 from .errors import InputError, InternalError, ResourceGuardError
@@ -26,9 +28,9 @@ from .linalg import (
     dot,
     independent_rows,
     is_zero_vector,
-    kernel_lattice,
     primitive_vector,
     rank,
+    solve_exact,
 )
 from .lp import ConeMembership, cone_member, lp_feasible
 
@@ -144,18 +146,39 @@ class EdgeConditions:
     negation_membership: ConeMembership
 
 
+def pointedness_functional(ws: WeightSystem) -> tuple[int, ...] | None:
+    """An integer functional >= 1 on every nonzero weight, or None when
+    the weight cone is not pointed.
+
+    The candidate is the primitive sum of the facet normals.  When the
+    cone is pointed its facet normals span the dual, so the sum lies in
+    the interior of the dual cone and is positive on every nonzero
+    weight; when it is not, every normal vanishes on the lineality
+    space, which holds a nonzero weight.  The arithmetic check on the
+    candidate therefore decides pointedness exactly and is also its
+    certificate.  No LP runs.
+    """
+    total = primitive_vector([sum(col) for col in zip((0,) * ws.dim, *facets(ws))])
+    if all(dot(total, w) >= 1 for w in ws.weights if not is_zero_vector(w)):
+        return total
+    return None
+
+
 def is_strictly_convex(ws: WeightSystem) -> PointednessResult:
-    """Decide whether the weight cone is pointed (contains no line)."""
-    nonzero = [(i, w) for i, w in enumerate(ws.weights) if not is_zero_vector(w)]
-    ineqs = [(w, 1) for _, w in nonzero]
-    res = lp_feasible([], ineqs, num_vars=ws.dim)
-    if res.feasible:
-        gamma = primitive_vector(res.solution) if nonzero else tuple([0] * ws.dim)
-        if any(dot(gamma, w) < 1 for _, w in nonzero):
-            raise InternalError("pointedness functional fails its arithmetic check")
+    """Decide whether the weight cone is pointed (contains no line).
+
+    Pointedness is read off the facets (``pointedness_functional``); an
+    LP runs only when the cone is not pointed, to find the relation.
+    """
+    gamma = pointedness_functional(ws)
+    if gamma is not None:
         return PointednessResult(True, functional=gamma)
+    nonzero = [i for i, w in enumerate(ws.weights) if not is_zero_vector(w)]
+    res = lp_feasible([], [(ws.weights[i], 1) for i in nonzero], num_vars=ws.dim)
+    if res.feasible:
+        raise InternalError("pointedness LP contradicts the facets")
     relation = [Fraction(0)] * ws.n
-    for (i, _), mult in zip(nonzero, res.certificate):
+    for i, mult in zip(nonzero, res.certificate):
         relation[i] = mult
     return PointednessResult(False, relation=tuple(relation))
 
@@ -188,40 +211,27 @@ def facets(ws: WeightSystem) -> tuple[tuple[int, ...], ...]:
     Let r be the rank of the weights.  On the r coordinates of
     ``independent_rows`` the weights span a full-dimensional cone in
     Z^r, and a functional supported on those coordinates has the same
-    dot products with the weights as its restriction.  A facet is a
-    hyperplane spanned by r - 1 independent weights with every weight on
-    one side, so each (r - 1)-subset of distinct rays with a rank-1
-    integer kernel gives a candidate normal, oriented to be >= 0 on
-    every weight or dropped if it takes both signs.  A hyperplane is
-    examined once: every (r - 1)-subset of its zero set is marked seen.
-    The search costs at most C(rays, r - 1) kernels.  A cone that is a
-    linear space (this includes r = 0) has no facets.
+    dot products with the weights as its restriction.  The facet normals
+    are the extreme rays of the dual cone {h : h.p >= 0 for every ray
+    p}, which is pointed because the rays span Z^r.  They are found by
+    double description (Motzkin et al. 1953; Fukuda & Prodon 1996):
+    start from the simplicial cone of r independent rays, whose dual is
+    spanned by the columns of the inverse, then cut the dual by one ray
+    at a time.  A cut keeps every normal with h.p >= 0 and adds the
+    positive combination of each adjacent pair across the hyperplane
+    h.p = 0.  Adjacency is decided combinatorially on tight sets (the
+    rays on which a normal vanishes, as int bitmasks): two normals are
+    adjacent iff their common tight set has at least r - 2 members and
+    lies in no third normal's tight set.  A cone that is a linear space
+    (this includes r = 0) has no facets.
     """
     coords = independent_rows(ws.matrix)
     r = len(coords)
     # Zero weights lie on every hyperplane, and positive multiples of one
-    # ray on the same ones: the search runs over distinct projected rays.
+    # ray on the same ones: the cuts run over distinct projected rays.
     rays = sorted({primitive_vector([w[c] for c in coords])
                    for w in ws.weights if not is_zero_vector(w)})
-    normals = set()
-    seen = set()
-    # r = 1 has the single empty subset, whose hyperplane is {0} in Z^1.
-    for subset in combinations(range(len(rays)), r - 1) if r else ():
-        if subset in seen:
-            continue
-        kernel = (kernel_lattice(IntMatrix(tuple(rays[k] for k in subset)))
-                  if subset else ((1,),))
-        if len(kernel) != 1:
-            continue
-        normal = kernel[0]
-        values = [sum(map(mul, normal, p)) for p in rays]
-        zero = [k for k, v in enumerate(values) if v == 0]
-        if len(zero) > r - 1:
-            seen.update(combinations(zero, r - 1))
-        if min(values) >= 0:
-            normals.add(normal)
-        elif max(values) <= 0:
-            normals.add(tuple(-a for a in normal))
+    normals = _dual_extreme_rays(rays, r) if r else []
     # Lifting with zeros off ``coords`` keeps the sorted order.
     lifted = []
     for normal in sorted(normals):
@@ -231,6 +241,42 @@ def facets(ws: WeightSystem) -> tuple[tuple[int, ...], ...]:
         lifted.append(tuple(full))
         _check_facet(ws, lifted[-1], r)
     return tuple(lifted)
+
+
+def _dual_extreme_rays(rays, r: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {h : h.p >= 0 for every p in rays}, where the
+    rays span Z^r (r >= 1), by double description."""
+    base = independent_rows(IntMatrix(tuple(rays)))
+    # (normal, tight set): the i-th base normal vanishes on every other
+    # base ray and is positive on the i-th.
+    cone = [(primitive_vector(solve_exact([rays[k] for k in base],
+                                          [int(j == i) for j in range(r)])),
+             sum(1 << k for k in base if k != base[i]))
+            for i in range(r)]
+    chosen = set(base)
+    for k, ray in enumerate(rays):
+        if k in chosen:
+            continue
+        bit = 1 << k
+        values = [sum(map(mul, h, ray)) for h, _ in cone]
+        kept = [(h, tight | bit if v == 0 else tight)
+                for (h, tight), v in zip(cone, values) if v >= 0]
+        for a, (h_a, tight_a) in enumerate(cone):
+            if values[a] <= 0:
+                continue
+            for b, (h_b, tight_b) in enumerate(cone):
+                if values[b] >= 0:
+                    continue
+                common = tight_a & tight_b
+                if common.bit_count() < r - 2 or any(
+                        common & tight == common
+                        for c, (_, tight) in enumerate(cone) if c != a and c != b):
+                    continue
+                h = primitive_vector([values[a] * y - values[b] * x
+                                      for x, y in zip(h_a, h_b)])
+                kept.append((h, common | bit))
+        cone = kept
+    return [h for h, _ in cone]
 
 
 def _check_facet(ws: WeightSystem, normal, r: int) -> None:

@@ -1,12 +1,20 @@
 """Theorem-backed decision procedures for SP, WSP and SSP.
 
-Affine SP is decided by testing, for every position i, that neither the
-weight nor its negation is a nonnegative rational combination of the
-remaining weights.  Affine WSP requires the weight cone to be pointed
-and the minimal-face map to be injective.  Affine SSP (for orbit
-closures that are cones) holds exactly when the weights are linearly
-independent.  The projective deciders act on the homogenized weights
-(appended coordinate 1); projective SSP is affine independence.
+Affine SP holds exactly when no weight, and no negated weight, is a
+nonnegative rational combination of the remaining weights; equivalently
+the weight cone is pointed and each weight alone spans an extreme ray.
+Affine WSP requires the weight cone to be pointed and the minimal-face
+map to be injective.  Affine SSP (for orbit closures that are cones)
+holds exactly when the weights are linearly independent.  The
+projective deciders act on the homogenized weights (appended coordinate
+1); projective SSP is affine independence.
+
+Pointedness, minimal faces and their witnesses are read off the facets
+(``torsep.cones``), and the cone hypothesis off the Hermite form, so a
+holding SP or WSP verdict runs no LP.  The simplex runs only where a
+failing verdict needs an LP-made certificate: the membership behind a
+failing SP position, the relation of a cone that is not pointed, and
+the interior relations of a shared minimal face.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
@@ -20,20 +28,22 @@ from math import gcd
 from .cones import (
     DEFAULT_MAX_N,
     WeightSystem,
-    edge_conditions,
     homogenize,
     is_strictly_convex,
     minimal_face,
     minimal_face_witness,
+    pointedness_functional,
 )
 from .errors import CrossCheckError, HypothesisError, InternalError
 from .linalg import (
     determinant,
+    dot,
     independent_rows,
     is_zero_vector,
     kernel_lattice,
+    solve_exact,
 )
-from .lp import lp_feasible
+from .lp import cone_member, lp_feasible
 from .strata import ssp_coordinate_witness
 from .verdict import Verdict, vacuous
 
@@ -49,48 +59,78 @@ def _sanitize(ws: WeightSystem, coefficients, i: int) -> list[Fraction]:
     ]
 
 
+def _sp_failure(ws: WeightSystem, i: int) -> dict | None:
+    """The certificate of SP failing at position i, or None when neither
+    w_i nor -w_i is a nonnegative combination of the other weights.
+
+    The negation is tested only when the weight itself is excluded.
+    """
+    others = ws.others(i)
+    membership = cone_member(ws.weights[i], others)
+    if membership.inside:
+        lam = _sanitize(ws, membership.coefficients, i)
+        if all(x == 0 for x in lam):
+            # Zero weight: that coordinate is identically 1 on the
+            # closure, so its hyperplane is missed entirely.
+            return {"kind": "zero-weight", "index": i, "pair": (i, 0 if i else 1)}
+        j = next(k for k in range(ws.n) if lam[k] > 0)
+        return {
+            "kind": "generator-in-cone",
+            "index": i,
+            "coefficients": tuple(lam),
+            "pair": (j, i),
+        }
+    membership = cone_member(tuple(-x for x in ws.weights[i]), others)
+    if membership.inside:
+        relation = _sanitize(ws, membership.coefficients, i)
+        relation[i] = Fraction(1)
+        return {
+            "kind": "line-in-cone",
+            "index": i,
+            "relation": tuple(relation),
+            "pair": (i, 0 if i else 1),
+        }
+    return None
+
+
 def decide_affine_sp(ws: WeightSystem) -> Verdict:
-    """Separation property of the affine orbit closure of a general point."""
+    """Separation property of the affine orbit closure of a general point.
+
+    SP holds iff the weight cone is pointed and every weight alone spans
+    an extreme ray.  On a pointed cone, the first failing position is
+    the first zero weight or weight whose minimal face holds another
+    nonzero weight; only its certificate takes an LP.  A holding verdict
+    runs none: p (the pointedness functional) excludes -w_i, and
+    K f_i - p excludes w_i, where f_i witnesses the minimal face {i}
+    plus the zero weights and K = max_j p.w_j.  A cone that is not
+    pointed fails, at the first position found by the LP tests.
+    """
     if ws.n == 1:
         return vacuous("SP", "affine")
-    separators = []
-    for i in range(ws.n):
-        cond = edge_conditions(ws, i)
-        if not cond.excludes_vector:
-            lam = _sanitize(ws, cond.vector_membership.coefficients, i)
-            if all(x == 0 for x in lam):
-                # Zero weight: that coordinate is identically 1 on the
-                # closure, so its hyperplane is missed entirely.
-                j0 = 0 if i != 0 else 1
-                cert = {"kind": "zero-weight", "index": i, "pair": (i, j0)}
-                return Verdict("SP", "affine", False, cert)
-            j = next(k for k in range(ws.n) if lam[k] > 0)
-            cert = {
-                "kind": "generator-in-cone",
-                "index": i,
-                "coefficients": tuple(lam),
-                "pair": (j, i),
-            }
+    p = pointedness_functional(ws)
+    if p is None:
+        failing = range(ws.n)
+    else:
+        zero = {k for k, w in enumerate(ws.weights) if is_zero_vector(w)}
+        failing = [i for i in range(ws.n)
+                   if i in zero or len(set(minimal_face(ws, i)) - zero) > 1][:1]
+    for i in failing:
+        cert = _sp_failure(ws, i)
+        if cert is not None:
             return Verdict("SP", "affine", False, cert)
-        if not cond.excludes_negation:
-            relation = _sanitize(ws, cond.negation_membership.coefficients, i)
-            relation[i] = Fraction(1)
-            j0 = 0 if i != 0 else 1
-            cert = {
-                "kind": "line-in-cone",
-                "index": i,
-                "relation": tuple(relation),
-                "pair": (i, j0),
-            }
-            return Verdict("SP", "affine", False, cert)
-        separators.append(
-            {
-                "index": i,
-                "vector_excluded_by": cond.vector_membership.functional,
-                "negation_excluded_by": cond.negation_membership.functional,
-            }
-        )
-    return Verdict("SP", "affine", True, {"kind": "edge-separation", "separators": tuple(separators)})
+    if p is None or failing:
+        raise InternalError("SP failure expected but no certificate found")
+    top = max(dot(p, w) for w in ws.weights)
+    separators = tuple(
+        {
+            "index": i,
+            "vector_excluded_by": tuple(top * a - b for a, b in zip(
+                minimal_face_witness(ws, i).witness, p)),
+            "negation_excluded_by": p,
+        }
+        for i in range(ws.n)
+    )
+    return Verdict("SP", "affine", True, {"kind": "edge-separation", "separators": separators})
 
 
 def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, tuple[int, ...]]:
@@ -185,13 +225,16 @@ def cone_hypothesis(ws: WeightSystem):
     space of the weight matrix).  Scaling a point of the closure by s
     multiplies a monomial x^c by s^(sum c); the closure is stable under
     scaling exactly when the exponent sums vanish on the relation
-    lattice, which is this criterion.
+    lattice, which is this criterion.  An equality system, solved
+    exactly on the Hermite form; the solution is checked on every
+    weight.
     """
-    eqs = [(w, 1) for w in ws.weights]
-    res = lp_feasible(eqs, [], num_vars=ws.dim)
-    if res.feasible:
-        return True, res.solution
-    return False, None
+    functional = solve_exact(ws.weights, [1] * ws.n)
+    if functional is None:
+        return False, None
+    if any(dot(w, functional) != 1 for w in ws.weights):
+        raise InternalError("cone functional fails its arithmetic check")
+    return True, functional
 
 
 _CONE_NOTES = (

@@ -35,6 +35,8 @@ class Verdict:
             raise InputError(f"unknown property {self.property_name!r}")
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.holds, bool):
+            raise InputError(f"holds must be a bool, not {self.holds!r}")
         if not isinstance(self.certificate, Mapping):
             raise InputError("certificate must be a mapping")
         if not isinstance(self.certificate.get("kind"), str):

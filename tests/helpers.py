@@ -4,11 +4,15 @@ oracles, and small transformation utilities."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 
-from torsep.cones import WeightSystem, face_witness
+from torsep import cones
+from torsep.cones import WeightSystem, edge_conditions, face_witness
 from torsep.linalg import IntMatrix, is_zero_vector, rank, solve_exact
+from torsep.lp import lp_feasible
+from torsep.verdict import Verdict, vacuous
 
 # Golden weight systems used across modules.
 M_WEIGHTS = WeightSystem.from_rows([[1, 1], [2, 0], [0, 2]])
@@ -23,6 +27,50 @@ def random_weights(rng: random.Random, d: int, n: int, bound: int = 2) -> Weight
     return WeightSystem(
         d, tuple(tuple(rng.randint(-bound, bound) for _ in range(d)) for _ in range(n))
     )
+
+
+def fuzz_weights(rng: random.Random, d: int, n: int, bound: int) -> WeightSystem:
+    """Seeded weights covering the cases the routes treat apart: zero
+    weights, duplicates, positive multiples, nonnegative (pointed) and
+    signed draws, and rank-deficient draws (last coordinate a copy of
+    the first).  Entries stay within +-bound."""
+    low = rng.choice((0, -bound))
+    flat = d > 1 and rng.random() < 0.2
+    rows = []
+    for _ in range(n):
+        roll = rng.random()
+        if rows and roll < 0.1:
+            rows.append(rng.choice(rows))
+        elif rows and roll < 0.2:
+            w = rng.choice(rows)
+            rows.append(tuple(2 * x for x in w) if 2 * max(map(abs, w)) <= bound else w)
+        elif roll < 0.3:
+            rows.append((0,) * d)
+        else:
+            w = [rng.randint(low, bound) for _ in range(d)]
+            if flat:
+                w[-1] = w[0]
+            rows.append(tuple(w))
+    return WeightSystem(d, tuple(rows))
+
+
+def shrink(ws: WeightSystem, disagreement) -> WeightSystem:
+    """Greedily drop weights and halve the entries of one weight (toward
+    zero) while ``disagreement`` still reports something; return the
+    smallest instance reached."""
+    def halve(x):
+        return x // 2 if x >= 0 else -(-x // 2)
+
+    while True:
+        rows = ws.weights
+        candidates = [rows[:k] + rows[k + 1:] for k in range(len(rows))] if len(rows) > 1 else []
+        candidates += [rows[:k] + (tuple(map(halve, rows[k])),) + rows[k + 1:]
+                       for k in range(len(rows)) if any(rows[k])]
+        smaller = next((WeightSystem(ws.dim, c) for c in candidates
+                        if disagreement(WeightSystem(ws.dim, c))), None)
+        if smaller is None:
+            return ws
+        ws = smaller
 
 
 def random_suite(seed: int, count: int, dims=(1, 2, 3), sizes=(1, 2, 3, 4, 5, 6)):
@@ -147,6 +195,13 @@ def permute_weights(ws: WeightSystem, perm) -> WeightSystem:
     return WeightSystem(ws.dim, tuple(ws.weights[p] for p in perm))
 
 
+def clear_cone_caches():
+    """Empty every facet and face cache of ``torsep.cones``."""
+    for cached in (cones.facets, cones._facet_zero_sets, cones._minimal_face_cached,
+                   cones._enumerate_faces_cached):
+        cached.cache_clear()
+
+
 def brute_force_faces(ws: WeightSystem):
     """Face index sets of the weight cone with their witnesses, sorted by
     (size, index set), by scanning every index subset with one
@@ -170,3 +225,52 @@ def brute_force_faces(ws: WeightSystem):
             faces.append((inside, gamma))
     faces.sort(key=lambda f: (len(f[0]), f[0]))
     return faces
+
+
+def reference_affine_sp(ws: WeightSystem) -> Verdict:
+    """Affine SP by testing every position i in order: neither w_i nor
+    -w_i may be a nonnegative combination of the other weights.  Two
+    ``cone_member`` LPs per position, with each LP's functional as the
+    holding separator."""
+    if ws.n == 1:
+        return vacuous("SP", "affine")
+
+    def sanitize(coefficients, i):
+        lam = list(coefficients)
+        lam.insert(i, Fraction(0))
+        return [Fraction(0) if is_zero_vector(ws.weights[k]) else lam[k]
+                for k in range(ws.n)]
+
+    separators = []
+    for i in range(ws.n):
+        cond = edge_conditions(ws, i)
+        j0 = 0 if i != 0 else 1
+        if not cond.excludes_vector:
+            lam = sanitize(cond.vector_membership.coefficients, i)
+            if all(x == 0 for x in lam):
+                cert = {"kind": "zero-weight", "index": i, "pair": (i, j0)}
+                return Verdict("SP", "affine", False, cert)
+            j = next(k for k in range(ws.n) if lam[k] > 0)
+            cert = {"kind": "generator-in-cone", "index": i,
+                    "coefficients": tuple(lam), "pair": (j, i)}
+            return Verdict("SP", "affine", False, cert)
+        if not cond.excludes_negation:
+            relation = sanitize(cond.negation_membership.coefficients, i)
+            relation[i] = Fraction(1)
+            cert = {"kind": "line-in-cone", "index": i,
+                    "relation": tuple(relation), "pair": (i, j0)}
+            return Verdict("SP", "affine", False, cert)
+        separators.append({
+            "index": i,
+            "vector_excluded_by": cond.vector_membership.functional,
+            "negation_excluded_by": cond.negation_membership.functional,
+        })
+    return Verdict("SP", "affine", True,
+                   {"kind": "edge-separation", "separators": tuple(separators)})
+
+
+def reference_cone_hypothesis(ws: WeightSystem):
+    """Whether some rational functional is 1 on every weight, by one
+    ``lp_feasible`` call; (feasible, solution)."""
+    res = lp_feasible([(w, 1) for w in ws.weights], [], num_vars=ws.dim)
+    return res.feasible, res.solution

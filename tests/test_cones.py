@@ -7,6 +7,7 @@ from helpers import (
     N_WEIGHTS,
     apply_unimodular,
     brute_force_faces,
+    clear_cone_caches,
     random_unimodular,
     random_weights,
 )
@@ -269,19 +270,13 @@ def test_face_lattice_matches_brute_force_scan():
             assert (rank(IntMatrix.from_columns(on)) if on else 0) == full_rank - 1
 
 
-def _clear_cone_caches():
-    for cached in (facets, cones._facet_zero_sets, cones._minimal_face_cached,
-                   cones._enumerate_faces_cached):
-        cached.cache_clear()
-
-
 def test_face_work_runs_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("face work called the LP")
 
     monkeypatch.setattr(cones, "lp_feasible", refuse)
     monkeypatch.setattr(lp, "lp_feasible", refuse)
-    _clear_cone_caches()
+    clear_cone_caches()
     rng = random.Random(17)
     systems = [M_WEIGHTS, N_WEIGHTS]
     systems += [random_weights(rng, rng.choice((2, 3, 4)), rng.choice((4, 6, 8)))
@@ -297,4 +292,4 @@ def test_face_work_runs_no_lp(monkeypatch):
             oracle_wsp(ws)
             characteristic_pairs(ws)
     finally:
-        _clear_cone_caches()
+        clear_cone_caches()

@@ -65,6 +65,13 @@ def test_json_round_trip_is_a_fixed_point():
     assert emit_report(rebuilt, "json") == emitted
 
 
+def test_report_from_json_rejects_non_bool_holds():
+    payload = json.loads(emit_report(_sample_report(), "json"))
+    payload["verdicts"][0]["holds"] = "false"
+    with pytest.raises(InputError, match="holds"):
+        report_from_json(payload)
+
+
 def test_json_field_order_is_stable():
     payload = json.loads(emit_report(_sample_report(), "json"))
     assert list(payload) == [

@@ -26,27 +26,36 @@ def _env_with_src():
     return env
 
 
+# The full-rank certificate of the weights (1,0),(0,1).
+_FULL_RANK = {"kind": "full-rank", "row_indices": (0, 1), "determinant": 1}
+
+
 def test_verdict_rejects_unknown_property_and_mode():
     with pytest.raises(InputError):
         Verdict("XX", "affine", True, {})
     with pytest.raises(InputError):
         Verdict("SP", "bogus", True, {})
+    # A truthy string would re-verify as a holding verdict.
+    with pytest.raises(InputError):
+        Verdict("SSP", "affine", "false", _FULL_RANK)
 
 
 def test_verdict_validation_survives_optimize_flag():
     code = (
         "from torsep.errors import InputError\n"
         "from torsep.verdict import Verdict\n"
-        "try:\n"
-        "    Verdict('XX', 'bogus', True, {})\n"
-        "except InputError:\n"
-        "    print('raised')\n"
+        "for args in (('XX', 'bogus', True, {}),\n"
+        f"             ('SSP', 'affine', 'false', {_FULL_RANK!r})):\n"
+        "    try:\n"
+        "        Verdict(*args)\n"
+        "    except InputError:\n"
+        "        print('raised')\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", code],
         env=_env_with_src(), capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == ["raised", "raised"]
 
 
 def test_package_holds_no_assert_statements():

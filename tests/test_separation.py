@@ -2,15 +2,22 @@ import random
 
 import pytest
 
+import torsep.cones
+import torsep.separation
 from helpers import (
     FIVE_WEIGHTS,
     M_WEIGHTS,
     N_WEIGHTS,
     QUARTET_WEIGHTS,
+    clear_cone_caches,
+    fuzz_weights,
     permute_weights,
     random_weights,
+    reference_affine_sp,
+    reference_cone_hypothesis,
 )
-from torsep.cones import WeightSystem
+from torsep.cones import WeightSystem, homogenize, is_strictly_convex
+from torsep.linalg import dot
 from torsep.errors import HypothesisError
 from torsep.separation import (
     cone_hypothesis,
@@ -182,8 +189,6 @@ def test_decide_dispatcher():
 
 def _count_wsp_lps(monkeypatch, ws):
     """Run decide_affine_wsp from a cold cache, counting lp_feasible calls."""
-    import torsep.cones
-    import torsep.separation
     from torsep.lp import lp_feasible
 
     calls = []
@@ -200,14 +205,104 @@ def _count_wsp_lps(monkeypatch, ws):
 
 
 def test_wsp_lp_count_bound(monkeypatch):
-    from torsep.cones import minimal_face
-
     ws = WeightSystem.from_rows(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1]]
     )
     verdict, count = _count_wsp_lps(monkeypatch, ws)
     assert verdict.holds
-    bound = 1 + sum(ws.n - len(minimal_face(ws, i)) + 1 for i in range(ws.n))
-    assert 0 < count <= bound
-    # The pair-separator route spent one LP per pair on top of n^2 face LPs.
-    assert count < ws.n * (ws.n - 1) // 2 + ws.n * ws.n
+    # Pointedness and minimal faces are read off the facets: a holding
+    # WSP verdict runs no LP.
+    assert count == 0
+
+
+def _reference_systems():
+    """Seeded systems with d <= 4, n <= 8, entries up to +-50, zero
+    weights, duplicates, positive multiples, non-pointed and
+    rank-deficient draws, each also homogenized."""
+    rng = random.Random(88)
+    base = [
+        WeightSystem.from_rows([[0, 0], [1, 0]]),
+        WeightSystem.from_rows([[1, 0], [0, 0]]),
+        WeightSystem.from_rows([[1, 0], [2, 0], [0, 1]]),
+        WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1]]),
+        WeightSystem.from_rows([[0], [0]]),
+        M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS,
+    ]
+    for k in range(110):
+        bound = 50 if k % 3 == 0 else 2
+        base.append(fuzz_weights(rng, rng.randint(1, 4), rng.randint(2, 8), bound))
+    return [ws for b in base for ws in (b, homogenize(b))]
+
+
+def test_sp_and_cone_hypothesis_match_the_lp_references():
+    outcomes = set()
+    for ws in _reference_systems():
+        verdict = decide_affine_sp(ws)
+        reference = reference_affine_sp(ws)
+        assert (verdict.holds, verdict.kind) == (reference.holds, reference.kind), ws
+        if verdict.holds:
+            _verified(ws, verdict)
+        else:
+            assert verdict.certificate == reference.certificate, ws
+        outcomes.add(verdict.kind)
+        is_cone, functional = cone_hypothesis(ws)
+        assert is_cone == reference_cone_hypothesis(ws)[0], ws
+        if is_cone:
+            assert all(dot(functional, w) == 1 for w in ws.weights)
+    assert {"edge-separation", "zero-weight", "generator-in-cone",
+            "line-in-cone"} <= outcomes
+
+
+def _refuse_lp(monkeypatch):
+    """Make every LP entry point of cones and separation raise, from
+    cold cone caches."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a holding path called the LP")
+
+    for module in (torsep.cones, torsep.separation):
+        for name in ("lp_feasible", "cone_member"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    clear_cone_caches()
+
+
+def test_holding_sp_wsp_and_cone_hypothesis_run_no_lp(monkeypatch):
+    rng = random.Random(89)
+    drawn = [fuzz_weights(rng, rng.randint(1, 4), rng.randint(2, 7), rng.choice((2, 50)))
+             for _ in range(60)]
+    golden = [M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS]
+    deciders = (decide_affine_sp, decide_affine_wsp, decide_projective_sp,
+                decide_projective_wsp)
+    # Holding verdicts (their cones are pointed), found with the LP in place.
+    holding = [(ws, decider) for ws in golden + drawn for decider in deciders
+               if decider(ws).holds]
+    cones = [(ws, cone_hypothesis(ws)) for ws in golden]
+    assert len({decider for _, decider in holding}) == 4 and len(holding) > 60
+    _refuse_lp(monkeypatch)
+    try:
+        for ws, decider in holding:
+            verdict = _verified(ws, decider(ws))
+            assert verdict.holds, (ws, decider.__name__)
+        for ws, (is_cone, _) in cones:
+            assert cone_hypothesis(ws)[0] == is_cone
+    finally:
+        clear_cone_caches()
+
+
+def test_failing_sp_on_pointed_cone_runs_one_cone_member(monkeypatch):
+    from torsep.lp import cone_member
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cone_member(*args, **kwargs)
+
+    for module in (torsep.cones, torsep.separation):
+        monkeypatch.setattr(module, "cone_member", counting)
+    failing = [M_WEIGHTS, WeightSystem.from_rows([[0, 0], [1, 0]]),
+               WeightSystem.from_rows([[1, 0], [0, 1], [2, 0]])]
+    for ws in failing:
+        assert is_strictly_convex(ws).pointed
+        calls.clear()
+        verdict = _verified(ws, decide_affine_sp(ws))
+        assert not verdict.holds and len(calls) == 1, ws
