@@ -10,6 +10,7 @@ never drive the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -250,7 +251,10 @@ def _read_input(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged,
+    and nothing in it is read from the environment."""
     parser = argparse.ArgumentParser(
         prog="torsep",
         description="Decide separation properties of toric orbit closures, "
@@ -283,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="all routes plus agreement check")
     common(p)
     p.add_argument("--mode", choices=("affine", "projective"), default="affine")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("TORSEP_SEED", "0")))
+    p.add_argument("--seed", type=int, default=None,
+                   help="vanishing-check seed (default: $TORSEP_SEED, else 0)")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--prime", type=int, default=10007)
 
@@ -334,11 +338,24 @@ def _process_one(text: str, args, out, where: str = "") -> int:
         return 4
 
 
+def _env_seed() -> int:
+    """``verify``'s default seed: ``$TORSEP_SEED`` at call time, else 0."""
+    value = os.environ.get("TORSEP_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"TORSEP_SEED must be an integer, got {value!r}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "binary" and args.form is not None and not args.batch:
+        if args.command == "verify" and args.seed is None:
+            args.seed = _env_seed()
+        if args.command == "binary" and args.form is not None:
+            if args.batch:
+                raise InputError("--form cannot be combined with --batch")
             return _process_one("", args, out)
         text = _read_input(args.input)
     except InputError as exc:

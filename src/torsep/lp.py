@@ -1,11 +1,16 @@
 """Exact rational linear feasibility with verifiable certificates.
 
-One routine does the work: a phase-1 simplex over ``fractions.Fraction``
-on a standard-form system ``{A y = b, y >= 0}``, with nonnegativity
-native (never a constraint row) and Bland's rule, so termination is
-unconditional and results are deterministic.  It returns either a
-solution ``y`` or Farkas multipliers ``z`` with ``z A <= 0`` and
-``z b > 0``, read from the final reduced costs.
+One routine does the work: a phase-1 simplex on a standard-form system
+``{A y = b, y >= 0}``, with nonnegativity native (never a constraint
+row) and Bland's rule, so termination is unconditional and results are
+deterministic.  It returns either a solution ``y`` or Farkas multipliers
+``z`` with ``z A <= 0`` and ``z b > 0``, read from the final reduced
+costs.  Its pivots are integer-preserving (Edmonds 1967; Bareiss 1968):
+the tableau is kept as ``int`` rows over one common positive
+denominator, after ``A`` and ``b`` are scaled by the lcm of their
+denominators, and every division is exact.  The pivots, and so ``y`` and
+``z``, are those of the ``Fraction`` tableau of the unscaled system;
+only the answers are built as ``Fraction``.
 
 Two entry points route through it:
 
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, InternalError
 from .linalg import dot, primitive_vector
@@ -63,8 +69,8 @@ def _coerce(system, num_vars):
 
 
 def _phase1(matrix, rhs, ncols):
-    """Phase-1 simplex on ``{A y = b, y >= 0}`` (A is m x ncols, entries
-    and right-hand sides all ``Fraction``).
+    """Phase-1 simplex on ``{A y = b, y >= 0}`` (A is m x ncols; entries
+    and right-hand sides are ``int`` or ``Fraction``).
 
     Returns ``(True, y)`` with a feasible y, or ``(False, z)`` with
     ``z . A_j <= 0`` for every column j and ``z . b > 0``.
@@ -74,70 +80,88 @@ def _phase1(matrix, rhs, ncols):
     so the simplex multipliers are ``1 - (reduced cost of artificial
     i)``.  Artificials never re-enter the basis: the multipliers only
     need ``z A <= 0``, which optimality on the original columns gives.
+
+    The pivots are integer-preserving (Edmonds 1967; Bareiss 1968).
+    ``A`` and ``b`` are multiplied by the common denominator ``L`` of
+    all their entries, and the tableau and cost row are kept as ``int``
+    rows over one positive denominator ``D``: a pivot on ``p`` maps
+    every other row ``T_i`` to ``(p T_i - T_ic T_r) // D``, exactly,
+    and sets ``D = p``.  As the ratio test only picks ``p > 0``, ``D``
+    stays positive and every sign read by Bland's rule is that of the
+    rational tableau.  Against the tableau of the unscaled system, the
+    scale multiplies a row by ``L`` when an artificial is basic in it
+    (else by 1) and the reduced costs of the original columns by ``L``,
+    so every ratio and sign, hence every pivot, is the same; the
+    reduced costs of the artificials, hence y and z, are unchanged.
     """
     m = len(matrix)
+    scale = lcm(*(x.denominator for row in matrix for x in row),
+                *(x.denominator for x in rhs))
     sigma = []
     tableau = []
     for i in range(m):
-        row = list(matrix[i])
+        s = -1 if rhs[i] < 0 else 1
+        sigma.append(s)
+        row = [s * x.numerator * (scale // x.denominator) for x in matrix[i]]
+        row += [0] * m
+        row[ncols + i] = 1
         b = rhs[i]
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-            sigma.append(-1)
-        else:
-            sigma.append(1)
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tableau.append(row + art + [b])
+        row.append(s * b.numerator * (scale // b.denominator))
+        tableau.append(row)
     basis = [ncols + i for i in range(m)]
-    width = ncols + m + 1
+    denom = 1
 
     # Reduced costs of the phase-1 objective (artificial costs 1), with
-    # the negated objective value in the last entry.
-    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(ncols)]
-    cost += [_ZERO] * m
-    cost.append(-sum(tableau[i][-1] for i in range(m)))
+    # the negated objective value in the last entry; all over ``denom``.
+    cost = [-sum(col) for col in zip(*tableau)] if m else [0] * (ncols + 1)
+    cost[ncols:ncols + m] = [0] * m
 
     while True:
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                key = (tableau[i][-1] / a, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
+                b = tableau[i][-1]
+                if leave is None:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                # Compare b / a with best_b / best_a; ties go to the lower
+                # basis index.
+                cross = b * best_a - best_b * a
+                if cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, b
         if leave is None:
             raise InternalError("phase-1 objective unbounded; solver invariant broken")
         piv_row = tableau[leave]
         piv = piv_row[enter]
-        if piv != 1:
-            tableau[leave] = piv_row = [a / piv if a else a for a in piv_row]
-        support = [k for k in range(width) if piv_row[k]]
         for i in range(m):
             if i != leave:
-                row = tableau[i]
-                f = row[enter]
-                if f:
-                    for k in support:
-                        row[k] -= f * piv_row[k]
-        f = cost[enter]
-        for k in support:
-            cost[k] -= f * piv_row[k]
+                tableau[i] = _bareiss(tableau[i], piv_row, piv, denom, enter)
+        cost = _bareiss(cost, piv_row, piv, denom, enter)
         basis[leave] = enter
+        denom = piv
 
     if cost[-1] == 0:
         y = [_ZERO] * ncols
         for i, col in enumerate(basis):
             if col < ncols:
-                y[col] = tableau[i][-1]
+                y[col] = Fraction(tableau[i][-1], denom)
         return True, y
-    return False, [sigma[i] * (_ONE - cost[ncols + i]) for i in range(m)]
+    return False, [sigma[i] * Fraction(denom - cost[ncols + i], denom) for i in range(m)]
+
+
+def _bareiss(row, piv_row, piv, denom, enter):
+    """One row of an integer-preserving pivot: ``(piv row - f piv_row) //
+    denom`` with ``f = row[enter]``; the division is exact."""
+    f = row[enter]
+    if f:
+        return [(piv * a - f * b) // denom for a, b in zip(row, piv_row)]
+    if piv == denom:
+        return row
+    return [piv * a // denom for a in row]
 
 
 def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:

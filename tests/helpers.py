@@ -274,3 +274,74 @@ def reference_cone_hypothesis(ws: WeightSystem):
     ``lp_feasible`` call; (feasible, solution)."""
     res = lp_feasible([(w, 1) for w in ws.weights], [], num_vars=ws.dim)
     return res.feasible, res.solution
+
+
+def reference_phase1(matrix, rhs, ncols):
+    """Phase-1 simplex on ``{A y = b, y >= 0}`` over ``Fraction`` with
+    Bland's rule: the rational tableau that ``torsep.lp._phase1`` keeps
+    over one integer denominator.  Same return shape: ``(True, y)`` or
+    ``(False, z)`` with ``z . A_j <= 0`` and ``z . b > 0``.
+
+    Rows are sign-normalised so that b >= 0 and given one artificial
+    each; the multipliers are ``1 - (reduced cost of artificial i)``.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    m = len(matrix)
+    sigma = []
+    tableau = []
+    for i in range(m):
+        row = [Fraction(a) for a in matrix[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
+            sigma.append(-1)
+        else:
+            sigma.append(1)
+        art = [zero] * m
+        art[i] = one
+        tableau.append(row + art + [b])
+    basis = [ncols + i for i in range(m)]
+    width = ncols + m + 1
+
+    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(ncols)]
+    cost += [zero] * m
+    cost.append(-sum(tableau[i][-1] for i in range(m)))
+
+    while True:
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                key = (tableau[i][-1] / a, basis[i])
+                if best is None or key < best:
+                    best = key
+                    leave = i
+        piv_row = tableau[leave]
+        piv = piv_row[enter]
+        if piv != 1:
+            tableau[leave] = piv_row = [a / piv if a else a for a in piv_row]
+        support = [k for k in range(width) if piv_row[k]]
+        for i in range(m):
+            if i != leave:
+                row = tableau[i]
+                f = row[enter]
+                if f:
+                    for k in support:
+                        row[k] -= f * piv_row[k]
+        f = cost[enter]
+        for k in support:
+            cost[k] -= f * piv_row[k]
+        basis[leave] = enter
+
+    if cost[-1] == 0:
+        y = [zero] * ncols
+        for i, col in enumerate(basis):
+            if col < ncols:
+                y[col] = tableau[i][-1]
+        return True, y
+    return False, [sigma[i] * (one - cost[ncols + i]) for i in range(m)]

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,15 +227,78 @@ def test_same_seed_identical_reports(capsys, monkeypatch):
 
 
 def test_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("TORSEP_SEED", "99")
-    code, out, _ = run_cli(
-        capsys,
-        ["verify", "--format", "json", "-"],
-        stdin=M_JSON,
-        monkeypatch=monkeypatch,
+    """``TORSEP_SEED`` is read on each call, not when the parser is built."""
+    for value in ("99", "5"):
+        monkeypatch.setenv("TORSEP_SEED", value)
+        code, out, _ = run_cli(
+            capsys, ["verify", "--format", "json", "-"], stdin=M_JSON, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == int(value)
+    monkeypatch.delenv("TORSEP_SEED")
+    _, out, _ = run_cli(
+        capsys, ["verify", "--format", "json", "-"], stdin=M_JSON, monkeypatch=monkeypatch
     )
-    assert code == 0
-    assert json.loads(out)["seed"] == 99
+    assert json.loads(out)["seed"] == 0
+
+
+def test_non_integer_seed_environment(capsys, monkeypatch):
+    monkeypatch.setenv("TORSEP_SEED", "abc")
+    code, out, err = run_cli(capsys, ["verify", "-"], stdin=M_JSON, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: TORSEP_SEED must be an integer, got 'abc'\n"
+    code, out, _ = run_cli(
+        capsys, ["verify", "--format", "json", "--seed", "3", "-"],
+        stdin=M_JSON, monkeypatch=monkeypatch,
+    )
+    assert code == 0 and json.loads(out)["seed"] == 3
+    code, out, err = run_cli(capsys, ["decide", "-"], stdin=M_JSON, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert "SP (affine): FAILS" in out
+
+
+def test_binary_form_with_batch_is_an_input_error(capsys, monkeypatch):
+    lines = '{"form": "x*y^3"}\n{"form": "x^4 - y^4"}\n'
+    code, out, err = run_cli(
+        capsys, ["binary", "--form", "x^2*y^2", "--batch", "-"],
+        stdin=lines, monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --form cannot be combined with --batch\n"
+
+
+def test_parser_is_built_once_and_survives_exits(capsys, monkeypatch):
+    """Many calls share one parser; a usage error and ``--help`` leave it
+    as it was, so a later call reports what a fresh process does."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.delenv("TORSEP_SEED", raising=False)
+    argv = ["verify", "--format", "json", "-"]
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(4):
+            assert run_cli(capsys, argv, stdin=M_JSON, monkeypatch=monkeypatch)[0] == 0
+        for bad, status in ((["verify", "--seed", "x", "-"], 2), (["decide", "--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == status
+        capsys.readouterr()
+        here = run_cli(capsys, argv, stdin=FIVE_JSON, monkeypatch=monkeypatch)
+        assert built.count("torsep") == 1
+    finally:
+        cli._build_parser.cache_clear()
+    env = {k: v for k, v in os.environ.items() if k != "TORSEP_SEED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "torsep", *argv], input=FIVE_JSON,
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert here == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def _split_json_stream(text):

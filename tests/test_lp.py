@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_cone_member
+from helpers import brute_force_cone_member, reference_phase1
+from torsep import lp
 from torsep.errors import InputError
 from torsep.linalg import dot
 from torsep.lp import cone_member, lp_feasible, verify_feasibility
@@ -198,3 +199,66 @@ def test_cone_member_without_generators_or_target():
             assert res.inside == brute_force_cone_member(v, [])
             if not res.inside:
                 assert dot(res.functional, v) < 0
+
+
+def _reference_systems():
+    """Seeded systems for the integer simplex against the ``Fraction``
+    reference: integer and rational entries, zero and duplicate rows,
+    equality-only systems, no variables, right-hand sides of both signs,
+    and small entries with many zero right-hand sides, so that the ratio
+    test meets ties."""
+    rng = random.Random(41)
+
+    def entry(rational, bound):
+        x = rng.randint(-bound, bound)
+        return Fraction(x, rng.randint(2, 6)) if rational and rng.random() < 0.4 else x
+
+    def rows(count, n, rational, bound):
+        out = []
+        for _ in range(count):
+            roll = rng.random()
+            if out and roll < 0.15:
+                out.append(rng.choice(out))
+            elif roll < 0.25:
+                out.append(([0] * n, entry(rational, bound)))
+            else:
+                rhs = 0 if roll < 0.5 else entry(rational, bound)
+                out.append(([entry(rational, bound) for _ in range(n)], rhs))
+        return out
+
+    systems = []
+    for k in range(600):
+        rational = k % 3 == 0
+        bound = 1 if k % 2 else 3
+        n = rng.randrange(0, 5)
+        eqs = rows(rng.randrange(0, 3), n, rational, bound)
+        ineqs = [] if k % 5 == 0 else rows(rng.randrange(0, 6), n, rational, bound)
+        systems.append((eqs, ineqs, n))
+    return systems
+
+
+def _with_reference_phase1(monkeypatch, call, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_phase1", reference_phase1)
+        return call(*args)
+
+
+def test_integer_simplex_matches_the_fraction_reference(monkeypatch):
+    """Same pivots as the rational tableau, so the same answers, field
+    by field: ``lp_feasible``, ``cone_member`` and the phase-1 vectors
+    themselves (a uniform rescaling of the multipliers would not show in
+    the first two, whose answers are scale-invariant)."""
+    for eqs, ineqs, n in _reference_systems():
+        matrix = [coeffs for coeffs, _ in eqs + ineqs]
+        rhs = [b for _, b in eqs + ineqs]
+        columns = [list(col) for col in zip(*matrix)] if n else []
+        assert lp._phase1(matrix, rhs, n) == reference_phase1(matrix, rhs, n)
+        assert lp._phase1(columns, [1] * n, len(matrix)) == reference_phase1(
+            columns, [1] * n, len(matrix))
+        expected = _with_reference_phase1(monkeypatch, lp_feasible, eqs, ineqs, n)
+        assert lp_feasible(eqs, ineqs, num_vars=n) == expected
+        if n and matrix:
+            for v in (rhs[:n] + [0] * (n - len(rhs)), [0] * n):
+                gens = [tuple(row) for row in matrix]
+                expected = _with_reference_phase1(monkeypatch, cone_member, v, gens)
+                assert cone_member(v, gens) == expected
