@@ -62,7 +62,7 @@ def _cmd_decide(instance: Instance, args) -> Report:
     report = Report("decide", instance, {"mode": args.mode, "property": args.property})
     for prop in _PROPERTIES[args.property]:
         try:
-            report.verdicts.append(decide(ws, prop, args.mode, max_n=args.max_n))
+            report.verdicts.append(decide(ws, prop, args.mode))
         except HypothesisError as exc:
             if args.property != "all":
                 raise
@@ -162,8 +162,8 @@ def _cmd_verify(instance: Instance, args) -> Report:
     routes = {}
     agreement = True
 
-    v_sp = decide(ws, "SP", args.mode, max_n=args.max_n)
-    v_wsp = decide(ws, "WSP", args.mode, max_n=args.max_n)
+    v_sp = decide(ws, "SP", args.mode)
+    v_wsp = decide(ws, "WSP", args.mode)
     report.verdicts = [v_sp, v_wsp]
     o_sp = oracle_sp(target, max_n=args.max_n)
     o_wsp = oracle_wsp(target, max_n=args.max_n)
@@ -181,24 +181,16 @@ def _cmd_verify(instance: Instance, args) -> Report:
     if o_wsp.holds != v_wsp.holds:
         agreement = False
 
-    if projective:
-        v_ssp = decide(ws, "SSP", "projective")
-        witness = ssp_coordinate_witness(target, max_n=args.max_n)
+    # The homogenized closure is always a cone.
+    if projective or cone_hypothesis(ws)[0]:
+        v_ssp = decide(ws, "SSP", args.mode)
+        witness = ssp_coordinate_witness(target)
         report.verdicts.append(v_ssp)
         routes["SSP"] = {"theorem": v_ssp.holds, "witness_oracle": witness is None}
         if (witness is None) != v_ssp.holds:
             agreement = False
     else:
-        is_cone, _ = cone_hypothesis(ws)
-        if is_cone:
-            v_ssp = decide(ws, "SSP", "affine", max_n=args.max_n)
-            witness = ssp_coordinate_witness(ws, max_n=args.max_n)
-            report.verdicts.append(v_ssp)
-            routes["SSP"] = {"theorem": v_ssp.holds, "witness_oracle": witness is None}
-            if (witness is None) != v_ssp.holds:
-                agreement = False
-        else:
-            routes["SSP"] = "skipped: orbit closure is not a cone"
+        routes["SSP"] = "skipped: orbit closure is not a cone"
 
     vanishing = verify_vanishing(
         binomials, target, trials=args.trials, prime=args.prime, seed=args.seed
@@ -268,14 +260,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         if guarded:
             p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N,
-                           help="guard for 2^n enumerations (default 12)")
+                           metavar="N",
+                           help="refuse more than 2^N faces, or a Graver "
+                           "completion over more than N weights (default 12)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
         p.add_argument("--batch", action="store_true",
                        help="treat each nonblank input line as one JSON instance")
 
     p = sub.add_parser("decide", help="theorem-route verdicts")
-    common(p)
+    common(p, guarded=False)
     p.add_argument("--mode", choices=("affine", "projective"), default="affine")
     p.add_argument("--property", choices=("sp", "wsp", "ssp", "all"), default="all")
 

@@ -392,22 +392,24 @@ def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> FaceLattice
     intersection, starting from the full index set.
 
     Each face's witness is the primitive sum of the normals of the
-    facets containing it.  The work is polynomial in the number of
-    facets and faces; inputs with ``n > max_n`` are still refused.
+    facets containing it.  The closure is refused once it passes
+    ``2 ** max_n`` faces (n weights have at most ``2 ** n``).  Only the
+    stratum oracle builds the lattice; the deciders read the facets.
     """
-    if ws.n > max_n:
-        raise ResourceGuardError(
-            f"face enumeration over 2^{ws.n} subsets exceeds the guard "
-            f"(max_n={max_n}); raise it explicitly if this is intended"
-        )
-    return _enumerate_faces_cached(ws)
+    # Every max_n >= n is the same guard: one cache entry, no huge power of 2.
+    return _enumerate_faces_cached(ws, min(max_n, ws.n))
 
 
 @lru_cache(maxsize=64)
-def _enumerate_faces_cached(ws: WeightSystem) -> FaceLattice:
+def _enumerate_faces_cached(ws: WeightSystem, max_n: int) -> FaceLattice:
     sets = {frozenset(range(ws.n))}
     for zero in _facet_zero_sets(ws):
         sets |= {zero & s for s in sets}
+        if len(sets) > 2 ** max_n:
+            raise ResourceGuardError(
+                f"face enumeration exceeds the guard of 2^{max_n} = {2 ** max_n} "
+                f"faces (max_n={max_n}); raise it explicitly if this is intended"
+            )
     # A face lies on exactly the facets whose zero sets contain it.
     faces = [_supported_face(ws, face.__le__) for face in sets]
     faces.sort(key=lambda f: (len(f.indices), f.indices))

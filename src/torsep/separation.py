@@ -9,12 +9,12 @@ holds exactly when the weights are linearly independent.  The
 projective deciders act on the homogenized weights (appended coordinate
 1); projective SSP is affine independence.
 
-Pointedness, minimal faces and their witnesses are read off the facets
-(``torsep.cones``), and the cone hypothesis off the Hermite form, so a
-holding SP or WSP verdict runs no LP.  The simplex runs only where a
-failing verdict needs an LP-made certificate: the membership behind a
-failing SP position, the relation of a cone that is not pointed, and
-the interior relations of a shared minimal face.
+Pointedness, minimal faces, their witnesses and the SSP coordinate
+witness are read off the facets, and the cone hypothesis off the
+Hermite form, so a holding SP or WSP verdict runs no LP.  The simplex
+runs only where a failing verdict needs an LP-made certificate: the
+membership behind a failing SP position, the relation of a cone that
+is not pointed, and the interior relations of a shared minimal face.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import gcd
 
 from .cones import (
-    DEFAULT_MAX_N,
     WeightSystem,
     homogenize,
     is_strictly_convex,
@@ -172,18 +171,12 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
             "pair": (support[0], support[1]),
         }
         return Verdict("WSP", "affine", False, cert)
-    # Each minimal face is read twice from the same cached computation:
-    # the index set, then the witness vanishing on it and >= 1 off it.
-    faces = []
-    witnesses = []
-    for i in range(ws.n):
-        faces.append(minimal_face(ws, i))
-        witnesses.append(minimal_face_witness(ws, i).witness)
+    faces = [minimal_face_witness(ws, i) for i in range(ws.n)]
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
-            if faces[i] != faces[j]:
+            if faces[i].indices != faces[j].indices:
                 continue
-            shared = faces[i]
+            shared = faces[i].indices
             relations = []
             for idx in (i, j):
                 mult, coeffs = _interior_relation(ws, idx, shared)
@@ -194,7 +187,7 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
                 "kind": "shared-face-interior",
                 "pair": (i, j),
                 "face_indices": shared,
-                "face_witness": witnesses[i],
+                "face_witness": faces[i].witness,
                 "relations": tuple(relations),
             }
             return Verdict("WSP", "affine", False, cert)
@@ -204,10 +197,10 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
     separators = []
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
-            vanishes_at = i if j not in faces[i] else j
+            vanishes_at = i if j not in faces[i].indices else j
             separators.append(
                 {"pair": (i, j), "vanishes_at": vanishes_at,
-                 "functional": witnesses[vanishes_at]}
+                 "functional": faces[vanishes_at].witness}
             )
     cert = {
         "kind": "face-separation",
@@ -244,12 +237,13 @@ _CONE_NOTES = (
 )
 
 
-def decide_affine_ssp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
+def decide_affine_ssp(ws: WeightSystem) -> Verdict:
     """Strong separation property for cone-type affine orbit closures.
 
     Requires the closure to be a cone and refuses (HypothesisError)
     otherwise.  Holds iff the weights are linearly independent, i.e.
-    the closure is the whole space.
+    the closure is the whole space.  A failure names the first
+    coordinate pair avoided by a facet, so no resource guard applies.
     """
     is_cone, functional = cone_hypothesis(ws)
     if not is_cone:
@@ -269,11 +263,11 @@ def decide_affine_ssp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
         }
         return Verdict("SSP", "affine", True, cert, notes=_CONE_NOTES)
     kernel = kernel_lattice(matrix)
-    witness = ssp_coordinate_witness(ws, max_n=max_n)
+    witness = ssp_coordinate_witness(ws)
     if witness is None:
         raise CrossCheckError(
-            "weights are dependent but no coordinate-pair SSP witness exists; "
-            "the theorem route and the stratum route disagree"
+            "weights are dependent but no facet avoids a coordinate pair; "
+            "the rank test and the facet scan disagree"
         )
     cert = {
         "kind": "kernel-witness",
@@ -338,16 +332,9 @@ _DISPATCH = {
 }
 
 
-def decide(
-    ws: WeightSystem,
-    property_name: str,
-    mode: str = "affine",
-    max_n: int = DEFAULT_MAX_N,
-) -> Verdict:
+def decide(ws: WeightSystem, property_name: str, mode: str = "affine") -> Verdict:
     """Dispatch to the decider for (property, mode)."""
     key = (property_name.upper(), mode)
     if key not in _DISPATCH:
         raise InternalError(f"no decider for {key}")
-    if key == ("SSP", "affine"):
-        return decide_affine_ssp(ws, max_n=max_n)
     return _DISPATCH[key](ws)

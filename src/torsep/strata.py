@@ -3,17 +3,17 @@
 The affine orbit closure decomposes into torus orbits, one per face of
 the weight cone: on the stratum attached to a face, exactly the
 coordinates whose weights lie on that face are nonzero.  Re-deriving
-SP/WSP verdicts, coordinate forcing pairs and SSP witnesses from these
-vanishing patterns alone gives a decision route that shares no logic
-with the theorem-backed deciders beyond the face enumeration.
+SP/WSP verdicts and coordinate forcing pairs from these vanishing
+patterns alone gives a decision route that shares only the facets with
+the theorem-backed deciders, which never build the face lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces
-from .linalg import IntMatrix, rank
+from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets
+from .linalg import IntMatrix, dot, rank
 from .verdict import Verdict, vacuous
 
 
@@ -134,24 +134,25 @@ class SspWitness:
     ambient_rank: int
 
 
-def ssp_coordinate_witness(
-    ws: WeightSystem, max_n: int = DEFAULT_MAX_N
-) -> SspWitness | None:
+def ssp_coordinate_witness(ws: WeightSystem) -> SspWitness | None:
     """First coordinate pair witnessing an SSP failure, or None.
 
     Intended for inputs whose orbit closure is a cone (the caller checks
-    that hypothesis); scans pairs lexicographically and strata in
-    canonical order, so the result is deterministic.
+    that hypothesis).  A witness avoids the pair and has rank >= r - 1
+    (r the rank of the weights), so it is a facet: pairs are scanned
+    lexicographically and facets in canonical order, with the facet
+    normal as the stratum witness, and no face lattice is built.
     """
     if ws.n < 2:
         return None
     ambient = rank(ws.matrix)
-    all_strata = strata(ws, max_n=max_n)
+    deep = [Stratum(tuple(k for k, w in enumerate(ws.weights) if dot(h, w) == 0),
+                    h, ambient - 1)
+            for h in facets(ws)]
+    deep.sort(key=lambda s: (len(s.indices), s.indices))
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
-            for s in all_strata:
-                if i in s.indices or j in s.indices:
-                    continue
-                if s.dim >= ambient - 1:
+            for s in deep:
+                if i not in s.indices and j not in s.indices:
                     return SspWitness((i, j), s, s.dim, ambient)
     return None

@@ -266,7 +266,8 @@ def _check_affine_dependence(problems, ws, cert, holds):
 
 
 def _strata_sets(ws):
-    return [set(s.indices) for s in strata(ws)]
+    # n weights have at most 2^n faces, so this guard never trips.
+    return [set(s.indices) for s in strata(ws, max_n=ws.n)]
 
 
 def _check_strata_missed(problems, ws, cert, holds):

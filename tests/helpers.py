@@ -12,6 +12,7 @@ from torsep import cones
 from torsep.cones import WeightSystem, edge_conditions, face_witness
 from torsep.linalg import IntMatrix, is_zero_vector, rank, solve_exact
 from torsep.lp import lp_feasible
+from torsep.strata import SspWitness, strata
 from torsep.verdict import Verdict, vacuous
 
 # Golden weight systems used across modules.
@@ -267,6 +268,24 @@ def reference_affine_sp(ws: WeightSystem) -> Verdict:
         })
     return Verdict("SP", "affine", True,
                    {"kind": "edge-separation", "separators": tuple(separators)})
+
+
+def reference_ssp_witness(ws: WeightSystem) -> SspWitness | None:
+    """The SSP coordinate witness by a scan of every stratum: for pairs
+    in lexicographic order, the first stratum in canonical order that
+    avoids both coordinates and has rank >= r - 1."""
+    if ws.n < 2:
+        return None
+    ambient = rank(ws.matrix)
+    all_strata = strata(ws, max_n=ws.n)
+    for i in range(ws.n):
+        for j in range(i + 1, ws.n):
+            for s in all_strata:
+                if i in s.indices or j in s.indices:
+                    continue
+                if s.dim >= ambient - 1:
+                    return SspWitness((i, j), s, s.dim, ambient)
+    return None
 
 
 def reference_cone_hypothesis(ws: WeightSystem):

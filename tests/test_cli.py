@@ -201,6 +201,7 @@ def test_batch_line_must_be_json(capsys, monkeypatch):
     ["decide", "--seed", "3", "-"],
     ["strata", "--seed", "3", "-"],
     ["binary", "--max-n", "5", "-"],
+    ["decide", "--max-n", "5", "-"],
 ])
 def test_options_only_where_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -328,15 +329,38 @@ def test_weight_commands_reject_binary_instances(capsys, monkeypatch):
     assert "weight system" in err
 
 
-def test_resource_guard_exit_code(capsys, monkeypatch):
-    big = {"d": 1, "weights": [[1]] * 13}
-    import json as _json
+ORTHANT_13 = json.dumps({"d": 13, "weights": [[int(i == j) for j in range(13)]
+                                              for i in range(13)]})
+WIDE_13 = json.dumps({"d": 2, "weights": [[1, k] for k in range(13)]})
 
-    code, _, err = run_cli(
-        capsys,
-        ["strata", "-"],
-        stdin=_json.dumps(big),
-        monkeypatch=monkeypatch,
-    )
+
+def test_resource_guard_exit_code(capsys, monkeypatch):
+    # 2^13 faces exceed the default guard; 13 weights with 4 faces do not.
+    code, _, err = run_cli(capsys, ["strata", "-"], stdin=ORTHANT_13, monkeypatch=monkeypatch)
     assert code == 2
-    assert "guard" in err
+    assert "guard of 2^12 = 4096 faces" in err
+    code, out, _ = run_cli(capsys, ["strata", "--format", "json", "-"], stdin=WIDE_13,
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["extra"]["count"] == 4
+
+
+def test_decide_trips_no_guard(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["decide", "--format", "json", "-"], stdin=WIDE_13,
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert [v["property"] for v in verdicts] == ["SP", "WSP", "SSP"]
+    assert verdicts[2]["certificate"]["kind"] == "kernel-witness"
+    assert all(v["verified"] is True for v in verdicts)
+
+
+def test_raised_guard_holds_through_reverification(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, ["oracle", "--max-n", "13", "--format", "json", "-"],
+        stdin=ORTHANT_13, monkeypatch=monkeypatch,
+    )
+    assert (code, err) == (0, "")
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == 2
+    assert all(v["holds"] and v["verified"] is True for v in verdicts)

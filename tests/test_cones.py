@@ -182,9 +182,16 @@ def test_unimodular_equivariance_of_index_sets():
 
 
 def test_face_enumeration_guard():
-    ws = random_weights(random.Random(1), 2, 13)
+    # The guard bounds the faces formed, not n: the unit vectors of Z^13
+    # span an orthant with 2^13 faces, the 13 weights (1, k) a cone
+    # with 4.
+    orthant = WeightSystem.from_rows([[int(i == j) for j in range(13)] for i in range(13)])
+    with pytest.raises(ResourceGuardError, match=r"2\^12 = 4096 faces \(max_n=12\)"):
+        enumerate_faces(orthant)
+    wide = WeightSystem.from_rows([[1, k] for k in range(13)])
+    assert enumerate_faces(wide).index_sets() == ((), (0,), (12,), tuple(range(13)))
     with pytest.raises(ResourceGuardError):
-        enumerate_faces(ws)
+        enumerate_faces(wide, max_n=1)
 
 
 def test_face_witness_returns_none_for_non_face():

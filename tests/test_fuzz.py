@@ -4,8 +4,9 @@ Small entries: the theorem route, the stratum oracle, the Graver SP scan
 and the LP reference loop must agree on SP and WSP, in both modes.
 Entries up to +-50 (face and cone routes only; the Graver scan cannot
 handle entries that large): the facet face lattice must equal the
-``2^n`` LP scan, SP must equal the LP reference loop, and the cone
-hypothesis its LP reference.  A disagreement is shrunk (weights
+``2^n`` LP scan, SP must equal the LP reference loop, the cone
+hypothesis its LP reference, and the facet scan for an SSP coordinate
+witness the scan of every stratum.  A disagreement is shrunk (weights
 dropped, entries halved) and the smallest instance is printed.
 """
 
@@ -18,12 +19,13 @@ from helpers import (
     fuzz_weights,
     reference_affine_sp,
     reference_cone_hypothesis,
+    reference_ssp_witness,
     shrink,
 )
 from torsep.cones import enumerate_faces, homogenize
 from torsep.ideals import binomial_generators, sp_violation_scan
 from torsep.separation import cone_hypothesis, decide
-from torsep.strata import oracle_sp, oracle_wsp
+from torsep.strata import oracle_sp, oracle_wsp, ssp_coordinate_witness
 
 
 def _graver_sp(ws):
@@ -62,6 +64,9 @@ def _large_entry_disagreement(ws):
             return f"SP {sp} != reference {reference} on {target.weights}"
         if cone_hypothesis(target)[0] != reference_cone_hypothesis(target)[0]:
             return f"cone hypothesis differs on {target.weights}"
+        witness, reference = ssp_coordinate_witness(target), reference_ssp_witness(target)
+        if witness != reference:
+            return f"SSP witness {witness} != stratum scan {reference} on {target.weights}"
     return None
 
 

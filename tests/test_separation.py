@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -306,3 +307,25 @@ def test_failing_sp_on_pointed_cone_runs_one_cone_member(monkeypatch):
         calls.clear()
         verdict = _verified(ws, decide_affine_sp(ws))
         assert not verdict.holds and len(calls) == 1, ws
+
+
+def test_decide_never_builds_the_face_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decider built the face lattice")
+
+    # ``torsep.strata`` is also the name of a function the package exports.
+    strata_module = importlib.import_module("torsep.strata")
+    for module, name in ((torsep.cones, "enumerate_faces"),
+                         (strata_module, "enumerate_faces"), (strata_module, "strata")):
+        monkeypatch.setattr(module, name, refuse)
+    wide = WeightSystem.from_rows([[1, k] for k in range(13)])
+    kinds = set()
+    for ws in (M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS, wide):
+        for mode in ("affine", "projective"):
+            for prop in ("SP", "WSP", "SSP"):
+                try:
+                    verdict = _verified(ws, decide(ws, prop, mode))
+                except HypothesisError:
+                    continue
+                kinds.add(verdict.kind)
+    assert "kernel-witness" in kinds

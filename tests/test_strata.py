@@ -91,6 +91,7 @@ def test_ssp_witness_m():
     w = ssp_coordinate_witness(M_WEIGHTS)
     assert w.pair == (0, 1)
     assert w.stratum.indices == (2,)
+    assert w.stratum.witness == (1, 0)
     assert w.stratum_dim == 1 == w.ambient_rank - 1
 
 
