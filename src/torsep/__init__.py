@@ -46,7 +46,6 @@ from .strata import (
 )
 from .ideals import (
     Binomial,
-    Octant,
     ScanResult,
     VanishingReport,
     binomial_generators,
@@ -99,7 +98,6 @@ __all__ = [
     "ssp_coordinate_witness",
     "strata",
     "Binomial",
-    "Octant",
     "ScanResult",
     "VanishingReport",
     "binomial_generators",

@@ -157,13 +157,9 @@ class SquarefreeDecomposition:
     parts: tuple[tuple[BinaryForm, int], ...]
 
     def reconstruct(self) -> BinaryForm:
-        form = None
-        for part, mult in self.parts:
-            for _ in range(mult):
-                form = part if form is None else multiply(form, part)
-        if form is None:
+        if not self.parts:
             raise InternalError("squarefree decomposition has no parts")
-        return scale(self.constant, form)
+        return scale(self.constant, BinaryForm.from_factors(self.parts))
 
 
 def squarefree_multiplicity_parts(f: BinaryForm) -> SquarefreeDecomposition:
@@ -220,11 +216,7 @@ def substitute(f: BinaryForm, matrix) -> BinaryForm:
     for m, coeff in enumerate(f.coeffs):
         if coeff == 0:
             continue
-        term = None
-        for _ in range(n - m):
-            term = x_img if term is None else multiply(term, x_img)
-        for _ in range(m):
-            term = y_img if term is None else multiply(term, y_img)
+        term = BinaryForm.from_factors([(x_img, n - m), (y_img, m)])
         for k, v in enumerate(term.coeffs):
             total[k] += coeff * v
     return BinaryForm(tuple(total))

@@ -27,8 +27,7 @@ from .errors import (
 )
 from .ideals import binomial_generators, sp_violation_scan, verify_vanishing
 from .reports import Instance, Report, emit_report, parse_instance, parse_json_instance
-from .separation import _PROJ_NOTE, cone_hypothesis, decide
-from .verdict import Verdict
+from .separation import decide, projective
 from .strata import (
     characteristic_pairs,
     oracle_sp,
@@ -82,11 +81,7 @@ def _cmd_oracle(instance: Instance, args) -> Report:
     if args.property in ("wsp", "all"):
         verdicts.append(oracle_wsp(target, max_n=args.max_n))
     if args.mode == "projective":
-        verdicts = [
-            Verdict(v.property_name, "projective", v.holds, v.certificate,
-                    v.notes + (_PROJ_NOTE,))
-            for v in verdicts
-        ]
+        verdicts = [projective(v) for v in verdicts]
     report.verdicts = verdicts
     return report
 
@@ -157,8 +152,7 @@ def _cmd_verify(instance: Instance, args) -> Report:
         {"mode": args.mode, "trials": args.trials, "prime": args.prime},
         seed=args.seed,
     )
-    projective = args.mode == "projective"
-    target = homogenize(ws) if projective else ws
+    target = homogenize(ws) if args.mode == "projective" else ws
     routes = {}
     agreement = True
 
@@ -181,16 +175,16 @@ def _cmd_verify(instance: Instance, args) -> Report:
     if o_wsp.holds != v_wsp.holds:
         agreement = False
 
-    # The homogenized closure is always a cone.
-    if projective or cone_hypothesis(ws)[0]:
+    try:
         v_ssp = decide(ws, "SSP", args.mode)
+    except HypothesisError:
+        routes["SSP"] = "skipped: orbit closure is not a cone"
+    else:
         witness = ssp_coordinate_witness(target)
         report.verdicts.append(v_ssp)
         routes["SSP"] = {"theorem": v_ssp.holds, "witness_oracle": witness is None}
         if (witness is None) != v_ssp.holds:
             agreement = False
-    else:
-        routes["SSP"] = "skipped: orbit closure is not a cone"
 
     vanishing = verify_vanishing(
         binomials, target, trials=args.trials, prime=args.prime, seed=args.seed
@@ -243,6 +237,17 @@ def _read_input(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    """The argparse type of ``--max-n``: an integer that is at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged,
@@ -259,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="instance file, or '-' for stdin (default)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         if guarded:
-            p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N,
-                           metavar="N",
+            p.add_argument("--max-n", dest="max_n", type=_nonnegative_int,
+                           default=DEFAULT_MAX_N, metavar="N",
                            help="refuse more than 2^N faces, or a Graver "
                            "completion over more than N weights (default 12)")
         p.add_argument("--timing", action="store_true",
@@ -284,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="vanishing-check seed (default: $TORSEP_SEED, else 0)")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--prime", type=int, default=10007)
+    p.add_argument("--prime", type=int, default=10007,
+                   help="odd prime of the vanishing check, at most 2^31 - 1")
 
     p = sub.add_parser("ideal", help="binomial generating system")
     common(p)

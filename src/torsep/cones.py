@@ -29,7 +29,7 @@ from .linalg import (
     independent_rows,
     is_zero_vector,
     primitive_vector,
-    rank,
+    row_hnf,
     solve_exact,
 )
 from .lp import ConeMembership, cone_member, lp_feasible
@@ -289,12 +289,8 @@ def _check_facet(ws: WeightSystem, normal, r: int) -> None:
             raise InternalError("facet normal is negative on a weight")
         if value == 0:
             zero.append(w)
-    if _rank_of(zero) != r - 1:
+    if len(row_hnf(zero)) != r - 1:
         raise InternalError("facet normal's zero set has the wrong rank")
-
-
-def _rank_of(vectors) -> int:
-    return rank(IntMatrix.from_columns(vectors)) if vectors else 0
 
 
 @lru_cache(maxsize=64)
@@ -323,7 +319,8 @@ def _supported_face(ws: WeightSystem, on) -> ConeFace:
             total = [a + b for a, b in zip(total, normal)]
     indices = tuple(sorted(face))
     witness = primitive_vector(total)
-    _check_face_witness(ws, indices, witness)
+    if not supports_face(ws, indices, witness):
+        raise InternalError("face witness fails its arithmetic check")
     return ConeFace(indices, witness)
 
 
@@ -354,14 +351,12 @@ def _minimal_face_cached(ws: WeightSystem, i: int) -> ConeFace:
     return _supported_face(ws, lambda zero: i in zero)
 
 
-def _check_face_witness(ws: WeightSystem, indices, gamma) -> None:
-    """Raise unless ``gamma`` vanishes on ``indices`` and is >= 1 elsewhere."""
+def supports_face(ws: WeightSystem, indices, gamma) -> bool:
+    """Whether ``gamma`` vanishes on the weights at ``indices`` and is
+    >= 1 on every other weight, so that it witnesses that face."""
     inside = set(indices)
-    for k, w in enumerate(ws.weights):
-        value = dot(gamma, w)
-        holds = value == 0 if k in inside else value >= 1
-        if not holds:
-            raise InternalError(f"face witness fails its arithmetic check at {k}")
+    return all(dot(gamma, w) == 0 if k in inside else dot(gamma, w) >= 1
+               for k, w in enumerate(ws.weights))
 
 
 def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
@@ -383,7 +378,8 @@ def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
     gamma = primitive_vector(res.solution)
     # Primitive rescaling keeps integer dots >= 1: a dot divisible by the
     # content and >= 1 stays >= 1 after division.
-    _check_face_witness(ws, inside, gamma)
+    if not supports_face(ws, inside, gamma):
+        raise InternalError("face witness fails its arithmetic check")
     return gamma
 
 
@@ -427,7 +423,7 @@ def _check_euler_poincare(ws: WeightSystem, faces) -> None:
     vanishes.  A necessary condition only, but one a dropped facet
     rarely passes.
     """
-    ranks = [_rank_of([ws.weights[k] for k in f.indices]) for f in faces]
+    ranks = [len(row_hnf([ws.weights[k] for k in f.indices])) for f in faces]
     low, top = ranks[0], ranks[-1]
     if top > low and sum((-1) ** (k - low) for k in ranks) != 0:
         raise InternalError("face lattice fails the Euler-Poincare relation")

@@ -22,6 +22,7 @@ from .errors import InputError, InternalError, ResourceGuardError
 from .linalg import Vector, is_zero_vector, kernel_lattice, lattice_equal
 
 DEFAULT_MAX_NODES = 2_000_000
+MAX_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -72,13 +73,6 @@ class Binomial:
 
     def __str__(self) -> str:
         return self.to_string()
-
-
-@dataclass(frozen=True)
-class Octant:
-    """Sign pattern: coordinates in ``positives`` are >= 0, the rest <= 0."""
-
-    positives: tuple[int, ...]
 
 
 def _signed(v) -> tuple[Vector, int, int]:
@@ -153,18 +147,17 @@ def _graver_basis(generators, max_nodes: int) -> tuple[Vector, ...]:
 
 def octant_semigroup_generators(
     basis,
-    octant: Octant | tuple | frozenset,
+    positives,
     n: int,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[Vector, ...]:
     """Hilbert basis of the semigroup (relation lattice & octant).
 
-    ``basis`` spans the relation lattice in Z^n; ``octant`` gives the
-    coordinates constrained >= 0 (the rest <= 0).  The irreducible
+    ``basis`` spans the relation lattice in Z^n; the octant is >= 0 on
+    the positions in ``positives`` and <= 0 on the rest.  The irreducible
     elements of the semigroup are its ⊑-minimal elements, that is, the
     Graver elements (with either sign) that lie in the octant.
     """
-    positives = set(octant.positives if isinstance(octant, Octant) else octant)
     sigma = [1 if i in positives else -1 for i in range(n)]
     graver = _graver_basis(basis, max_nodes)
     return tuple(sorted(v for g in graver for v in (g, tuple(-x for x in g))
@@ -249,10 +242,13 @@ def verify_vanishing(
     Each trial draws t in ((Z/p)^*)^dim, forms the point with
     coordinates x_i = prod t_r^(w_i[r]) and evaluates every binomial;
     any nonzero value is recorded as a failure (there must be none for
-    a correctly generated system).
+    a correctly generated system).  The prime must be at most
+    ``MAX_PRIME``, which bounds the trial division that checks it.
     """
     if trials < 1:
         raise InputError("at least one trial is required")
+    if prime > MAX_PRIME:
+        raise InputError(f"prime {prime} exceeds the bound 2^31 - 1")
     if prime % 2 == 0 or prime < 3 or any(
             prime % f == 0 for f in range(3, isqrt(prime) + 1, 2)):
         raise InputError(f"{prime} is not an odd prime")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import InputError
 
@@ -37,14 +37,9 @@ def primitive_vector(v) -> Vector:
     fracs = [Fraction(a) for a in v]
     if all(f == 0 for f in fracs):
         return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for f in fracs:
-        d = f.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+    denom_lcm = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
+    g = gcd(*ints)
     return tuple(a // g for a in ints)
 
 
@@ -166,11 +161,6 @@ def row_hnf(rows) -> tuple[Vector, ...]:
     Two row families span the same lattice iff their forms are equal.
     """
     return _hermite(rows)[0]
-
-
-def lattice_member(hnf_rows, v) -> bool:
-    """Whether v lies in the lattice spanned by the rows."""
-    return row_hnf((*hnf_rows, v)) == row_hnf(hnf_rows)
 
 
 def lattice_equal(rows_a, rows_b) -> bool:

@@ -9,7 +9,6 @@ k-1).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,7 +68,7 @@ def instance_from_json(data) -> Instance:
         if not isinstance(rows, list) or not rows:
             raise InputError("'weights' must be a nonempty list of rows")
         d = data.get("d", len(rows[0]) if isinstance(rows[0], list) else None)
-        if not isinstance(d, int) or d < 1:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise InputError("'d' must be a positive integer")
         weights = []
         for i, row in enumerate(rows):
@@ -84,10 +83,14 @@ def instance_from_json(data) -> Instance:
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
             raise InputError("'coeffs' must be a list")
-        return Instance(
-            "binary-form", BinaryForm(tuple(Fraction(str(c)) for c in coeffs)), label
-        )
+        try:
+            coeffs = tuple(Fraction(str(c)) for c in coeffs)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"'coeffs' must be rationals, got {coeffs!r}") from None
+        return Instance("binary-form", BinaryForm(coeffs), label)
     if "form" in data:
+        if not isinstance(data["form"], str):
+            raise InputError("'form' must be a string")
         return Instance("binary-form", parse_form(data["form"]), label)
     raise InputError("instance JSON needs 'weights', 'coeffs' or 'form'")
 
@@ -120,8 +123,8 @@ def _parse_text_weights(text: str) -> Instance:
 def encode(value):
     """Recursively convert a value into JSON-ready data.
 
-    Fractions become strings ('3' or '1/2'), tuples become lists,
-    dataclasses become ordered dicts.
+    Fractions become strings ('3' or '1/2') and tuples become lists;
+    dicts keep their order.  Any other type is refused.
     """
     if isinstance(value, bool) or value is None or isinstance(value, (int, str, float)):
         return value
@@ -131,11 +134,6 @@ def encode(value):
         return [encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: encode(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
     raise InputError(f"cannot encode {type(value).__name__} into JSON")
 
 

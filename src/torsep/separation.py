@@ -23,7 +23,7 @@ Every verdict carries a certificate checkable by plain arithmetic; see
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .cones import (
     WeightSystem,
@@ -148,9 +148,7 @@ def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, t
     res = lp_feasible(eqs, ineqs, num_vars=nvars)
     if not res.feasible:
         raise InternalError("relative-interior relation unexpectedly infeasible")
-    denom_lcm = 1
-    for f in res.solution:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
+    denom_lcm = lcm(*(f.denominator for f in res.solution))
     ints = [int(f * denom_lcm) for f in res.solution]
     coeffs = [0] * ws.n
     for k, c in zip(others, ints[1:]):
@@ -285,22 +283,25 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
 _PROJ_NOTE = "decided on homogenized weights (appended coordinate 1)"
 
 
+def projective(inner: Verdict) -> Verdict:
+    """The projective verdict of a system, given as ``inner`` the affine
+    verdict of its homogenized weights."""
+    return Verdict(inner.property_name, "projective", inner.holds, inner.certificate,
+                   notes=inner.notes + (_PROJ_NOTE,))
+
+
 def decide_projective_sp(ws: WeightSystem) -> Verdict:
     """Separation property of the projective orbit closure.
 
     Equivalent to affine SP after homogenization: every weight must be
     a vertex of the convex hull and all weights distinct.
     """
-    inner = decide_affine_sp(homogenize(ws))
-    return Verdict("SP", "projective", inner.holds, inner.certificate,
-                   notes=inner.notes + (_PROJ_NOTE,))
+    return projective(decide_affine_sp(homogenize(ws)))
 
 
 def decide_projective_wsp(ws: WeightSystem) -> Verdict:
     """Weak separation property of the projective orbit closure."""
-    inner = decide_affine_wsp(homogenize(ws))
-    return Verdict("WSP", "projective", inner.holds, inner.certificate,
-                   notes=inner.notes + (_PROJ_NOTE,))
+    return projective(decide_affine_wsp(homogenize(ws)))
 
 
 def decide_projective_ssp(ws: WeightSystem) -> Verdict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets
-from .linalg import IntMatrix, dot, rank
+from .linalg import dot, rank, row_hnf
 from .verdict import Verdict, vacuous
 
 
@@ -28,17 +28,11 @@ class Stratum:
     dim: int
 
 
-def _submatrix_rank(ws: WeightSystem, indices) -> int:
-    if not indices:
-        return 0
-    return rank(IntMatrix.from_columns([ws.weights[k] for k in indices]))
-
-
 def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
     """One stratum per face of the weight cone, in canonical order."""
     lattice = enumerate_faces(ws, max_n=max_n)
     return tuple(
-        Stratum(f.indices, f.witness, _submatrix_rank(ws, f.indices))
+        Stratum(f.indices, f.witness, len(row_hnf([ws.weights[k] for k in f.indices])))
         for f in lattice
     )
 

@@ -9,11 +9,9 @@ list of problems (empty means verified); ``verify_verdict`` raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cones import WeightSystem, homogenize
+from .cones import WeightSystem, homogenize, supports_face
 from .errors import InputError, InternalError
-from .linalg import IntMatrix, determinant, dot, is_zero_vector, rank
+from .linalg import determinant, dot, is_zero_vector, rank, row_hnf
 from .strata import strata
 from .verdict import Verdict
 
@@ -44,13 +42,11 @@ def _valid_pair(problems, ws, pair) -> bool:
     return True
 
 
-def _check_vacuous(problems, ws, cert, holds):
-    _require(problems, holds, "vacuous certificate must accompany a holding verdict")
+def _check_vacuous(problems, ws, cert):
     _require(problems, ws.n == 1, "vacuous rule applies only to a single weight")
 
 
-def _check_edge_separation(problems, ws, cert, holds):
-    _require(problems, holds, "edge-separation certifies a holding verdict")
+def _check_edge_separation(problems, ws, cert):
     separators = cert.get("separators", ())
     _require(problems, len(separators) == ws.n, "one separator pair per weight required")
     seen = set()
@@ -79,8 +75,7 @@ def _check_edge_separation(problems, ws, cert, holds):
     _require(problems, seen == set(range(ws.n)), "separators must cover every weight")
 
 
-def _check_zero_weight(problems, ws, cert, holds):
-    _require(problems, not holds, "zero-weight certifies a failure")
+def _check_zero_weight(problems, ws, cert):
     i = cert["index"]
     if not _valid_index(problems, i, ws.n):
         return
@@ -89,8 +84,7 @@ def _check_zero_weight(problems, ws, cert, holds):
     _require(problems, cert["pair"][0] == i, "pair must start at the zero weight")
 
 
-def _check_generator_in_cone(problems, ws, cert, holds):
-    _require(problems, not holds, "generator-in-cone certifies a failure")
+def _check_generator_in_cone(problems, ws, cert):
     i = cert["index"]
     if not _valid_index(problems, i, ws.n):
         return
@@ -98,14 +92,8 @@ def _check_generator_in_cone(problems, ws, cert, holds):
     _require(problems, len(lam) == ws.n, "coefficient vector has wrong length")
     _require(problems, all(x >= 0 for x in lam), "coefficients must be nonnegative")
     _require(problems, lam[i] == 0, "weight may not appear in its own combination")
-    combo = tuple(
-        sum(lam[k] * ws.weights[k][r] for k in range(ws.n)) for r in range(ws.dim)
-    )
-    _require(
-        problems,
-        combo == tuple(Fraction(x) for x in ws.weights[i]),
-        "combination does not reproduce the weight",
-    )
+    _require(problems, ws.matrix.mul_vector(lam) == ws.weights[i],
+             "combination does not reproduce the weight")
     if not _valid_pair(problems, ws, cert["pair"]):
         return
     j, tgt = cert["pair"]
@@ -113,16 +101,13 @@ def _check_generator_in_cone(problems, ws, cert, holds):
     _require(problems, lam[j] > 0, "pair's first coordinate has zero coefficient")
 
 
-def _check_line_in_cone(problems, ws, cert, holds):
-    _require(problems, not holds, "line-in-cone certifies a failure")
+def _check_line_in_cone(problems, ws, cert):
     c = cert["relation"]
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, all(x >= 0 for x in c), "relation must be nonnegative")
     _require(problems, any(x > 0 for x in c), "relation must be nonzero")
-    combo = tuple(
-        sum(c[k] * ws.weights[k][r] for k in range(ws.n)) for r in range(ws.dim)
-    )
-    _require(problems, all(x == 0 for x in combo), "relation does not sum to zero")
+    _require(problems, is_zero_vector(ws.matrix.mul_vector(c)),
+             "relation does not sum to zero")
     for k in range(ws.n):
         if c[k] > 0:
             _require(
@@ -140,12 +125,11 @@ def _check_line_in_cone(problems, ws, cert, holds):
         _require(problems, c[pair[1]] > 0, "pair's second coordinate not in the relation")
 
 
-def _check_face_separation(problems, ws, cert, holds):
-    _require(problems, holds, "face-separation certifies a holding verdict")
+def _check_face_separation(problems, ws, cert):
     gamma_p = cert["pointedness"]
-    for w in ws.weights:
-        if not is_zero_vector(w):
-            _require(problems, dot(gamma_p, w) >= 1, "pointedness functional fails")
+    _require(problems,
+             all(dot(gamma_p, w) >= 1 for w in ws.weights if not is_zero_vector(w)),
+             "pointedness functional fails")
     seen = set()
     for entry in cert.get("pair_separators", ()):
         if not (_valid_pair(problems, ws, entry["pair"])
@@ -164,21 +148,15 @@ def _check_face_separation(problems, ws, cert, holds):
     _require(problems, seen == expected, "pair separators must cover all pairs")
 
 
-def _check_shared_face_interior(problems, ws, cert, holds):
-    _require(problems, not holds, "shared-face-interior certifies a failure")
+def _check_shared_face_interior(problems, ws, cert):
     pair = cert["pair"]
     if not (_valid_pair(problems, ws, pair)
             and _valid_indices(problems, cert["face_indices"], ws.n, "face index")):
         return
     shared = set(cert["face_indices"])
     _require(problems, set(pair) <= shared, "pair must lie on the shared face")
-    gamma = cert["face_witness"]
-    for k in range(ws.n):
-        value = dot(gamma, ws.weights[k])
-        if k in shared:
-            _require(problems, value == 0, f"face witness does not vanish at {k}")
-        else:
-            _require(problems, value >= 1, f"face witness not positive at {k}")
+    _require(problems, supports_face(ws, shared, cert["face_witness"]),
+             "face witness does not support the shared face")
     rel_indices = set()
     for rel in cert["relations"]:
         idx = rel["index"]
@@ -194,17 +172,13 @@ def _check_shared_face_interior(problems, ws, cert, holds):
                 _require(problems, coeffs[k] >= 1, "interior relation needs all face weights")
             else:
                 _require(problems, coeffs[k] == 0, "relation supported off the face")
-        lhs = tuple(mult * x for x in ws.weights[idx])
-        rhs = tuple(
-            sum(coeffs[k] * ws.weights[k][r] for k in range(ws.n))
-            for r in range(ws.dim)
-        )
-        _require(problems, lhs == rhs, "interior relation identity fails")
+        _require(problems,
+                 tuple(mult * x for x in ws.weights[idx]) == ws.matrix.mul_vector(coeffs),
+                 "interior relation identity fails")
     _require(problems, rel_indices == set(pair), "one relation per pair member required")
 
 
-def _check_full_rank(problems, ws, cert, holds):
-    _require(problems, holds, "full-rank certifies a holding verdict")
+def _check_full_rank(problems, ws, cert):
     rows = cert["row_indices"]
     matrix = ws.matrix
     _require(problems, len(rows) == ws.n, "need as many rows as weights")
@@ -213,55 +187,44 @@ def _check_full_rank(problems, ws, cert, holds):
     det = determinant([matrix.rows[i] for i in rows])
     _require(problems, det == cert["determinant"], "determinant mismatch")
     _require(problems, det != 0, "certifying minor is singular")
+    _check_cone_functional(problems, ws, cert)
+
+
+def _check_cone_functional(problems, ws, cert):
+    """An optional ``cone_functional`` must take the value 1 on every weight."""
     u = cert.get("cone_functional")
     if u is not None:
-        for w in ws.weights:
-            _require(problems, dot(u, w) == 1, "cone functional does not take value 1")
+        _require(problems, all(dot(u, w) == 1 for w in ws.weights),
+                 "cone functional does not take value 1")
 
 
-def _check_kernel_witness(problems, ws, cert, holds):
-    _require(problems, not holds, "kernel-witness certifies a failure")
+def _check_kernel_witness(problems, ws, cert):
     c = cert["kernel_vector"]
     _require(problems, not is_zero_vector(c), "kernel vector is zero")
-    _require(
-        problems,
-        all(x == 0 for x in ws.matrix.mul_vector(c)),
-        "kernel vector not in the kernel",
-    )
+    _require(problems, is_zero_vector(ws.matrix.mul_vector(c)),
+             "kernel vector not in the kernel")
     pair = cert["pair"]
     if not (_valid_pair(problems, ws, pair)
             and _valid_indices(problems, cert["stratum_indices"], ws.n, "stratum index")):
         return
     s = set(cert["stratum_indices"])
     _require(problems, not (s & set(pair)), "stratum must avoid the pair")
-    gamma = cert["stratum_witness"]
-    for k in range(ws.n):
-        value = dot(gamma, ws.weights[k])
-        if k in s:
-            _require(problems, value == 0, "stratum witness does not vanish on the face")
-        else:
-            _require(problems, value >= 1, "stratum witness not positive off the face")
+    _require(problems, supports_face(ws, s, cert["stratum_witness"]),
+             "stratum witness does not support the stratum")
     ambient = rank(ws.matrix)
     _require(problems, ambient == cert["ambient_rank"], "ambient rank mismatch")
-    if s:
-        sdim = rank(IntMatrix.from_columns([ws.weights[k] for k in sorted(s)]))
-    else:
-        sdim = 0
+    sdim = len(row_hnf([ws.weights[k] for k in s]))
     _require(problems, sdim == cert["stratum_dim"], "stratum dimension mismatch")
     _require(problems, sdim >= ambient - 1, "stratum not deep enough to witness failure")
-    u = cert.get("cone_functional")
-    if u is not None:
-        for w in ws.weights:
-            _require(problems, dot(u, w) == 1, "cone functional does not take value 1")
+    _check_cone_functional(problems, ws, cert)
 
 
-def _check_affine_dependence(problems, ws, cert, holds):
-    _require(problems, not holds, "affine-dependence certifies a failure")
+def _check_affine_dependence(problems, ws, cert):
     c = cert["relation"]
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, not is_zero_vector(c), "relation is zero")
-    combo = ws.matrix.mul_vector(c)
-    _require(problems, all(x == 0 for x in combo), "relation does not annihilate weights")
+    _require(problems, is_zero_vector(ws.matrix.mul_vector(c)),
+             "relation does not annihilate weights")
     _require(problems, sum(c) == 0, "relation coefficients do not sum to zero")
 
 
@@ -270,8 +233,7 @@ def _strata_sets(ws):
     return [set(s.indices) for s in strata(ws, max_n=ws.n)]
 
 
-def _check_strata_missed(problems, ws, cert, holds):
-    _require(problems, not holds, "strata-missed-hyperplane certifies a failure")
+def _check_strata_missed(problems, ws, cert):
     i = cert["index"]
     _valid_index(problems, i, ws.n)
     sets = _strata_sets(ws)
@@ -279,8 +241,7 @@ def _check_strata_missed(problems, ws, cert, holds):
     _valid_pair(problems, ws, cert["pair"])
 
 
-def _check_strata_forcing(problems, ws, cert, holds):
-    _require(problems, not holds, "strata-forcing-pair certifies a failure")
+def _check_strata_forcing(problems, ws, cert):
     if not _valid_pair(problems, ws, cert["pair"]):
         return
     j, i = cert["pair"]
@@ -292,25 +253,30 @@ def _check_strata_forcing(problems, ws, cert, holds):
     )
 
 
-def _check_strata_separation(problems, ws, cert, holds):
-    _require(problems, holds, "strata-separation certifies a holding verdict")
+def _check_pair_witnesses(problems, ws, cert, expected, splits):
+    """Each pair in ``expected`` needs one witness: a stratum on which
+    ``splits(a, b, stratum)`` holds for the pair (a, b)."""
     sets = {tuple(sorted(s)) for s in _strata_sets(ws)}
     seen = set()
     for entry in cert.get("pair_witnesses", ()):
         if not (_valid_pair(problems, ws, entry["pair"])
                 and _valid_indices(problems, entry["stratum"], ws.n, "stratum index")):
             continue
-        j, i = entry["pair"]
-        seen.add((j, i))
+        a, b = entry["pair"]
+        seen.add((a, b))
         s = tuple(entry["stratum"])
         _require(problems, s in sets, "claimed stratum is not a stratum")
-        _require(problems, j not in s and i in s, "stratum does not separate the pair")
-    expected = {(j, i) for j in range(ws.n) for i in range(ws.n) if i != j}
-    _require(problems, seen == expected, "witnesses must cover all ordered pairs")
+        _require(problems, splits(a, b, s), "stratum does not split the pair")
+    _require(problems, seen == expected, "witnesses must cover every pair")
 
 
-def _check_strata_equivalent(problems, ws, cert, holds):
-    _require(problems, not holds, "strata-equivalent-pair certifies a failure")
+def _check_strata_separation(problems, ws, cert):
+    _check_pair_witnesses(problems, ws, cert,
+                          {(j, i) for j in range(ws.n) for i in range(ws.n) if i != j},
+                          lambda j, i, s: j not in s and i in s)
+
+
+def _check_strata_equivalent(problems, ws, cert):
     if not _valid_pair(problems, ws, cert["pair"]):
         return
     i, j = cert["pair"]
@@ -322,21 +288,10 @@ def _check_strata_equivalent(problems, ws, cert, holds):
     )
 
 
-def _check_strata_distinguished(problems, ws, cert, holds):
-    _require(problems, holds, "strata-distinguished certifies a holding verdict")
-    sets = {tuple(sorted(s)) for s in _strata_sets(ws)}
-    seen = set()
-    for entry in cert.get("pair_witnesses", ()):
-        if not (_valid_pair(problems, ws, entry["pair"])
-                and _valid_indices(problems, entry["stratum"], ws.n, "stratum index")):
-            continue
-        i, j = entry["pair"]
-        seen.add((i, j))
-        s = tuple(entry["stratum"])
-        _require(problems, s in sets, "claimed stratum is not a stratum")
-        _require(problems, (i in s) != (j in s), "stratum does not distinguish the pair")
-    expected = {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)}
-    _require(problems, seen == expected, "witnesses must cover all pairs")
+def _check_strata_distinguished(problems, ws, cert):
+    _check_pair_witnesses(problems, ws, cert,
+                          {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)},
+                          lambda i, j, s: (i in s) != (j in s))
 
 
 _CHECKERS = {
@@ -362,6 +317,10 @@ _CHECKERS = {
 # weights even for projective verdicts.
 _ORIGINAL_COORDS = {"affine-dependence"}
 
+# The kinds that certify a holding verdict; the others certify a failure.
+_HOLDING = {"vacuous", "edge-separation", "face-separation", "full-rank",
+            "affine-independent", "strata-separation", "strata-distinguished"}
+
 
 def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     """Re-verify a verdict's certificate; returns a list of problems."""
@@ -370,11 +329,14 @@ def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     checker = _CHECKERS.get(kind)
     if checker is None:
         return [f"unknown certificate kind {kind!r}"]
+    holding = kind in _HOLDING
+    _require(problems, verdict.holds == holding,
+             f"{kind} certifies a {'holding verdict' if holding else 'failure'}")
     target = ws
     if verdict.mode == "projective" and kind not in _ORIGINAL_COORDS:
         target = homogenize(ws)
     try:
-        checker(problems, target, verdict.certificate, verdict.holds)
+        checker(problems, target, verdict.certificate)
     except (InputError, KeyError, IndexError, TypeError, ValueError) as exc:
         problems.append(f"malformed certificate: {exc!r}")
     return problems

@@ -31,7 +31,7 @@ from torsep.binary_forms import (
 )
 from torsep.cones import homogenize
 from torsep.ideals import binomial_generators, sp_violation_scan, verify_vanishing
-from torsep.linalg import kernel_lattice, lattice_equal, lattice_member, row_hnf
+from torsep.linalg import kernel_lattice, lattice_equal, row_hnf
 from torsep.separation import (
     cone_hypothesis,
     decide_affine_sp,
@@ -84,7 +84,8 @@ def test_criterion_3_golden_five_weights():
     binomials = binomial_generators(FIVE_WEIGHTS)
     vectors = [b.vector for b in binomials]
     assert lattice_equal(vectors, lattice)
-    assert lattice_member(row_hnf(lattice), (3, -1, 1, 0, -2))
+    hnf = row_hnf(lattice)
+    assert row_hnf((*hnf, (3, -1, 1, 0, -2))) == hnf
     printed = {(3, -1, 1, 0, -2), (3, -2, 0, 1, -1), (0, 1, 1, -1, -1)}
     assert printed <= set(vectors)
     assert not sp_violation_scan(binomials).violating

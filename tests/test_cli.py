@@ -197,6 +197,33 @@ def test_batch_line_must_be_json(capsys, monkeypatch):
     assert out == alone
 
 
+def test_batch_survives_malformed_instances(capsys, monkeypatch):
+    lines = ('{"coeffs": [1, 2]}\n{"coeffs": ["x", 1]}\n{"coeffs": ["1/0", 1]}\n'
+             '{"form": 5}\n{"coeffs": [1, 0, -1]}\n')
+    code, out, err = run_cli(capsys, ["binary", "--format", "json", "--batch", "-"],
+                             stdin=lines, monkeypatch=monkeypatch)
+    assert code == 2
+    assert [e.split(": ")[:2] for e in err.splitlines()] == [
+        ["line 2", "error"], ["line 3", "error"], ["line 4", "error"]]
+    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
+    assert [r["instance"]["coeffs"] for r in reports] == [["1", "2"], ["1", "0", "-1"]]
+    code, out, err = run_cli(capsys, ["decide", "-"], stdin='{"d": true, "weights": [[1], [2]]}',
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: 'd' must be a positive integer\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1", "argument --max-n: must be at least 0, got -1"),
+    ("x", "argument --max-n: invalid int value: 'x'"),
+])
+def test_max_n_must_be_a_nonnegative_integer(capsys, value, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["strata", "--max-n", value, "-"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["decide", "--seed", "3", "-"],
     ["strata", "--seed", "3", "-"],

@@ -126,6 +126,14 @@ def test_vanishing_rejects_bad_parameters():
         verify_vanishing([], M_WEIGHTS, trials=1, prime=2)
 
 
+def test_vanishing_prime_is_bounded():
+    """Primality is checked by trial division, so the prime is capped at
+    2^31 - 1; the smallest prime above the cap is refused."""
+    assert verify_vanishing([], M_WEIGHTS, trials=1, prime=2**31 - 1).passed
+    with pytest.raises(InputError, match=r"exceeds the bound 2\^31 - 1"):
+        verify_vanishing([], M_WEIGHTS, trials=1, prime=2**31 + 11)
+
+
 def test_vanishing_detects_wrong_binomial():
     bad = Binomial((1, 0, 0), (0, 1, 0))  # x1 - x2 does not vanish on M's closure
     report = verify_vanishing([bad], M_WEIGHTS, trials=20, prime=10007, seed=1)
@@ -144,14 +152,6 @@ def test_generator_vectors_span_lattice_random():
             assert report.passed
         else:
             assert bins == ()
-
-
-def test_octant_type_accepted():
-    from torsep.ideals import Octant
-
-    direct = octant_semigroup_generators([(2, -1, -1)], (0,), 3)
-    typed = octant_semigroup_generators([(2, -1, -1)], Octant((0,)), 3)
-    assert direct == typed == ((2, -1, -1),)
 
 
 def test_generators_five_weight_system_is_exact_graver_basis():

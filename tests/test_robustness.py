@@ -67,6 +67,31 @@ def test_package_holds_no_assert_statements():
     assert offenders == []
 
 
+def test_package_imports_no_private_or_unused_names():
+    """No module imports a ``_``-prefixed name from another torsep module,
+    nor a name it never uses; a name listed in ``__all__`` counts as used."""
+    offenders = []
+    for path in sorted((SRC / "torsep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                inner = node.level > 0 or (node.module or "").startswith("torsep")
+                for alias in node.names:
+                    if inner and alias.name.startswith("_") and not alias.name.endswith("__"):
+                        offenders.append(f"{path.name}: private {alias.name}")
+                    if (alias.asname or alias.name) not in used:
+                        offenders.append(f"{path.name}: unused {alias.name}")
+            elif isinstance(node, ast.Import):
+                offenders += [f"{path.name}: unused {alias.name}" for alias in node.names
+                              if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert offenders == []
+
+
 def test_acceptance_suite_passes_under_optimize_flag():
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
