@@ -24,7 +24,7 @@ def main():
     )
     print(f"weights: {ws.weights}")
 
-    lattice = kernel_lattice(ws.matrix)
+    lattice = kernel_lattice(ws.weights)
     print(f"relation lattice basis (rank {len(lattice)}):")
     for row in lattice:
         print(f"  {row}")

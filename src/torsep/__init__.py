@@ -11,7 +11,7 @@ arithmetic.
 
 __version__ = "0.1.0"
 
-from .linalg import IntMatrix, kernel_lattice, rank, row_hnf
+from .linalg import kernel_lattice, rank, row_hnf
 from .lp import ConeMembership, FeasibilityResult, cone_member, lp_feasible
 from .cones import (
     ConeFace,
@@ -21,6 +21,7 @@ from .cones import (
     enumerate_faces,
     homogenize,
     is_strictly_convex,
+    lineality_face,
     minimal_face,
     minimal_face_witness,
 )
@@ -64,7 +65,6 @@ from .verification import check_verdict, verify_verdict
 from .reports import Instance, Report, emit_report, parse_instance
 
 __all__ = [
-    "IntMatrix",
     "kernel_lattice",
     "rank",
     "row_hnf",
@@ -79,6 +79,7 @@ __all__ = [
     "enumerate_faces",
     "homogenize",
     "is_strictly_convex",
+    "lineality_face",
     "minimal_face",
     "minimal_face_witness",
     "Verdict",

@@ -231,10 +231,20 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # A byte that is not UTF-8 becomes a lone surrogate, refused by ``_utf8``.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _utf8(text: str) -> str:
+    """``text``, unless ``_read_input`` found a byte in it that is not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError("input is not valid UTF-8") from None
+    return text
 
 
 def _nonnegative_int(text: str) -> int:
@@ -314,9 +324,9 @@ def _process_one(text: str, args, out, where: str = "") -> int:
         if args.command == "binary" and args.form is not None:
             instance = Instance("binary-form", parse_form(args.form))
         elif args.batch:
-            instance = parse_json_instance(text)
+            instance = parse_json_instance(_utf8(text))
         else:
-            instance = parse_instance(text)
+            instance = parse_instance(_utf8(text))
         report = run_command(args.command, instance, args)
         certificates_ok = _verify_all(report)
         out.write(emit_report(report, args.format))

@@ -7,10 +7,10 @@ the facets: ``facets`` finds the primitive integer facet normals once
 per system by double description in exact integer arithmetic, every
 face is an intersection of facet zero sets, and its witness is the sum
 of the normals of the facets containing it.  Minimal faces, the face
-lattice and pointedness (the sum of all normals, checked >= 1 on every
-nonzero weight) therefore run no LP.  The LP is left to the edge tests,
-the relation of a cone that is not pointed, and single-face
-certificates.
+lattice and the lineality face (the intersection of all facets, which
+holds only zero weights iff the cone is pointed) therefore run no LP.
+The LP is left to the edge tests, the relation of a cone that is not
+pointed, and single-face certificates.
 Indices are 0-based throughout; the human-readable coordinate x{k}
 corresponds to position k-1.
 """
@@ -24,12 +24,11 @@ from operator import mul
 
 from .errors import InputError, InternalError, ResourceGuardError
 from .linalg import (
-    IntMatrix,
     dot,
     independent_rows,
     is_zero_vector,
     primitive_vector,
-    row_hnf,
+    rank,
     solve_exact,
 )
 from .lp import ConeMembership, cone_member, lp_feasible
@@ -72,11 +71,6 @@ class WeightSystem:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    @property
-    def matrix(self) -> IntMatrix:
-        """The dim x n matrix whose columns are the weights."""
-        return IntMatrix.from_columns(self.weights)
 
     def others(self, i: int) -> tuple[tuple[int, ...], ...]:
         """All weights except the one at position i."""
@@ -146,33 +140,27 @@ class EdgeConditions:
     negation_membership: ConeMembership
 
 
-def pointedness_functional(ws: WeightSystem) -> tuple[int, ...] | None:
-    """An integer functional >= 1 on every nonzero weight, or None when
-    the weight cone is not pointed.
+def lineality_face(ws: WeightSystem) -> ConeFace:
+    """The smallest face of the weight cone, its lineality space: the
+    positions on every facet, zero weights included, witnessed by the
+    primitive sum of all the facet normals.  No LP runs.
 
-    The candidate is the primitive sum of the facet normals.  When the
-    cone is pointed its facet normals span the dual, so the sum lies in
-    the interior of the dual cone and is positive on every nonzero
-    weight; when it is not, every normal vanishes on the lineality
-    space, which holds a nonzero weight.  The arithmetic check on the
-    candidate therefore decides pointedness exactly and is also its
-    certificate.  No LP runs.
+    A nonzero weight on it spans a line inside the cone, so the cone is
+    pointed iff the face holds only zero weights; the witness is then
+    >= 1 on every nonzero weight.
     """
-    total = primitive_vector([sum(col) for col in zip((0,) * ws.dim, *facets(ws))])
-    if all(dot(total, w) >= 1 for w in ws.weights if not is_zero_vector(w)):
-        return total
-    return None
+    return _supported_face(ws, lambda zero: True)
 
 
 def is_strictly_convex(ws: WeightSystem) -> PointednessResult:
     """Decide whether the weight cone is pointed (contains no line).
 
-    Pointedness is read off the facets (``pointedness_functional``); an
-    LP runs only when the cone is not pointed, to find the relation.
+    Pointedness is read off the facets (``lineality_face``); an LP runs
+    only when the cone is not pointed, to find the relation.
     """
-    gamma = pointedness_functional(ws)
-    if gamma is not None:
-        return PointednessResult(True, functional=gamma)
+    face = lineality_face(ws)
+    if all(is_zero_vector(ws.weights[k]) for k in face.indices):
+        return PointednessResult(True, functional=face.witness)
     nonzero = [i for i, w in enumerate(ws.weights) if not is_zero_vector(w)]
     res = lp_feasible([], [(ws.weights[i], 1) for i in nonzero], num_vars=ws.dim)
     if res.feasible:
@@ -225,7 +213,7 @@ def facets(ws: WeightSystem) -> tuple[tuple[int, ...], ...]:
     lies in no third normal's tight set.  A cone that is a linear space
     (this includes r = 0) has no facets.
     """
-    coords = independent_rows(ws.matrix)
+    coords = independent_rows(tuple(zip(*ws.weights)))
     r = len(coords)
     # Zero weights lie on every hyperplane, and positive multiples of one
     # ray on the same ones: the cuts run over distinct projected rays.
@@ -246,7 +234,7 @@ def facets(ws: WeightSystem) -> tuple[tuple[int, ...], ...]:
 def _dual_extreme_rays(rays, r: int) -> list[tuple[int, ...]]:
     """Extreme rays of {h : h.p >= 0 for every p in rays}, where the
     rays span Z^r (r >= 1), by double description."""
-    base = independent_rows(IntMatrix(tuple(rays)))
+    base = independent_rows(rays)
     # (normal, tight set): the i-th base normal vanishes on every other
     # base ray and is positive on the i-th.
     cone = [(primitive_vector(solve_exact([rays[k] for k in base],
@@ -289,7 +277,7 @@ def _check_facet(ws: WeightSystem, normal, r: int) -> None:
             raise InternalError("facet normal is negative on a weight")
         if value == 0:
             zero.append(w)
-    if len(row_hnf(zero)) != r - 1:
+    if rank(zero) != r - 1:
         raise InternalError("facet normal's zero set has the wrong rank")
 
 
@@ -423,7 +411,7 @@ def _check_euler_poincare(ws: WeightSystem, faces) -> None:
     vanishes.  A necessary condition only, but one a dropped facet
     rarely passes.
     """
-    ranks = [len(row_hnf([ws.weights[k] for k in f.indices])) for f in faces]
+    ranks = [rank([ws.weights[k] for k in f.indices]) for f in faces]
     low, top = ranks[0], ranks[-1]
     if top > low and sum((-1) ** (k - low) for k in ranks) != 0:
         raise InternalError("face lattice fails the Euler-Poincare relation")

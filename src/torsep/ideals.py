@@ -19,7 +19,7 @@ from math import isqrt, prod
 
 from .cones import DEFAULT_MAX_N, WeightSystem
 from .errors import InputError, InternalError, ResourceGuardError
-from .linalg import Vector, is_zero_vector, kernel_lattice, lattice_equal
+from .linalg import Vector, combine, is_zero_vector, kernel_lattice, lattice_equal
 
 DEFAULT_MAX_NODES = 2_000_000
 MAX_PRIME = 2**31 - 1
@@ -181,10 +181,10 @@ def binomial_generators(
             f"Graver basis completion over {ws.n} weights exceeds the guard "
             f"(max_n={max_n}); raise it explicitly if this is intended"
         )
-    lattice = kernel_lattice(ws.matrix)
+    lattice = kernel_lattice(ws.weights)
     result = tuple(sorted(map(Binomial.from_vector, _graver_basis(lattice, max_nodes))))
     vectors = [b.vector for b in result]
-    if any(any(ws.matrix.mul_vector(v)) for v in vectors):
+    if any(any(combine(ws.weights, v)) for v in vectors):
         raise InternalError("emitted binomial is not a weight relation")
     if not lattice_equal(vectors, lattice):
         raise InternalError("binomial relation vectors do not span the lattice")

@@ -3,15 +3,17 @@
 Everything downstream reduces to the primitives here, and all of them
 rest on one fraction-free elimination: the Hermite row form computed by
 ``_hermite``.  Ranks, independent rows and determinants are read off the
-form, exact solves off the form of [A | b], saturated integer kernels
-off the form of [A^T | I], and lattices are compared by their forms.
-All arithmetic is arbitrary-precision and exact; no floating point
-appears anywhere in the package.
+form, exact solves off the form of [A | b], relation lattices off the
+form of [V | I], and lattices are compared by their forms.  There is no
+matrix type: a family of weights is a tuple of integer tuples, and
+``rank``, ``kernel_lattice`` and ``combine`` take it as it is, while the
+row functions take the rows (``zip(*weights)`` when the weights are the
+columns).  All arithmetic is arbitrary-precision and exact; no floating
+point appears anywhere in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -43,53 +45,11 @@ def primitive_vector(v) -> Vector:
     return tuple(a // g for a in ints)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix; column j holds the j-th character/generator.
-
-    Entries are arbitrary-precision Python ints.  The matrix is immutable
-    and hashable so results keyed on it can be memoised.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows or not self.rows[0]:
-            raise InputError("matrix needs at least one row and one column")
-        width = len(self.rows[0])
-        for r, row in enumerate(self.rows):
-            if len(row) != width:
-                raise InputError(f"row {r} has length {len(row)}, expected {width}")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(f"non-integer entry {x!r} in row {r}")
-
-    @property
-    def d(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    @classmethod
-    def from_columns(cls, columns) -> "IntMatrix":
-        cols = [tuple(c) for c in columns]
-        if not cols:
-            raise InputError("matrix needs at least one column")
-        return cls(tuple(tuple(col[i] for col in cols) for i in range(len(cols[0]))))
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.n))
-
-    def mul_vector(self, v) -> tuple:
-        """Matrix-vector product A @ v."""
-        if len(v) != self.n:
-            raise InputError(f"vector length {len(v)} does not match {self.n} columns")
-        return tuple(dot(row, v) for row in self.rows)
+def combine(vectors, c) -> tuple:
+    """The combination sum_k c_k v_k of a family of equal-length vectors."""
+    if len(c) != len(vectors):
+        raise InputError(f"{len(c)} coefficients for {len(vectors)} vectors")
+    return tuple(dot(column, c) for column in zip(*vectors))
 
 
 def _hermite(rows) -> tuple[tuple[Vector, ...], int]:
@@ -134,15 +94,16 @@ def _hermite(rows) -> tuple[tuple[Vector, ...], int]:
     return tuple(tuple(row) for row in mat[:r]), sign if r == len(mat) else 0
 
 
-def rank(matrix: IntMatrix) -> int:
-    """Rank over the rationals: the number of rows of the Hermite form."""
-    return len(_hermite(matrix.rows)[0])
+def rank(vectors) -> int:
+    """Rank over the rationals of a vector family (0 for none): the
+    number of rows of its Hermite form."""
+    return len(_hermite(vectors)[0])
 
 
-def independent_rows(matrix: IntMatrix) -> tuple[int, ...]:
+def independent_rows(rows) -> tuple[int, ...]:
     """Indices of the first maximal linearly independent set of rows,
     i.e. the pivot columns of the Hermite form of the transpose."""
-    form = _hermite(matrix.columns())[0]
+    form = _hermite(zip(*rows))[0]
     return tuple(next(j for j, a in enumerate(row) if a) for row in form)
 
 
@@ -168,20 +129,18 @@ def lattice_equal(rows_a, rows_b) -> bool:
     return row_hnf(rows_a) == row_hnf(rows_b)
 
 
-def kernel_lattice(matrix: IntMatrix) -> tuple[Vector, ...]:
-    """Canonical basis of the saturated integer kernel {c : A @ c = 0}.
+def kernel_lattice(vectors) -> tuple[Vector, ...]:
+    """Canonical basis of the saturated lattice of integer relations
+    {c : sum_k c_k v_k = 0} of a nonempty vector family.
 
-    The Hermite form of [A^T | I] is U [A^T | I] for a unimodular U; its
-    rows with a zero A^T part carry, in their I part, rows u of U with
-    u A^T = 0.  They form a basis of the full integer kernel (saturated
-    because U is invertible over the integers), already in Hermite form
-    (Cohen 1993, Section 2.4).
+    The Hermite form of [V | I], with the vectors as the rows of V, is
+    U [V | I] for a unimodular U; its rows with a zero V part carry, in
+    their I part, rows u of U with u V = 0.  They form a basis of the
+    full relation lattice (saturated because U is invertible over the
+    integers), already in Hermite form (Cohen 1993, Section 2.4).
     """
-    d, n = matrix.d, matrix.n
-    form, _ = _hermite(
-        col + tuple(int(i == j) for i in range(n))
-        for j, col in enumerate(matrix.columns())
-    )
+    d, n = len(vectors[0]), len(vectors)
+    form, _ = _hermite((*v, *(int(i == j) for i in range(n))) for j, v in enumerate(vectors))
     return tuple(row[d:] for row in form if not any(row[:d]))
 
 

@@ -35,8 +35,6 @@ from math import lcm
 from .errors import InputError, InternalError
 from .linalg import dot, primitive_vector
 
-Constraint = tuple  # (coefficient sequence, rhs)
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -10,6 +10,8 @@ k-1).
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -17,7 +19,7 @@ from typing import Any
 from . import __version__
 from .binary_forms import BinaryForm, form_to_string, parse_form
 from .cones import WeightSystem
-from .errors import InputError
+from .errors import InputError, ResourceGuardError
 from .verdict import Verdict
 
 SCHEMA = "torsep/1"
@@ -56,6 +58,8 @@ def parse_json_instance(text: str) -> Instance:
             f"not a JSON instance: parse error at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer too long
+        raise InputError(f"not a JSON instance: {exc}") from None
     return instance_from_json(data)
 
 
@@ -193,11 +197,26 @@ class Report:
         }
 
 
+# The strings ``encode`` writes for a Fraction.
+_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")
+
+
+def _decode_rationals(value):
+    """Undo ``encode`` on certificate data: rational strings become Fractions."""
+    if isinstance(value, str):
+        return Fraction(value) if _RATIONAL.fullmatch(value) else value
+    if isinstance(value, list):
+        return [_decode_rationals(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _decode_rationals(v) for k, v in value.items()}
+    return value
+
+
 def report_from_json(data) -> Report:
     """Rebuild a Report from its JSON form.
 
-    The instance is reconstructed with full types; certificate payloads
-    keep their JSON encoding (rationals stay strings).
+    The instance is reconstructed with full types, and certificate
+    rationals become Fractions again, so the verdicts re-verify.
     """
     if data.get("schema") != SCHEMA:
         raise InputError(f"unsupported schema {data.get('schema')!r}")
@@ -209,7 +228,7 @@ def report_from_json(data) -> Report:
                 entry["property"],
                 entry["mode"],
                 entry["holds"],
-                entry["certificate"],
+                _decode_rationals(entry["certificate"]),
                 tuple(entry.get("notes", ())),
             )
         )
@@ -321,8 +340,13 @@ def render_text(report: Report) -> str:
 
 def emit_report(report: Report, fmt: str = "text") -> str:
     """Serialize the report as JSON (stable field order) or as text."""
-    if fmt == "json":
-        return json.dumps(report.to_json(), indent=2) + "\n"
-    if fmt == "text":
-        return render_text(report)
+    try:
+        if fmt == "json":
+            return json.dumps(report.to_json(), indent=2) + "\n"
+        if fmt == "text":
+            return render_text(report)
+    except ValueError:  # an integer longer than the interpreter writes
+        limit = sys.get_int_max_str_digits()
+        raise ResourceGuardError(f"report holds an integer of more than {limit} digits, "
+                                 "the interpreter's limit for writing one") from None
     raise InputError(f"unknown format {fmt!r}")

@@ -9,12 +9,14 @@ holds exactly when the weights are linearly independent.  The
 projective deciders act on the homogenized weights (appended coordinate
 1); projective SSP is affine independence.
 
-Pointedness, minimal faces, their witnesses and the SSP coordinate
-witness are read off the facets, and the cone hypothesis off the
-Hermite form, so a holding SP or WSP verdict runs no LP.  The simplex
-runs only where a failing verdict needs an LP-made certificate: the
-membership behind a failing SP position, the relation of a cone that
-is not pointed, and the interior relations of a shared minimal face.
+The lineality face (hence pointedness), minimal faces, their witnesses
+and the SSP coordinate witness are read off the facets, and the cone
+hypothesis off the Hermite form, so a holding SP or WSP verdict runs no
+LP.  SP has one route on every cone: the first failing position is read
+off the lineality and minimal faces.  The simplex runs only where a
+failing verdict needs an LP-made certificate: the membership behind
+that position, the relation of a cone that is not pointed, and the
+interior relations of a shared minimal face.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
@@ -29,9 +31,9 @@ from .cones import (
     WeightSystem,
     homogenize,
     is_strictly_convex,
+    lineality_face,
     minimal_face,
     minimal_face_witness,
-    pointedness_functional,
 )
 from .errors import CrossCheckError, HypothesisError, InternalError
 from .linalg import (
@@ -96,29 +98,27 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     """Separation property of the affine orbit closure of a general point.
 
     SP holds iff the weight cone is pointed and every weight alone spans
-    an extreme ray.  On a pointed cone, the first failing position is
-    the first zero weight or weight whose minimal face holds another
-    nonzero weight; only its certificate takes an LP.  A holding verdict
-    runs none: p (the pointedness functional) excludes -w_i, and
-    K f_i - p excludes w_i, where f_i witnesses the minimal face {i}
-    plus the zero weights and K = max_j p.w_j.  A cone that is not
-    pointed fails, at the first position found by the LP tests.
+    an extreme ray.  Let L be the lineality face (the positions on every
+    facet).  SP fails at i iff i is in L, or the minimal face of w_i
+    holds another position outside L: a nonzero weight of L has -w_i in
+    the cone of the others, and a weight off L lies in the cone of the
+    others iff its minimal face holds another weight off L.  Only the
+    first such position's certificate takes an LP.  A holding verdict
+    runs none: L is empty, so the cone is pointed and p (the witness of
+    L) excludes -w_i, and K f_i - p excludes w_i, where f_i witnesses
+    the minimal face {i} and K = max_j p.w_j.
     """
     if ws.n == 1:
         return vacuous("SP", "affine")
-    p = pointedness_functional(ws)
-    if p is None:
-        failing = range(ws.n)
-    else:
-        zero = {k for k, w in enumerate(ws.weights) if is_zero_vector(w)}
-        failing = [i for i in range(ws.n)
-                   if i in zero or len(set(minimal_face(ws, i)) - zero) > 1][:1]
-    for i in failing:
-        cert = _sp_failure(ws, i)
-        if cert is not None:
+    lineality = lineality_face(ws)
+    low = set(lineality.indices)
+    for i in range(ws.n):
+        if i in low or len(set(minimal_face(ws, i)) - low) > 1:
+            cert = _sp_failure(ws, i)
+            if cert is None:
+                raise InternalError("SP failure expected but no certificate found")
             return Verdict("SP", "affine", False, cert)
-    if p is None or failing:
-        raise InternalError("SP failure expected but no certificate found")
+    p = lineality.witness
     top = max(dot(p, w) for w in ws.weights)
     separators = tuple(
         {
@@ -249,10 +249,10 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
             "SSP hypothesis not satisfied: the orbit closure is not a cone "
             "(no rational functional takes the value 1 on every weight)"
         )
-    matrix = ws.matrix
-    row_idx = independent_rows(matrix)
+    rows = tuple(zip(*ws.weights))
+    row_idx = independent_rows(rows)
     if len(row_idx) == ws.n:
-        det = determinant([matrix.rows[i] for i in row_idx])
+        det = determinant([rows[i] for i in row_idx])
         cert = {
             "kind": "full-rank",
             "row_indices": row_idx,
@@ -260,7 +260,7 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
             "cone_functional": functional,
         }
         return Verdict("SSP", "affine", True, cert, notes=_CONE_NOTES)
-    kernel = kernel_lattice(matrix)
+    kernel = kernel_lattice(ws.weights)
     witness = ssp_coordinate_witness(ws)
     if witness is None:
         raise CrossCheckError(
@@ -312,13 +312,13 @@ def decide_projective_ssp(ws: WeightSystem) -> Verdict:
     homogenized closure is always a cone.
     """
     hws = homogenize(ws)
-    matrix = hws.matrix
-    row_idx = independent_rows(matrix)
+    rows = tuple(zip(*hws.weights))
+    row_idx = independent_rows(rows)
     if len(row_idx) == ws.n:
-        det = determinant([matrix.rows[i] for i in row_idx])
+        det = determinant([rows[i] for i in row_idx])
         cert = {"kind": "affine-independent", "row_indices": row_idx, "determinant": det}
         return Verdict("SSP", "projective", True, cert, notes=(_PROJ_NOTE,))
-    relation = kernel_lattice(matrix)[0]
+    relation = kernel_lattice(hws.weights)[0]
     cert = {"kind": "affine-dependence", "relation": relation}
     return Verdict("SSP", "projective", False, cert, notes=(_PROJ_NOTE,))
 

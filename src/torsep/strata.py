@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets
-from .linalg import dot, rank, row_hnf
+from .linalg import dot, rank
 from .verdict import Verdict, vacuous
 
 
@@ -32,7 +32,7 @@ def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
     """One stratum per face of the weight cone, in canonical order."""
     lattice = enumerate_faces(ws, max_n=max_n)
     return tuple(
-        Stratum(f.indices, f.witness, len(row_hnf([ws.weights[k] for k in f.indices])))
+        Stratum(f.indices, f.witness, rank([ws.weights[k] for k in f.indices]))
         for f in lattice
     )
 
@@ -139,7 +139,7 @@ def ssp_coordinate_witness(ws: WeightSystem) -> SspWitness | None:
     """
     if ws.n < 2:
         return None
-    ambient = rank(ws.matrix)
+    ambient = rank(ws.weights)
     deep = [Stratum(tuple(k for k, w in enumerate(ws.weights) if dot(h, w) == 0),
                     h, ambient - 1)
             for h in facets(ws)]

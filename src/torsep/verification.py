@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cones import WeightSystem, homogenize, supports_face
 from .errors import InputError, InternalError
-from .linalg import determinant, dot, is_zero_vector, rank, row_hnf
+from .linalg import combine, determinant, dot, is_zero_vector, rank
 from .strata import strata
 from .verdict import Verdict
 
@@ -57,21 +57,13 @@ def _check_edge_separation(problems, ws, cert):
         seen.add(i)
         chi = ws.weights[i]
         others = ws.others(i)
-        for key, target in (
-            ("vector_excluded_by", chi),
-            ("negation_excluded_by", tuple(-x for x in chi)),
-        ):
+        for key, target in (("vector_excluded_by", chi),
+                            ("negation_excluded_by", tuple(-x for x in chi))):
             gamma = entry[key]
-            _require(
-                problems,
-                all(dot(gamma, w) >= 0 for w in others),
-                f"separator {key} for weight {i} not supporting",
-            )
-            _require(
-                problems,
-                dot(gamma, target) < 0,
-                f"separator {key} for weight {i} does not exclude",
-            )
+            _require(problems, all(dot(gamma, w) >= 0 for w in others),
+                     f"separator {key} for weight {i} not supporting")
+            _require(problems, dot(gamma, target) < 0,
+                     f"separator {key} for weight {i} does not exclude")
     _require(problems, seen == set(range(ws.n)), "separators must cover every weight")
 
 
@@ -92,7 +84,7 @@ def _check_generator_in_cone(problems, ws, cert):
     _require(problems, len(lam) == ws.n, "coefficient vector has wrong length")
     _require(problems, all(x >= 0 for x in lam), "coefficients must be nonnegative")
     _require(problems, lam[i] == 0, "weight may not appear in its own combination")
-    _require(problems, ws.matrix.mul_vector(lam) == ws.weights[i],
+    _require(problems, combine(ws.weights, lam) == ws.weights[i],
              "combination does not reproduce the weight")
     if not _valid_pair(problems, ws, cert["pair"]):
         return
@@ -106,15 +98,12 @@ def _check_line_in_cone(problems, ws, cert):
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, all(x >= 0 for x in c), "relation must be nonnegative")
     _require(problems, any(x > 0 for x in c), "relation must be nonzero")
-    _require(problems, is_zero_vector(ws.matrix.mul_vector(c)),
+    _require(problems, is_zero_vector(combine(ws.weights, c)),
              "relation does not sum to zero")
     for k in range(ws.n):
         if c[k] > 0:
-            _require(
-                problems,
-                not is_zero_vector(ws.weights[k]),
-                "relation supported on a zero weight",
-            )
+            _require(problems, not is_zero_vector(ws.weights[k]),
+                     "relation supported on a zero weight")
     pair = cert["pair"]
     if "index" in cert:
         _valid_index(problems, cert["index"], ws.n)
@@ -173,18 +162,18 @@ def _check_shared_face_interior(problems, ws, cert):
             else:
                 _require(problems, coeffs[k] == 0, "relation supported off the face")
         _require(problems,
-                 tuple(mult * x for x in ws.weights[idx]) == ws.matrix.mul_vector(coeffs),
+                 tuple(mult * x for x in ws.weights[idx]) == combine(ws.weights, coeffs),
                  "interior relation identity fails")
     _require(problems, rel_indices == set(pair), "one relation per pair member required")
 
 
 def _check_full_rank(problems, ws, cert):
-    rows = cert["row_indices"]
-    matrix = ws.matrix
-    _require(problems, len(rows) == ws.n, "need as many rows as weights")
-    if not _valid_indices(problems, rows, ws.dim, "row index"):
+    indices = cert["row_indices"]
+    _require(problems, len(indices) == ws.n, "need as many rows as weights")
+    if not _valid_indices(problems, indices, ws.dim, "row index"):
         return
-    det = determinant([matrix.rows[i] for i in rows])
+    rows = tuple(zip(*ws.weights))
+    det = determinant([rows[i] for i in indices])
     _require(problems, det == cert["determinant"], "determinant mismatch")
     _require(problems, det != 0, "certifying minor is singular")
     _check_cone_functional(problems, ws, cert)
@@ -201,7 +190,7 @@ def _check_cone_functional(problems, ws, cert):
 def _check_kernel_witness(problems, ws, cert):
     c = cert["kernel_vector"]
     _require(problems, not is_zero_vector(c), "kernel vector is zero")
-    _require(problems, is_zero_vector(ws.matrix.mul_vector(c)),
+    _require(problems, is_zero_vector(combine(ws.weights, c)),
              "kernel vector not in the kernel")
     pair = cert["pair"]
     if not (_valid_pair(problems, ws, pair)
@@ -211,9 +200,9 @@ def _check_kernel_witness(problems, ws, cert):
     _require(problems, not (s & set(pair)), "stratum must avoid the pair")
     _require(problems, supports_face(ws, s, cert["stratum_witness"]),
              "stratum witness does not support the stratum")
-    ambient = rank(ws.matrix)
+    ambient = rank(ws.weights)
     _require(problems, ambient == cert["ambient_rank"], "ambient rank mismatch")
-    sdim = len(row_hnf([ws.weights[k] for k in s]))
+    sdim = rank([ws.weights[k] for k in s])
     _require(problems, sdim == cert["stratum_dim"], "stratum dimension mismatch")
     _require(problems, sdim >= ambient - 1, "stratum not deep enough to witness failure")
     _check_cone_functional(problems, ws, cert)
@@ -223,9 +212,8 @@ def _check_affine_dependence(problems, ws, cert):
     c = cert["relation"]
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, not is_zero_vector(c), "relation is zero")
-    _require(problems, is_zero_vector(ws.matrix.mul_vector(c)),
+    _require(problems, is_zero_vector(combine(ws.weights, c)),
              "relation does not annihilate weights")
-    _require(problems, sum(c) == 0, "relation coefficients do not sum to zero")
 
 
 def _strata_sets(ws):
@@ -246,11 +234,8 @@ def _check_strata_forcing(problems, ws, cert):
         return
     j, i = cert["pair"]
     sets = _strata_sets(ws)
-    _require(
-        problems,
-        all(i not in s for s in sets if j not in s),
-        "forcing pair does not force",
-    )
+    _require(problems, all(i not in s for s in sets if j not in s),
+             "forcing pair does not force")
 
 
 def _check_pair_witnesses(problems, ws, cert, expected, splits):
@@ -281,11 +266,8 @@ def _check_strata_equivalent(problems, ws, cert):
         return
     i, j = cert["pair"]
     sets = _strata_sets(ws)
-    _require(
-        problems,
-        all((i in s) == (j in s) for s in sets),
-        "pair is distinguished by some stratum",
-    )
+    _require(problems, all((i in s) == (j in s) for s in sets),
+             "pair is distinguished by some stratum")
 
 
 def _check_strata_distinguished(problems, ws, cert):
@@ -313,10 +295,6 @@ _CHECKERS = {
     "strata-distinguished": _check_strata_distinguished,
 }
 
-# Certificate kinds whose data refers to the original (unhomogenized)
-# weights even for projective verdicts.
-_ORIGINAL_COORDS = {"affine-dependence"}
-
 # The kinds that certify a holding verdict; the others certify a failure.
 _HOLDING = {"vacuous", "edge-separation", "face-separation", "full-rank",
             "affine-independent", "strata-separation", "strata-distinguished"}
@@ -332,9 +310,7 @@ def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     holding = kind in _HOLDING
     _require(problems, verdict.holds == holding,
              f"{kind} certifies a {'holding verdict' if holding else 'failure'}")
-    target = ws
-    if verdict.mode == "projective" and kind not in _ORIGINAL_COORDS:
-        target = homogenize(ws)
+    target = homogenize(ws) if verdict.mode == "projective" else ws
     try:
         checker(problems, target, verdict.certificate)
     except (InputError, KeyError, IndexError, TypeError, ValueError) as exc:

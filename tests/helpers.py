@@ -9,10 +9,12 @@ from itertools import combinations, permutations, product
 from math import prod
 
 from torsep import cones
-from torsep.cones import WeightSystem, edge_conditions, face_witness
-from torsep.linalg import IntMatrix, is_zero_vector, rank, solve_exact
+from torsep.cones import WeightSystem, edge_conditions, face_witness, homogenize
+from torsep.errors import HypothesisError
+from torsep.linalg import combine, is_zero_vector, rank, solve_exact
 from torsep.lp import lp_feasible
-from torsep.strata import SspWitness, strata
+from torsep.separation import decide
+from torsep.strata import SspWitness, oracle_sp, oracle_wsp, strata
 from torsep.verdict import Verdict, vacuous
 
 # Golden weight systems used across modules.
@@ -22,6 +24,27 @@ FIVE_WEIGHTS = WeightSystem.from_rows(
     [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]
 )
 QUARTET_WEIGHTS = WeightSystem.from_rows([[1, 2], [1, 1], [3, 0], [0, 2]])
+
+
+def golden_verdicts():
+    """(weights, verdict) for every decider and oracle verdict, in both
+    modes, of the golden systems and a few small degenerate ones."""
+    systems = [M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS,
+               WeightSystem.from_rows([[1], [0]]),
+               WeightSystem.from_rows([[1], [-1]]),
+               WeightSystem.from_rows([[1, 0], [2, 0], [0, 1]]),
+               WeightSystem.from_rows([[2, 1]])]
+    for ws in systems:
+        for mode in ("affine", "projective"):
+            for prop in ("SP", "WSP", "SSP"):
+                try:
+                    yield ws, decide(ws, prop, mode)
+                except HypothesisError:
+                    pass
+            target = homogenize(ws) if mode == "projective" else ws
+            for oracle in (oracle_sp, oracle_wsp):
+                v = oracle(target)
+                yield ws, Verdict(v.property_name, mode, v.holds, v.certificate)
 
 
 def random_weights(rng: random.Random, d: int, n: int, bound: int = 2) -> WeightSystem:
@@ -82,17 +105,18 @@ def random_suite(seed: int, count: int, dims=(1, 2, 3), sizes=(1, 2, 3, 4, 5, 6)
     return out
 
 
-def brute_force_kernel_vectors(matrix: IntMatrix, bound: int = 3):
-    """All integer kernel vectors with sup-norm <= bound, by enumeration."""
-    n = matrix.n
+def brute_force_kernel_vectors(vectors, bound: int = 3):
+    """All integer relations c (sum_k c_k v_k = 0) with sup-norm <= bound,
+    by enumeration."""
+    n = len(vectors)
     found = []
     for c in product(range(-bound, bound + 1), repeat=n):
-        if all(x == 0 for x in matrix.mul_vector(c)):
+        if all(x == 0 for x in combine(vectors, c)):
             found.append(c)
     return found
 
 
-def brute_force_graver(matrix: IntMatrix, bound: int = 3):
+def brute_force_graver(vectors, bound: int = 3):
     """Graver basis elements with sup-norm <= bound, by enumeration.
 
     The nonzero kernel vectors of the box that are minimal in the
@@ -101,7 +125,7 @@ def brute_force_graver(matrix: IntMatrix, bound: int = 3):
     vector lies in the box, so this is exactly the part of the Graver
     basis inside the box.
     """
-    box = [c for c in brute_force_kernel_vectors(matrix, bound) if any(c)]
+    box = [c for c in brute_force_kernel_vectors(vectors, bound) if any(c)]
 
     def below(h, g):
         return h != g and all(x * y >= 0 and abs(x) <= abs(y) for x, y in zip(h, g))
@@ -123,10 +147,9 @@ def brute_force_cone_member(v, gens) -> bool:
     gens = [tuple(g) for g in gens]
     for size in range(1, d + 1):
         for subset in combinations(gens, size):
-            cols = IntMatrix.from_columns(subset)
-            if rank(cols) != size:
+            if rank(subset) != size:
                 continue
-            sol = solve_exact([list(row) for row in cols.rows], v)
+            sol = solve_exact([list(row) for row in zip(*subset)], v)
             if sol is not None and all(x >= 0 for x in sol):
                 return True
     return False
@@ -276,7 +299,7 @@ def reference_ssp_witness(ws: WeightSystem) -> SspWitness | None:
     avoids both coordinates and has rank >= r - 1."""
     if ws.n < 2:
         return None
-    ambient = rank(ws.matrix)
+    ambient = rank(ws.weights)
     all_strata = strata(ws, max_n=ws.n)
     for i in range(ws.n):
         for j in range(i + 1, ws.n):

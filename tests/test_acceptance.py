@@ -79,7 +79,7 @@ def test_criterion_2_golden_n():
 def test_criterion_3_golden_five_weights():
     sp = _record(FIVE_WEIGHTS, decide_affine_sp(FIVE_WEIGHTS))
     assert sp.holds
-    lattice = kernel_lattice(FIVE_WEIGHTS.matrix)
+    lattice = kernel_lattice(FIVE_WEIGHTS.weights)
     assert len(lattice) == 2
     binomials = binomial_generators(FIVE_WEIGHTS)
     vectors = [b.vector for b in binomials]

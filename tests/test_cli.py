@@ -213,6 +213,54 @@ def test_batch_survives_malformed_instances(capsys, monkeypatch):
     assert err == "error: 'd' must be a positive integer\n"
 
 
+def test_batch_survives_unreadable_lines(capsys, tmp_path):
+    """A byte that is not UTF-8, JSON nested past the recursion limit and
+    an integer longer than the interpreter reads each fail their own line."""
+    path = tmp_path / "batch.jsonl"
+    path.write_bytes(b"\n".join([
+        M_JSON.encode(),
+        b'{"d": 1, "weights": [[1], [2]], "label": "\xff"}',
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"d": 1, "weights": [[' + b"7" * 5000 + b"]]}",
+        FIVE_JSON.encode(),
+    ]) + b"\n")
+    code, out, err = run_cli(capsys, ["decide", "--format", "json", "--batch", str(path)])
+    assert code == 2
+    lines = err.splitlines()
+    assert [e.split(": ")[:2] for e in lines] == [
+        ["line 2", "error"], ["line 3", "error"], ["line 4", "error"]]
+    assert lines[0] == "line 2: error: input is not valid UTF-8"
+    assert lines[1].startswith("line 3: error: not a JSON instance: maximum recursion depth")
+    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
+    assert [r["instance"]["weights"] for r in reports] == [
+        [[1, 1], [2, 0], [0, 2]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
+    path.write_bytes(b"1 2\n1\n\xfe2\n")
+    code, out, err = run_cli(capsys, ["decide", str(path)])
+    assert (code, out, err) == (2, "", "error: input is not valid UTF-8\n")
+
+
+def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
+    """The SSP determinant of three diagonal weights of 2,001 digits has
+    about 6,000, more than the interpreter writes; that line fails with
+    exit 2 and the next one still runs."""
+    big = 10 ** 2000 + 1
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps({"d": 3, "weights": [[big, 0, 0], [0, big, 0], [0, 0, big]]})
+                    + "\n" + M_JSON + "\n")
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("json", "text"):
+        code, out, err = run_cli(capsys, ["decide", "--property", "ssp", "--format", fmt,
+                                          "--batch", str(path)])
+        assert code == 2
+        assert err == (f"line 1: error: report holds an integer of more than {limit} "
+                       "digits, the interpreter's limit for writing one\n")
+        if fmt == "json":
+            reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
+            assert [r["instance"]["label"] for r in reports] == ["M"]
+        else:
+            assert out.count("instance: ") == 1 and "label: M" in out
+
+
 @pytest.mark.parametrize("value, message", [
     ("-1", "argument --max-n: must be at least 0, got -1"),
     ("x", "argument --max-n: invalid int value: 'x'"),

@@ -6,8 +6,10 @@ from helpers import (
     M_WEIGHTS,
     N_WEIGHTS,
     apply_unimodular,
+    brute_force_cone_member,
     brute_force_faces,
     clear_cone_caches,
+    fuzz_weights,
     random_unimodular,
     random_weights,
 )
@@ -20,11 +22,13 @@ from torsep.cones import (
     facets,
     homogenize,
     is_strictly_convex,
+    lineality_face,
     minimal_face,
     minimal_face_witness,
+    supports_face,
 )
 from torsep.errors import InputError, ResourceGuardError
-from torsep.linalg import IntMatrix, dot, is_zero_vector, rank
+from torsep.linalg import dot, is_zero_vector, rank
 from torsep.strata import characteristic_pairs, oracle_sp, oracle_wsp, strata
 
 
@@ -51,6 +55,24 @@ def test_pointed_three_dim():
 def test_zero_weights_are_pointed():
     assert is_strictly_convex(WeightSystem.from_rows([[0, 0]])).pointed
 
+
+def test_lineality_face_matches_brute_force_membership():
+    """Position k is on the lineality face iff -w_k is in the weight cone;
+    the cone is pointed iff the face holds only zero weights."""
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(60):
+        base = fuzz_weights(rng, rng.randint(1, 4), rng.randint(1, 8), rng.choice((2, 50)))
+        for ws in (base, homogenize(base)):
+            face = lineality_face(ws)
+            assert face.indices == tuple(
+                k for k, w in enumerate(ws.weights)
+                if brute_force_cone_member(tuple(-x for x in w), ws.weights)), ws
+            assert supports_face(ws, face.indices, face.witness)
+            pointed = all(is_zero_vector(ws.weights[k]) for k in face.indices)
+            assert is_strictly_convex(ws).pointed == pointed, ws
+            outcomes.add((pointed, len(face.indices) > 0))
+    assert outcomes == {(True, False), (True, True), (False, True)}
 
 def test_edge_conditions_interior_generator():
     cond = edge_conditions(M_WEIGHTS, 0)
@@ -269,12 +291,12 @@ def test_face_lattice_matches_brute_force_scan():
             for k, w in enumerate(ws.weights):
                 value = dot(face.witness, w)
                 assert value == 0 if k in face.indices else value >= 1
-        full_rank = rank(ws.matrix)
+        full_rank = rank(ws.weights)
         for normal in facets(ws):
             values = [dot(normal, w) for w in ws.weights]
             assert min(values) >= 0 and max(values) >= 1
             on = [w for w, v in zip(ws.weights, values) if v == 0]
-            assert (rank(IntMatrix.from_columns(on)) if on else 0) == full_rank - 1
+            assert rank(on) == full_rank - 1
 
 
 def test_face_work_runs_no_lp(monkeypatch):

@@ -48,7 +48,7 @@ def test_octant_opposite_pattern_is_empty():
 
 
 def test_octant_five_weight_contains_printed_relation():
-    lattice = kernel_lattice(FIVE_WEIGHTS.matrix)
+    lattice = kernel_lattice(FIVE_WEIGHTS.weights)
     gens = octant_semigroup_generators(lattice, (0, 1, 2), 5)
     assert (0, 1, 1, -1, -1) in gens
 
@@ -70,7 +70,7 @@ def test_generators_five_weight_system():
     assert (3, -1, 1, 0, -2) in vectors
     assert (3, -2, 0, 1, -1) in vectors
     assert (0, 1, 1, -1, -1) in vectors
-    assert lattice_equal([b.vector for b in bins], kernel_lattice(FIVE_WEIGHTS.matrix))
+    assert lattice_equal([b.vector for b in bins], kernel_lattice(FIVE_WEIGHTS.weights))
 
 
 def test_generators_are_canonical():
@@ -145,7 +145,7 @@ def test_generator_vectors_span_lattice_random():
     for _ in range(25):
         ws = random_weights(rng, rng.choice((1, 2, 3)), rng.choice((1, 2, 3, 4)))
         bins = binomial_generators(ws)
-        lattice = kernel_lattice(ws.matrix)
+        lattice = kernel_lattice(ws.weights)
         if lattice:
             assert lattice_equal([b.vector for b in bins], lattice)
             report = verify_vanishing(bins, ws, trials=10, prime=10007, seed=2)
@@ -195,7 +195,7 @@ def test_generators_match_brute_force_graver_basis():
     for ws in _differential_systems():
         graver = sorted(b.vector for b in binomial_generators(ws))
         inside = [g for g in graver if max(map(abs, g)) <= bound]
-        assert inside == brute_force_graver(ws.matrix, bound), ws
+        assert inside == brute_force_graver(ws.weights, bound), ws
         inside_all += inside == graver
     # For most systems the box holds the whole basis, so the check above
     # is an exact equality there.
@@ -204,7 +204,7 @@ def test_generators_match_brute_force_graver_basis():
 
 def test_octant_generators_are_the_octant_slice_of_the_graver_basis():
     for ws in _differential_systems()[:24]:
-        lattice = kernel_lattice(ws.matrix)
+        lattice = kernel_lattice(ws.weights)
         graver = [b.vector for b in binomial_generators(ws)]
         signed = graver + [tuple(-x for x in g) for g in graver]
         for size in range(ws.n + 1):

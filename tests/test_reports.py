@@ -2,15 +2,17 @@ import json
 
 import pytest
 
-from helpers import M_WEIGHTS
+from helpers import M_WEIGHTS, golden_verdicts
 from torsep.errors import InputError
 from torsep.reports import (
+    Instance,
     Report,
     emit_report,
     parse_instance,
     report_from_json,
 )
 from torsep.separation import decide_affine_sp, decide_affine_wsp
+from torsep.verification import check_verdict
 
 
 def test_parse_json_weights():
@@ -63,6 +65,18 @@ def test_json_round_trip_is_a_fixed_point():
     emitted = emit_report(report, "json")
     rebuilt = report_from_json(json.loads(emitted))
     assert emit_report(rebuilt, "json") == emitted
+
+
+def test_golden_verdicts_re_verify_after_a_json_round_trip():
+    """Certificate rationals are written as strings and read back as
+    Fractions, so a report read back is checked as it was emitted."""
+    kinds = set()
+    for ws, verdict in golden_verdicts():
+        report = Report("decide", Instance("weights", ws), {}, [verdict])
+        rebuilt = report_from_json(json.loads(emit_report(report, "json")))
+        assert check_verdict(rebuilt.instance.payload, rebuilt.verdicts[0]) == [], verdict
+        kinds.add(verdict.kind)
+    assert {"generator-in-cone", "kernel-witness", "line-in-cone"} <= kinds
 
 
 def test_report_from_json_rejects_non_bool_holds():

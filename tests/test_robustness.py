@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import golden_verdicts
 from torsep.cones import WeightSystem
 from torsep.errors import InputError, InternalError
 from torsep.verdict import Verdict
@@ -91,6 +92,52 @@ def test_package_imports_no_private_or_unused_names():
                               if (alias.asname or alias.name.split(".")[0]) not in used]
     assert offenders == []
 
+
+def _referenced_names(node) -> set:
+    """Names a statement reads: loaded names, attributes, imported names
+    and whole string constants (``perfbench/layers.py`` names the
+    functions it traces by strings)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def _defined_names(node) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_package_defines_no_unreferenced_names():
+    """Every module-level function, class or constant of the package is
+    referenced outside its own definition: in ``src/``, ``tests/``,
+    ``demos/`` or ``perfbench/layers.py``."""
+    paths = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py")), ROOT / "perfbench" / "layers.py"]
+    statements = [(path, node) for path in paths
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    references = [(node, _referenced_names(node)) for _, node in statements]
+    unreferenced = [
+        f"{path.name}: {name}"
+        for path, node in statements if path.parent == SRC / "torsep"
+        for name in _defined_names(node) if not name.startswith("__")
+        and not any(name in names for other, names in references if other is not node)
+    ]
+    assert unreferenced == []
 
 def test_acceptance_suite_passes_under_optimize_flag():
     out = subprocess.run(
@@ -191,36 +238,10 @@ def _edit(obj, path, value):
     return type(obj)(out)
 
 
-def _golden_verdicts():
-    from helpers import FIVE_WEIGHTS, M_WEIGHTS, N_WEIGHTS, QUARTET_WEIGHTS
-    from torsep.cones import homogenize
-    from torsep.errors import HypothesisError
-    from torsep.separation import decide
-    from torsep.strata import oracle_sp, oracle_wsp
-
-    systems = [M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS,
-               WeightSystem.from_rows([[1], [0]]),
-               WeightSystem.from_rows([[1], [-1]]),
-               WeightSystem.from_rows([[1, 0], [2, 0], [0, 1]]),
-               WeightSystem.from_rows([[2, 1]])]
-    for ws in systems:
-        for mode in ("affine", "projective"):
-            for prop in ("SP", "WSP", "SSP"):
-                try:
-                    yield ws, decide(ws, prop, mode)
-                except HypothesisError:
-                    pass
-            target = homogenize(ws) if mode == "projective" else ws
-            for oracle in (oracle_sp, oracle_wsp):
-                v = oracle(target)
-                yield ws, Verdict(v.property_name, mode, v.holds, v.certificate)
-
-
 def _mutants(ws, verdict):
     """(verdict, must_report) for every one-leaf mutation of a verdict."""
     cert = verdict.certificate
-    kinds_on_original = {"affine-dependence"}
-    rows = ws.dim + (verdict.mode == "projective" and verdict.kind not in kinds_on_original)
+    rows = ws.dim + (verdict.mode == "projective")
     yield Verdict(verdict.property_name, verdict.mode, not verdict.holds, cert), True
     for path, value, key in _leaves(cert):
         numeric = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
@@ -247,7 +268,7 @@ def _mutants(ws, verdict):
 def test_certificate_mutations_never_raise():
     kinds = set()
     count = 0
-    for ws, verdict in _golden_verdicts():
+    for ws, verdict in golden_verdicts():
         assert check_verdict(ws, verdict) == []
         kinds.add(verdict.kind)
         for mutant, must_report in _mutants(ws, verdict):

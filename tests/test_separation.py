@@ -300,13 +300,18 @@ def test_failing_sp_on_pointed_cone_runs_one_cone_member(monkeypatch):
 
     for module in (torsep.cones, torsep.separation):
         monkeypatch.setattr(module, "cone_member", counting)
-    failing = [M_WEIGHTS, WeightSystem.from_rows([[0, 0], [1, 0]]),
-               WeightSystem.from_rows([[1, 0], [0, 1], [2, 0]])]
-    for ws in failing:
-        assert is_strictly_convex(ws).pointed
+    # (weights, cone_member calls): one on a pointed cone; on the cone
+    # that is not pointed, the first position of the lineality face,
+    # which tests w_1 and then -w_1.
+    failing = [(M_WEIGHTS, 1), (WeightSystem.from_rows([[0, 0], [1, 0]]), 1),
+               (WeightSystem.from_rows([[1, 0], [0, 1], [2, 0]]), 1),
+               (WeightSystem.from_rows([[1, 0], [0, 1], [0, -1]]), 2)]
+    for ws, count in failing:
+        assert is_strictly_convex(ws).pointed == (count == 1)
         calls.clear()
         verdict = _verified(ws, decide_affine_sp(ws))
-        assert not verdict.holds and len(calls) == 1, ws
+        assert not verdict.holds and len(calls) == count, ws
+    assert verdict.certificate["kind"] == "line-in-cone" and verdict.certificate["index"] == 1
 
 
 def test_decide_never_builds_the_face_lattice(monkeypatch):

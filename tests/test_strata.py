@@ -112,7 +112,7 @@ def test_stratum_dimension_monotone():
         ws = random_weights(rng, rng.choice((1, 2, 3)), rng.choice((1, 2, 3, 4, 5)))
         pieces = strata(ws)
         for a in pieces:
-            assert a.dim <= rank(ws.matrix)
+            assert a.dim <= rank(ws.weights)
             for b in pieces:
                 if set(a.indices) <= set(b.indices):
                     assert a.dim <= b.dim
