@@ -3,9 +3,9 @@
 Every integer relation c among the weights gives a binomial
 x^(c+) - x^(c-) vanishing on the orbit closure.  The generating system
 is the Graver basis of the relation lattice (its conformally minimal
-relations), computed by a completion procedure; inside each sign
-pattern (octant) it restricts to the Hilbert basis of the relation
-semigroup there.  Run with:
+relations), computed by project-and-lift (a completion procedure
+repeated as coordinates are added); inside each sign pattern (octant)
+it restricts to the Hilbert basis of the relation semigroup there.  Run with:
     python3 demos/02_binomial_ideals.py
 """
 

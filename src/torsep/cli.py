@@ -228,10 +228,11 @@ def run_command(command: str, instance: Instance, args) -> Report:
 
 
 def _read_input(path: str) -> str:
+    # A byte that is not UTF-8 becomes a lone surrogate, refused by ``_utf8``.
     if path == "-":
-        return sys.stdin.read()
+        text = getattr(sys.stdin, "buffer", sys.stdin).read()
+        return text if isinstance(text, str) else text.decode("utf-8", "surrogateescape")
     try:
-        # A byte that is not UTF-8 becomes a lone surrogate, refused by ``_utf8``.
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return handle.read()
     except OSError as exc:

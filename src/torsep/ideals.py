@@ -6,8 +6,10 @@ is the Graver basis of the relation lattice: its nonzero elements that
 are minimal in the conformal order (same signs, no larger entry in
 absolute value).  Inside each octant these are the Hilbert basis of the
 semigroup (relation lattice & octant), so together they generate the
-ideal.  They are computed by a completion procedure (Pottier 1996),
-guarded by the number of weights and the number of critical pairs.
+ideal.  They are computed by project-and-lift (Hemmecke 2003): a
+completion over critical pairs on the pivot coordinates of the lattice,
+then one per further coordinate, reducing through an index keyed by
+sign masks; guarded by the number of weights and of critical pairs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import count
 from math import isqrt, prod
+from operator import le
 
 from .cones import DEFAULT_MAX_N, WeightSystem
 from .errors import InputError, InternalError, ResourceGuardError
-from .linalg import Vector, combine, is_zero_vector, kernel_lattice, lattice_equal
+from .linalg import Vector, combine, is_zero_vector, kernel_lattice, lattice_equal, row_hnf
 
 DEFAULT_MAX_NODES = 2_000_000
 MAX_PRIME = 2**31 - 1
@@ -75,74 +79,107 @@ class Binomial:
         return self.to_string()
 
 
-def _signed(v) -> tuple[Vector, int, int]:
-    """v with the bit masks of its positive and of its negative support."""
-    return (v, sum(1 << i for i, x in enumerate(v) if x > 0),
-            sum(1 << i for i, x in enumerate(v) if x < 0))
+def _signed(v, cols) -> tuple[Vector, int, Vector]:
+    """v with its sign code and its absolute values on the coordinates
+    ``cols``.  The code of v in Z^n has bit i set where v_i > 0 and bit
+    n + i where v_i < 0, so g ⊑ v on ``cols`` exactly when the code of
+    g is a submask of that of v and no |g_i| exceeds |v_i|."""
+    return (v, sum(1 << i if v[i] > 0 else 1 << len(v) + i for i in cols if v[i]),
+            tuple(abs(v[i]) for i in cols))
 
 
-def _reducer(s, pos, neg, basis):
-    """(sign, g) for the first g in ``basis``, other than s itself, with
-    sign * g ⊑ s, or None; pos and neg are the masks of s, and g ⊑ s
-    when g and s have the same signs and |g_i| <= |s_i|."""
-    for g, gpos, gneg in basis:
-        sign = (1 if not (gpos & ~pos or gneg & ~neg)
-                else -1 if not (gpos & ~neg or gneg & ~pos) else 0)
-        if sign and g is not s and all(abs(x) <= abs(y) for x, y in zip(g, s)):
-            return sign, g
+def _submasks(mask):
+    """Every nonzero submask of ``mask``, ``mask`` itself first."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _reducer(s, code, size, index):
+    """(sign, g) with g in ``index``, not s, and sign * g ⊑ s on the active
+    coordinates, or None.  ``index`` maps the code of each sign * g to its
+    (sign, absolute values, g), so the candidates lie under the submasks
+    of the code of s (cf. the support tree of Hemmecke & Malkin 2009)."""
+    for key in _submasks(code):
+        for sign, gsize, g in index.get(key, ()):
+            if g is not s and all(map(le, gsize, size)):
+                return sign, g
     return None
 
 
-def _graver_basis(generators, max_nodes: int) -> tuple[Vector, ...]:
-    """Graver basis of the lattice spanned by ``generators``, sorted.
+def _complete(generators, active, lifted, max_nodes, formed):
+    """⊑-minimal elements, on the ``active`` coordinates, of a set that
+    holds ``generators`` and is closed under the critical vectors f +- g
+    whose signs clash on ``active`` but not on ``lifted`` (masks).
 
-    The Graver basis is the set of ⊑-minimal nonzero lattice vectors,
-    each taken with a positive leading entry.  Completion (Pottier 1996):
-    a spanning set G is closed under the critical vectors f +- g of its
-    elements, taken by increasing 1-norm and reduced by +-G (subtracting
-    elements ⊑ the vector) before joining G.  The sum of two
-    sign-compatible vectors is already conformal and is never formed.
-    At the end every lattice vector is a conformal sum of elements of
-    +-G, so the ⊑-minimal elements of G are the Graver basis.
-    ``max_nodes`` bounds the number of critical vectors formed.
+    Critical vectors are taken by increasing active 1-norm and reduced
+    by +-G before joining G; only elements with support off ``lifted``
+    can clash there.  ``formed`` counts them over all calls.
     """
-    basis: list[tuple[Vector, int, int]] = []
-    queue: list[tuple[int, Vector]] = []
-    queued: set[Vector] = set()
-    formed = 0
+    n = len(generators[0])
+    zero, low, fixed = (0,) * n, (1 << n) - 1, lifted | lifted << n
+    cols = [i for i in range(n) if active >> i & 1]
+    basis, movers, queue, queued, index = [], [], [], set(), {}
 
-    def admit(v):
-        nonlocal formed
-        r, pos, neg = _signed(tuple(v))
-        while (pos or neg) and (hit := _reducer(r, pos, neg, basis)):
-            r, pos, neg = _signed(tuple(x - hit[0] * y for x, y in zip(r, hit[1])))
-        if not (pos or neg):
-            return
-        if next(x for x in r if x) < 0:
-            r, pos, neg = tuple(-x for x in r), neg, pos
-        for g, gpos, gneg in basis:
-            for sign, clash in ((1, pos & gneg or neg & gpos),
-                                (-1, pos & gpos or neg & gneg)):
-                if not clash:
-                    continue
-                formed += 1
-                if formed > max_nodes:
-                    raise ResourceGuardError(
-                        f"Graver completion formed more than {max_nodes} "
-                        "critical pairs (max_nodes)")
-                c = tuple(x + sign * y for x, y in zip(r, g))
-                c = c if next(x for x in c if x) > 0 else tuple(-x for x in c)
-                if c not in queued:
-                    queued.add(c)
-                    heapq.heappush(queue, (sum(map(abs, c)), c))
-        basis.append((r, pos, neg))
+    def pair(r, sign, g):
+        if next(formed) > max_nodes:
+            raise ResourceGuardError(
+                f"Graver completion formed more than {max_nodes} critical pairs (max_nodes)")
+        c = tuple(x + sign * y for x, y in zip(r, g))
+        c = c if c > zero else tuple(-x for x in c)
+        if c not in queued:
+            queued.add(c)
+            heapq.heappush(queue, (sum(abs(c[i]) for i in cols), c))
 
+    def join(r, code, size):
+        flip = code >> n | (code & low) << n
+        # f + g (f - g) clashes where the codes of f and -g (g) meet.
+        if code & ~fixed:
+            for g, gcode, gflip in movers:
+                if (cross := code & gflip) and not cross & fixed:
+                    pair(r, 1, g)
+                if (same := code & gcode) and not same & fixed:
+                    pair(r, -1, g)
+            movers.append((r, code, flip))
+        basis.append((r, code, size))
+        index.setdefault(code, []).append((1, size, r))
+        index.setdefault(flip, []).append((-1, size, r))
+
+    # Hermite rows on their pivots, and Graver elements of the previous
+    # projection, are ⊑-minimal there: they join unreduced and stay.
     for v in generators:
-        admit(v)
+        join(*_signed(v, cols))
     while queue:
-        admit(heapq.heappop(queue)[1])
-    return tuple(sorted(g for g, pos, neg in basis
-                        if not _reducer(g, pos, neg, basis)))
+        r, code, size = _signed(heapq.heappop(queue)[1], cols)
+        while code and (hit := _reducer(r, code, size, index)):
+            r, code, size = _signed(tuple(x - hit[0] * y for x, y in zip(r, hit[1])), cols)
+        if code:
+            join(*(_signed(tuple(-x for x in r), cols) if r < zero else (r, code, size)))
+    return [g for k, (g, code, size) in enumerate(basis)
+            if k < len(generators) or not _reducer(g, code, size, index)]
+
+
+def _graver_basis(generators, max_nodes: int) -> tuple[Vector, ...]:
+    """Graver basis of the lattice spanned by ``generators``, sorted: its
+    ⊑-minimal nonzero vectors, each with a positive leading entry.
+
+    Project-and-lift (Hemmecke 2003).  In Hermite form the lattice
+    projects injectively onto the pivot coordinates.  The completion of
+    the rows there, over every clashing pair, is the Graver basis of
+    that projection (one row is its own).  The other coordinates j are
+    lifted one at a time: the basis so far generates the next
+    projection, and f +- g is formed only when f and +-g agree in sign
+    on the coordinates already lifted and are strictly opposite at j.
+    ``max_nodes`` bounds the critical vectors formed, summed over all
+    lifts.
+    """
+    graver, formed = row_hnf(generators), count(1)
+    lifted, active = 0, sum(1 << next(i for i, x in enumerate(row) if x) for row in graver)
+    while len(graver) > 1 and lifted != (1 << len(graver[0])) - 1:
+        graver = _complete(graver, active, lifted, max_nodes, formed)
+        lifted, active = active, active | (active + 1)
+    return tuple(sorted(graver))
 
 
 def octant_semigroup_generators(

@@ -3,6 +3,7 @@ oracles, and small transformation utilities."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -10,8 +11,8 @@ from math import prod
 
 from torsep import cones
 from torsep.cones import WeightSystem, edge_conditions, face_witness, homogenize
-from torsep.errors import HypothesisError
-from torsep.linalg import combine, is_zero_vector, rank, solve_exact
+from torsep.errors import HypothesisError, ResourceGuardError
+from torsep.linalg import Vector, combine, is_zero_vector, rank, solve_exact
 from torsep.lp import lp_feasible
 from torsep.separation import decide
 from torsep.strata import SspWitness, oracle_sp, oracle_wsp, strata
@@ -387,3 +388,73 @@ def reference_phase1(matrix, rhs, ncols):
                 y[col] = tableau[i][-1]
         return True, y
     return False, [sigma[i] * (one - cost[ncols + i]) for i in range(m)]
+
+
+def _signed(v) -> tuple[Vector, int, int]:
+    """v with the bit masks of its positive and of its negative support."""
+    return (v, sum(1 << i for i, x in enumerate(v) if x > 0),
+            sum(1 << i for i, x in enumerate(v) if x < 0))
+
+
+def _reducer(s, pos, neg, basis):
+    """(sign, g) for the first g in ``basis``, other than s itself, with
+    sign * g ⊑ s, or None; pos and neg are the masks of s, and g ⊑ s
+    when g and s have the same signs and |g_i| <= |s_i|."""
+    for g, gpos, gneg in basis:
+        sign = (1 if not (gpos & ~pos or gneg & ~neg)
+                else -1 if not (gpos & ~neg or gneg & ~pos) else 0)
+        if sign and g is not s and all(abs(x) <= abs(y) for x, y in zip(g, s)):
+            return sign, g
+    return None
+
+
+def reference_graver(generators, max_nodes: int = 40_000_000) -> tuple[Vector, ...]:
+    """Graver basis of the lattice spanned by ``generators``, sorted.
+
+    The Graver basis is the set of ⊑-minimal nonzero lattice vectors,
+    each taken with a positive leading entry.  Completion (Pottier 1996):
+    a spanning set G is closed under the critical vectors f +- g of its
+    elements, taken by increasing 1-norm and reduced by +-G (subtracting
+    elements ⊑ the vector) before joining G.  The sum of two
+    sign-compatible vectors is already conformal and is never formed.
+    At the end every lattice vector is a conformal sum of elements of
+    +-G, so the ⊑-minimal elements of G are the Graver basis.
+    ``max_nodes`` bounds the number of critical vectors formed.
+    """
+    basis: list[tuple[Vector, int, int]] = []
+    queue: list[tuple[int, Vector]] = []
+    queued: set[Vector] = set()
+    formed = 0
+
+    def admit(v):
+        nonlocal formed
+        r, pos, neg = _signed(tuple(v))
+        while (pos or neg) and (hit := _reducer(r, pos, neg, basis)):
+            r, pos, neg = _signed(tuple(x - hit[0] * y for x, y in zip(r, hit[1])))
+        if not (pos or neg):
+            return
+        if next(x for x in r if x) < 0:
+            r, pos, neg = tuple(-x for x in r), neg, pos
+        for g, gpos, gneg in basis:
+            for sign, clash in ((1, pos & gneg or neg & gpos),
+                                (-1, pos & gpos or neg & gneg)):
+                if not clash:
+                    continue
+                formed += 1
+                if formed > max_nodes:
+                    raise ResourceGuardError(
+                        f"Graver completion formed more than {max_nodes} "
+                        "critical pairs (max_nodes)")
+                c = tuple(x + sign * y for x, y in zip(r, g))
+                c = c if next(x for x in c if x) > 0 else tuple(-x for x in c)
+                if c not in queued:
+                    queued.add(c)
+                    heapq.heappush(queue, (sum(map(abs, c)), c))
+        basis.append((r, pos, neg))
+
+    for v in generators:
+        admit(v)
+    while queue:
+        admit(heapq.heappop(queue)[1])
+    return tuple(sorted(g for g, pos, neg in basis
+                        if not _reducer(g, pos, neg, basis)))

@@ -24,6 +24,15 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def _subprocess_env():
+    """The environment for ``python -m torsep`` on this checkout's source,
+    without a seed from the caller's environment."""
+    env = {k: v for k, v in os.environ.items() if k != "TORSEP_SEED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_decide_text(capsys, monkeypatch, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(M_JSON)
@@ -239,6 +248,23 @@ def test_batch_survives_unreadable_lines(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: input is not valid UTF-8\n")
 
 
+def test_batch_stdin_byte_not_utf8_fails_its_line_only():
+    """Standard input is read as bytes, so under a strict UTF-8 stdin
+    codec a byte that is not UTF-8 fails its own line and later lines
+    still run, as for a file."""
+    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    stdin = b"\n".join([M_JSON.encode(), b'{"d": 1, "weights": [[1]], "label": "\xff"}',
+                        FIVE_JSON.encode()]) + b"\n"
+    done = subprocess.run([sys.executable, "-m", "torsep", "decide", "--format", "json",
+                           "--batch", "-"], input=stdin, env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.decode() == "line 2: error: input is not valid UTF-8\n"
+    reports = [json.loads(chunk) for chunk in _split_json_stream(done.stdout.decode())]
+    assert [r["instance"]["weights"] for r in reports] == [
+        [[1, 1], [2, 0], [0, 2]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
+
+
 def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
     """The SSP determinant of three diagonal weights of 2,001 digits has
     about 6,000, more than the interpreter writes; that line fails with
@@ -369,9 +395,7 @@ def test_parser_is_built_once_and_survives_exits(capsys, monkeypatch):
         assert built.count("torsep") == 1
     finally:
         cli._build_parser.cache_clear()
-    env = {k: v for k, v in os.environ.items() if k != "TORSEP_SEED"}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _subprocess_env()
     fresh = subprocess.run([sys.executable, "-m", "torsep", *argv], input=FIVE_JSON,
                            env=env, capture_output=True, text=True, timeout=120)
     assert here == (fresh.returncode, fresh.stdout, fresh.stderr)

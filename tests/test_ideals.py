@@ -1,14 +1,23 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
-from helpers import FIVE_WEIGHTS, M_WEIGHTS, brute_force_graver, random_weights
+from helpers import (
+    FIVE_WEIGHTS,
+    M_WEIGHTS,
+    brute_force_graver,
+    fuzz_weights,
+    random_weights,
+    reference_graver,
+)
+from torsep import ideals
 from torsep.cones import WeightSystem
 from torsep.errors import InputError, ResourceGuardError
 from torsep.ideals import (
     Binomial,
+    DEFAULT_MAX_NODES,
     binomial_generators,
     octant_semigroup_generators,
     sp_violation_scan,
@@ -172,6 +181,55 @@ def test_generators_for_m_is_exact_graver_basis():
 def test_generators_pair_budget_is_enforced():
     with pytest.raises(ResourceGuardError, match="critical pairs"):
         binomial_generators(FIVE_WEIGHTS, max_nodes=3)
+
+
+def test_generators_pair_budget_sums_over_lifts(monkeypatch):
+    """FIVE_WEIGHTS forms 4 critical pairs in all, over its base step
+    and three lifts, and no step forms 4 alone: a budget of 4 passes and
+    one of 3 trips the guard."""
+    with pytest.raises(ResourceGuardError, match="critical pairs"):
+        binomial_generators(FIVE_WEIGHTS, max_nodes=3)
+    expected = binomial_generators(FIVE_WEIGHTS)
+    assert binomial_generators(FIVE_WEIGHTS, max_nodes=4) == expected
+    complete, per_step = ideals._complete, []
+
+    def counted(generators, active, lifted, max_nodes, formed):
+        mine = count(1)
+        result = complete(generators, active, lifted, max_nodes, mine)
+        per_step.append(next(mine) - 1)
+        return result
+
+    monkeypatch.setattr(ideals, "_complete", counted)
+    assert binomial_generators(FIVE_WEIGHTS) == expected
+    assert sum(per_step) == 4 and max(per_step) < 4 and len(per_step) == 4
+
+
+def test_graver_matches_reference_completion():
+    """Project-and-lift and the whole-lattice completion give the same
+    basis on seeded draws with d <= 4, n <= 7 and entries in [-2, 2]
+    (zero, duplicate and parallel weights, rank-deficient systems), on
+    rank-0 and single-weight systems, and on one d = 4, n = 7 system."""
+    rng = random.Random(1913)
+    systems = [WeightSystem(2, ((0, 0),) * 3), WeightSystem(1, ((0,),)),
+               WeightSystem(3, ((1, -2, 0),)),
+               # Its last lift admits elements that a later, smaller one lies
+               # below, so the final ⊑-filter of each step is needed.
+               WeightSystem.from_rows([[-2, 3, 0, 1], [-2, -1, -3, -1], [0, -2, 1, 1],
+                                       [3, -2, 3, 2], [1, -3, -3, -1], [1, -1, 2, 2],
+                                       [2, -1, -3, -1]])]
+    for _ in range(400):
+        systems.append(fuzz_weights(rng, rng.randint(1, 4), rng.randint(1, 7), 2))
+    for ws in systems:
+        lattice = kernel_lattice(ws.weights)
+        assert ideals._graver_basis(lattice, DEFAULT_MAX_NODES) == reference_graver(lattice), ws
+
+
+@pytest.mark.parametrize("n, seed, size", [
+    (7, 5, 315), (7, 8, 51), (7, 9, 101), (7, 10, 430), (8, 9, 365)])
+def test_graver_pinned_scale_points(n, seed, size):
+    """Graver basis sizes of d = 3 draws with entries in [-2, 2]."""
+    ws = random_weights(random.Random(seed), 3, n)
+    assert len(binomial_generators(ws)) == size
 
 
 def _differential_systems():
