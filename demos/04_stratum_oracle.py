@@ -44,8 +44,8 @@ def main():
     witness = ssp_coordinate_witness(ws)
     print(
         f"\nSSP failure witness: coordinates {witness.pair} cut the closure "
-        f"along the stratum {witness.stratum.indices} of dimension "
-        f"{witness.stratum_dim} (ambient rank {witness.ambient_rank})"
+        f"along the facet {witness.stratum.indices} (normal {witness.stratum.witness}) "
+        f"of dimension {witness.ambient_rank - 1} (ambient rank {witness.ambient_rank})"
     )
 
 

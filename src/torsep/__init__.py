@@ -15,7 +15,6 @@ from .linalg import kernel_lattice, rank, row_hnf
 from .lp import ConeMembership, FeasibilityResult, cone_member, lp_feasible
 from .cones import (
     ConeFace,
-    FaceLattice,
     WeightSystem,
     edge_conditions,
     enumerate_faces,
@@ -73,7 +72,6 @@ __all__ = [
     "cone_member",
     "lp_feasible",
     "ConeFace",
-    "FaceLattice",
     "WeightSystem",
     "edge_conditions",
     "enumerate_faces",

@@ -76,8 +76,9 @@ def _monic(p: Poly) -> Poly:
 
 
 def _gcd(p: Poly, q: Poly) -> Poly:
+    # Monic remainders keep the Fraction coefficients from swelling.
     while q:
-        p, q = q, _divmod(p, q)[1]
+        p, q = q, _monic(_divmod(p, q)[1])
     return _monic(p)
 
 

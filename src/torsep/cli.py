@@ -232,8 +232,8 @@ def _read_input(path: str) -> str:
     if path == "-":
         text = getattr(sys.stdin, "buffer", sys.stdin).read()
         return text if isinstance(text, str) else text.decode("utf-8", "surrogateescape")
-    try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    try:  # newline="": a file's line endings stay as on standard input
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -374,7 +374,8 @@ def main(argv=None) -> int:
         return 2
     if args.batch:
         code = 0
-        for k, line in enumerate(text.splitlines(), 1):
+        # Only "\n" ends a line (``str.splitlines`` also splits at U+2028).
+        for k, line in enumerate(text.split("\n"), 1):
             if line.strip():
                 code = max(code, _process_one(line, args, out, f"line {k}: "))
         return code

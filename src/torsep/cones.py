@@ -1,16 +1,16 @@
 """Polyhedral structure of the cone spanned by the action's weights.
 
-Faces are represented purely by generator index sets (which weights lie
-on the face) together with a supporting integer functional as witness;
-no ray canonicalisation is ever needed.  The face lattice is read off
-the facets: ``facets`` finds the primitive integer facet normals once
-per system by double description in exact integer arithmetic, every
-face is an intersection of facet zero sets, and its witness is the sum
-of the normals of the facets containing it.  Minimal faces, the face
-lattice and the lineality face (the intersection of all facets, which
-holds only zero weights iff the cone is pointed) therefore run no LP.
-The LP is left to the edge tests, the relation of a cone that is not
-pointed, and single-face certificates.
+Every face is a ``ConeFace``: the generator index set (which weights lie
+on the face) and a supporting integer functional as witness; no ray
+canonicalisation is ever needed.  The face lattice is read off one
+cached facet table: ``facets`` finds the facets once per system by
+double description in exact integer arithmetic, each witnessed by its
+primitive normal; every face is an intersection of facet zero sets,
+witnessed by the sum of the normals of the facets containing it.
+Minimal faces, the face lattice and the lineality face (the intersection
+of all facets, which holds only zero weights iff the cone is pointed)
+therefore run no LP.  The LP is left to the edge tests, the relation of
+a cone that is not pointed, and single-face certificates.
 Indices are 0-based throughout; the human-readable coordinate x{k}
 corresponds to position k-1.
 """
@@ -96,22 +96,6 @@ class ConeFace:
 
 
 @dataclass(frozen=True)
-class FaceLattice:
-    """All faces of the weight cone, sorted by (size, index set)."""
-
-    faces: tuple[ConeFace, ...]
-
-    def __iter__(self):
-        return iter(self.faces)
-
-    def __len__(self):
-        return len(self.faces)
-
-    def index_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(f.indices for f in self.faces)
-
-
-@dataclass(frozen=True)
 class PointednessResult:
     """Strict convexity verdict with an arithmetic witness either way.
 
@@ -193,8 +177,10 @@ def edge_conditions(ws: WeightSystem, i: int) -> EdgeConditions:
 
 
 @lru_cache(maxsize=64)
-def facets(ws: WeightSystem) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer normals of the facets of the weight cone, sorted.
+def facets(ws: WeightSystem) -> tuple[ConeFace, ...]:
+    """The facets of the weight cone, sorted by normal, as faces: the
+    witness is the primitive integer normal, >= 0 on every weight and
+    so >= 1 off the zero set, which is the index set.
 
     Let r be the rank of the weights.  On the r coordinates of
     ``independent_rows`` the weights span a full-dimensional cone in
@@ -221,14 +207,13 @@ def facets(ws: WeightSystem) -> tuple[tuple[int, ...], ...]:
                    for w in ws.weights if not is_zero_vector(w)})
     normals = _dual_extreme_rays(rays, r) if r else []
     # Lifting with zeros off ``coords`` keeps the sorted order.
-    lifted = []
+    faces = []
     for normal in sorted(normals):
         full = [0] * ws.dim
         for c, a in zip(coords, normal):
             full[c] = a
-        lifted.append(tuple(full))
-        _check_facet(ws, lifted[-1], r)
-    return tuple(lifted)
+        faces.append(_check_facet(ws, tuple(full), r))
+    return tuple(faces)
 
 
 def _dual_extreme_rays(rays, r: int) -> list[tuple[int, ...]]:
@@ -267,32 +252,21 @@ def _dual_extreme_rays(rays, r: int) -> list[tuple[int, ...]]:
     return [h for h, _ in cone]
 
 
-def _check_facet(ws: WeightSystem, normal, r: int) -> None:
-    """Raise unless ``normal`` is >= 0 on every weight and its zero set
-    has rank r - 1."""
-    zero = []
-    for w in ws.weights:
-        value = dot(normal, w)
-        if value < 0:
-            raise InternalError("facet normal is negative on a weight")
-        if value == 0:
-            zero.append(w)
-    if rank(zero) != r - 1:
+def _check_facet(ws: WeightSystem, normal, r: int) -> ConeFace:
+    """The facet with primitive normal ``normal``; raise unless the
+    normal is >= 0 on every weight and its zero set has rank r - 1."""
+    values = [dot(normal, w) for w in ws.weights]
+    if min(values) < 0:
+        raise InternalError("facet normal is negative on a weight")
+    indices = tuple(k for k, value in enumerate(values) if value == 0)
+    if rank([ws.weights[k] for k in indices]) != r - 1:
         raise InternalError("facet normal's zero set has the wrong rank")
-
-
-@lru_cache(maxsize=64)
-def _facet_zero_sets(ws: WeightSystem) -> tuple[frozenset[int], ...]:
-    """The positions on each facet, in the order of ``facets``."""
-    return tuple(
-        frozenset(k for k, w in enumerate(ws.weights) if dot(normal, w) == 0)
-        for normal in facets(ws)
-    )
+    return ConeFace(indices, normal)
 
 
 def _supported_face(ws: WeightSystem, on) -> ConeFace:
     """The intersection of the facets selected by ``on`` (a predicate on
-    facet zero sets), witnessed by the primitive sum of their normals.
+    facet index sets), witnessed by the primitive sum of their normals.
 
     Each normal vanishes on the intersection and is >= 0 everywhere, and
     every position off the intersection is off one of the facets, so the
@@ -301,10 +275,10 @@ def _supported_face(ws: WeightSystem, on) -> ConeFace:
     """
     face = set(range(ws.n))
     total = [0] * ws.dim
-    for normal, zero in zip(facets(ws), _facet_zero_sets(ws)):
-        if on(zero):
-            face &= zero
-            total = [a + b for a, b in zip(total, normal)]
+    for facet in facets(ws):
+        if on(facet.indices):
+            face.intersection_update(facet.indices)
+            total = [a + b for a, b in zip(total, facet.witness)]
     indices = tuple(sorted(face))
     witness = primitive_vector(total)
     if not supports_face(ws, indices, witness):
@@ -371,9 +345,9 @@ def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
     return gamma
 
 
-def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> FaceLattice:
-    """Complete face lattice: the closure of the facet zero sets under
-    intersection, starting from the full index set.
+def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[ConeFace, ...]:
+    """Every face, sorted by (size, index set): the closure of the facet
+    zero sets under intersection, starting from the full index set.
 
     Each face's witness is the primitive sum of the normals of the
     facets containing it.  The closure is refused once it passes
@@ -385,20 +359,20 @@ def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> FaceLattice
 
 
 @lru_cache(maxsize=64)
-def _enumerate_faces_cached(ws: WeightSystem, max_n: int) -> FaceLattice:
+def _enumerate_faces_cached(ws: WeightSystem, max_n: int) -> tuple[ConeFace, ...]:
     sets = {frozenset(range(ws.n))}
-    for zero in _facet_zero_sets(ws):
-        sets |= {zero & s for s in sets}
+    for facet in facets(ws):
+        sets |= {s.intersection(facet.indices) for s in sets}
         if len(sets) > 2 ** max_n:
             raise ResourceGuardError(
                 f"face enumeration exceeds the guard of 2^{max_n} = {2 ** max_n} "
                 f"faces (max_n={max_n}); raise it explicitly if this is intended"
             )
     # A face lies on exactly the facets whose zero sets contain it.
-    faces = [_supported_face(ws, face.__le__) for face in sets]
+    faces = [_supported_face(ws, face.issubset) for face in sets]
     faces.sort(key=lambda f: (len(f.indices), f.indices))
     _check_euler_poincare(ws, faces)
-    return FaceLattice(tuple(faces))
+    return tuple(faces)
 
 
 def _check_euler_poincare(ws: WeightSystem, faces) -> None:

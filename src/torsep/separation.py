@@ -273,7 +273,7 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
         "pair": witness.pair,
         "stratum_indices": witness.stratum.indices,
         "stratum_witness": witness.stratum.witness,
-        "stratum_dim": witness.stratum_dim,
+        "stratum_dim": witness.ambient_rank - 1,
         "ambient_rank": witness.ambient_rank,
         "cone_functional": functional,
     }

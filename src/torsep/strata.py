@@ -5,15 +5,16 @@ the weight cone: on the stratum attached to a face, exactly the
 coordinates whose weights lie on that face are nonzero.  Re-deriving
 SP/WSP verdicts and coordinate forcing pairs from these vanishing
 patterns alone gives a decision route that shares only the facets with
-the theorem-backed deciders, which never build the face lattice.
+the theorem-backed deciders, which never build the face lattice.  Only
+``strata`` computes stratum dimensions; the oracles read index sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets
-from .linalg import dot, rank
+from .cones import DEFAULT_MAX_N, ConeFace, WeightSystem, enumerate_faces, facets
+from .linalg import rank
 from .verdict import Verdict, vacuous
 
 
@@ -30,11 +31,15 @@ class Stratum:
 
 def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
     """One stratum per face of the weight cone, in canonical order."""
-    lattice = enumerate_faces(ws, max_n=max_n)
     return tuple(
         Stratum(f.indices, f.witness, rank([ws.weights[k] for k in f.indices]))
-        for f in lattice
+        for f in enumerate_faces(ws, max_n=max_n)
     )
+
+
+def _stratum_sets(ws: WeightSystem, max_n: int) -> list[set[int]]:
+    """The nonzero positions of each stratum, in canonical order."""
+    return [set(f.indices) for f in enumerate_faces(ws, max_n=max_n)]
 
 
 def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
@@ -46,7 +51,7 @@ def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     """
     if ws.n == 1:
         return vacuous("SP", "affine", ("stratum oracle",))
-    sets = [set(s.indices) for s in strata(ws, max_n=max_n)]
+    sets = _stratum_sets(ws, max_n)
     notes = ("stratum oracle",)
     for i in range(ws.n):
         if all(i in s for s in sets):
@@ -79,7 +84,7 @@ def oracle_wsp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     """
     if ws.n == 1:
         return vacuous("WSP", "affine", ("stratum oracle",))
-    sets = [set(s.indices) for s in strata(ws, max_n=max_n)]
+    sets = _stratum_sets(ws, max_n)
     notes = ("stratum oracle",)
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
@@ -104,7 +109,7 @@ def characteristic_pairs(
     always included; the set equals the diagonal iff the oracle's SP
     verdict holds (given n >= 2 and no coordinate nonzero everywhere).
     """
-    sets = [set(s.indices) for s in strata(ws, max_n=max_n)]
+    sets = _stratum_sets(ws, max_n)
     pairs = []
     for i in range(ws.n):
         for j in range(ws.n):
@@ -117,14 +122,13 @@ def characteristic_pairs(
 class SspWitness:
     """A codimension-2 coordinate subspace meeting the closure too deeply.
 
-    The stratum avoids both coordinates of ``pair`` and its closure has
-    dimension >= ambient_rank - 1, so cutting by the two coordinates
-    drops the dimension by at most one.
+    ``stratum`` is a facet avoiding both coordinates of ``pair``; its
+    closure has dimension ambient_rank - 1, so cutting by the two
+    coordinates drops the dimension by at most one.
     """
 
     pair: tuple[int, int]
-    stratum: Stratum
-    stratum_dim: int
+    stratum: ConeFace
     ambient_rank: int
 
 
@@ -134,19 +138,16 @@ def ssp_coordinate_witness(ws: WeightSystem) -> SspWitness | None:
     Intended for inputs whose orbit closure is a cone (the caller checks
     that hypothesis).  A witness avoids the pair and has rank >= r - 1
     (r the rank of the weights), so it is a facet: pairs are scanned
-    lexicographically and facets in canonical order, with the facet
-    normal as the stratum witness, and no face lattice is built.
+    lexicographically and facets in canonical order, each facet being
+    its own stratum witness, and no face lattice is built.
     """
     if ws.n < 2:
         return None
     ambient = rank(ws.weights)
-    deep = [Stratum(tuple(k for k, w in enumerate(ws.weights) if dot(h, w) == 0),
-                    h, ambient - 1)
-            for h in facets(ws)]
-    deep.sort(key=lambda s: (len(s.indices), s.indices))
+    deep = sorted(facets(ws), key=lambda f: (len(f.indices), f.indices))
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
-            for s in deep:
-                if i not in s.indices and j not in s.indices:
-                    return SspWitness((i, j), s, s.dim, ambient)
+            for facet in deep:
+                if i not in facet.indices and j not in facet.indices:
+                    return SspWitness((i, j), facet, ambient)
     return None

@@ -9,10 +9,9 @@ list of problems (empty means verified); ``verify_verdict`` raises.
 
 from __future__ import annotations
 
-from .cones import WeightSystem, homogenize, supports_face
+from .cones import WeightSystem, enumerate_faces, homogenize, supports_face
 from .errors import InputError, InternalError
 from .linalg import combine, determinant, dot, is_zero_vector, rank
-from .strata import strata
 from .verdict import Verdict
 
 
@@ -218,7 +217,7 @@ def _check_affine_dependence(problems, ws, cert):
 
 def _strata_sets(ws):
     # n weights have at most 2^n faces, so this guard never trips.
-    return [set(s.indices) for s in strata(ws, max_n=ws.n)]
+    return [set(f.indices) for f in enumerate_faces(ws, max_n=ws.n)]
 
 
 def _check_strata_missed(problems, ws, cert):

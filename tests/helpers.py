@@ -10,7 +10,7 @@ from itertools import combinations, permutations, product
 from math import prod
 
 from torsep import cones
-from torsep.cones import WeightSystem, edge_conditions, face_witness, homogenize
+from torsep.cones import ConeFace, WeightSystem, edge_conditions, face_witness, homogenize
 from torsep.errors import HypothesisError, ResourceGuardError
 from torsep.linalg import Vector, combine, is_zero_vector, rank, solve_exact
 from torsep.lp import lp_feasible
@@ -222,9 +222,9 @@ def permute_weights(ws: WeightSystem, perm) -> WeightSystem:
 
 def clear_cone_caches():
     """Empty every facet and face cache of ``torsep.cones``."""
-    for cached in (cones.facets, cones._facet_zero_sets, cones._minimal_face_cached,
-                   cones._enumerate_faces_cached):
-        cached.cache_clear()
+    for value in vars(cones).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 def brute_force_faces(ws: WeightSystem):
@@ -308,7 +308,8 @@ def reference_ssp_witness(ws: WeightSystem) -> SspWitness | None:
                 if i in s.indices or j in s.indices:
                     continue
                 if s.dim >= ambient - 1:
-                    return SspWitness((i, j), s, s.dim, ambient)
+                    assert s.dim == ambient - 1, s
+                    return SspWitness((i, j), ConeFace(s.indices, s.witness), ambient)
     return None
 
 

@@ -90,6 +90,32 @@ def test_parts_pairwise_coprime_and_squarefree():
                 assert len(g) <= 1
 
 
+def _squarefree(p) -> bool:
+    return len(_gcd(p, tuple(i * p[i] for i in range(1, len(p))))) <= 1
+
+
+def test_seeded_products_split_by_multiplicity():
+    """g^a * h^b for seeded dense forms g and h, squarefree, coprime and
+    not divisible by y, up to degree 70: the parts have the multiplicities
+    a and b with the degrees of g and h, and reconstruct() returns the
+    product."""
+    rng = random.Random(56)
+    for size_g, size_h, a, b in ((1, 1, 1, 2), (2, 3, 3, 1), (4, 2, 1, 1),
+                                 (5, 7, 2, 3), (30, 35, 1, 1), (25, 15, 1, 3)):
+        while True:
+            g, h = (BinaryForm(tuple(rng.randint(-3, 3) for _ in range(size)) + (1,))
+                    for size in (size_g, size_h))
+            dg, dh = _dehomogenize(g), _dehomogenize(h)
+            if (g.coeffs[0] and h.coeffs[0] and _squarefree(dg) and _squarefree(dh)
+                    and len(_gcd(dg, dh)) == 1):
+                break
+        f = BinaryForm.from_factors([(g, a), (h, b)])
+        decomposition = squarefree_multiplicity_parts(f)
+        expected = {a: size_g, b: size_h} if a != b else {a: size_g + size_h}
+        assert {m: p.degree for p, m in decomposition.parts} == expected
+        assert decomposition.reconstruct().coeffs == f.coeffs
+
+
 def test_degree_bookkeeping():
     rng = random.Random(53)
     for _ in range(30):

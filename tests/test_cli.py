@@ -206,6 +206,27 @@ def test_batch_line_must_be_json(capsys, monkeypatch):
     assert out == alone
 
 
+def test_batch_lines_end_at_newline_only(capsys, monkeypatch, tmp_path):
+    """A label holding U+2028, a form-feed line, CRLF endings and a lone
+    carriage return between JSON tokens leave every later line numbered
+    as it stands in the input, read from standard input or a file."""
+    lines = "\n".join(['{"d":1,\r"weights":[[1]],"label":"a\u2028b"}\r', "\x0c",
+                       "garbage\r", FIVE_JSON + "\r"])
+    path = tmp_path / "batch.jsonl"
+    path.write_bytes(lines.encode())
+    code, out, err = run_cli(capsys, ["decide", "--format", "json", "--batch", "-"],
+                             stdin=lines, monkeypatch=monkeypatch)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("line 3: error: not a JSON instance")
+    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
+    assert [r["instance"]["weights"] for r in reports] == [
+        [[1]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
+    assert reports[0]["instance"]["label"] == "a\u2028b"
+    assert run_cli(capsys, ["decide", "--format", "json", "--batch", str(path)]) == (
+        code, out, err)
+
+
 def test_batch_survives_malformed_instances(capsys, monkeypatch):
     lines = ('{"coeffs": [1, 2]}\n{"coeffs": ["x", 1]}\n{"coeffs": ["1/0", 1]}\n'
              '{"form": 5}\n{"coeffs": [1, 0, -1]}\n')

@@ -126,16 +126,16 @@ def test_minimal_face_contains_self_and_respects_duplicates():
 
 def test_enumerate_faces_quadrant():
     ws = WeightSystem.from_rows([[1, 0], [0, 1]])
-    assert enumerate_faces(ws).index_sets() == ((), (0,), (1,), (0, 1))
+    assert tuple(f.indices for f in enumerate_faces(ws)) == ((), (0,), (1,), (0, 1))
 
 
 def test_enumerate_faces_m():
-    assert enumerate_faces(M_WEIGHTS).index_sets() == ((), (1,), (2,), (0, 1, 2))
+    assert tuple(f.indices for f in enumerate_faces(M_WEIGHTS)) == ((), (1,), (2,), (0, 1, 2))
 
 
 def test_enumerate_faces_line():
     ws = WeightSystem.from_rows([[1], [-1]])
-    assert enumerate_faces(ws).index_sets() == ((0, 1),)
+    assert tuple(f.indices for f in enumerate_faces(ws)) == ((0, 1),)
 
 
 def test_face_witnesses_check_out():
@@ -151,7 +151,7 @@ def test_face_lattice_properties_random():
     for _ in range(25):
         ws = random_weights(rng, rng.choice((1, 2, 3)), rng.choice((1, 2, 3, 4, 5)))
         lattice = enumerate_faces(ws)
-        sets = [frozenset(s) for s in lattice.index_sets()]
+        sets = [frozenset(f.indices) for f in lattice]
         as_set = set(sets)
         # Closed under intersection, contains the improper face, and the
         # apex face appears exactly when the cone is pointed.
@@ -172,7 +172,7 @@ def test_minimal_face_matches_enumeration():
         lattice = enumerate_faces(ws)
         for i in range(ws.n):
             expected = set(range(ws.n))
-            for s in lattice.index_sets():
+            for s in (f.indices for f in lattice):
                 if i in s:
                     expected &= set(s)
             assert minimal_face(ws, i) == tuple(sorted(expected))
@@ -198,7 +198,8 @@ def test_unimodular_equivariance_of_index_sets():
     for _ in range(15):
         ws = random_weights(rng, rng.choice((2, 3)), rng.choice((2, 3, 4)))
         transformed = apply_unimodular(ws, random_unimodular(rng, ws.dim))
-        assert enumerate_faces(ws).index_sets() == enumerate_faces(transformed).index_sets()
+        assert (tuple(f.indices for f in enumerate_faces(ws))
+                == tuple(f.indices for f in enumerate_faces(transformed)))
         for i in range(ws.n):
             assert minimal_face(ws, i) == minimal_face(transformed, i)
 
@@ -211,7 +212,7 @@ def test_face_enumeration_guard():
     with pytest.raises(ResourceGuardError, match=r"2\^12 = 4096 faces \(max_n=12\)"):
         enumerate_faces(orthant)
     wide = WeightSystem.from_rows([[1, k] for k in range(13)])
-    assert enumerate_faces(wide).index_sets() == ((), (0,), (12,), tuple(range(13)))
+    assert tuple(f.indices for f in enumerate_faces(wide)) == ((), (0,), (12,), tuple(range(13)))
     with pytest.raises(ResourceGuardError):
         enumerate_faces(wide, max_n=1)
 
@@ -279,7 +280,7 @@ def test_face_lattice_matches_brute_force_scan():
     for ws in _differential_systems():
         lattice = enumerate_faces(ws)
         reference = [indices for indices, _ in brute_force_faces(ws)]
-        assert lattice.index_sets() == tuple(reference), ws
+        assert tuple(f.indices for f in lattice) == tuple(reference), ws
         for face in lattice:
             inside = set(face.indices)
             for k, w in enumerate(ws.weights):
@@ -292,9 +293,10 @@ def test_face_lattice_matches_brute_force_scan():
                 value = dot(face.witness, w)
                 assert value == 0 if k in face.indices else value >= 1
         full_rank = rank(ws.weights)
-        for normal in facets(ws):
-            values = [dot(normal, w) for w in ws.weights]
+        for facet in facets(ws):
+            values = [dot(facet.witness, w) for w in ws.weights]
             assert min(values) >= 0 and max(values) >= 1
+            assert facet.indices == tuple(k for k, v in enumerate(values) if v == 0)
             on = [w for w, v in zip(ws.weights, values) if v == 0]
             assert rank(on) == full_rank - 1
 

@@ -54,7 +54,7 @@ def _small_entry_disagreement(ws):
 def _large_entry_disagreement(ws):
     """Where the face and cone routes disagree on ``ws``, or None."""
     for target in (ws, homogenize(ws)):
-        faces = enumerate_faces(target).index_sets()
+        faces = tuple(f.indices for f in enumerate_faces(target))
         scanned = tuple(indices for indices, _ in brute_force_faces(target))
         if faces != scanned:
             return f"faces {faces} != scan {scanned} on {target.weights}"

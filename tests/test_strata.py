@@ -1,7 +1,8 @@
+import importlib
 import random
 
-from helpers import M_WEIGHTS, N_WEIGHTS, random_weights
-from torsep.cones import WeightSystem
+from helpers import M_WEIGHTS, N_WEIGHTS, golden_verdicts, random_weights
+from torsep.cones import WeightSystem, homogenize
 from torsep.linalg import rank
 from torsep.strata import (
     characteristic_pairs,
@@ -92,7 +93,7 @@ def test_ssp_witness_m():
     assert w.pair == (0, 1)
     assert w.stratum.indices == (2,)
     assert w.stratum.witness == (1, 0)
-    assert w.stratum_dim == 1 == w.ambient_rank - 1
+    assert w.ambient_rank == 2
 
 
 def test_ssp_witness_none_for_full_space():
@@ -103,7 +104,7 @@ def test_ssp_witness_none_for_full_space():
 def test_ssp_witness_n():
     w = ssp_coordinate_witness(N_WEIGHTS)
     assert w is not None
-    assert w.stratum_dim == 2 == w.ambient_rank - 1
+    assert w.ambient_rank == 3
 
 
 def test_stratum_dimension_monotone():
@@ -128,3 +129,22 @@ def test_characteristic_pairs_diagonal_iff_oracle_sp():
         pairs = characteristic_pairs(ws)
         diagonal_only = all(i == j for i, j in pairs)
         assert diagonal_only == oracle_sp(ws).holds
+
+
+def test_oracles_compute_no_stratum_dimension(monkeypatch):
+    """The oracles and the re-verification of their certificates read the
+    faces' index sets alone: none of them computes a stratum's rank."""
+    golden = [(ws, v) for ws, v in golden_verdicts() if v.kind.startswith("strata-")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stratum dimension was computed")
+
+    # ``torsep.strata`` is also the name of a function the package exports.
+    monkeypatch.setattr(importlib.import_module("torsep.strata"), "rank", refuse)
+    assert golden
+    for ws, verdict in golden:
+        target = homogenize(ws) if verdict.mode == "projective" else ws
+        oracle_sp(target)
+        oracle_wsp(target)
+        characteristic_pairs(target)
+        assert check_verdict(ws, verdict) == []
