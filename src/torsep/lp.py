@@ -12,12 +12,10 @@ denominators, and every division is exact.  The pivots, and so ``y`` and
 ``z``, are those of the ``Fraction`` tableau of the unscaled system;
 only the answers are built as ``Fraction``.
 
-Two entry points route through it:
-
-- ``lp_feasible`` decides ``{B x = b, C x >= c}`` over free rational x
-  by solving the Farkas alternative in standard form, which has one row
-  per variable plus one, not one row per constraint.
-- ``cone_member`` decides ``{G lam = v, lam >= 0}`` directly.
+Every exact LP is one cone membership: ``cone_member`` decides ``{G lam
+= v, lam >= 0}`` and is the simplex's only caller, and ``lp_feasible``
+decides ``{B x = b, C x >= c}`` over free x as the membership of its
+Farkas alternative (one row per variable plus one, not per constraint).
 
 Every answer carries an exact witness that is re-checked by plain
 arithmetic before it is returned: a solution vector when feasible,
@@ -36,7 +34,6 @@ from .errors import InputError, InternalError
 from .linalg import dot, primitive_vector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -165,14 +162,13 @@ def _bareiss(row, piv_row, piv, denom, enter):
 def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
     """Decide feasibility of {B x = b, C x >= c} over free rational x.
 
-    Solves the Farkas alternative in standard form: find u (free, split
-    into two nonnegative columns) and y >= 0 with B^T u + C^T y = 0 and
-    b.u + c.y = 1.  That system has ``num_vars + 1`` rows.  A solution
-    is the infeasibility certificate (u, y).  When it has none, its
-    Farkas multipliers (q, t) satisfy t > 0, and x = -q/t solves the
-    original system.  The returned object is re-checked before being
-    handed back.
-    """
+    One ``cone_member`` of ``num_vars + 1`` rows: is ``e_{n+1}`` in the
+    cone of the columns (B_k, b_k), (-B_k, -b_k) and (C_k, c_k)?  That is
+    the Farkas alternative: u free and y >= 0 with B^T u + C^T y = 0 and
+    b.u + c.y = 1.  Inside, the coefficients give the infeasibility
+    certificate (u, y); outside, the functional (q, t) has t < 0 and
+    x = -q/t is a solution.  The answer is re-checked before it is
+    returned."""
     eqs, num_vars = _coerce(equalities, num_vars)
     ineqs, num_vars = _coerce(inequalities, num_vars)
     n = num_vars or 0
@@ -181,16 +177,14 @@ def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
         + [[-a for a in coeffs] + [-b] for coeffs, b in eqs]
         + [coeffs + [c] for coeffs, c in ineqs]
     )
-    matrix = [[col[r] for col in columns] for r in range(n + 1)]
-    rhs = [_ZERO] * n + [_ONE]
-    dual_feasible, vec = _phase1(matrix, rhs, len(columns))
-    if dual_feasible:
-        e = len(eqs)
-        cert = tuple(vec[k] - vec[e + k] for k in range(e)) + tuple(vec[2 * e:])
+    membership = cone_member((0,) * n + (1,), columns)
+    if membership.inside:
+        vec, e = membership.coefficients, len(eqs)
+        cert = tuple(vec[k] - vec[e + k] for k in range(e)) + vec[2 * e:]
         result = FeasibilityResult(False, certificate=cert)
     else:
-        t = vec[n]
-        result = FeasibilityResult(True, solution=tuple(-q / t for q in vec[:n]))
+        *q, t = membership.functional
+        result = FeasibilityResult(True, solution=tuple(Fraction(-x, t) for x in q))
     _check_feasibility(eqs, ineqs, n, result)
     return result
 
@@ -249,9 +243,10 @@ class ConeMembership:
 def cone_member(vector, generators) -> ConeMembership:
     """Decide whether ``vector`` lies in the cone of ``generators``.
 
-    Solves ``{G lam = v, lam >= 0}`` (one row per coordinate) directly.
-    The coefficients, or else the negated Farkas multipliers made
-    primitive, are checked by arithmetic before being returned.
+    Solves ``{G lam = v, lam >= 0}`` (one row per coordinate, entries
+    ``int`` or ``Fraction`` as given).  The coefficients, or else the
+    negated Farkas multipliers made primitive, are checked by arithmetic
+    before being returned.
     """
     v = tuple(vector)
     gens = [tuple(g) for g in generators]
@@ -259,8 +254,8 @@ def cone_member(vector, generators) -> ConeMembership:
     for g in gens:
         if len(g) != d:
             raise InputError(f"generator length {len(g)} does not match {d}")
-    matrix = [[Fraction(g[r]) for g in gens] for r in range(d)]
-    inside, vec = _phase1(matrix, [Fraction(x) for x in v], len(gens))
+    matrix = [[g[r] for g in gens] for r in range(d)]
+    inside, vec = _phase1(matrix, v, len(gens))
     if inside:
         combo = tuple(sum(c * g[r] for c, g in zip(vec, gens)) for r in range(d))
         if any(c < 0 for c in vec) or combo != v:

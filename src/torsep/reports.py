@@ -52,7 +52,7 @@ def parse_instance(text: str) -> Instance:
 def parse_json_instance(text: str) -> Instance:
     """Parse a JSON instance; this is the only format of a ``--batch`` line."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"not a JSON instance: parse error at line {exc.lineno}, "
@@ -63,10 +63,16 @@ def parse_json_instance(text: str) -> Instance:
     return instance_from_json(data)
 
 
+def _refuse_constant(name: str):
+    raise InputError(f"not a JSON instance: {name} is not a JSON value (RFC 8259)")
+
+
 def instance_from_json(data) -> Instance:
     if not isinstance(data, dict):
         raise InputError("instance JSON must be an object")
     label = data.get("label")
+    if isinstance(label, str) and any("\ud800" <= ch <= "\udfff" for ch in label):
+        raise InputError("'label' holds a lone surrogate, so it is not UTF-8 text")
     if "weights" in data or data.get("kind") == "weights":
         rows = data.get("weights")
         if not isinstance(rows, list) or not rows:

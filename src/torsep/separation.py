@@ -44,7 +44,7 @@ from .linalg import (
     kernel_lattice,
     solve_exact,
 )
-from .lp import cone_member, lp_feasible
+from .lp import cone_member
 from .strata import ssp_coordinate_witness
 from .verdict import Verdict, vacuous
 
@@ -133,27 +133,22 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
 
 
 def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, tuple[int, ...]]:
-    """Integer relation M * w_idx = sum of strictly positive multiples of
-    the other face weights, witnessing that w_idx lies in the relative
-    interior of the face."""
+    """Integer relation M * w_idx = sum_k c_k w_k over the other face
+    weights, with M and every c_k at least 1: w_idx is in the relative
+    interior of the face.  With M = 1 + m and c_k = 1 + c'_k it is one
+    membership of ``ws.dim`` rows: sum_k w_k - w_idx in the cone of w_idx
+    and the -w_k, with coefficients (m, c')."""
     others = [k for k in face_indices if k != idx]
-    d = ws.dim
-    # Variables: multiplier m, then one coefficient per other face weight.
-    eqs = []
-    for r in range(d):
-        coeffs = [ws.weights[idx][r]] + [-ws.weights[k][r] for k in others]
-        eqs.append((coeffs, 0))
-    nvars = 1 + len(others)
-    ineqs = [([Fraction(int(t == s)) for t in range(nvars)], 1) for s in range(nvars)]
-    res = lp_feasible(eqs, ineqs, num_vars=nvars)
-    if not res.feasible:
+    w = ws.weights
+    target = tuple(sum(w[k][r] for k in others) - w[idx][r] for r in range(ws.dim))
+    membership = cone_member(target, [w[idx]] + [tuple(-x for x in w[k]) for k in others])
+    if not membership.inside:
         raise InternalError("relative-interior relation unexpectedly infeasible")
-    denom_lcm = lcm(*(f.denominator for f in res.solution))
-    ints = [int(f * denom_lcm) for f in res.solution]
-    coeffs = [0] * ws.n
-    for k, c in zip(others, ints[1:]):
-        coeffs[k] = c
-    return ints[0], tuple(coeffs)
+    solution = [1 + c for c in membership.coefficients]
+    denom_lcm = lcm(*(f.denominator for f in solution))
+    mult, *ints = [int(f * denom_lcm) for f in solution]
+    coeffs = dict(zip(others, ints))
+    return mult, tuple(coeffs.get(k, 0) for k in range(ws.n))
 
 
 def decide_affine_wsp(ws: WeightSystem) -> Verdict:

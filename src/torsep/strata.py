@@ -6,7 +6,9 @@ coordinates whose weights lie on that face are nonzero.  Re-deriving
 SP/WSP verdicts and coordinate forcing pairs from these vanishing
 patterns alone gives a decision route that shares only the facets with
 the theorem-backed deciders, which never build the face lattice.  Only
-``strata`` computes stratum dimensions; the oracles read index sets.
+``strata`` computes stratum dimensions; the oracles read one bitmask per
+coordinate, bit s set where it is nonzero on stratum s, so each question
+is one pass over the pairs.
 """
 
 from __future__ import annotations
@@ -37,9 +39,15 @@ def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
     )
 
 
-def _stratum_sets(ws: WeightSystem, max_n: int) -> list[set[int]]:
-    """The nonzero positions of each stratum, in canonical order."""
-    return [set(f.indices) for f in enumerate_faces(ws, max_n=max_n)]
+def _patterns(ws: WeightSystem, max_n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The strata's positions in canonical order, and per coordinate the
+    bitmask of the strata on which it is nonzero (bit s for stratum s)."""
+    sets = [f.indices for f in enumerate_faces(ws, max_n=max_n)]
+    pat = [0] * ws.n
+    for s, indices in enumerate(sets):
+        for k in indices:
+            pat[k] |= 1 << s
+    return sets, pat
 
 
 def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
@@ -51,27 +59,24 @@ def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     """
     if ws.n == 1:
         return vacuous("SP", "affine", ("stratum oracle",))
-    sets = _stratum_sets(ws, max_n)
+    sets, pat = _patterns(ws, max_n)
     notes = ("stratum oracle",)
+    everywhere = (1 << len(sets)) - 1
     for i in range(ws.n):
-        if all(i in s for s in sets):
-            j0 = 0 if i != 0 else 1
-            cert = {"kind": "strata-missed-hyperplane", "index": i, "pair": (i, j0)}
+        if pat[i] == everywhere:
+            cert = {"kind": "strata-missed-hyperplane", "index": i, "pair": (i, 0 if i else 1)}
             return Verdict("SP", "affine", False, cert, notes)
-    for j in range(ws.n):
-        for i in range(ws.n):
-            if i == j:
-                continue
-            if all(i not in s for s in sets if j not in s):
-                cert = {"kind": "strata-forcing-pair", "pair": (j, i)}
-                return Verdict("SP", "affine", False, cert, notes)
     witnesses = []
     for j in range(ws.n):
         for i in range(ws.n):
             if i == j:
                 continue
-            s = next(s for s in sets if j not in s and i in s)
-            witnesses.append({"pair": (j, i), "stratum": tuple(sorted(s))})
+            split = pat[i] & ~pat[j]  # the strata that hold i and miss j
+            if not split:
+                cert = {"kind": "strata-forcing-pair", "pair": (j, i)}
+                return Verdict("SP", "affine", False, cert, notes)
+            first = (split & -split).bit_length() - 1  # lowest set bit
+            witnesses.append({"pair": (j, i), "stratum": sets[first]})
     cert = {"kind": "strata-separation", "pair_witnesses": tuple(witnesses)}
     return Verdict("SP", "affine", True, cert, notes)
 
@@ -84,18 +89,17 @@ def oracle_wsp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     """
     if ws.n == 1:
         return vacuous("WSP", "affine", ("stratum oracle",))
-    sets = _stratum_sets(ws, max_n)
+    sets, pat = _patterns(ws, max_n)
     notes = ("stratum oracle",)
-    for i in range(ws.n):
-        for j in range(i + 1, ws.n):
-            if all((i in s) == (j in s) for s in sets):
-                cert = {"kind": "strata-equivalent-pair", "pair": (i, j)}
-                return Verdict("WSP", "affine", False, cert, notes)
     witnesses = []
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
-            s = next(s for s in sets if (i in s) != (j in s))
-            witnesses.append({"pair": (i, j), "stratum": tuple(sorted(s))})
+            split = pat[i] ^ pat[j]
+            if not split:
+                cert = {"kind": "strata-equivalent-pair", "pair": (i, j)}
+                return Verdict("WSP", "affine", False, cert, notes)
+            first = (split & -split).bit_length() - 1
+            witnesses.append({"pair": (i, j), "stratum": sets[first]})
     cert = {"kind": "strata-distinguished", "pair_witnesses": tuple(witnesses)}
     return Verdict("WSP", "affine", True, cert, notes)
 
@@ -109,13 +113,8 @@ def characteristic_pairs(
     always included; the set equals the diagonal iff the oracle's SP
     verdict holds (given n >= 2 and no coordinate nonzero everywhere).
     """
-    sets = _stratum_sets(ws, max_n)
-    pairs = []
-    for i in range(ws.n):
-        for j in range(ws.n):
-            if i == j or all(j not in s for s in sets if i not in s):
-                pairs.append((i, j))
-    return tuple(pairs)
+    pat = _patterns(ws, max_n)[1]
+    return tuple((i, j) for i in range(ws.n) for j in range(ws.n) if not pat[j] & ~pat[i])
 
 
 @dataclass(frozen=True)

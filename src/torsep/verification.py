@@ -109,7 +109,9 @@ def _check_line_in_cone(problems, ws, cert):
     if not _valid_pair(problems, ws, pair):
         return
     _require(problems, c[pair[0]] > 0, "pair's first coordinate not in the relation")
-    if "index" not in cert:  # WSP flavour: both coordinates never vanish
+    if "index" in cert:  # SP flavour: so the relation holds ``index``, which never vanishes
+        _require(problems, pair[0] == cert["index"], "pair must start at the index")
+    else:  # WSP flavour: both coordinates never vanish
         _require(problems, c[pair[1]] > 0, "pair's second coordinate not in the relation")
 
 
@@ -226,6 +228,7 @@ def _check_strata_missed(problems, ws, cert):
     sets = _strata_sets(ws)
     _require(problems, all(i in s for s in sets), "coordinate does vanish somewhere")
     _valid_pair(problems, ws, cert["pair"])
+    _require(problems, cert["pair"][0] == i, "pair must start at the index")
 
 
 def _check_strata_forcing(problems, ws, cert):

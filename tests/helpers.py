@@ -9,11 +9,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 
-from torsep import cones
+from torsep import cones, lp
 from torsep.cones import ConeFace, WeightSystem, edge_conditions, face_witness, homogenize
 from torsep.errors import HypothesisError, ResourceGuardError
 from torsep.linalg import Vector, combine, is_zero_vector, rank, solve_exact
-from torsep.lp import lp_feasible
+from torsep.lp import FeasibilityResult, lp_feasible, verify_feasibility
 from torsep.separation import decide
 from torsep.strata import SspWitness, oracle_sp, oracle_wsp, strata
 from torsep.verdict import Verdict, vacuous
@@ -318,6 +318,31 @@ def reference_cone_hypothesis(ws: WeightSystem):
     ``lp_feasible`` call; (feasible, solution)."""
     res = lp_feasible([(w, 1) for w in ws.weights], [], num_vars=ws.dim)
     return res.feasible, res.solution
+
+
+def reference_lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
+    """Feasibility of {B x = b, C x >= c} by handing the Farkas
+    alternative's matrix to the simplex itself: find u (free, split into
+    two nonnegative columns) and y >= 0 with B^T u + C^T y = 0 and
+    b.u + c.y = 1.  A solution is the certificate (u, y); otherwise the
+    simplex's multipliers (q, t) have t > 0 and x = -q/t."""
+    eqs, num_vars = lp._coerce(equalities, num_vars)
+    ineqs, num_vars = lp._coerce(inequalities, num_vars)
+    n = num_vars or 0
+    columns = ([coeffs + [b] for coeffs, b in eqs]
+               + [[-a for a in coeffs] + [-b] for coeffs, b in eqs]
+               + [coeffs + [c] for coeffs, c in ineqs])
+    matrix = [[col[r] for col in columns] for r in range(n + 1)]
+    rhs = [Fraction(0)] * n + [Fraction(1)]
+    dual_feasible, vec = lp._phase1(matrix, rhs, len(columns))
+    if dual_feasible:
+        e = len(eqs)
+        cert = tuple(vec[k] - vec[e + k] for k in range(e)) + tuple(vec[2 * e:])
+        result = FeasibilityResult(False, certificate=cert)
+    else:
+        result = FeasibilityResult(True, solution=tuple(-q / vec[n] for q in vec[:n]))
+    verify_feasibility(equalities, inequalities, n, result)
+    return result
 
 
 def reference_phase1(matrix, rhs, ncols):

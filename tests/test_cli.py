@@ -286,6 +286,39 @@ def test_batch_stdin_byte_not_utf8_fails_its_line_only():
         [[1, 1], [2, 0], [0, 2]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
 
 
+def test_batch_json_constants_fail_their_line_only(capsys, monkeypatch):
+    """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, so a label
+    holding one fails its line and the later lines still run."""
+    lines = "".join(f'{{"weights": [[1]], "label": {c}}}\n'
+                    for c in ("NaN", "Infinity", "-Infinity")) + M_JSON + "\n"
+    code, out, err = run_cli(capsys, ["decide", "--format", "json", "--batch", "-"],
+                             stdin=lines, monkeypatch=monkeypatch)
+    assert code == 2
+    assert [e.split(": ")[:2] for e in err.splitlines()] == [
+        ["line 1", "error"], ["line 2", "error"], ["line 3", "error"]]
+    assert "Infinity is not a JSON value" in err.splitlines()[2]
+    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
+    assert [r["instance"]["label"] for r in reports] == ["M"]
+    code, out, err = run_cli(capsys, ["decide", "-"], stdin='{"weights": [[1]], "label": NaN}',
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+
+
+def test_batch_lone_surrogate_label_fails_its_line_only():
+    """The escape ``\\ud800`` decodes to a lone surrogate, which no UTF-8
+    stdout can write: that line fails and the next still prints its text
+    report."""
+    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    stdin = '{"weights": [[1]], "label": "\\ud800"}\n{"weights": [[2]]}\n'
+    done = subprocess.run([sys.executable, "-m", "torsep", "decide", "--format", "text",
+                           "--batch", "-"], input=stdin.encode(), env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 2
+    err = done.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("line 1: error: ")
+    assert "instance: weights d=1 n=1: (2)" in done.stdout.decode()
+
+
 def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
     """The SSP determinant of three diagonal weights of 2,001 digits has
     about 6,000, more than the interpreter writes; that line fails with

@@ -305,8 +305,7 @@ def test_face_work_runs_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("face work called the LP")
 
-    monkeypatch.setattr(cones, "lp_feasible", refuse)
-    monkeypatch.setattr(lp, "lp_feasible", refuse)
+    monkeypatch.setattr(lp, "_phase1", refuse)
     clear_cone_caches()
     rng = random.Random(17)
     systems = [M_WEIGHTS, N_WEIGHTS]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_cone_member, reference_phase1
+from helpers import brute_force_cone_member, reference_lp_feasible, reference_phase1
 from torsep import lp
 from torsep.errors import InputError
 from torsep.linalg import dot
@@ -262,3 +262,24 @@ def test_integer_simplex_matches_the_fraction_reference(monkeypatch):
                 gens = [tuple(row) for row in matrix]
                 expected = _with_reference_phase1(monkeypatch, cone_member, v, gens)
                 assert cone_member(v, gens) == expected
+
+
+def test_lp_feasible_matches_the_farkas_matrix_reference():
+    """``lp_feasible`` as one ``cone_member`` gives the solutions and
+    certificates that the Farkas alternative's matrix, handed to the
+    simplex directly, gives: 3,000 seeded rational systems with up to 5
+    variables, 3 equalities and 6 inequalities."""
+    rng = random.Random(15)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        eqs = [([entry() for _ in range(n)], entry()) for _ in range(rng.randint(0, 3))]
+        ineqs = [([entry() for _ in range(n)], entry()) for _ in range(rng.randint(0, 6))]
+        res = lp_feasible(eqs, ineqs, num_vars=n)
+        assert res == reference_lp_feasible(eqs, ineqs, n), (eqs, ineqs)
+        outcomes.add(res.feasible)
+    assert outcomes == {True, False}

@@ -14,6 +14,8 @@ import pytest
 from helpers import golden_verdicts
 from torsep.cones import WeightSystem
 from torsep.errors import InputError, InternalError
+from torsep.separation import decide_affine_sp
+from torsep.strata import oracle_sp
 from torsep.verdict import Verdict
 from torsep.verification import check_verdict, verify_verdict
 
@@ -187,6 +189,35 @@ def test_negative_row_index_is_reported():
     ws = WeightSystem.from_rows([[1, 0], [0, 1]])
     cert = {"kind": "full-rank", "row_indices": [0, -1], "determinant": 1}
     assert check_verdict(ws, Verdict("SSP", "affine", True, cert))
+
+
+def test_never_vanishing_index_is_tied_to_its_pair():
+    """An SP ``line-in-cone`` or ``strata-missed-hyperplane`` certificate
+    names the coordinate that never vanishes as ``index`` and as the
+    pair's first entry; moving either one alone is reported."""
+    ws = WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1]])
+    line, missed = decide_affine_sp(ws), oracle_sp(ws)
+    assert line.certificate == {"kind": "line-in-cone", "index": 0,
+                                "relation": (1, 1, 0), "pair": (0, 1)}
+    assert missed.certificate == {"kind": "strata-missed-hyperplane", "index": 0,
+                                  "pair": (0, 1)}
+    edits = [(line, {"index": 2}), (line, {"index": 2, "pair": (1, 0)}),
+             (line, {"index": 1}), (missed, {"pair": (1, 2)}), (missed, {"index": 1})]
+    for verdict, edit in edits:
+        mutant = Verdict("SP", "affine", False, {**verdict.certificate, **edit})
+        assert check_verdict(ws, mutant), edit
+    moved = 0
+    for w, verdict in golden_verdicts():
+        cert = verdict.certificate
+        if verdict.kind in ("line-in-cone", "strata-missed-hyperplane") and "index" in cert:
+            assert check_verdict(w, verdict) == []
+            for k in range(w.n):
+                if k != cert["index"]:
+                    mutant = Verdict(verdict.property_name, verdict.mode, False,
+                                     {**cert, "index": k})
+                    assert check_verdict(w, mutant), (w, mutant)
+                    moved += 1
+    assert moved > 0
 
 
 # Certificate fields whose leaves are positions: weights, except rows.

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import torsep.cones
+import torsep.lp
 import torsep.separation
 from helpers import (
     FIVE_WEIGHTS,
@@ -189,31 +190,49 @@ def test_decide_dispatcher():
 
 
 def _count_wsp_lps(monkeypatch, ws):
-    """Run decide_affine_wsp from a cold cache, counting lp_feasible calls."""
-    from torsep.lp import lp_feasible
+    """Run decide_affine_wsp from cold cone caches, recording the row
+    count of every run of the simplex (``torsep.lp._phase1``), whatever
+    entry point called it."""
+    phase1 = torsep.lp._phase1
+    rows = []
 
-    calls = []
+    def counting(matrix, rhs, ncols):
+        rows.append(len(matrix))
+        return phase1(matrix, rhs, ncols)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lp_feasible(*args, **kwargs)
-
-    monkeypatch.setattr(torsep.cones, "lp_feasible", counting)
-    monkeypatch.setattr(torsep.separation, "lp_feasible", counting)
-    torsep.cones._minimal_face_cached.cache_clear()
+    monkeypatch.setattr(torsep.lp, "_phase1", counting)
+    clear_cone_caches()
     verdict = _verified(ws, decide_affine_wsp(ws))
-    return verdict, len(calls)
+    return verdict, rows
 
 
 def test_wsp_lp_count_bound(monkeypatch):
     ws = WeightSystem.from_rows(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1]]
     )
-    verdict, count = _count_wsp_lps(monkeypatch, ws)
+    verdict, rows = _count_wsp_lps(monkeypatch, ws)
     assert verdict.holds
     # Pointedness and minimal faces are read off the facets: a holding
     # WSP verdict runs no LP.
-    assert count == 0
+    assert rows == []
+
+
+def test_failing_shared_face_wsp_runs_two_lps_of_dim_rows(monkeypatch):
+    # One interior relation per pair member, each one cone membership
+    # with a row per coordinate; the cones are pointed, so no LP finds a
+    # line.  The first system's shared face holds only zero weights.
+    systems = [WeightSystem.from_rows([[0, 0], [0, 0], [1, 0]]),
+               WeightSystem.from_rows([[1, 0], [2, 0], [0, 1]]),
+               WeightSystem.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 2, 0],
+                                       [0, 0, 1]])]
+    relations = []
+    for ws in systems:
+        verdict, rows = _count_wsp_lps(monkeypatch, ws)
+        assert verdict.certificate["kind"] == "shared-face-interior", ws
+        assert rows == [ws.dim, ws.dim], ws
+        relations.append(verdict.certificate["relations"])
+    assert [r["multiplier"] for r in relations[0]] == [1, 1]
+    assert [r["coefficients"] for r in relations[0]] == [(0, 1, 0), (1, 0, 0)]
 
 
 def _reference_systems():
@@ -255,14 +274,12 @@ def test_sp_and_cone_hypothesis_match_the_lp_references():
 
 
 def _refuse_lp(monkeypatch):
-    """Make every LP entry point of cones and separation raise, from
-    cold cone caches."""
+    """Make the simplex (``torsep.lp._phase1``, behind every LP entry
+    point) raise, from cold cone caches."""
     def refuse(*args, **kwargs):
         raise AssertionError("a holding path called the LP")
 
-    for module in (torsep.cones, torsep.separation):
-        for name in ("lp_feasible", "cone_member"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(torsep.lp, "_phase1", refuse)
     clear_cone_caches()
 
 
@@ -290,19 +307,17 @@ def test_holding_sp_wsp_and_cone_hypothesis_run_no_lp(monkeypatch):
 
 
 def test_failing_sp_on_pointed_cone_runs_one_cone_member(monkeypatch):
-    from torsep.lp import cone_member
-
+    phase1 = torsep.lp._phase1
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return cone_member(*args, **kwargs)
+        return phase1(*args)
 
-    for module in (torsep.cones, torsep.separation):
-        monkeypatch.setattr(module, "cone_member", counting)
-    # (weights, cone_member calls): one on a pointed cone; on the cone
-    # that is not pointed, the first position of the lineality face,
-    # which tests w_1 and then -w_1.
+    monkeypatch.setattr(torsep.lp, "_phase1", counting)
+    # (weights, simplex runs): one cone_member on a pointed cone; on the
+    # cone that is not pointed, two at the first position of the
+    # lineality face, which tests w_1 and then -w_1.
     failing = [(M_WEIGHTS, 1), (WeightSystem.from_rows([[0, 0], [1, 0]]), 1),
                (WeightSystem.from_rows([[1, 0], [0, 1], [2, 0]]), 1),
                (WeightSystem.from_rows([[1, 0], [0, 1], [0, -1]]), 2)]
