@@ -4,9 +4,9 @@ Every face is a ``ConeFace``: the generator index set (which weights lie
 on the face) and a supporting integer functional as witness; no ray
 canonicalisation is ever needed.  The face lattice is read off one
 cached facet table: ``facets`` finds the facets once per system by
-double description in exact integer arithmetic, each witnessed by its
-primitive normal; every face is an intersection of facet zero sets,
-witnessed by the sum of the normals of the facets containing it.
+double description on ints alone, each witnessed by its primitive
+normal; every face is an intersection of facet zero sets, witnessed by
+the sum of the normals of the facets containing it.
 Minimal faces, the face lattice and the lineality face (the intersection
 of all facets, which holds only zero weights iff the cone is pointed)
 therefore run no LP.  The LP is left to the edge tests, the relation of
@@ -27,9 +27,9 @@ from .linalg import (
     dot,
     independent_rows,
     is_zero_vector,
+    kernel_lattice,
     primitive_vector,
     rank,
-    solve_exact,
 )
 from .lp import ConeMembership, cone_member, lp_feasible
 
@@ -190,14 +190,15 @@ def facets(ws: WeightSystem) -> tuple[ConeFace, ...]:
     p}, which is pointed because the rays span Z^r.  They are found by
     double description (Motzkin et al. 1953; Fukuda & Prodon 1996):
     start from the simplicial cone of r independent rays, whose dual is
-    spanned by the columns of the inverse, then cut the dual by one ray
-    at a time.  A cut keeps every normal with h.p >= 0 and adds the
-    positive combination of each adjacent pair across the hyperplane
-    h.p = 0.  Adjacency is decided combinatorially on tight sets (the
-    rays on which a normal vanishes, as int bitmasks): two normals are
-    adjacent iff their common tight set has at least r - 2 members and
-    lies in no third normal's tight set.  A cone that is a linear space
-    (this includes r = 0) has no facets.
+    spanned by its r integer facet normals (kernel vectors), then cut
+    the dual by one ray at a time.  A cut keeps every normal with
+    h.p >= 0 and adds the primitive positive combination of each
+    adjacent pair across the hyperplane h.p = 0.  Adjacency is decided
+    on tight sets (the rays on which a normal vanishes, as int
+    bitmasks): two normals are adjacent iff their common tight set has
+    at least r - 2 members and no third normal's tight set holds it,
+    i.e. the AND of the holder masks of its rays is the pair.  A cone
+    that is a linear space (this includes r = 0) has no facets.
     """
     coords = independent_rows(tuple(zip(*ws.weights)))
     r = len(coords)
@@ -218,36 +219,50 @@ def facets(ws: WeightSystem) -> tuple[ConeFace, ...]:
 
 def _dual_extreme_rays(rays, r: int) -> list[tuple[int, ...]]:
     """Extreme rays of {h : h.p >= 0 for every p in rays}, where the
-    rays span Z^r (r >= 1), by double description."""
+    rays span Z^r (r >= 1), by double description.  Base normal i spans
+    the kernel of the other base rays (``(1,)`` when r = 1); at each cut,
+    ``holders`` maps the bit of each ray to the bitmask of the normals
+    whose tight set holds it (Terzer & Stelling 2008)."""
     base = independent_rows(rays)
-    # (normal, tight set): the i-th base normal vanishes on every other
-    # base ray and is positive on the i-th.
-    cone = [(primitive_vector(solve_exact([rays[k] for k in base],
-                                          [int(j == i) for j in range(r)])),
-             sum(1 << k for k in base if k != base[i]))
-            for i in range(r)]
-    chosen = set(base)
+    cone = []  # (normal, tight set)
+    for i in base:
+        others = [rays[k] for k in base if k != i]
+        h = kernel_lattice(tuple(zip(*others)))[0] if others else (1,)
+        cone.append((h if dot(h, rays[i]) > 0 else tuple(-x for x in h),
+                     sum(1 << k for k in base if k != i)))
     for k, ray in enumerate(rays):
-        if k in chosen:
+        if k in base:
             continue
         bit = 1 << k
         values = [sum(map(mul, h, ray)) for h, _ in cone]
+        holders = {}
+        for c, (_, tight) in enumerate(cone):
+            while tight:
+                low = tight & -tight
+                holders[low] = holders.get(low, 0) | 1 << c
+                tight ^= low
+        everyone = (1 << len(cone)) - 1
         kept = [(h, tight | bit if v == 0 else tight)
                 for (h, tight), v in zip(cone, values) if v >= 0]
+        negatives = [(b, h, tight) for b, ((h, tight), v) in enumerate(zip(cone, values))
+                     if v < 0]
         for a, (h_a, tight_a) in enumerate(cone):
             if values[a] <= 0:
                 continue
-            for b, (h_b, tight_b) in enumerate(cone):
-                if values[b] >= 0:
-                    continue
+            for b, h_b, tight_b in negatives:
                 common = tight_a & tight_b
-                if common.bit_count() < r - 2 or any(
-                        common & tight == common
-                        for c, (_, tight) in enumerate(cone) if c != a and c != b):
+                if common.bit_count() < r - 2:
                     continue
-                h = primitive_vector([values[a] * y - values[b] * x
-                                      for x, y in zip(h_a, h_b)])
-                kept.append((h, common | bit))
+                # Adjacent iff no third normal's tight set holds ``common``.
+                pair, on, rest = 1 << a | 1 << b, everyone, common
+                while rest and on != pair:
+                    low = rest & -rest
+                    on &= holders[low]
+                    rest ^= low
+                if on == pair:
+                    h = primitive_vector([values[a] * y - values[b] * x
+                                          for x, y in zip(h_a, h_b)])
+                    kept.append((h, common | bit))
         cone = kept
     return [h for h, _ in cone]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InputError
 
@@ -26,7 +27,7 @@ def dot(u, v) -> int | Fraction:
     """Inner product of two equal-length vectors."""
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vector(v) -> bool:
@@ -35,7 +36,11 @@ def is_zero_vector(v) -> bool:
 
 def primitive_vector(v) -> Vector:
     """Scale a rational vector to the shortest integer vector with the
-    same direction.  The zero vector maps to itself."""
+    same direction.  The zero vector maps to itself.  An all-``int``
+    vector is divided by its gcd and never builds a ``Fraction``."""
+    if all(type(a) is int for a in v):
+        g = gcd(*v)
+        return tuple(a // g for a in v) if g else tuple(v)
     fracs = [Fraction(a) for a in v]
     if all(f == 0 for f in fracs):
         return tuple(0 for _ in fracs)

@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
@@ -71,7 +72,9 @@ def instance_from_json(data) -> Instance:
     if not isinstance(data, dict):
         raise InputError("instance JSON must be an object")
     label = data.get("label")
-    if isinstance(label, str) and any("\ud800" <= ch <= "\udfff" for ch in label):
+    if label is not None and not isinstance(label, str):
+        raise InputError(f"'label' must be a string, got {type(label).__name__}")
+    if label is not None and any("\ud800" <= ch <= "\udfff" for ch in label):
         raise InputError("'label' holds a lone surrogate, so it is not UTF-8 text")
     if "weights" in data or data.get("kind") == "weights":
         rows = data.get("weights")
@@ -179,17 +182,14 @@ class Report:
     version: str = __version__
 
     def to_json(self) -> dict:
-        verdict_entries = []
-        for i, v in enumerate(self.verdicts):
-            entry = {
-                "property": v.property_name,
-                "mode": v.mode,
-                "holds": v.holds,
-                "certificate": encode(dict(v.certificate)),
-                "notes": list(v.notes),
-                "verified": self.verified[i] if i < len(self.verified) else None,
-            }
-            verdict_entries.append(entry)
+        verdict_entries = [{
+            "property": v.property_name,
+            "mode": v.mode,
+            "holds": v.holds,
+            "certificate": encode(dict(v.certificate)),
+            "notes": list(v.notes),
+            "verified": self.verified[i] if i < len(self.verified) else None,
+        } for i, v in enumerate(self.verdicts)]
         return {
             "schema": SCHEMA,
             "version": self.version,
@@ -226,25 +226,15 @@ def report_from_json(data) -> Report:
     """
     if data.get("schema") != SCHEMA:
         raise InputError(f"unsupported schema {data.get('schema')!r}")
-    verdicts = []
-    verified = []
-    for entry in data.get("verdicts", []):
-        verdicts.append(
-            Verdict(
-                entry["property"],
-                entry["mode"],
-                entry["holds"],
-                _decode_rationals(entry["certificate"]),
-                tuple(entry.get("notes", ())),
-            )
-        )
-        verified.append(entry.get("verified"))
+    entries = data.get("verdicts", [])
+    verdicts = [Verdict(e["property"], e["mode"], e["holds"], _decode_rationals(e["certificate"]),
+                        tuple(e.get("notes", ()))) for e in entries]
     return Report(
         command=data["command"],
         instance=instance_from_json(data["instance"]),
         options=data.get("options", {}),
         verdicts=verdicts,
-        verified=verified,
+        verified=[e.get("verified") for e in entries],
         extra=data.get("extra", {}),
         seed=data.get("seed"),
         timing_ms=data.get("timing_ms"),
@@ -306,6 +296,12 @@ def _describe_pair(kind, cert) -> str | None:
     return f"({a + 1}, {b + 1})"
 
 
+def _printable(text: str) -> str:
+    """``text`` with each unprintable character (line breaks, controls,
+    format characters) as its Python escape: a label starts no line."""
+    return "".join(ch if ch.isprintable() else ascii(ch)[1:-1] for ch in text)
+
+
 def render_text(report: Report) -> str:
     """Aligned human-readable rendering of a report."""
     lines = [f"torsep {report.version} — {report.command}"]
@@ -316,7 +312,7 @@ def render_text(report: Report) -> str:
     if inst.kind == "weights":
         ws = inst.payload
         shown = " ".join("(" + ",".join(str(x) for x in w) + ")" for w in ws.weights)
-        label = f"  label: {inst.label}" if inst.label else ""
+        label = f"  label: {_printable(inst.label)}" if inst.label else ""
         lines.append(f"instance: weights d={ws.dim} n={ws.n}: {shown}{label}")
     else:
         lines.append(f"instance: binary form {form_to_string(inst.payload)}")
@@ -344,11 +340,31 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values ``Report.to_json``
+    builds, without the pure-Python encoder that ``indent`` selects."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return json.dumps(value)
+
+
 def emit_report(report: Report, fmt: str = "text") -> str:
     """Serialize the report as JSON (stable field order) or as text."""
     try:
         if fmt == "json":
-            return json.dumps(report.to_json(), indent=2) + "\n"
+            return _dumps(report.to_json()) + "\n"
         if fmt == "text":
             return render_text(report)
     except ValueError:  # an integer longer than the interpreter writes

@@ -12,7 +12,15 @@ from math import prod
 from torsep import cones, lp
 from torsep.cones import ConeFace, WeightSystem, edge_conditions, face_witness, homogenize
 from torsep.errors import HypothesisError, ResourceGuardError
-from torsep.linalg import Vector, combine, is_zero_vector, rank, solve_exact
+from torsep.linalg import (
+    Vector,
+    combine,
+    independent_rows,
+    is_zero_vector,
+    primitive_vector,
+    rank,
+    solve_exact,
+)
 from torsep.lp import FeasibilityResult, lp_feasible, verify_feasibility
 from torsep.separation import decide
 from torsep.strata import SspWitness, oracle_sp, oracle_wsp, strata
@@ -225,6 +233,50 @@ def clear_cone_caches():
     for value in vars(cones).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+
+
+def facet_rays(ws: WeightSystem):
+    """The distinct primitive rays that ``cones.facets`` cuts by, and the
+    rank r of the weights: the nonzero weights on the coordinates of
+    ``independent_rows``."""
+    coords = independent_rows(tuple(zip(*ws.weights)))
+    rays = sorted({primitive_vector([w[c] for c in coords])
+                   for w in ws.weights if not is_zero_vector(w)})
+    return rays, len(coords)
+
+
+def reference_dual_extreme_rays(rays, r: int) -> list[Vector]:
+    """The double description of ``cones._dual_extreme_rays`` with its
+    plainest parts: each base normal is a column of the inverse of the
+    base (a ``Fraction`` solve, made primitive), and two normals are
+    adjacent iff their common tight set has at least r - 2 members and
+    no third normal's tight set contains it, tested by a scan over every
+    other normal.  Normals come out in the same order."""
+    base = independent_rows(rays)
+    cone = [(primitive_vector(solve_exact([rays[k] for k in base],
+                                          [int(j == i) for j in range(r)])),
+             sum(1 << k for k in base if k != base[i]))
+            for i in range(r)]
+    for k, ray in enumerate(rays):
+        if k in base:
+            continue
+        values = [sum(x * y for x, y in zip(h, ray)) for h, _ in cone]
+        kept = [(h, tight | 1 << k if v == 0 else tight)
+                for (h, tight), v in zip(cone, values) if v >= 0]
+        for a, (h_a, tight_a) in enumerate(cone):
+            for b, (h_b, tight_b) in enumerate(cone):
+                if values[a] <= 0 or values[b] >= 0:
+                    continue
+                common = tight_a & tight_b
+                if common.bit_count() < r - 2 or any(
+                        common & tight == common
+                        for c, (_, tight) in enumerate(cone) if c not in (a, b)):
+                    continue
+                kept.append((primitive_vector([Fraction(values[a] * y - values[b] * x)
+                                               for x, y in zip(h_a, h_b)]),
+                             common | 1 << k))
+        cone = kept
+    return [h for h, _ in cone]
 
 
 def brute_force_faces(ws: WeightSystem):

@@ -517,3 +517,35 @@ def test_raised_guard_holds_through_reverification(capsys, monkeypatch):
     verdicts = json.loads(out)["verdicts"]
     assert len(verdicts) == 2
     assert all(v["holds"] and v["verified"] is True for v in verdicts)
+
+
+def test_text_label_cannot_forge_report_lines(capsys, monkeypatch):
+    """A label's line breaks and other unprintable characters print as
+    escapes on the instance line, so the label adds no line of its own;
+    a label that is not a string fails its line."""
+    stdin = ('{"weights":[[1],[2]],"label":"x\\nSP (affine): HOLDS\\u2028\\r\\u001b"}\n'
+             '{"weights":[[1]],"label":5}\n{"weights":[[1]],"label":["a"]}\n'
+             '{"weights":[[1]],"label":null}\n')
+    code, out, err = run_cli(capsys, ["decide", "--property", "sp", "--format", "text",
+                                      "--batch", "-"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("SP (affine)")] == [
+        "SP (affine): FAILS", "SP (affine): HOLDS"]
+    assert r"(1) (2)  label: x\nSP (affine): HOLDS\u2028\r\x1b" in lines[2]
+    assert err.splitlines() == ["line 2: error: 'label' must be a string, got int",
+                                "line 3: error: 'label' must be a string, got list"]
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["--form", "x^5000*y"], None, "form has degree 5001, above the guard of 200"),
+    (["-"], '{"form": "x^150*y^51 + y^201"}', "form has degree 201, above the guard of 200"),
+    (["--form", "x^" + "9" * 5000], None, "cannot parse factor 'x^" + "9" * 5000 + "'"),
+], ids=["form", "json-form", "exponent-digits"])
+def test_binary_form_degree_guard(capsys, monkeypatch, argv, stdin, message):
+    """A parsed form of degree above 200 is refused before its coefficient
+    list is built; an exponent of more than nine digits does not parse."""
+    code, out, err = run_cli(capsys, ["binary", *argv], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(capsys, ["binary", "--form", "x^199*y", "--format", "json"])
+    assert code == 0 and json.loads(out)["extra"]["separation_property"] is True

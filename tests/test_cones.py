@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -9,11 +11,13 @@ from helpers import (
     brute_force_cone_member,
     brute_force_faces,
     clear_cone_caches,
+    facet_rays,
     fuzz_weights,
     random_unimodular,
     random_weights,
+    reference_dual_extreme_rays,
 )
-from torsep import cones, lp
+from torsep import cones, linalg, lp
 from torsep.cones import (
     WeightSystem,
     edge_conditions,
@@ -28,7 +32,7 @@ from torsep.cones import (
     supports_face,
 )
 from torsep.errors import InputError, ResourceGuardError
-from torsep.linalg import dot, is_zero_vector, rank
+from torsep.linalg import dot, is_zero_vector, primitive_vector, rank
 from torsep.strata import characteristic_pairs, oracle_sp, oracle_wsp, strata
 
 
@@ -323,3 +327,76 @@ def test_face_work_runs_no_lp(monkeypatch):
             characteristic_pairs(ws)
     finally:
         clear_cone_caches()
+
+
+def _fuzz_cones(seed: int, count: int):
+    """``fuzz_weights`` draws with d <= 5 and n <= 10, each also
+    homogenized."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = fuzz_weights(rng, rng.randint(1, 5), rng.randint(1, 10), rng.choice((2, 3, 50)))
+        yield from (base, homogenize(base))
+
+
+def test_holder_mask_adjacency_matches_the_plain_scan():
+    """The double description with integer base normals and holder-mask
+    adjacency returns the normals of the ``Fraction``-solve, scan-every-
+    normal reference, in the same order."""
+    cuts = 0
+    for ws in _fuzz_cones(29, 150):
+        rays, r = facet_rays(ws)
+        if not r:
+            continue
+        assert cones._dual_extreme_rays(rays, r) == reference_dual_extreme_rays(rays, r), ws
+        cuts += len(rays) - r
+    assert cuts > 250
+
+
+def test_primitive_vector_on_ints_matches_the_fraction_path():
+    rng = random.Random(5)
+    for _ in range(400):
+        v = [rng.choice((0, 0, rng.randint(-30, 30), rng.randint(-10**20, 10**20)))
+             for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.3:
+            v = [7 * rng.randint(-3, 3) * x for x in v]
+        got = primitive_vector(v)
+        assert got == primitive_vector([Fraction(x) for x in v]), v
+        assert all(type(x) is int for x in got)
+    assert primitive_vector([0, 0, 0]) == (0, 0, 0)
+    assert primitive_vector([-6, 0, 9]) == (-2, 0, 3)
+
+
+def test_facet_layer_builds_no_fraction(monkeypatch):
+    """On integer weights, the facets and every minimal face with its
+    witness are computed without building a single ``Fraction``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the facet layer built a Fraction")
+
+    clear_cone_caches()
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    monkeypatch.setattr(cones, "Fraction", refuse)
+    try:
+        for ws in _fuzz_cones(31, 60):
+            facets(ws)
+            for i in range(ws.n):
+                minimal_face_witness(ws, i)
+    finally:
+        clear_cone_caches()
+
+
+@pytest.mark.parametrize("d, seed, count, digest", [
+    (5, 0, 249, "9ff133485920c79ced22082014efb38e99c7b04d08ee0d8ee539ff2a82b7397d"),
+    (5, 1, 295, "60fe18d1bd511c5914e6c13b905403e779fc7aae86ee7ae1d8151c7ee2f4acae"),
+    (6, 0, 769, "2b0a30791842a823b25142b9c9711a77cee517e8bc6e1b40b971a3a49616e76f"),
+    (6, 1, 749, "3ffbc190f5d614137c7d143884ecc97d8726aac9270f8abb923566edf7eb8b86"),
+])
+def test_projective_facets_at_scale_are_pinned(d, seed, count, digest):
+    """Projective facets of 30 weights with entries in [-3, 3]: the count
+    and a digest of the sorted normals are those of the plain double
+    description.  The sizes are fixed, so the work is too."""
+    rng = random.Random(seed)
+    ws = homogenize(WeightSystem(d, tuple(tuple(rng.randint(-3, 3) for _ in range(d))
+                                          for _ in range(30))))
+    normals = [facet.witness for facet in facets(ws)]
+    assert len(normals) == count
+    assert sha256(repr(normals).encode()).hexdigest() == digest

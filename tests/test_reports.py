@@ -113,3 +113,16 @@ def test_text_rendering_contains_verdict_lines():
 def test_unknown_format_rejected():
     with pytest.raises(InputError):
         emit_report(_sample_report(), "yaml")
+
+
+def test_json_writer_matches_the_standard_encoder():
+    """The JSON report is ``json.dumps(..., indent=2)`` to the byte, with
+    a label holding non-ASCII text, a quote, a backslash and a line
+    break, empty containers, rationals, None, booleans and a float."""
+    label = 'é "q" \\ \n   日本'
+    for ws, verdict in golden_verdicts():
+        inst = Instance("weights", ws, label)
+        report = Report("decide", inst, {"mode": verdict.mode, "max_n": None}, [verdict],
+                        [True], {"empty": {}, "none": [], "nested": [[], {"a": 1.5}]},
+                        timing_ms=0.25)
+        assert emit_report(report, "json") == json.dumps(report.to_json(), indent=2) + "\n"
