@@ -20,9 +20,8 @@ from .cones import (
     enumerate_faces,
     homogenize,
     is_strictly_convex,
-    lineality_face,
     minimal_face,
-    minimal_face_witness,
+    smallest_face,
 )
 from .verdict import Verdict
 from .separation import (
@@ -77,9 +76,8 @@ __all__ = [
     "enumerate_faces",
     "homogenize",
     "is_strictly_convex",
-    "lineality_face",
     "minimal_face",
-    "minimal_face_witness",
+    "smallest_face",
     "Verdict",
     "cone_hypothesis",
     "decide",

@@ -24,6 +24,13 @@ Poly = tuple[Fraction, ...]  # ascending coefficients, no trailing zeros
 MAX_FORM_DEGREE = 200
 
 
+def check_form_degree(degree: int) -> None:
+    """Refuse a form of degree above ``MAX_FORM_DEGREE`` before its
+    coefficients are built, whether given as text or as a JSON list."""
+    if degree > MAX_FORM_DEGREE:
+        raise ResourceGuardError(f"form has degree {degree}, above the guard of {MAX_FORM_DEGREE}")
+
+
 def _trim(coeffs) -> Poly:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -261,7 +268,13 @@ def parse_form(text: str) -> BinaryForm:
             if not match:
                 raise InputError(f"cannot parse factor {factor!r}")
             if match["num"]:
-                coeff *= Fraction(match["num"])
+                try:
+                    coeff *= Fraction(match["num"])
+                except ZeroDivisionError:
+                    raise InputError(f"coefficient {factor!r} has a zero denominator") from None
+                except ValueError:  # a numeral past ``sys.get_int_max_str_digits()``
+                    raise InputError(f"coefficient numeral of {len(factor)} characters is "
+                                     "longer than the interpreter reads") from None
             else:
                 e = int(match["exp"]) if match["exp"] else 1
                 if match["var"] == "x":
@@ -272,8 +285,7 @@ def parse_form(text: str) -> BinaryForm:
     degree = max(ex + ey for _, ex, ey in monomials)
     if degree < 1:
         raise InputError("a binary form must have degree at least 1")
-    if degree > MAX_FORM_DEGREE:
-        raise ResourceGuardError(f"form has degree {degree}, above the guard of {MAX_FORM_DEGREE}")
+    check_form_degree(degree)
     coeffs = [Fraction(0)] * (degree + 1)
     for coeff, ex, ey in monomials:
         if ex + ey != degree:

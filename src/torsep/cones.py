@@ -2,15 +2,16 @@
 
 Every face is a ``ConeFace``: the generator index set (which weights lie
 on the face) and a supporting integer functional as witness; no ray
-canonicalisation is ever needed.  The face lattice is read off one
-cached facet table: ``facets`` finds the facets once per system by
-double description on ints alone, each witnessed by its primitive
-normal; every face is an intersection of facet zero sets, witnessed by
-the sum of the normals of the facets containing it.
-Minimal faces, the face lattice and the lineality face (the intersection
-of all facets, which holds only zero weights iff the cone is pointed)
-therefore run no LP.  The LP is left to the edge tests, the relation of
-a cone that is not pointed, and single-face certificates.
+canonicalisation is ever needed.  Faces are read off one cached facet
+table: ``facets`` finds the facets once per system by double
+description on ints alone, each witnessed by its primitive normal.  One
+query, ``smallest_face(ws, positions)``, answers every face question:
+the intersection of the facets whose zero sets hold the positions,
+witnessed by the sum of their normals.  The lineality face (no
+positions, which holds only zero weights iff the cone is pointed),
+minimal faces (one position) and each face of the lattice (its own
+positions) therefore run no LP.  The LP is left to the edge tests, the
+relation of a cone that is not pointed, and single-face certificates.
 Indices are 0-based throughout; the human-readable coordinate x{k}
 corresponds to position k-1.
 """
@@ -124,25 +125,16 @@ class EdgeConditions:
     negation_membership: ConeMembership
 
 
-def lineality_face(ws: WeightSystem) -> ConeFace:
-    """The smallest face of the weight cone, its lineality space: the
-    positions on every facet, zero weights included, witnessed by the
-    primitive sum of all the facet normals.  No LP runs.
-
-    A nonzero weight on it spans a line inside the cone, so the cone is
-    pointed iff the face holds only zero weights; the witness is then
-    >= 1 on every nonzero weight.
-    """
-    return _supported_face(ws, lambda zero: True)
-
-
 def is_strictly_convex(ws: WeightSystem) -> PointednessResult:
     """Decide whether the weight cone is pointed (contains no line).
 
-    Pointedness is read off the facets (``lineality_face``); an LP runs
-    only when the cone is not pointed, to find the relation.
+    A nonzero weight on the lineality face ``smallest_face(ws, ())``
+    spans a line inside the cone, so the cone is pointed iff the
+    smallest face holds only zero weights; its witness is then >= 1 on
+    every nonzero weight.  An LP runs only for the relation of a cone
+    that is not pointed.
     """
-    face = lineality_face(ws)
+    face = smallest_face(ws, ())
     if all(is_zero_vector(ws.weights[k]) for k in face.indices):
         return PointednessResult(True, functional=face.witness)
     nonzero = [i for i, w in enumerate(ws.weights) if not is_zero_vector(w)]
@@ -279,19 +271,27 @@ def _check_facet(ws: WeightSystem, normal, r: int) -> ConeFace:
     return ConeFace(indices, normal)
 
 
-def _supported_face(ws: WeightSystem, on) -> ConeFace:
-    """The intersection of the facets selected by ``on`` (a predicate on
-    facet index sets), witnessed by the primitive sum of their normals.
-
-    Each normal vanishes on the intersection and is >= 0 everywhere, and
-    every position off the intersection is off one of the facets, so the
-    sum is >= 1 there; the empty selection gives the improper face and
-    the zero functional.
+def smallest_face(ws: WeightSystem, positions) -> ConeFace:
+    """The smallest face holding the weights at ``positions``, with its
+    witness; no LP runs.  Every face of a polyhedral cone is the
+    intersection of the facets containing it, so this is the common zero
+    set of the facets whose zero sets hold the positions.  Their normals
+    vanish on it and are >= 0 everywhere, and each position off it is
+    off one of them, so their primitive sum is >= 1 there; no facet
+    gives the improper face and the zero witness.  With no positions it
+    is the lineality face, the positions on every facet.
     """
+    return _smallest_face_cached(ws, frozenset(positions))
+
+
+@lru_cache(maxsize=64)
+def _smallest_face_cached(ws: WeightSystem, positions: frozenset) -> ConeFace:
+    for i in positions:
+        ws._check_index(i)
     face = set(range(ws.n))
     total = [0] * ws.dim
     for facet in facets(ws):
-        if on(facet.indices):
+        if positions.issubset(facet.indices):
             face.intersection_update(facet.indices)
             total = [a + b for a, b in zip(total, facet.witness)]
     indices = tuple(sorted(face))
@@ -302,30 +302,8 @@ def _supported_face(ws: WeightSystem, on) -> ConeFace:
 
 
 def minimal_face(ws: WeightSystem, i: int) -> tuple[int, ...]:
-    """Index set of the smallest face containing weight i.
-
-    Weight i lies in the relative interior of the returned face; see
-    ``minimal_face_witness`` for how it is computed.
-    """
-    ws._check_index(i)
-    return _minimal_face_cached(ws, i).indices
-
-
-def minimal_face_witness(ws: WeightSystem, i: int) -> ConeFace:
-    """The smallest face containing weight i, with its witness.
-
-    Every face of a polyhedral cone is the intersection of the facets
-    containing it, so the smallest face containing weight i is the
-    common zero set of the facets whose normal vanishes at w_i; the
-    primitive sum of those normals vanishes on it and is >= 1 off it.
-    """
-    ws._check_index(i)
-    return _minimal_face_cached(ws, i)
-
-
-@lru_cache(maxsize=64)
-def _minimal_face_cached(ws: WeightSystem, i: int) -> ConeFace:
-    return _supported_face(ws, lambda zero: i in zero)
+    """Index set of the smallest face holding weight i, which lies in its relative interior."""
+    return smallest_face(ws, (i,)).indices
 
 
 def supports_face(ws: WeightSystem, indices, gamma) -> bool:
@@ -364,10 +342,10 @@ def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[ConeF
     """Every face, sorted by (size, index set): the closure of the facet
     zero sets under intersection, starting from the full index set.
 
-    Each face's witness is the primitive sum of the normals of the
-    facets containing it.  The closure is refused once it passes
-    ``2 ** max_n`` faces (n weights have at most ``2 ** n``).  Only the
-    stratum oracle builds the lattice; the deciders read the facets.
+    Each face is ``smallest_face`` of its own positions, with its
+    witness.  The closure is refused once it passes ``2 ** max_n`` faces
+    (n weights have at most ``2 ** n``).  Only the stratum oracle builds
+    the lattice; the deciders and the verifier read the facets.
     """
     # Every max_n >= n is the same guard: one cache entry, no huge power of 2.
     return _enumerate_faces_cached(ws, min(max_n, ws.n))
@@ -383,8 +361,7 @@ def _enumerate_faces_cached(ws: WeightSystem, max_n: int) -> tuple[ConeFace, ...
                 f"face enumeration exceeds the guard of 2^{max_n} = {2 ** max_n} "
                 f"faces (max_n={max_n}); raise it explicitly if this is intended"
             )
-    # A face lies on exactly the facets whose zero sets contain it.
-    faces = [_supported_face(ws, face.issubset) for face in sets]
+    faces = [smallest_face(ws, face) for face in sets]
     faces.sort(key=lambda f: (len(f.indices), f.indices))
     _check_euler_poincare(ws, faces)
     return tuple(faces)

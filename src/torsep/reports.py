@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
-from .binary_forms import BinaryForm, form_to_string, parse_form
+from .binary_forms import BinaryForm, check_form_degree, form_to_string, parse_form
 from .cones import WeightSystem
 from .errors import InputError, ResourceGuardError
 from .verdict import Verdict
@@ -96,6 +96,7 @@ def instance_from_json(data) -> Instance:
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
             raise InputError("'coeffs' must be a list")
+        check_form_degree(len(coeffs) - 1)
         try:
             coeffs = tuple(Fraction(str(c)) for c in coeffs)
         except (ValueError, ZeroDivisionError):

@@ -31,9 +31,8 @@ from .cones import (
     WeightSystem,
     homogenize,
     is_strictly_convex,
-    lineality_face,
     minimal_face,
-    minimal_face_witness,
+    smallest_face,
 )
 from .errors import CrossCheckError, HypothesisError, InternalError
 from .linalg import (
@@ -110,7 +109,7 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     """
     if ws.n == 1:
         return vacuous("SP", "affine")
-    lineality = lineality_face(ws)
+    lineality = smallest_face(ws, ())
     low = set(lineality.indices)
     for i in range(ws.n):
         if i in low or len(set(minimal_face(ws, i)) - low) > 1:
@@ -124,7 +123,7 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
         {
             "index": i,
             "vector_excluded_by": tuple(top * a - b for a, b in zip(
-                minimal_face_witness(ws, i).witness, p)),
+                smallest_face(ws, (i,)).witness, p)),
             "negation_excluded_by": p,
         }
         for i in range(ws.n)
@@ -164,7 +163,7 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
             "pair": (support[0], support[1]),
         }
         return Verdict("WSP", "affine", False, cert)
-    faces = [minimal_face_witness(ws, i) for i in range(ws.n)]
+    faces = [smallest_face(ws, (i,)) for i in range(ws.n)]
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
             if faces[i].indices != faces[j].indices:

@@ -2,14 +2,23 @@
 
 Each certificate kind has a checker that re-derives its claims by plain
 exact arithmetic against the input weights: dot products, identities,
-rank computations, and (for strata-based kinds) a deterministic
-recomputation of the face decomposition.  ``check_verdict`` returns a
-list of problems (empty means verified); ``verify_verdict`` raises.
+rank computations and, for the strata-based kinds, smallest faces.
+``check_verdict`` returns a list of problems (empty means verified);
+``verify_verdict`` raises.
+
+No checker builds the face lattice.  The strata are the faces of the
+weight cone, and the lattice is the closure of the facet zero sets
+under intersection, so a set S of positions is a stratum iff S equals
+the intersection of the facets whose zero sets hold S, which is
+``smallest_face(ws, S)``.  The least stratum, ``smallest_face(ws, ())``,
+holds the coordinates that vanish nowhere.  A face that holds i holds
+the smallest face of i, itself a face, so x_{j+1} = 0 forces
+x_{i+1} = 0 iff j is in ``smallest_face(ws, (i,))``.
 """
 
 from __future__ import annotations
 
-from .cones import WeightSystem, enumerate_faces, homogenize, supports_face
+from .cones import WeightSystem, homogenize, smallest_face, supports_face
 from .errors import InputError, InternalError
 from .linalg import combine, determinant, dot, is_zero_vector, rank
 from .verdict import Verdict
@@ -217,16 +226,10 @@ def _check_affine_dependence(problems, ws, cert):
              "relation does not annihilate weights")
 
 
-def _strata_sets(ws):
-    # n weights have at most 2^n faces, so this guard never trips.
-    return [set(f.indices) for f in enumerate_faces(ws, max_n=ws.n)]
-
-
 def _check_strata_missed(problems, ws, cert):
     i = cert["index"]
     _valid_index(problems, i, ws.n)
-    sets = _strata_sets(ws)
-    _require(problems, all(i in s for s in sets), "coordinate does vanish somewhere")
+    _require(problems, i in smallest_face(ws, ()).indices, "coordinate does vanish somewhere")
     _valid_pair(problems, ws, cert["pair"])
     _require(problems, cert["pair"][0] == i, "pair must start at the index")
 
@@ -235,15 +238,12 @@ def _check_strata_forcing(problems, ws, cert):
     if not _valid_pair(problems, ws, cert["pair"]):
         return
     j, i = cert["pair"]
-    sets = _strata_sets(ws)
-    _require(problems, all(i not in s for s in sets if j not in s),
-             "forcing pair does not force")
+    _require(problems, j in smallest_face(ws, (i,)).indices, "forcing pair does not force")
 
 
 def _check_pair_witnesses(problems, ws, cert, expected, splits):
     """Each pair in ``expected`` needs one witness: a stratum on which
     ``splits(a, b, stratum)`` holds for the pair (a, b)."""
-    sets = {tuple(sorted(s)) for s in _strata_sets(ws)}
     seen = set()
     for entry in cert.get("pair_witnesses", ()):
         if not (_valid_pair(problems, ws, entry["pair"])
@@ -252,7 +252,7 @@ def _check_pair_witnesses(problems, ws, cert, expected, splits):
         a, b = entry["pair"]
         seen.add((a, b))
         s = tuple(entry["stratum"])
-        _require(problems, s in sets, "claimed stratum is not a stratum")
+        _require(problems, smallest_face(ws, s).indices == s, "claimed stratum is not a stratum")
         _require(problems, splits(a, b, s), "stratum does not split the pair")
     _require(problems, seen == expected, "witnesses must cover every pair")
 
@@ -267,9 +267,8 @@ def _check_strata_equivalent(problems, ws, cert):
     if not _valid_pair(problems, ws, cert["pair"]):
         return
     i, j = cert["pair"]
-    sets = _strata_sets(ws)
-    _require(problems, all((i in s) == (j in s) for s in sets),
-             "pair is distinguished by some stratum")
+    _require(problems, j in smallest_face(ws, (i,)).indices
+             and i in smallest_face(ws, (j,)).indices, "pair is distinguished by some stratum")
 
 
 def _check_strata_distinguished(problems, ws, cert):

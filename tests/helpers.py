@@ -9,9 +9,16 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 
-from torsep import cones, lp
-from torsep.cones import ConeFace, WeightSystem, edge_conditions, face_witness, homogenize
-from torsep.errors import HypothesisError, ResourceGuardError
+from torsep import cones, lp, verification
+from torsep.cones import (
+    ConeFace,
+    WeightSystem,
+    edge_conditions,
+    enumerate_faces,
+    face_witness,
+    homogenize,
+)
+from torsep.errors import HypothesisError, InputError, ResourceGuardError
 from torsep.linalg import (
     Vector,
     combine,
@@ -25,6 +32,7 @@ from torsep.lp import FeasibilityResult, lp_feasible, verify_feasibility
 from torsep.separation import decide
 from torsep.strata import SspWitness, oracle_sp, oracle_wsp, strata
 from torsep.verdict import Verdict, vacuous
+from torsep.verification import check_verdict
 
 # Golden weight systems used across modules.
 M_WEIGHTS = WeightSystem.from_rows([[1, 1], [2, 0], [0, 2]])
@@ -50,6 +58,19 @@ def golden_verdicts():
                     yield ws, decide(ws, prop, mode)
                 except HypothesisError:
                     pass
+            target = homogenize(ws) if mode == "projective" else ws
+            for oracle in (oracle_sp, oracle_wsp):
+                v = oracle(target)
+                yield ws, Verdict(v.property_name, mode, v.holds, v.certificate)
+
+
+def fuzz_oracle_verdicts(seed: int, count: int):
+    """(weights, verdict) for both stratum oracles, in both modes, on
+    ``count`` seeded ``fuzz_weights`` draws with d <= 4 and n <= 7."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ws = fuzz_weights(rng, rng.randint(1, 4), rng.randint(1, 7), rng.choice((2, 50)))
+        for mode in ("affine", "projective"):
             target = homogenize(ws) if mode == "projective" else ws
             for oracle in (oracle_sp, oracle_wsp):
                 v = oracle(target)
@@ -536,3 +557,81 @@ def reference_graver(generators, max_nodes: int = 40_000_000) -> tuple[Vector, .
         admit(heapq.heappop(queue)[1])
     return tuple(sorted(g for g, pos, neg in basis
                         if not _reducer(g, pos, neg, basis)))
+
+
+def _lattice_sets(ws):
+    return [set(f.indices) for f in enumerate_faces(ws, max_n=ws.n)]
+
+
+def _lattice_missed(problems, ws, cert):
+    i = cert["index"]
+    verification._valid_index(problems, i, ws.n)
+    sets = _lattice_sets(ws)
+    verification._require(problems, all(i in s for s in sets), "coordinate does vanish somewhere")
+    verification._valid_pair(problems, ws, cert["pair"])
+    verification._require(problems, cert["pair"][0] == i, "pair must start at the index")
+
+
+def _lattice_forcing(problems, ws, cert):
+    if not verification._valid_pair(problems, ws, cert["pair"]):
+        return
+    j, i = cert["pair"]
+    sets = _lattice_sets(ws)
+    verification._require(problems, all(i not in s for s in sets if j not in s),
+                          "forcing pair does not force")
+
+
+def _lattice_pair_witnesses(problems, ws, cert, expected, splits):
+    sets = {tuple(sorted(s)) for s in _lattice_sets(ws)}
+    seen = set()
+    for entry in cert.get("pair_witnesses", ()):
+        if not (verification._valid_pair(problems, ws, entry["pair"])
+                and verification._valid_indices(problems, entry["stratum"], ws.n,
+                                                "stratum index")):
+            continue
+        a, b = entry["pair"]
+        seen.add((a, b))
+        s = tuple(entry["stratum"])
+        verification._require(problems, s in sets, "claimed stratum is not a stratum")
+        verification._require(problems, splits(a, b, s), "stratum does not split the pair")
+    verification._require(problems, seen == expected, "witnesses must cover every pair")
+
+
+def _lattice_equivalent(problems, ws, cert):
+    if not verification._valid_pair(problems, ws, cert["pair"]):
+        return
+    i, j = cert["pair"]
+    verification._require(problems, all((i in s) == (j in s) for s in _lattice_sets(ws)),
+                          "pair is distinguished by some stratum")
+
+
+_LATTICE_STRATA_CHECKERS = {
+    "strata-missed-hyperplane": _lattice_missed,
+    "strata-forcing-pair": _lattice_forcing,
+    "strata-separation": lambda problems, ws, cert: _lattice_pair_witnesses(
+        problems, ws, cert, {(j, i) for j in range(ws.n) for i in range(ws.n) if i != j},
+        lambda j, i, s: j not in s and i in s),
+    "strata-equivalent-pair": _lattice_equivalent,
+    "strata-distinguished": lambda problems, ws, cert: _lattice_pair_witnesses(
+        problems, ws, cert, {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)},
+        lambda i, j, s: (i in s) != (j in s)),
+}
+
+
+def reference_check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
+    """``check_verdict``, except that the five ``strata-*`` kinds are
+    checked against every stratum of the face lattice (built under
+    ``max_n = n``, a guard no input can trip), as the verifier did
+    before it read smallest faces."""
+    checker = _LATTICE_STRATA_CHECKERS.get(verdict.kind)
+    if checker is None:
+        return check_verdict(ws, verdict)
+    problems: list[str] = []
+    verification._require(problems, verdict.holds == (verdict.kind in verification._HOLDING),
+                          f"{verdict.kind} certifies the other verdict")
+    target = homogenize(ws) if verdict.mode == "projective" else ws
+    try:
+        checker(problems, target, verdict.certificate)
+    except (InputError, KeyError, IndexError, TypeError, ValueError) as exc:
+        problems.append(f"malformed certificate: {exc!r}")
+    return problems

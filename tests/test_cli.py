@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -549,3 +550,59 @@ def test_binary_form_degree_guard(capsys, monkeypatch, argv, stdin, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
     code, out, _ = run_cli(capsys, ["binary", "--form", "x^199*y", "--format", "json"])
     assert code == 0 and json.loads(out)["extra"]["separation_property"] is True
+
+
+def test_form_numerals_fail_their_line_only(capsys, monkeypatch):
+    """A coefficient numeral longer than the interpreter reads, or one
+    with a zero denominator, is an input error of its own line: exit 2,
+    no traceback, and later lines still run."""
+    stdin = '{"form": "' + "9" * 5000 + '*x"}\n{"form": "1/0*x"}\n{"form": "x*y"}\n'
+    code, out, err = run_cli(capsys, ["binary", "--format", "json", "--batch", "-"],
+                             stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.splitlines() == [
+        "line 1: error: coefficient numeral of 5000 characters is longer than the "
+        "interpreter reads",
+        "line 2: error: coefficient '1/0' has a zero denominator"]
+    assert json.loads(out)["extra"]["separation_property"] is True
+    code, out, err = run_cli(capsys, ["binary", "--form", "1/0*x"])
+    assert (code, out, err) == (2, "", "error: coefficient '1/0' has a zero denominator\n")
+
+
+@pytest.mark.parametrize("degree", [200, 201])
+def test_json_coeffs_degree_guard(capsys, monkeypatch, degree):
+    """A JSON coefficient list takes the degree guard of a form text:
+    x^d + y^d is refused at degree 201 and accepted at 200."""
+    stdin = json.dumps({"coeffs": [1] + [0] * (degree - 1) + [1]})
+    code, out, err = run_cli(capsys, ["binary", "--format", "json", "-"],
+                             stdin=stdin, monkeypatch=monkeypatch)
+    if degree > 200:
+        assert (code, out, err) == (2, "", "error: form has degree 201, above the guard of 200\n")
+    else:
+        assert code == 0 and json.loads(out)["extra"]["separation_property"] is True
+
+
+# sha256 of decide --property all and oracle (affine and projective),
+# strata and chpairs, in JSON and text, over the benchmark catalog.
+CATALOG_OUTPUT_DIGEST = "68f0eb39fc8906b0fbc0e89f19d2d5188aa9beff1e3789cfac63fc9fe3a40db4"
+
+
+def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):
+    """The 260 instances of ``perfbench/catalog.json``, run in process as
+    one ``--batch`` stream per command and format, give the pinned
+    stdout, stderr and exit codes."""
+    catalog = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "catalog.json").read_text(encoding="utf-8"))
+    stream = "".join(json.dumps({"d": e["d"], "weights": e["weights"]}) + "\n"
+                     for entries in catalog["workloads"].values() for e in entries)
+    runs = [[*command, "--mode", mode] for mode in ("affine", "projective")
+            for command in (["decide", "--property", "all"], ["oracle"])]
+    digest = hashlib.sha256()
+    for argv in runs + [["strata"], ["chpairs"]]:
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(capsys, [*argv, "--format", fmt, "--batch", "-"],
+                                     stdin=stream, monkeypatch=monkeypatch)
+            digest.update(json.dumps([argv, fmt, code, out, err]).encode())
+    assert digest.hexdigest() == CATALOG_OUTPUT_DIGEST, (
+        "catalog output changed; if the change is intended, record it and the new "
+        f"digest {digest.hexdigest()} in CHANGES.md")

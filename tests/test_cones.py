@@ -26,9 +26,8 @@ from torsep.cones import (
     facets,
     homogenize,
     is_strictly_convex,
-    lineality_face,
     minimal_face,
-    minimal_face_witness,
+    smallest_face,
     supports_face,
 )
 from torsep.errors import InputError, ResourceGuardError
@@ -68,7 +67,7 @@ def test_lineality_face_matches_brute_force_membership():
     for _ in range(60):
         base = fuzz_weights(rng, rng.randint(1, 4), rng.randint(1, 8), rng.choice((2, 50)))
         for ws in (base, homogenize(base)):
-            face = lineality_face(ws)
+            face = smallest_face(ws, ())
             assert face.indices == tuple(
                 k for k, w in enumerate(ws.weights)
                 if brute_force_cone_member(tuple(-x for x in w), ws.weights)), ws
@@ -189,7 +188,7 @@ def test_minimal_face_witnesses_check_out():
                 for _ in range(30)]
     for ws in systems:
         for i in range(ws.n):
-            face = minimal_face_witness(ws, i)
+            face = smallest_face(ws, (i,))
             assert face.indices == minimal_face(ws, i)
             inside = set(face.indices)
             for k in range(ws.n):
@@ -291,7 +290,7 @@ def test_face_lattice_matches_brute_force_scan():
                 value = dot(face.witness, w)
                 assert value == 0 if k in inside else value >= 1
         for i in range(ws.n):
-            face = minimal_face_witness(ws, i)
+            face = smallest_face(ws, (i,))
             assert face.indices == min((s for s in reference if i in s), key=len), ws
             for k, w in enumerate(ws.weights):
                 value = dot(face.witness, w)
@@ -303,6 +302,35 @@ def test_face_lattice_matches_brute_force_scan():
             assert facet.indices == tuple(k for k, v in enumerate(values) if v == 0)
             on = [w for w, v in zip(ws.weights, values) if v == 0]
             assert rank(on) == full_rank - 1
+
+
+def test_smallest_face_matches_brute_force_faces():
+    """``smallest_face`` of a position set is the intersection of the
+    brute-force faces holding it, with a witness: for no positions (the
+    lineality face), each single position, random sets in any order and
+    the full set, on ``fuzz_weights`` draws, affine and homogenized."""
+    rng = random.Random(47)
+    queries = 0
+    for _ in range(40):
+        base = fuzz_weights(rng, rng.randint(1, 4), rng.randint(1, 6), rng.choice((2, 50)))
+        for ws in (base, homogenize(base)):
+            faces = [set(indices) for indices, _ in brute_force_faces(ws)]
+            position_sets = [(), tuple(range(ws.n))] + [(i,) for i in range(ws.n)]
+            position_sets += [rng.sample(range(ws.n), rng.randint(2, ws.n))
+                              for _ in range(3) if ws.n > 1]
+            for positions in position_sets:
+                expected = set(range(ws.n))
+                for face in faces:
+                    if face.issuperset(positions):
+                        expected &= face
+                assert expected in faces
+                face = smallest_face(ws, positions)
+                assert face.indices == tuple(sorted(expected)), (ws, positions)
+                assert supports_face(ws, face.indices, face.witness)
+                queries += 1
+    assert queries > 500
+    with pytest.raises(InputError):
+        smallest_face(M_WEIGHTS, (0, 3))
 
 
 def test_face_work_runs_no_lp(monkeypatch):
@@ -320,7 +348,7 @@ def test_face_work_runs_no_lp(monkeypatch):
             enumerate_faces(ws)
             for i in range(ws.n):
                 minimal_face(ws, i)
-                minimal_face_witness(ws, i)
+                smallest_face(ws, (i,))
             strata(ws)
             oracle_sp(ws)
             oracle_wsp(ws)
@@ -379,7 +407,7 @@ def test_facet_layer_builds_no_fraction(monkeypatch):
         for ws in _fuzz_cones(31, 60):
             facets(ws)
             for i in range(ws.n):
-                minimal_face_witness(ws, i)
+                smallest_face(ws, (i,))
     finally:
         clear_cone_caches()
 

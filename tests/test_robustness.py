@@ -4,6 +4,7 @@ well-formed certificates, or on the benchmark's tracer alone."""
 import ast
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import golden_verdicts
+from helpers import (
+    clear_cone_caches,
+    fuzz_oracle_verdicts,
+    golden_verdicts,
+    reference_check_verdict,
+)
+from torsep import cones
 from torsep.cones import WeightSystem
 from torsep.errors import InputError, InternalError
 from torsep.separation import decide_affine_sp
@@ -313,3 +320,73 @@ def test_certificate_mutations_never_raise():
             "affine-independent", "affine-dependence", "strata-separation",
             "strata-forcing-pair", "strata-missed-hyperplane", "strata-distinguished",
             "strata-equivalent-pair", "vacuous"} <= kinds
+
+
+_STRATA_KINDS = {"strata-missed-hyperplane", "strata-forcing-pair", "strata-separation",
+                 "strata-equivalent-pair", "strata-distinguished"}
+
+
+def _forgeries(ws, verdict, rng):
+    """Well-formed ``strata-*`` certificates on the system of an oracle
+    verdict, true or false: on an SP verdict, every missed coordinate,
+    forcing pair and equivalent pair; on a holding verdict, its pair
+    witnesses with one stratum at a time swapped for a random set."""
+    n, mode = ws.n, verdict.mode
+    if verdict.property_name == "SP":
+        for i in range(n):
+            yield Verdict("SP", mode, False, {"kind": "strata-missed-hyperplane", "index": i,
+                                              "pair": (i, 0 if i else 1)})
+        for j in range(n):
+            for i in range(n):
+                if i != j:
+                    yield Verdict("SP", mode, False, {"kind": "strata-forcing-pair",
+                                                      "pair": (j, i)})
+                    yield Verdict("WSP", mode, False, {"kind": "strata-equivalent-pair",
+                                                       "pair": (j, i)})
+    witnesses = verdict.certificate.get("pair_witnesses", ())
+    for k in range(min(len(witnesses), 4)):
+        swapped = list(witnesses)
+        stratum = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        swapped[k] = {**witnesses[k], "stratum": stratum}
+        yield Verdict(verdict.property_name, mode, True,
+                      {**verdict.certificate, "pair_witnesses": tuple(swapped)})
+
+
+def test_strata_checks_match_the_lattice_reference():
+    """The verifier reads smallest faces where it used to read every
+    stratum of the face lattice (``helpers.reference_check_verdict``);
+    both accept and reject the same ``strata-*`` certificates: the
+    golden verdicts and their one-leaf mutants, and fuzz oracle verdicts
+    with forged certificates on the same systems."""
+    rng = random.Random(83)
+    cases = []
+    for ws, verdict in golden_verdicts():
+        if verdict.kind in _STRATA_KINDS:
+            cases += [(ws, verdict)] + [(ws, m) for m, _ in _mutants(ws, verdict)]
+    for ws, verdict in fuzz_oracle_verdicts(71, 150):
+        cases += [(ws, verdict)] + [(ws, f) for f in _forgeries(ws, verdict, rng)]
+    outcomes = set()
+    for ws, verdict in cases:
+        accepted = not check_verdict(ws, verdict)
+        assert accepted == (not reference_check_verdict(ws, verdict)), (ws, verdict)
+        outcomes.add((verdict.kind, accepted))
+    assert {(kind, ok) for kind in _STRATA_KINDS for ok in (True, False)} <= outcomes
+    assert len(cases) > 10_000
+
+
+def test_oracle_certificates_verify_without_the_face_lattice(monkeypatch):
+    """Every golden verdict and every fuzz oracle verdict re-verifies
+    while building a face lattice raises."""
+    verdicts = [*golden_verdicts(), *fuzz_oracle_verdicts(71, 150)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier built the face lattice")
+
+    clear_cone_caches()
+    monkeypatch.setattr(cones, "_enumerate_faces_cached", refuse)
+    try:
+        for ws, verdict in verdicts:
+            assert check_verdict(ws, verdict) == [], (ws, verdict)
+    finally:
+        clear_cone_caches()
+    assert _STRATA_KINDS <= {verdict.kind for _, verdict in verdicts}
