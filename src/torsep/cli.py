@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 import time
@@ -319,8 +320,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _process_one(text: str, args, out, where: str = "") -> int:
-    """Run one instance; ``where`` prefixes its stderr messages."""
+def _process_one(text: str, args, out, line: int | None = None) -> int:
+    """Run one instance, input line ``line`` of a ``--batch`` run.
+
+    A batch line that prints no JSON report prints an error record in
+    its place, so JSON batch output stays aligned with its input."""
+    where = "" if line is None else f"line {line}: "
     try:
         if args.command == "binary" and args.form is not None:
             instance = Instance("binary-form", parse_form(args.form))
@@ -339,14 +344,15 @@ def _process_one(text: str, args, out, where: str = "") -> int:
             return 4
         return 0
     except (InputError, ResourceGuardError) as exc:
-        print(f"{where}error: {exc}", file=sys.stderr)
-        return 2
+        code, kind, message = 2, "error", str(exc)
     except HypothesisError as exc:
-        print(f"{where}hypothesis error: {exc}", file=sys.stderr)
-        return 3
+        code, kind, message = 3, "hypothesis error", str(exc)
     except (CrossCheckError, InternalError) as exc:
-        print(f"{where}internal error: {exc}", file=sys.stderr)
-        return 4
+        code, kind, message = 4, "internal error", str(exc)
+    print(f"{where}{kind}: {message}", file=sys.stderr)
+    if line is not None and args.format == "json":
+        out.write(json.dumps({"line": line, "error": message, "exit_class": code}) + "\n")
+    return code
 
 
 def _env_seed() -> int:
@@ -377,7 +383,7 @@ def main(argv=None) -> int:
         # Only "\n" ends a line (``str.splitlines`` also splits at U+2028).
         for k, line in enumerate(text.split("\n"), 1):
             if line.strip():
-                code = max(code, _process_one(line, args, out, f"line {k}: "))
+                code = max(code, _process_one(line, args, out, k))
         return code
     return _process_one(text, args, out)
 

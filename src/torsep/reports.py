@@ -1,10 +1,10 @@
 """Instance parsing and report serialization for the command line.
 
-Reports serialize to JSON under the schema tag ``torsep/1`` with a
-stable field order, or to aligned human-readable text.  Exact rationals
-are encoded as strings like ``"1/2"``; index data is 0-based, while the
-textual rendering labels coordinates x1..xn (coordinate xk is position
-k-1).
+Reports serialize to one line of JSON under the schema tag ``torsep/1``
+with a stable field order, or to aligned human-readable text.  Exact
+rationals are encoded as strings like ``"1/2"``; index data is 0-based,
+while the textual rendering labels coordinates x1..xn (coordinate xk is
+position k-1).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
@@ -76,6 +75,8 @@ def instance_from_json(data) -> Instance:
         raise InputError(f"'label' must be a string, got {type(label).__name__}")
     if label is not None and any("\ud800" <= ch <= "\udfff" for ch in label):
         raise InputError("'label' holds a lone surrogate, so it is not UTF-8 text")
+    if sum(key in data for key in ("weights", "coeffs", "form")) > 1:
+        raise InputError("instance JSON names more than one of 'weights', 'coeffs' and 'form'")
     if "weights" in data or data.get("kind") == "weights":
         rows = data.get("weights")
         if not isinstance(rows, list) or not rows:
@@ -134,23 +135,6 @@ def _parse_text_weights(text: str) -> Instance:
     return Instance("weights", WeightSystem(d, tuple(weights)), None)
 
 
-def encode(value):
-    """Recursively convert a value into JSON-ready data.
-
-    Fractions become strings ('3' or '1/2') and tuples become lists;
-    dicts keep their order.  Any other type is refused.
-    """
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str, float)):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
-    raise InputError(f"cannot encode {type(value).__name__} into JSON")
-
-
 def instance_to_json(instance: Instance) -> dict:
     if instance.kind == "weights":
         ws = instance.payload
@@ -183,11 +167,13 @@ class Report:
     version: str = __version__
 
     def to_json(self) -> dict:
+        """The report's fields in schema order; tuples and Fractions are
+        left as they are for the encoder (``emit_report``)."""
         verdict_entries = [{
             "property": v.property_name,
             "mode": v.mode,
             "holds": v.holds,
-            "certificate": encode(dict(v.certificate)),
+            "certificate": dict(v.certificate),
             "notes": list(v.notes),
             "verified": self.verified[i] if i < len(self.verified) else None,
         } for i, v in enumerate(self.verdicts)]
@@ -196,20 +182,20 @@ class Report:
             "version": self.version,
             "command": self.command,
             "instance": instance_to_json(self.instance),
-            "options": encode(self.options),
+            "options": self.options,
             "seed": self.seed,
             "verdicts": verdict_entries,
-            "extra": encode(self.extra),
+            "extra": self.extra,
             "timing_ms": self.timing_ms,
         }
 
 
-# The strings ``encode`` writes for a Fraction.
+# The strings ``_rational`` writes for a Fraction.
 _RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")
 
 
 def _decode_rationals(value):
-    """Undo ``encode`` on certificate data: rational strings become Fractions."""
+    """Undo ``_rational`` on certificate data: rational strings become Fractions."""
     if isinstance(value, str):
         return Fraction(value) if _RATIONAL.fullmatch(value) else value
     if isinstance(value, list):
@@ -248,27 +234,27 @@ def _render_value(value, indent):
     if isinstance(value, dict):
         lines = []
         for k, v in value.items():
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
+            if isinstance(v, (dict, list, tuple)) and v and not _is_flat(v):
                 lines.append(f"{pad}{k}:")
                 lines.append(_render_value(v, indent + 2))
             else:
                 lines.append(f"{pad}{k}: {_flat(v)}")
         return "\n".join(lines)
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "\n".join(f"{pad}- {_flat(v)}" for v in value)
     return f"{pad}{_flat(value)}"
 
 
 def _is_flat(value) -> bool:
-    if isinstance(value, list):
-        return all(not isinstance(v, (dict, list)) for v in value)
+    if isinstance(value, (list, tuple)):
+        return all(not isinstance(v, (dict, list, tuple)) for v in value)
     return False
 
 
 def _flat(value) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_flat(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "(" + ", ".join(_flat(v) for v in value) + ")"
     if value is None:
         return "-"
@@ -310,62 +296,49 @@ def render_text(report: Report) -> str:
     if opts:
         lines.append(f"options: {opts}")
     inst = report.instance
+    label = f"  label: {_printable(inst.label)}" if inst.label else ""
     if inst.kind == "weights":
         ws = inst.payload
         shown = " ".join("(" + ",".join(str(x) for x in w) + ")" for w in ws.weights)
-        label = f"  label: {_printable(inst.label)}" if inst.label else ""
         lines.append(f"instance: weights d={ws.dim} n={ws.n}: {shown}{label}")
     else:
-        lines.append(f"instance: binary form {form_to_string(inst.payload)}")
+        lines.append(f"instance: binary form {form_to_string(inst.payload)}{label}")
     if report.seed is not None:
         lines.append(f"seed: {report.seed}")
     lines.append("")
     for i, v in enumerate(report.verdicts):
         word = "HOLDS" if v.holds else "FAILS"
         lines.append(f"{v.property_name} ({v.mode}): {word}")
-        cert = encode(dict(v.certificate))
         described = _describe_pair(v.kind, v.certificate)
         if described:
             lines.append(f"  witness pair: {described}")
         lines.append("  certificate:")
-        lines.append(_render_value(cert, 4))
+        lines.append(_render_value(dict(v.certificate), 4))
         for note in v.notes:
             lines.append(f"  note: {note}")
         ok = report.verified[i] if i < len(report.verified) else None
         lines.append(f"  verified: {'yes' if ok else 'NO' if ok is False else '-'}")
     if report.extra:
         lines.append("extra:")
-        lines.append(_render_value(encode(report.extra), 2))
+        lines.append(_render_value(report.extra, 2))
     if report.timing_ms is not None:
         lines.append(f"timing_ms: {report.timing_ms}")
     return "\n".join(lines) + "\n"
 
 
-def _dumps(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the values ``Report.to_json``
-    builds, without the pure-Python encoder that ``indent`` selects."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool or value is None:
-        return "null" if value is None else "true" if value else "false"
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    return json.dumps(value)
+def _rational(value) -> str:
+    """The JSON encoder's fallback: a Fraction as '3' or '1/2'; any
+    other type the encoder does not write is refused."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise InputError(f"cannot encode {type(value).__name__} into JSON")
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:
     """Serialize the report as JSON (stable field order) or as text."""
     try:
         if fmt == "json":
-            return _dumps(report.to_json()) + "\n"
+            return json.dumps(report.to_json(), default=_rational) + "\n"
         if fmt == "text":
             return render_text(report)
     except ValueError:  # an integer longer than the interpreter writes

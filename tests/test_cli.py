@@ -177,7 +177,7 @@ def test_batch_mode_preserves_order(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 0
-    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
+    reports = [json.loads(ln) for ln in out.splitlines()]
     assert [r["instance"]["label"] for r in reports] == ["first", "second"]
 
 
@@ -190,8 +190,10 @@ def test_batch_mode_reports_per_line_errors(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 2
-    assert "SP" in out  # the good line still produced a report
-    assert "line 1:" in err
+    error, report = [json.loads(ln) for ln in out.splitlines()]
+    assert error == {"line": 1, "error": err.split("line 1: error: ")[1].rstrip("\n"),
+                     "exit_class": 2}
+    assert report["instance"]["label"] == "M"  # the good line still produced a report
 
 
 def test_batch_line_must_be_json(capsys, monkeypatch):
@@ -220,10 +222,11 @@ def test_batch_lines_end_at_newline_only(capsys, monkeypatch, tmp_path):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("line 3: error: not a JSON instance")
-    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
-    assert [r["instance"]["weights"] for r in reports] == [
-        [[1]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
-    assert reports[0]["instance"]["label"] == "a\u2028b"
+    first, error, last = [json.loads(ln) for ln in out.splitlines()]
+    assert first["instance"]["weights"] == [[1]]
+    assert first["instance"]["label"] == "a\u2028b"
+    assert (error["line"], error["exit_class"]) == (3, 2)
+    assert last["instance"]["weights"] == [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]
     assert run_cli(capsys, ["decide", "--format", "json", "--batch", str(path)]) == (
         code, out, err)
 
@@ -236,8 +239,10 @@ def test_batch_survives_malformed_instances(capsys, monkeypatch):
     assert code == 2
     assert [e.split(": ")[:2] for e in err.splitlines()] == [
         ["line 2", "error"], ["line 3", "error"], ["line 4", "error"]]
-    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
-    assert [r["instance"]["coeffs"] for r in reports] == [["1", "2"], ["1", "0", "-1"]]
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [r.get("line") for r in records] == [None, 2, 3, 4, None]
+    assert [records[0]["instance"]["coeffs"], records[4]["instance"]["coeffs"]] == [
+        ["1", "2"], ["1", "0", "-1"]]
     code, out, err = run_cli(capsys, ["decide", "-"], stdin='{"d": true, "weights": [[1], [2]]}',
                              monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
@@ -262,8 +267,9 @@ def test_batch_survives_unreadable_lines(capsys, tmp_path):
         ["line 2", "error"], ["line 3", "error"], ["line 4", "error"]]
     assert lines[0] == "line 2: error: input is not valid UTF-8"
     assert lines[1].startswith("line 3: error: not a JSON instance: maximum recursion depth")
-    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
-    assert [r["instance"]["weights"] for r in reports] == [
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [f"line {r['line']}: error: {r['error']}" for r in records[1:4]] == lines
+    assert [r["instance"]["weights"] for r in (records[0], records[4])] == [
         [[1, 1], [2, 0], [0, 2]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
     path.write_bytes(b"1 2\n1\n\xfe2\n")
     code, out, err = run_cli(capsys, ["decide", str(path)])
@@ -282,8 +288,9 @@ def test_batch_stdin_byte_not_utf8_fails_its_line_only():
                           timeout=120)
     assert done.returncode == 2
     assert done.stderr.decode() == "line 2: error: input is not valid UTF-8\n"
-    reports = [json.loads(chunk) for chunk in _split_json_stream(done.stdout.decode())]
-    assert [r["instance"]["weights"] for r in reports] == [
+    first, error, last = [json.loads(ln) for ln in done.stdout.decode().splitlines()]
+    assert error == {"line": 2, "error": "input is not valid UTF-8", "exit_class": 2}
+    assert [r["instance"]["weights"] for r in (first, last)] == [
         [[1, 1], [2, 0], [0, 2]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
 
 
@@ -298,8 +305,9 @@ def test_batch_json_constants_fail_their_line_only(capsys, monkeypatch):
     assert [e.split(": ")[:2] for e in err.splitlines()] == [
         ["line 1", "error"], ["line 2", "error"], ["line 3", "error"]]
     assert "Infinity is not a JSON value" in err.splitlines()[2]
-    reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
-    assert [r["instance"]["label"] for r in reports] == ["M"]
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [r.get("line") for r in records] == [1, 2, 3, None]
+    assert records[3]["instance"]["label"] == "M"
     code, out, err = run_cli(capsys, ["decide", "-"], stdin='{"weights": [[1]], "label": NaN}',
                              monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
@@ -320,6 +328,29 @@ def test_batch_lone_surrogate_label_fails_its_line_only():
     assert "instance: weights d=1 n=1: (2)" in done.stdout.decode()
 
 
+def test_json_batch_prints_one_line_per_nonblank_input_line():
+    """Under ``--batch --format json`` each nonblank input line prints one
+    stdout line, a report or an error record naming its line, in input
+    order; the stderr messages and the exit code are unchanged."""
+    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    stdin = b"\n".join([M_JSON.encode(), b"garbage", b'{"weights": [[1]], "label": NaN}',
+                        b'{"weights": [[1]], "label": "\\ud800"}',
+                        b'{"weights": [[1]], "label": "\xff"}', b"  ", FIVE_JSON.encode()])
+    done = subprocess.run([sys.executable, "-m", "torsep", "decide", "--format", "json",
+                           "--batch", "-"], input=stdin, env=env, capture_output=True,
+                          timeout=120)
+    err = done.stderr.decode()
+    assert done.returncode == 2 and "Traceback" not in err
+    out = done.stdout.decode()
+    assert out.isascii() and out.endswith("\n")
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [r.get("line") for r in records] == [None, 2, 3, 4, 5, None]
+    assert [r["instance"]["weights"] for r in (records[0], records[5])] == [
+        [[1, 1], [2, 0], [0, 2]], [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]]
+    assert [f"line {r['line']}: error: {r['error']}" for r in records[1:5]] == err.splitlines()
+    assert all(r["exit_class"] == 2 for r in records[1:5])
+
+
 def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
     """The SSP determinant of three diagonal weights of 2,001 digits has
     about 6,000, more than the interpreter writes; that line fails with
@@ -336,8 +367,9 @@ def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
         assert err == (f"line 1: error: report holds an integer of more than {limit} "
                        "digits, the interpreter's limit for writing one\n")
         if fmt == "json":
-            reports = [json.loads(chunk) for chunk in _split_json_stream(out)]
-            assert [r["instance"]["label"] for r in reports] == ["M"]
+            error, report = [json.loads(ln) for ln in out.splitlines()]
+            assert (error["line"], error["exit_class"]) == (1, 2)
+            assert report["instance"]["label"] == "M"
         else:
             assert out.count("instance: ") == 1 and "label: M" in out
 
@@ -456,22 +488,6 @@ def test_parser_is_built_once_and_survives_exits(capsys, monkeypatch):
     assert here == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
-def _split_json_stream(text):
-    chunks = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(text):
-        if ch == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                chunks.append(text[start : i + 1])
-    return chunks
-
-
 def test_weight_commands_reject_binary_instances(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys,
@@ -538,6 +554,27 @@ def test_text_label_cannot_forge_report_lines(capsys, monkeypatch):
                                 "line 3: error: 'label' must be a string, got list"]
 
 
+@pytest.mark.parametrize("command", ["binary", "decide"])
+def test_ambiguous_instance_is_an_input_error(capsys, monkeypatch, command):
+    """An instance naming both a form and weights is refused, not read
+    as the weights."""
+    code, out, err = run_cli(capsys, [command, "-"], stdin='{"form":"x*y","weights":[[1]]}',
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == ("error: instance JSON names more than one of 'weights', 'coeffs' "
+                   "and 'form'\n")
+
+
+def test_binary_text_report_shows_the_label(capsys, monkeypatch):
+    stdin = '{"form":"x*y^2","label":"mine"}\n{"form":"x*y^2","label":"a\\nb"}\n'
+    code, out, _ = run_cli(capsys, ["binary", "--batch", "-"], stdin=stdin,
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("instance: ")] == [
+        "instance: binary form x*y^2  label: mine",
+        r"instance: binary form x*y^2  label: a\nb"]
+
+
 @pytest.mark.parametrize("argv, stdin, message", [
     (["--form", "x^5000*y"], None, "form has degree 5001, above the guard of 200"),
     (["-"], '{"form": "x^150*y^51 + y^201"}', "form has degree 201, above the guard of 200"),
@@ -564,7 +601,9 @@ def test_form_numerals_fail_their_line_only(capsys, monkeypatch):
         "line 1: error: coefficient numeral of 5000 characters is longer than the "
         "interpreter reads",
         "line 2: error: coefficient '1/0' has a zero denominator"]
-    assert json.loads(out)["extra"]["separation_property"] is True
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [r.get("line") for r in records] == [1, 2, None]
+    assert records[2]["extra"]["separation_property"] is True
     code, out, err = run_cli(capsys, ["binary", "--form", "1/0*x"])
     assert (code, out, err) == (2, "", "error: coefficient '1/0' has a zero denominator\n")
 
@@ -584,7 +623,7 @@ def test_json_coeffs_degree_guard(capsys, monkeypatch, degree):
 
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "68f0eb39fc8906b0fbc0e89f19d2d5188aa9beff1e3789cfac63fc9fe3a40db4"
+CATALOG_OUTPUT_DIGEST = "b3914de33671a267dcd1f690e8db2262aebab60621b10500a20758e4c9388acc"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -116,13 +117,35 @@ def test_unknown_format_rejected():
 
 
 def test_json_writer_matches_the_standard_encoder():
-    """The JSON report is ``json.dumps(..., indent=2)`` to the byte, with
-    a label holding non-ASCII text, a quote, a backslash and a line
-    break, empty containers, rationals, None, booleans and a float."""
+    """A JSON report is one ASCII line that decodes to the indented
+    standard encoding, with a label holding non-ASCII text, a quote, a
+    backslash and a line break, empty containers, rationals, None,
+    booleans and a float."""
     label = 'é "q" \\ \n   日本'
     for ws, verdict in golden_verdicts():
         inst = Instance("weights", ws, label)
         report = Report("decide", inst, {"mode": verdict.mode, "max_n": None}, [verdict],
-                        [True], {"empty": {}, "none": [], "nested": [[], {"a": 1.5}]},
+                        [True], {"empty": {}, "none": [], "nested": [(), {"a": 1.5}],
+                                 "half": Fraction(1, 2), "flags": (True, False)},
                         timing_ms=0.25)
-        assert emit_report(report, "json") == json.dumps(report.to_json(), indent=2) + "\n"
+        emitted = emit_report(report, "json")
+        assert emitted.isascii() and emitted.endswith("\n") and emitted.count("\n") == 1
+        assert json.loads(emitted) == json.loads(
+            json.dumps(report.to_json(), indent=2, default=str))
+
+
+def test_json_writer_refuses_an_unknown_type():
+    report = _sample_report()
+    report.extra = {"faces": {frozenset({0})}}
+    with pytest.raises(InputError, match="cannot encode set into JSON"):
+        emit_report(report, "json")
+
+
+@pytest.mark.parametrize("text", [
+    '{"form": "x*y", "weights": [[1]]}',
+    '{"coeffs": [1, 0], "form": "x*y"}',
+    '{"d": 1, "weights": [[1]], "coeffs": [1, 0]}',
+])
+def test_instance_naming_two_payloads_is_refused(text):
+    with pytest.raises(InputError, match="more than one of 'weights', 'coeffs' and 'form'"):
+        parse_instance(text)
