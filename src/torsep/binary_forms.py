@@ -12,7 +12,7 @@ the factor y read off from the degree drop.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError, InternalError, ResourceGuardError
@@ -113,19 +113,18 @@ def _yun(p: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(namedtuple("BinaryForm", "coeffs")):
     """Homogeneous binary form sum h_m x^(n-m) y^m, degree n >= 1."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        frozen = tuple(Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", frozen)
+    def __new__(cls, coeffs) -> "BinaryForm":
+        frozen = tuple(Fraction(c) for c in coeffs)
         if len(frozen) < 2:
             raise InputError("a binary form must have degree at least 1")
         if all(c == 0 for c in frozen):
             raise InputError("the zero form is not allowed")
+        return super().__new__(cls, frozen)
 
     @property
     def degree(self) -> int:
@@ -160,13 +159,12 @@ def scale(c, f: BinaryForm) -> BinaryForm:
     return BinaryForm(tuple(Fraction(c) * a for a in f.coeffs))
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
+class SquarefreeDecomposition(namedtuple("SquarefreeDecomposition", "constant parts")):
     """f = constant * prod part^multiplicity, with the parts squarefree,
-    pairwise coprime and nonconstant, and the multiplicities distinct."""
+    pairwise coprime and nonconstant, and the multiplicities distinct;
+    ``parts`` holds (BinaryForm, multiplicity) pairs."""
 
-    constant: Fraction
-    parts: tuple[tuple[BinaryForm, int], ...]
+    __slots__ = ()
 
     def reconstruct(self) -> BinaryForm:
         if not self.parts:

@@ -18,7 +18,7 @@ corresponds to position k-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -32,35 +32,33 @@ from .linalg import (
     primitive_vector,
     rank,
 )
-from .lp import ConeMembership, cone_member, lp_feasible
+from .lp import cone_member, lp_feasible
 
 DEFAULT_MAX_N = 12
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", "dim weights")):
     """An ordered family of integer weight vectors in Z^dim.
 
     Duplicates and zero vectors are permitted; order matters because
     verdict certificates refer to positions.
     """
 
-    dim: int
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(cls, dim: int, weights) -> "WeightSystem":
+        if dim < 1:
             raise InputError("weight dimension must be at least 1")
-        if not self.weights:
+        if not weights:
             raise InputError("at least one weight is required")
-        frozen = tuple(tuple(w) for w in self.weights)
-        object.__setattr__(self, "weights", frozen)
+        frozen = tuple(tuple(w) for w in weights)
         for i, w in enumerate(frozen):
-            if len(w) != self.dim:
-                raise InputError(f"weight {i} has length {len(w)}, expected {self.dim}")
+            if len(w) != dim:
+                raise InputError(f"weight {i} has length {len(w)}, expected {dim}")
             for x in w:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise InputError(f"non-integer entry {x!r} in weight {i}")
+        return super().__new__(cls, dim, frozen)
 
     @classmethod
     def from_rows(cls, rows) -> "WeightSystem":
@@ -83,46 +81,39 @@ class WeightSystem:
             raise InputError(f"index {i} out of range for {self.n} weights")
 
 
-@dataclass(frozen=True)
-class ConeFace:
+class ConeFace(namedtuple("ConeFace", "indices witness")):
     """A face as the set of weight positions lying on it, plus a witness.
 
-    The witness functional vanishes on the face's weights and is >= 1 on
-    all the others; the improper face (all positions) carries the zero
-    functional.
+    ``indices`` and ``witness`` are int tuples.  The witness functional
+    vanishes on the face's weights and is >= 1 on all the others; the
+    improper face (all positions) carries the zero functional.
     """
 
-    indices: tuple[int, ...]
-    witness: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PointednessResult:
+class PointednessResult(namedtuple("PointednessResult", "pointed functional relation",
+                                   defaults=(None, None))):
     """Strict convexity verdict with an arithmetic witness either way.
 
-    Pointed: an integer functional >= 1 on every nonzero weight.
-    Not pointed: a nonnegative rational relation, supported on nonzero
-    weights, summing the weights to zero.
+    Pointed: an integer ``functional`` >= 1 on every nonzero weight.
+    Not pointed: a nonnegative rational ``relation``, supported on
+    nonzero weights, summing the weights to zero.
     """
 
-    pointed: bool
-    functional: tuple[int, ...] | None = None
-    relation: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EdgeConditions:
-    """Whether weight i, and its negation, avoid the cone of the others.
+class EdgeConditions(namedtuple("EdgeConditions", "index excludes_vector excludes_negation "
+                                "vector_membership negation_membership")):
+    """Whether weight ``index``, and its negation, avoid the cone of the
+    others, with the ``ConeMembership`` answer of each.
 
     Both must hold for every position for the affine orbit closure to
     have the separation property.
     """
 
-    index: int
-    excludes_vector: bool
-    excludes_negation: bool
-    vector_membership: ConeMembership
-    negation_membership: ConeMembership
+    __slots__ = ()
 
 
 def is_strictly_convex(ws: WeightSystem) -> PointednessResult:

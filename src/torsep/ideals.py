@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from math import isqrt, prod
 from operator import le
@@ -29,25 +29,25 @@ DEFAULT_MAX_NODES = 2_000_000
 MAX_PRIME = 2**31 - 1
 
 
-@dataclass(frozen=True, order=True)
-class Binomial:
-    """x^a - x^b with disjoint supports, larger monomial first.
+class Binomial(namedtuple("Binomial", "a b")):
+    """x^a - x^b with disjoint supports, larger monomial first; binomials
+    sort by (a, b).
 
     Canonical sign: the exponent vector a - b has a positive leading
     nonzero entry, so c and -c produce the same binomial.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __new__(cls, a, b) -> "Binomial":
+        if len(a) != len(b):
             raise InputError("exponent vectors must have equal length")
-        for x, y in zip(self.a, self.b):
+        for x, y in zip(a, b):
             if x < 0 or y < 0:
                 raise InputError("exponents must be nonnegative")
             if x > 0 and y > 0:
                 raise InputError("supports must be disjoint")
+        return super().__new__(cls, a, b)
 
     @classmethod
     def from_vector(cls, c) -> "Binomial":
@@ -115,11 +115,17 @@ def _complete(generators, active, lifted, max_nodes, formed):
 
     Critical vectors are taken by increasing active 1-norm and reduced
     by +-G before joining G; only elements with support off ``lifted``
-    can clash there.  ``formed`` counts them over all calls.
+    can clash there.  ``formed`` counts them over all calls.  When no
+    pair clashes (fewer than two generators are nonzero on an active
+    coordinate off ``lifted``, or no two of them form a pair) the
+    generators are returned as given.
     """
     n = len(generators[0])
     zero, low, fixed = (0,) * n, (1 << n) - 1, lifted | lifted << n
     cols = [i for i in range(n) if active >> i & 1]
+    new = [i for i in cols if not lifted >> i & 1]
+    if sum(1 for v in generators if any(v[i] for i in new)) < 2:
+        return generators
     basis, movers, queue, queued, index = [], [], [], set(), {}
 
     def pair(r, sign, g):
@@ -150,6 +156,8 @@ def _complete(generators, active, lifted, max_nodes, formed):
     # projection, are ⊑-minimal there: they join unreduced and stay.
     for v in generators:
         join(*_signed(v, cols))
+    if not queue:
+        return generators
     while queue:
         r, code, size = _signed(heapq.heappop(queue)[1], cols)
         while code and (hit := _reducer(r, code, size, index)):
@@ -228,8 +236,7 @@ def binomial_generators(
     return result
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(namedtuple("ScanResult", "violating binomial form", defaults=(None, None))):
     """Outcome of scanning a generating system for SP-violating shapes.
 
     Form 1 is a monomial equal to 1 (a relation with no negative part);
@@ -239,9 +246,7 @@ class ScanResult:
     coordinates present).
     """
 
-    violating: bool
-    binomial: Binomial | None = None
-    form: int | None = None
+    __slots__ = ()
 
 
 def sp_violation_scan(binomials) -> ScanResult:
@@ -257,14 +262,10 @@ def sp_violation_scan(binomials) -> ScanResult:
     return ScanResult(False)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(namedtuple("VanishingReport", "prime trials seed failures")):
     """Result of sampling binomials on parametrized points mod a prime."""
 
-    prime: int
-    trials: int
-    seed: int
-    failures: tuple
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -289,6 +290,8 @@ def verify_vanishing(
     if prime % 2 == 0 or prime < 3 or any(
             prime % f == 0 for f in range(3, isqrt(prime) + 1, 2)):
         raise InputError(f"{prime} is not an odd prime")
+    if not binomials:
+        return VanishingReport(prime, trials, seed, ())
     rng = random.Random(seed)
     moduli = [prime] * ws.n
     failures = []

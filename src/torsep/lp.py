@@ -26,7 +26,7 @@ while the combined right-hand side is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -36,17 +36,15 @@ from .linalg import dot, primitive_vector
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(namedtuple("FeasibilityResult", "feasible solution certificate",
+                                   defaults=(None, None))):
     """Outcome of an exact feasibility question.
 
-    Exactly one of ``solution`` / ``certificate`` is set.  The
-    certificate is indexed by constraint rows, equalities first.
+    Exactly one of ``solution`` / ``certificate`` (Fraction tuples) is
+    set.  The certificate is indexed by constraint rows, equalities first.
     """
 
-    feasible: bool
-    solution: tuple[Fraction, ...] | None = None
-    certificate: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
 
 def _coerce(system, num_vars):
@@ -226,18 +224,16 @@ def _check_feasibility(eqs, ineqs, n, result) -> None:
         raise InternalError("certificate right-hand side not positive")
 
 
-@dataclass(frozen=True)
-class ConeMembership:
+class ConeMembership(namedtuple("ConeMembership", "inside coefficients functional",
+                                defaults=(None, None))):
     """Membership of a vector in a finitely generated rational cone.
 
-    Inside: nonnegative rational coefficients writing the vector over
-    the generators.  Outside: a primitive integer functional that is
+    Inside: nonnegative rational ``coefficients`` writing the vector over
+    the generators.  Outside: a primitive integer ``functional`` that is
     nonnegative on every generator and negative on the vector.
     """
 
-    inside: bool
-    coefficients: tuple[Fraction, ...] | None = None
-    functional: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
 def cone_member(vector, generators) -> ConeMembership:

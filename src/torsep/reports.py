@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Any
 
 from . import __version__
 from .binary_forms import BinaryForm, check_form_degree, form_to_string, parse_form
@@ -25,13 +24,11 @@ from .verdict import Verdict
 SCHEMA = "torsep/1"
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A parsed problem instance: a weight system or a binary form."""
+class Instance(namedtuple("Instance", "kind payload label", defaults=(None,))):
+    """A parsed problem instance: a weight system (``kind`` 'weights')
+    or a binary form ('binary-form'), with an optional label."""
 
-    kind: str  # 'weights' | 'binary-form'
-    payload: Any
-    label: str | None = None
+    __slots__ = ()
 
 
 def parse_instance(text: str) -> Instance:
@@ -152,19 +149,22 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
-@dataclass
 class Report:
     """Everything one command run produced, ready for serialization."""
 
-    command: str
-    instance: Instance
-    options: dict
-    verdicts: list[Verdict] = field(default_factory=list)
-    verified: list[bool] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-    seed: int | None = None
-    timing_ms: float | None = None
-    version: str = __version__
+    def __init__(self, command: str, instance: Instance, options: dict,
+                 verdicts: list[Verdict] | None = None, verified: list[bool] | None = None,
+                 extra: dict | None = None, seed: int | None = None,
+                 timing_ms: float | None = None, version: str = __version__):
+        self.command = command
+        self.instance = instance
+        self.options = options
+        self.verdicts = [] if verdicts is None else verdicts
+        self.verified = [] if verified is None else verified
+        self.extra = {} if extra is None else extra
+        self.seed = seed
+        self.timing_ms = timing_ms
+        self.version = version
 
     def to_json(self) -> dict:
         """The report's fields in schema order; tuples and Fractions are

@@ -13,22 +13,19 @@ is one pass over the pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .cones import DEFAULT_MAX_N, ConeFace, WeightSystem, enumerate_faces, facets
+from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets
 from .linalg import rank
 from .verdict import Verdict, vacuous
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "indices witness dim")):
     """A torus orbit inside the closure: coordinate k is nonzero on it
     iff k is in ``indices``.  ``dim`` is the rank of the weights on the
     face; ``witness`` is the face's supporting functional."""
 
-    indices: tuple[int, ...]
-    witness: tuple[int, ...]
-    dim: int
+    __slots__ = ()
 
 
 def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
@@ -117,18 +114,15 @@ def characteristic_pairs(
     return tuple((i, j) for i in range(ws.n) for j in range(ws.n) if not pat[j] & ~pat[i])
 
 
-@dataclass(frozen=True)
-class SspWitness:
+class SspWitness(namedtuple("SspWitness", "pair stratum ambient_rank")):
     """A codimension-2 coordinate subspace meeting the closure too deeply.
 
-    ``stratum`` is a facet avoiding both coordinates of ``pair``; its
-    closure has dimension ambient_rank - 1, so cutting by the two
-    coordinates drops the dimension by at most one.
+    ``stratum`` is a facet (a ``ConeFace``) avoiding both coordinates of
+    ``pair``; its closure has dimension ambient_rank - 1, so cutting by
+    the two coordinates drops the dimension by at most one.
     """
 
-    pair: tuple[int, int]
-    stratum: ConeFace
-    ambient_rank: int
+    __slots__ = ()
 
 
 def ssp_coordinate_witness(ws: WeightSystem) -> SspWitness | None:

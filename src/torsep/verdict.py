@@ -13,8 +13,8 @@ unaffected by homogenization and refers to the original positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import InputError
 
@@ -22,25 +22,22 @@ PROPERTIES = ("SP", "WSP", "SSP")
 MODES = ("affine", "projective")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    property_name: str
-    mode: str
-    holds: bool
-    certificate: Mapping[str, Any]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+class Verdict(namedtuple("Verdict", "property_name mode holds certificate notes")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.property_name not in PROPERTIES:
-            raise InputError(f"unknown property {self.property_name!r}")
-        if self.mode not in MODES:
-            raise InputError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.holds, bool):
-            raise InputError(f"holds must be a bool, not {self.holds!r}")
-        if not isinstance(self.certificate, Mapping):
+    def __new__(cls, property_name: str, mode: str, holds: bool,
+                certificate: Mapping, notes: tuple[str, ...] = ()) -> "Verdict":
+        if property_name not in PROPERTIES:
+            raise InputError(f"unknown property {property_name!r}")
+        if mode not in MODES:
+            raise InputError(f"unknown mode {mode!r}")
+        if not isinstance(holds, bool):
+            raise InputError(f"holds must be a bool, not {holds!r}")
+        if not isinstance(certificate, Mapping):
             raise InputError("certificate must be a mapping")
-        if not isinstance(self.certificate.get("kind"), str):
+        if not isinstance(certificate.get("kind"), str):
             raise InputError("certificate needs a string 'kind'")
+        return super().__new__(cls, property_name, mode, holds, certificate, notes)
 
     @property
     def kind(self) -> str:

@@ -135,6 +135,16 @@ def test_vanishing_rejects_bad_parameters():
         verify_vanishing([], M_WEIGHTS, trials=1, prime=2)
 
 
+def test_vanishing_with_no_binomials_draws_no_points(monkeypatch):
+    """With nothing to check the report is returned at once, after the
+    parameters are checked: a bad trial count or prime still raises."""
+    for trials, prime in ((0, 10007), (1, 10006), (1, 2**31 + 11)):
+        with pytest.raises(InputError):
+            verify_vanishing((), M_WEIGHTS, trials=trials, prime=prime)
+    monkeypatch.setattr(ideals.random, "Random", None)  # a draw would raise
+    assert verify_vanishing((), M_WEIGHTS, trials=20, prime=10007, seed=3) == (10007, 20, 3, ())
+
+
 def test_vanishing_prime_is_bounded():
     """Primality is checked by trial division, so the prime is capped at
     2^31 - 1; the smallest prime above the cap is refused."""
@@ -202,6 +212,24 @@ def test_generators_pair_budget_sums_over_lifts(monkeypatch):
     monkeypatch.setattr(ideals, "_complete", counted)
     assert binomial_generators(FIVE_WEIGHTS) == expected
     assert sum(per_step) == 4 and max(per_step) < 4 and len(per_step) == 4
+
+
+def test_lift_without_a_pair_returns_its_generators(monkeypatch):
+    """Rows (1, 0, -2, 1) and (0, 1, 0, 0): the pivots share no sign and
+    each later coordinate has one nonzero row, so every step hands its
+    generators back as given and forms no pair."""
+    complete, steps = ideals._complete, []
+
+    def recorded(generators, active, lifted, max_nodes, formed):
+        mine = count(1)
+        result = complete(generators, active, lifted, max_nodes, mine)
+        steps.append((result is generators, next(mine) - 1))
+        return result
+
+    monkeypatch.setattr(ideals, "_complete", recorded)
+    lattice = kernel_lattice(((2, 2), (0, 0), (0, 1), (-2, 0)))
+    assert ideals._graver_basis(lattice, DEFAULT_MAX_NODES) == reference_graver(lattice)
+    assert steps == [(True, 0)] * 3
 
 
 def test_graver_matches_reference_completion():
