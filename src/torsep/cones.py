@@ -25,6 +25,7 @@ from operator import mul
 
 from .errors import InputError, InternalError, ResourceGuardError
 from .linalg import (
+    clear_denominators,
     dot,
     independent_rows,
     is_zero_vector,
@@ -299,9 +300,10 @@ def minimal_face(ws: WeightSystem, i: int) -> tuple[int, ...]:
 
 def supports_face(ws: WeightSystem, indices, gamma) -> bool:
     """Whether ``gamma`` vanishes on the weights at ``indices`` and is
-    >= 1 on every other weight, so that it witnesses that face."""
+    >= 1 (L gamma >= L, on ints) on every other weight: a face witness."""
     inside = set(indices)
-    return all(dot(gamma, w) == 0 if k in inside else dot(gamma, w) >= 1
+    gamma, scale = clear_denominators(gamma)
+    return all(dot(gamma, w) == 0 if k in inside else dot(gamma, w) >= scale
                for k, w in enumerate(ws.weights))
 
 

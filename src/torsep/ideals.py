@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import namedtuple
+from functools import lru_cache
 from itertools import count
 from math import isqrt, prod
 from operator import le
@@ -272,6 +273,12 @@ class VanishingReport(namedtuple("VanishingReport", "prime trials seed failures"
         return not self.failures
 
 
+@lru_cache(maxsize=64)
+def _is_odd_prime(p: int) -> bool:
+    """Whether p is an odd prime, by trial division (cached per value)."""
+    return p >= 3 and p % 2 == 1 and all(p % f for f in range(3, isqrt(p) + 1, 2))
+
+
 def verify_vanishing(
     binomials, ws: WeightSystem, trials: int, prime: int, seed: int = 0
 ) -> VanishingReport:
@@ -282,26 +289,35 @@ def verify_vanishing(
     any nonzero value is recorded as a failure (there must be none for
     a correctly generated system).  The prime must be at most
     ``MAX_PRIME``, which bounds the trial division that checks it.
+    Each power t_r^e and x_k^e is computed once a trial, into a table.
     """
     if trials < 1:
         raise InputError("at least one trial is required")
     if prime > MAX_PRIME:
         raise InputError(f"prime {prime} exceeds the bound 2^31 - 1")
-    if prime % 2 == 0 or prime < 3 or any(
-            prime % f == 0 for f in range(3, isqrt(prime) + 1, 2)):
+    if not _is_odd_prime(prime):
         raise InputError(f"{prime} is not an odd prime")
+    binomials = tuple(binomials)
     if not binomials:
         return VanishingReport(prime, trials, seed, ())
+    if any(len(binom.a) != ws.n for binom in binomials):
+        raise InputError(f"a binomial's length is not the number of weights, {ws.n}")
+    # Table slots of (row, exponent mod p - 1) and (coordinate, exponent); 0 takes none.
+    t_powers, x_powers = {}, {}
+    weight_slots = [[t_powers.setdefault((r, e % (prime - 1)), len(t_powers))
+                     for r, e in enumerate(w) if e % (prime - 1)] for w in ws.weights]
+    binom_slots = [[[x_powers.setdefault((k, e), len(x_powers)) for k, e in enumerate(exps) if e]
+                    for exps in binom] for binom in binomials]
     rng = random.Random(seed)
-    moduli = [prime] * ws.n
     failures = []
     for trial in range(trials):
         t = tuple(rng.randrange(1, prime) for _ in range(ws.dim))
-        point = [prod(pow(base, e % (prime - 1), prime) for base, e in zip(t, w))
-                 % prime for w in ws.weights]
-        for binom in binomials:
-            value = (prod(map(pow, point, binom.a, moduli))
-                     - prod(map(pow, point, binom.b, moduli))) % prime
+        t_table = [pow(t[r], e, prime) for r, e in t_powers]
+        point = [prod(map(t_table.__getitem__, slots)) % prime for slots in weight_slots]
+        x_table = [pow(point[k], e, prime) for k, e in x_powers]
+        for binom, (a_slots, b_slots) in zip(binomials, binom_slots):
+            value = (prod(map(x_table.__getitem__, a_slots))
+                     - prod(map(x_table.__getitem__, b_slots))) % prime
             if value:
                 failures.append((trial, t, binom, value))
     return VanishingReport(prime, trials, seed, tuple(failures))

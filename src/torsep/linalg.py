@@ -2,14 +2,16 @@
 
 Everything downstream reduces to the primitives here, and all of them
 rest on one fraction-free elimination: the Hermite row form computed by
-``_hermite``.  Ranks, independent rows and determinants are read off the
-form, exact solves off the form of [A | b], relation lattices off the
-form of [V | I], and lattices are compared by their forms.  There is no
-matrix type: a family of weights is a tuple of integer tuples, and
-``rank``, ``kernel_lattice`` and ``combine`` take it as it is, while the
-row functions take the rows (``zip(*weights)`` when the weights are the
-columns).  All arithmetic is arbitrary-precision and exact; no floating
-point appears anywhere in the package.
+``_hermite``, which clears each later row of a column in one step.
+Ranks, independent rows and determinants are read off the form, exact
+solves (over one integer denominator) off the form of [A | b], relation
+lattices off the form of [V | I], and lattices are compared by their
+forms.  There is no matrix type: a family of weights is a tuple of
+integer tuples, and ``rank``, ``kernel_lattice`` and ``combine`` take it
+as it is, while the row functions take the rows (``zip(*weights)`` when
+the weights are the columns).  All arithmetic is arbitrary-precision
+and exact; a rational vector is checked on the ints of
+``clear_denominators``, and no float is accepted.
 """
 
 from __future__ import annotations
@@ -34,20 +36,26 @@ def is_zero_vector(v) -> bool:
     return all(a == 0 for a in v)
 
 
+def clear_denominators(v) -> tuple[Vector, int]:
+    """(L v, L) for an exact rational vector, with L >= 1 the lcm of the
+    entries' denominators, so that a check on v can run on ints.  An
+    entry that is neither an ``int`` (a bool is not) nor a ``Fraction``
+    raises InputError: a float is never an exact value."""
+    types = set(map(type, v))
+    if types <= {int}:
+        return tuple(v), 1
+    if not types <= {int, Fraction}:
+        raise InputError(f"{v!r} has an entry that is neither an int nor a Fraction")
+    scale = lcm(*(a.denominator for a in v))
+    return tuple(a.numerator * (scale // a.denominator) for a in v), scale
+
+
 def primitive_vector(v) -> Vector:
     """Scale a rational vector to the shortest integer vector with the
-    same direction.  The zero vector maps to itself.  An all-``int``
-    vector is divided by its gcd and never builds a ``Fraction``."""
-    if all(type(a) is int for a in v):
-        g = gcd(*v)
-        return tuple(a // g for a in v) if g else tuple(v)
-    fracs = [Fraction(a) for a in v]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom_lcm) for f in fracs]
+    same direction.  The zero vector maps to itself."""
+    ints = clear_denominators(v)[0]
     g = gcd(*ints)
-    return tuple(a // g for a in ints)
+    return tuple(a // g for a in ints) if g else ints
 
 
 def combine(vectors, c) -> tuple:
@@ -66,37 +74,50 @@ def _hermite(rows) -> tuple[tuple[Vector, ...], int]:
     spans the same lattice and is unique to it.  The sign is that of the
     swaps and negations applied, or 0 if a zero row was dropped, so a
     square matrix has determinant sign * (product of the diagonal).
+    In each column the first nonzero row P (entry a) clears each later
+    row R (entry b): R - (b / a) P if a divides b, else the determinant-1
+    step P, R <- x P + y R, (a R - b P) / g with x a + y b = g = gcd(a, b).
     """
     mat = [list(r) for r in rows]
+    m = len(mat)
     sign = 1
     r = 0
     for col in range(len(mat[0]) if mat else 0):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][col] != 0]
-            if len(nz) <= 1:
+        for p in range(r, m):
+            if mat[p][col]:
                 break
-            imin = min(nz, key=lambda i: abs(mat[i][col]))
-            for i in nz:
-                if i == imin:
-                    continue
-                q = mat[i][col] // mat[imin][col]
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[imin])]
-        if not nz:
+        else:
             continue
-        i = nz[0]
-        if i != r:
-            mat[r], mat[i] = mat[i], mat[r]
+        piv = mat[p]
+        a = piv[col]
+        for i in range(p + 1, m):
+            row = mat[i]
+            b = row[col]
+            if not b:
+                continue
+            q, rem = divmod(b, a)
+            if not rem:
+                mat[i] = [s - q * t for s, t in zip(row, piv)]
+                continue
+            g = gcd(a, b)
+            x = pow(a // g, -1, abs(b // g))
+            y, u, v = (g - x * a) // b, -b // g, a // g
+            piv, mat[i] = ([x * s + y * t for s, t in zip(piv, row)],
+                           [u * s + v * t for s, t in zip(piv, row)])
+            a = g
+        mat[p], mat[r] = mat[r], piv
+        if p != r:
             sign = -sign
-        if mat[r][col] < 0:
-            mat[r] = [-a for a in mat[r]]
+        if a < 0:
+            mat[r] = piv = [-s for s in piv]
+            a = -a
             sign = -sign
         for k in range(r):
-            q = mat[k][col] // mat[r][col]
+            q = mat[k][col] // a
             if q:
-                mat[k] = [a - q * b for a, b in zip(mat[k], mat[r])]
+                mat[k] = [s - q * t for s, t in zip(mat[k], piv)]
         r += 1
-    return tuple(tuple(row) for row in mat[:r]), sign if r == len(mat) else 0
+    return tuple(tuple(row) for row in mat[:r]), sign if r == m else 0
 
 
 def rank(vectors) -> int:
@@ -154,15 +175,18 @@ def solve_exact(rows, rhs):
 
     Returns a Fraction tuple when the system is consistent, or None.
     When the solution space is positive-dimensional the member with the
-    free variables pinned to zero is returned.
+    free variables pinned to zero is returned.  The back substitution
+    keeps x as ints over one denominator and builds the Fractions last.
     """
     if not rows:
         return ()
     n = len(rows[0])
-    x = [Fraction(0)] * n
+    nums, denom = [0] * n, 1
     for row in reversed(_hermite([*row, b] for row, b in zip(rows, rhs))[0]):
         lead = next(j for j, a in enumerate(row) if a)
         if lead == n:
             return None
-        x[lead] = (row[n] - dot(row[lead + 1:n], x[lead + 1:])) / Fraction(row[lead])
-    return tuple(x)
+        top = row[n] * denom - dot(row[lead + 1:n], nums[lead + 1:])
+        nums = [row[lead] * a for a in nums]
+        nums[lead], denom = top, denom * row[lead]
+    return tuple(Fraction(a, denom) for a in nums)

@@ -9,8 +9,9 @@ costs.  Its pivots are integer-preserving (Edmonds 1967; Bareiss 1968):
 the tableau is kept as ``int`` rows over one common positive
 denominator, after ``A`` and ``b`` are scaled by the lcm of their
 denominators, and every division is exact.  The pivots, and so ``y`` and
-``z``, are those of the ``Fraction`` tableau of the unscaled system;
-only the answers are built as ``Fraction``.
+``z``, are those of the ``Fraction`` tableau of the unscaled system.
+Answers are integer numerators over that denominator, checked as such;
+``Fraction``s are built once, for the coefficients returned.
 
 Every exact LP is one cone membership: ``cone_member`` decides ``{G lam
 = v, lam >= 0}`` and is the simplex's only caller, and ``lp_feasible``
@@ -33,8 +34,6 @@ from math import lcm
 from .errors import InputError, InternalError
 from .linalg import dot, primitive_vector
 
-_ZERO = Fraction(0)
-
 
 class FeasibilityResult(namedtuple("FeasibilityResult", "feasible solution certificate",
                                    defaults=(None, None))):
@@ -50,14 +49,14 @@ class FeasibilityResult(namedtuple("FeasibilityResult", "feasible solution certi
 def _coerce(system, num_vars):
     rows = []
     for coeffs, rhs in system:
-        row = [Fraction(c) for c in coeffs]
+        row = [c if type(c) is int else Fraction(c) for c in coeffs]
         if num_vars is None:
             num_vars = len(row)
         if len(row) != num_vars:
             raise InputError(
                 f"constraint has {len(row)} coefficients, expected {num_vars}"
             )
-        rows.append((row, Fraction(rhs)))
+        rows.append((row, rhs if type(rhs) is int else Fraction(rhs)))
     return rows, num_vars
 
 
@@ -65,8 +64,9 @@ def _phase1(matrix, rhs, ncols):
     """Phase-1 simplex on ``{A y = b, y >= 0}`` (A is m x ncols; entries
     and right-hand sides are ``int`` or ``Fraction``).
 
-    Returns ``(True, y)`` with a feasible y, or ``(False, z)`` with
-    ``z . A_j <= 0`` for every column j and ``z . b > 0``.
+    Returns ``(True, Y, D)`` with a feasible y = Y / D, or ``(False, Z,
+    D)`` with ``z . A_j <= 0`` for every column j and ``z . b > 0`` for
+    z = Z / D: ``int`` lists over the tableau's denominator D > 0.
 
     Rows are sign-normalised so that b >= 0 and given one artificial
     each; the artificial columns of the tableau hold the basis inverse,
@@ -90,16 +90,12 @@ def _phase1(matrix, rhs, ncols):
     m = len(matrix)
     scale = lcm(*(x.denominator for row in matrix for x in row),
                 *(x.denominator for x in rhs))
-    sigma = []
+    sigma = [-1 if rhs[i] < 0 else 1 for i in range(m)]
     tableau = []
-    for i in range(m):
-        s = -1 if rhs[i] < 0 else 1
-        sigma.append(s)
-        row = [s * x.numerator * (scale // x.denominator) for x in matrix[i]]
-        row += [0] * m
+    for i, s in enumerate(sigma):
+        row = [s * x.numerator * (scale // x.denominator) for x in (*matrix[i], rhs[i])]
+        row[ncols:ncols] = [0] * m
         row[ncols + i] = 1
-        b = rhs[i]
-        row.append(s * b.numerator * (scale // b.denominator))
         tableau.append(row)
     basis = [ncols + i for i in range(m)]
     denom = 1
@@ -138,12 +134,12 @@ def _phase1(matrix, rhs, ncols):
         denom = piv
 
     if cost[-1] == 0:
-        y = [_ZERO] * ncols
+        y = [0] * ncols
         for i, col in enumerate(basis):
             if col < ncols:
-                y[col] = Fraction(tableau[i][-1], denom)
-        return True, y
-    return False, [sigma[i] * Fraction(denom - cost[ncols + i], denom) for i in range(m)]
+                y[col] = tableau[i][-1]
+        return True, y, denom
+    return False, [sigma[i] * (denom - cost[ncols + i]) for i in range(m)], denom
 
 
 def _bareiss(row, piv_row, piv, denom, enter):
@@ -240,9 +236,9 @@ def cone_member(vector, generators) -> ConeMembership:
     """Decide whether ``vector`` lies in the cone of ``generators``.
 
     Solves ``{G lam = v, lam >= 0}`` (one row per coordinate, entries
-    ``int`` or ``Fraction`` as given).  The coefficients, or else the
-    negated Farkas multipliers made primitive, are checked by arithmetic
-    before being returned.
+    ``int`` or ``Fraction`` as given).  The coefficients, as numerators
+    Y over the simplex's denominator D (G Y = D v), or else the negated
+    Farkas multipliers made primitive, are checked before being returned.
     """
     v = tuple(vector)
     gens = [tuple(g) for g in generators]
@@ -251,12 +247,12 @@ def cone_member(vector, generators) -> ConeMembership:
         if len(g) != d:
             raise InputError(f"generator length {len(g)} does not match {d}")
     matrix = [[g[r] for g in gens] for r in range(d)]
-    inside, vec = _phase1(matrix, v, len(gens))
+    inside, vec, denom = _phase1(matrix, v, len(gens))
     if inside:
-        combo = tuple(sum(c * g[r] for c, g in zip(vec, gens)) for r in range(d))
-        if any(c < 0 for c in vec) or combo != v:
+        if any(c < 0 for c in vec) or any(dot(row, vec) != denom * x
+                                          for row, x in zip(matrix, v)):
             raise InternalError("cone coefficients failed their arithmetic check")
-        return ConeMembership(True, coefficients=tuple(vec))
+        return ConeMembership(True, coefficients=tuple(Fraction(c, denom) for c in vec))
     gamma = primitive_vector(tuple(-z for z in vec))
     if any(dot(gamma, g) < 0 for g in gens) or dot(gamma, v) >= 0:
         raise InternalError("separating functional failed its arithmetic check")

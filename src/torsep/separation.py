@@ -25,7 +25,6 @@ Every verdict carries a certificate checkable by plain arithmetic; see
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .cones import (
     WeightSystem,
@@ -36,6 +35,7 @@ from .cones import (
 )
 from .errors import CrossCheckError, HypothesisError, InternalError
 from .linalg import (
+    clear_denominators,
     determinant,
     dot,
     independent_rows,
@@ -53,10 +53,7 @@ def _sanitize(ws: WeightSystem, coefficients, i: int) -> list[Fraction]:
     zero weights (they contribute nothing to a weight relation)."""
     lam = list(coefficients)
     lam.insert(i, Fraction(0))
-    return [
-        Fraction(0) if is_zero_vector(ws.weights[k]) else lam[k]
-        for k in range(ws.n)
-    ]
+    return [Fraction(0) if is_zero_vector(w) else x for w, x in zip(ws.weights, lam)]
 
 
 def _sp_failure(ws: WeightSystem, i: int) -> dict | None:
@@ -136,16 +133,16 @@ def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, t
     weights, with M and every c_k at least 1: w_idx is in the relative
     interior of the face.  With M = 1 + m and c_k = 1 + c'_k it is one
     membership of ``ws.dim`` rows: sum_k w_k - w_idx in the cone of w_idx
-    and the -w_k, with coefficients (m, c')."""
+    and the -w_k, with coefficients (m, c') = Y / L, where L is the lcm
+    of their denominators; then (M, c) = L + Y."""
     others = [k for k in face_indices if k != idx]
     w = ws.weights
     target = tuple(sum(w[k][r] for k in others) - w[idx][r] for r in range(ws.dim))
     membership = cone_member(target, [w[idx]] + [tuple(-x for x in w[k]) for k in others])
     if not membership.inside:
         raise InternalError("relative-interior relation unexpectedly infeasible")
-    solution = [1 + c for c in membership.coefficients]
-    denom_lcm = lcm(*(f.denominator for f in solution))
-    mult, *ints = [int(f * denom_lcm) for f in solution]
+    nums, scale = clear_denominators(membership.coefficients)
+    mult, *ints = [scale + y for y in nums]
     coeffs = dict(zip(others, ints))
     return mult, tuple(coeffs.get(k, 0) for k in range(ws.n))
 
@@ -211,13 +208,14 @@ def cone_hypothesis(ws: WeightSystem):
     multiplies a monomial x^c by s^(sum c); the closure is stable under
     scaling exactly when the exponent sums vanish on the relation
     lattice, which is this criterion.  An equality system, solved
-    exactly on the Hermite form; the solution is checked on every
-    weight.
+    exactly on the Hermite form; the solution, cleared of denominators
+    to U / L, is checked on every weight as w . U == L.
     """
     functional = solve_exact(ws.weights, [1] * ws.n)
     if functional is None:
         return False, None
-    if any(dot(w, functional) != 1 for w in ws.weights):
+    nums, scale = clear_denominators(functional)
+    if any(dot(w, nums) != scale for w in ws.weights):
         raise InternalError("cone functional fails its arithmetic check")
     return True, functional
 

@@ -4,7 +4,9 @@ Each certificate kind has a checker that re-derives its claims by plain
 exact arithmetic against the input weights: dot products, identities,
 rank computations and, for the strata-based kinds, smallest faces.
 ``check_verdict`` returns a list of problems (empty means verified);
-``verify_verdict`` raises.
+``verify_verdict`` raises.  Each rational vector is multiplied by the
+lcm L of its denominators, so checks run on ints (w . gamma >= 1 as
+w . L gamma >= L); a float entry makes the certificate malformed.
 
 No checker builds the face lattice.  The strata are the faces of the
 weight cone, and the lattice is the closure of the facet zero sets
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from .cones import WeightSystem, homogenize, smallest_face, supports_face
 from .errors import InputError, InternalError
-from .linalg import combine, determinant, dot, is_zero_vector, rank
+from .linalg import clear_denominators, combine, determinant, dot, is_zero_vector, rank
 from .verdict import Verdict
 
 
@@ -67,7 +69,7 @@ def _check_edge_separation(problems, ws, cert):
         others = ws.others(i)
         for key, target in (("vector_excluded_by", chi),
                             ("negation_excluded_by", tuple(-x for x in chi))):
-            gamma = entry[key]
+            gamma = clear_denominators(entry[key])[0]
             _require(problems, all(dot(gamma, w) >= 0 for w in others),
                      f"separator {key} for weight {i} not supporting")
             _require(problems, dot(gamma, target) < 0,
@@ -88,11 +90,11 @@ def _check_generator_in_cone(problems, ws, cert):
     i = cert["index"]
     if not _valid_index(problems, i, ws.n):
         return
-    lam = cert["coefficients"]
+    lam, scale = clear_denominators(cert["coefficients"])
     _require(problems, len(lam) == ws.n, "coefficient vector has wrong length")
     _require(problems, all(x >= 0 for x in lam), "coefficients must be nonnegative")
     _require(problems, lam[i] == 0, "weight may not appear in its own combination")
-    _require(problems, combine(ws.weights, lam) == ws.weights[i],
+    _require(problems, combine(ws.weights, lam) == tuple(scale * x for x in ws.weights[i]),
              "combination does not reproduce the weight")
     if not _valid_pair(problems, ws, cert["pair"]):
         return
@@ -102,7 +104,7 @@ def _check_generator_in_cone(problems, ws, cert):
 
 
 def _check_line_in_cone(problems, ws, cert):
-    c = cert["relation"]
+    c = clear_denominators(cert["relation"])[0]
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, all(x >= 0 for x in c), "relation must be nonnegative")
     _require(problems, any(x > 0 for x in c), "relation must be nonzero")
@@ -125,11 +127,11 @@ def _check_line_in_cone(problems, ws, cert):
 
 
 def _check_face_separation(problems, ws, cert):
-    gamma_p = cert["pointedness"]
+    gamma_p, scale = clear_denominators(cert["pointedness"])
     _require(problems,
-             all(dot(gamma_p, w) >= 1 for w in ws.weights if not is_zero_vector(w)),
+             all(dot(gamma_p, w) >= scale for w in ws.weights if not is_zero_vector(w)),
              "pointedness functional fails")
-    seen = set()
+    seen, supporting = set(), {}
     for entry in cert.get("pair_separators", ()):
         if not (_valid_pair(problems, ws, entry["pair"])
                 and _valid_index(problems, entry["vanishes_at"], ws.n, "vanishes_at")):
@@ -138,11 +140,13 @@ def _check_face_separation(problems, ws, cert):
         seen.add((i, j))
         vanish = entry["vanishes_at"]
         other = j if vanish == i else i
-        gamma = entry["functional"]
+        gamma, scale = clear_denominators(entry["functional"])
         _require(problems, vanish in (i, j), "vanishing index must be in the pair")
-        _require(problems, all(dot(gamma, w) >= 0 for w in ws.weights), "separator not supporting")
+        if gamma not in supporting:  # one minimal-face witness serves many pairs
+            supporting[gamma] = all(dot(gamma, w) >= 0 for w in ws.weights)
+        _require(problems, supporting[gamma], "separator not supporting")
         _require(problems, dot(gamma, ws.weights[vanish]) == 0, "separator does not vanish")
-        _require(problems, dot(gamma, ws.weights[other]) >= 1, "separator not positive")
+        _require(problems, dot(gamma, ws.weights[other]) >= scale, "separator not positive")
     expected = {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)}
     _require(problems, seen == expected, "pair separators must cover all pairs")
 
@@ -162,13 +166,12 @@ def _check_shared_face_interior(problems, ws, cert):
         if not _valid_index(problems, idx, ws.n, "relation index"):
             continue
         rel_indices.add(idx)
-        mult = rel["multiplier"]
-        coeffs = rel["coefficients"]
-        _require(problems, mult >= 1, "relation multiplier must be positive")
+        (mult, *coeffs), scale = clear_denominators((rel["multiplier"], *rel["coefficients"]))
+        _require(problems, mult >= scale, "relation multiplier must be positive")
         _require(problems, len(coeffs) == ws.n, "relation has wrong length")
         for k in range(ws.n):
             if k in shared and k != idx:
-                _require(problems, coeffs[k] >= 1, "interior relation needs all face weights")
+                _require(problems, coeffs[k] >= scale, "interior relation needs all face weights")
             else:
                 _require(problems, coeffs[k] == 0, "relation supported off the face")
         _require(problems,
@@ -193,12 +196,13 @@ def _check_cone_functional(problems, ws, cert):
     """An optional ``cone_functional`` must take the value 1 on every weight."""
     u = cert.get("cone_functional")
     if u is not None:
-        _require(problems, all(dot(u, w) == 1 for w in ws.weights),
+        u, scale = clear_denominators(u)
+        _require(problems, all(dot(u, w) == scale for w in ws.weights),
                  "cone functional does not take value 1")
 
 
 def _check_kernel_witness(problems, ws, cert):
-    c = cert["kernel_vector"]
+    c = clear_denominators(cert["kernel_vector"])[0]
     _require(problems, not is_zero_vector(c), "kernel vector is zero")
     _require(problems, is_zero_vector(combine(ws.weights, c)),
              "kernel vector not in the kernel")
@@ -219,7 +223,7 @@ def _check_kernel_witness(problems, ws, cert):
 
 
 def _check_affine_dependence(problems, ws, cert):
-    c = cert["relation"]
+    c = clear_denominators(cert["relation"])[0]
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, not is_zero_vector(c), "relation is zero")
     _require(problems, is_zero_vector(combine(ws.weights, c)),

@@ -407,7 +407,8 @@ def reference_lp_feasible(equalities, inequalities, num_vars=None) -> Feasibilit
                + [coeffs + [c] for coeffs, c in ineqs])
     matrix = [[col[r] for col in columns] for r in range(n + 1)]
     rhs = [Fraction(0)] * n + [Fraction(1)]
-    dual_feasible, vec = lp._phase1(matrix, rhs, len(columns))
+    dual_feasible, nums, denom = lp._phase1(matrix, rhs, len(columns))
+    vec = [Fraction(x, denom) for x in nums]
     if dual_feasible:
         e = len(eqs)
         cert = tuple(vec[k] - vec[e + k] for k in range(e)) + tuple(vec[2 * e:])
@@ -416,6 +417,67 @@ def reference_lp_feasible(equalities, inequalities, num_vars=None) -> Feasibilit
         result = FeasibilityResult(True, solution=tuple(-q / vec[n] for q in vec[:n]))
     verify_feasibility(equalities, inequalities, n, result)
     return result
+
+
+def reference_hermite(rows) -> tuple[tuple[Vector, ...], int]:
+    """The Hermite row form and sign of ``torsep.linalg._hermite`` by
+    repeated least-remainder reduction: in each column, reduce every
+    nonzero row by the one of least absolute value until one is left.
+
+    Zero rows are dropped, pivots are positive and strictly to the right
+    as you go down, and entries above each pivot are reduced into
+    [0, pivot).  The sign is that of the swaps and negations applied, or
+    0 if a zero row was dropped.
+    """
+    mat = [list(r) for r in rows]
+    sign = 1
+    r = 0
+    for col in range(len(mat[0]) if mat else 0):
+        while True:
+            nz = [i for i in range(r, len(mat)) if mat[i][col] != 0]
+            if len(nz) <= 1:
+                break
+            imin = min(nz, key=lambda i: abs(mat[i][col]))
+            for i in nz:
+                if i == imin:
+                    continue
+                q = mat[i][col] // mat[imin][col]
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[imin])]
+        if not nz:
+            continue
+        i = nz[0]
+        if i != r:
+            mat[r], mat[i] = mat[i], mat[r]
+            sign = -sign
+        if mat[r][col] < 0:
+            mat[r] = [-a for a in mat[r]]
+            sign = -sign
+        for k in range(r):
+            q = mat[k][col] // mat[r][col]
+            if q:
+                mat[k] = [a - q * b for a, b in zip(mat[k], mat[r])]
+        r += 1
+    return tuple(tuple(row) for row in mat[:r]), sign if r == len(mat) else 0
+
+
+def reference_vanishing_failures(binomials, ws: WeightSystem, trials: int, prime: int,
+                                 seed: int) -> tuple:
+    """The failures of ``torsep.ideals.verify_vanishing`` by evaluating
+    every power of every monomial afresh: per trial, the point
+    x_i = prod t_r^(w_i[r]) and then each binomial at it, mod ``prime``."""
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(trials):
+        t = tuple(rng.randrange(1, prime) for _ in range(ws.dim))
+        point = [prod(pow(base, e % (prime - 1), prime) for base, e in zip(t, w)) % prime
+                 for w in ws.weights]
+        for binom in binomials:
+            value = (prod(pow(x, e, prime) for x, e in zip(point, binom.a))
+                     - prod(pow(x, e, prime) for x, e in zip(point, binom.b))) % prime
+            if value:
+                failures.append((trial, t, binom, value))
+    return tuple(failures)
 
 
 def reference_phase1(matrix, rhs, ncols):

@@ -11,6 +11,7 @@ from helpers import (
     fuzz_weights,
     random_weights,
     reference_graver,
+    reference_vanishing_failures,
 )
 from torsep import ideals
 from torsep.cones import WeightSystem
@@ -157,6 +158,51 @@ def test_vanishing_detects_wrong_binomial():
     bad = Binomial((1, 0, 0), (0, 1, 0))  # x1 - x2 does not vanish on M's closure
     report = verify_vanishing([bad], M_WEIGHTS, trials=20, prime=10007, seed=1)
     assert not report.passed
+
+
+def test_vanishing_matches_the_power_by_power_reference():
+    """The power tables give the failures, in order and value, of
+    evaluating every power afresh (``helpers.reference_vanishing_failures``):
+    Graver sets, which vanish, and seeded random binomials, most of which
+    do not, on fuzz systems with negative and zero weights."""
+    rng = random.Random(97)
+    failing = 0
+    for k in range(60):
+        ws = fuzz_weights(rng, rng.randint(1, 3), rng.randint(1, 5), rng.choice((2, 9)))
+        bins = list(binomial_generators(ws))
+        for _ in range(rng.randint(0, 4)):
+            c = [rng.randint(-3, 3) for _ in range(ws.n)]
+            if any(c):
+                bins.append(Binomial.from_vector(c))
+        prime = rng.choice((3, 5, 10007))
+        report = verify_vanishing(bins, ws, trials=5, prime=prime, seed=k)
+        assert report == (prime, 5, k, reference_vanishing_failures(bins, ws, 5, prime, k))
+        failing += not report.passed
+    assert failing > 10
+
+
+def test_vanishing_refuses_a_binomial_of_the_wrong_length():
+    """A binomial with more (or fewer) exponents than weights is an
+    input error, not a check of its prefix."""
+    with pytest.raises(InputError, match="length is not the number of weights, 2"):
+        verify_vanishing([Binomial((1, 0, 5), (0, 1, 0))], WeightSystem(1, [(1,), (1,)]),
+                         trials=3, prime=10007)
+    with pytest.raises(InputError, match="length is not the number of weights, 3"):
+        verify_vanishing([Binomial((1, 0), (0, 1))], M_WEIGHTS, trials=3, prime=10007)
+
+
+def test_prime_is_checked_once_per_value():
+    """The primality test runs once for a repeated prime, and a refused
+    prime is still refused on every call."""
+    ideals._is_odd_prime.cache_clear()
+    for _ in range(2):
+        assert verify_vanishing([], M_WEIGHTS, trials=1, prime=2**31 - 1).passed
+    assert ideals._is_odd_prime.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for prime, message in ((10005, "not an odd prime"), (10006, "not an odd prime"),
+                           (2, "not an odd prime"), (2**31 + 11, "exceeds the bound")):
+        for _ in range(2):
+            with pytest.raises(InputError, match=message):
+                verify_vanishing([], M_WEIGHTS, trials=1, prime=prime)
 
 
 def test_generator_vectors_span_lattice_random():

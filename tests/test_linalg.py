@@ -11,9 +11,11 @@ from helpers import (
     minor_rank,
     minors,
     random_weights,
+    reference_hermite,
 )
 from torsep.errors import InputError
 from torsep.linalg import (
+    _hermite,
     combine,
     determinant,
     independent_rows,
@@ -173,3 +175,32 @@ def test_kernel_lattice_is_a_canonical_saturated_basis():
                 if g == 1:
                     break
             assert g == 1, rows
+
+
+def test_hermite_matches_the_least_remainder_reference():
+    """The one-step elimination gives the form and sign of repeated
+    least-remainder reduction (``helpers.reference_hermite``): seeded
+    matrices up to 8 x 10 with entries up to 50 in absolute value, some
+    with zero rows or columns, square ones among them, and the empty
+    input."""
+    rng = random.Random(211)
+    cases = [[], [[0, 0]], [[0], [0], [3]], [[-4]]]
+    for k in range(1500):
+        m = rng.randint(1, 8)
+        n = m if k % 4 == 0 else rng.randint(1, 10)
+        bound = rng.choice((1, 3, 50))
+        mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if k % 5 == 1:
+            mat[rng.randrange(m)] = [0] * n
+        if k % 7 == 2:
+            col = rng.randrange(n)
+            for row in mat:
+                row[col] = 0
+        cases.append(mat)
+    signs = set()
+    for mat in cases:
+        got = _hermite(mat)
+        assert got == reference_hermite(mat), mat
+        if mat and len(mat) == len(mat[0]):
+            signs.add(got[1])
+    assert signs == {-1, 0, 1}

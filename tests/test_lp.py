@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -63,6 +64,26 @@ def test_verify_feasibility_rejects_bad_objects():
             [], [([1], 1), ([-1], 0)], 1,
             FeasibilityResult(False, certificate=(Fraction(1), Fraction(2))),
         )
+
+
+@pytest.mark.parametrize("vector, corrupt", [
+    ((1, 1), lambda inside, nums, denom: (inside, [nums[0] + 1, *nums[1:]], denom)),
+    ((1, 1), lambda inside, nums, denom: (inside, nums, denom + 1)),
+    ((1, 1), lambda inside, nums, denom: (inside, [-x for x in nums], denom)),
+    ((-1, 1), lambda inside, nums, denom: (inside, [-x for x in nums], denom)),
+    ((-1, 1), lambda inside, nums, denom: (inside, [0] * len(nums), denom)),
+])
+def test_cone_member_checks_the_simplex_answer(monkeypatch, vector, corrupt):
+    """A simplex answer with a coefficient numerator off by one, the
+    wrong denominator or negated coefficients (the vector is inside), or
+    a negated or zero Farkas vector (it is outside), fails
+    ``cone_member``'s own integer check."""
+    from torsep.errors import InternalError
+
+    phase1 = lp._phase1
+    monkeypatch.setattr(lp, "_phase1", lambda *args: corrupt(*phase1(*args)))
+    with pytest.raises(InternalError, match="arithmetic check"):
+        cone_member(vector, [(2, 0), (0, 2), (1, 1)])
 
 
 def test_cone_member_inside():
@@ -237,9 +258,25 @@ def _reference_systems():
     return systems
 
 
+def _as_fractions(result):
+    """A ``_phase1`` answer (flag, integer numerators, denominator D > 0)
+    as the reference's (flag, Fraction vector)."""
+    flag, nums, denom = result
+    assert type(denom) is int and denom > 0 and all(type(x) is int for x in nums)
+    return flag, [Fraction(x, denom) for x in nums]
+
+
+def _reference_over_one_denominator(matrix, rhs, ncols):
+    """``reference_phase1`` in ``_phase1``'s return shape: its Fractions
+    as numerators over the lcm of their denominators."""
+    flag, vec = reference_phase1(matrix, rhs, ncols)
+    denom = lcm(*(x.denominator for x in vec))
+    return flag, [x.numerator * (denom // x.denominator) for x in vec], denom
+
+
 def _with_reference_phase1(monkeypatch, call, *args):
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_phase1", reference_phase1)
+        patch.setattr(lp, "_phase1", _reference_over_one_denominator)
         return call(*args)
 
 
@@ -252,8 +289,8 @@ def test_integer_simplex_matches_the_fraction_reference(monkeypatch):
         matrix = [coeffs for coeffs, _ in eqs + ineqs]
         rhs = [b for _, b in eqs + ineqs]
         columns = [list(col) for col in zip(*matrix)] if n else []
-        assert lp._phase1(matrix, rhs, n) == reference_phase1(matrix, rhs, n)
-        assert lp._phase1(columns, [1] * n, len(matrix)) == reference_phase1(
+        assert _as_fractions(lp._phase1(matrix, rhs, n)) == reference_phase1(matrix, rhs, n)
+        assert _as_fractions(lp._phase1(columns, [1] * n, len(matrix))) == reference_phase1(
             columns, [1] * n, len(matrix))
         expected = _with_reference_phase1(monkeypatch, lp_feasible, eqs, ineqs, n)
         assert lp_feasible(eqs, ineqs, num_vars=n) == expected

@@ -3,6 +3,7 @@ well-formed certificates, or on the benchmark's tracer alone."""
 
 import ast
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from helpers import (
 from torsep import cones
 from torsep.cones import WeightSystem
 from torsep.errors import InputError, InternalError
+from torsep.reports import Instance, Report, emit_report, report_from_json
 from torsep.separation import decide_affine_sp
 from torsep.strata import oracle_sp
 from torsep.verdict import Verdict
@@ -171,6 +173,43 @@ def test_malformed_certificate_is_a_problem_not_a_crash(verdict):
     assert any(p.startswith("malformed certificate:") for p in problems)
     with pytest.raises(InternalError):
         verify_verdict(ws, verdict)
+
+
+# (weights, verdict builder, exact entry, float entry): each certificate
+# checks out with the exact rational, and at the float near it passes
+# only in float arithmetic (0.1 * 10 == 1.0 and (1/3) * 3 == 1.0,
+# although neither float is that rational).
+_FLOAT_CASES = [
+    ([[1], [10]], lambda x: Verdict("SP", "affine", False, {
+        "kind": "generator-in-cone", "index": 0, "coefficients": [0, x], "pair": [1, 0]}),
+     Fraction(1, 10), 0.1),
+    ([[1], [-10]], lambda x: Verdict("WSP", "affine", False, {
+        "kind": "line-in-cone", "relation": [1, x], "pair": [0, 1]}),
+     Fraction(1, 10), 0.1),
+    ([[10]], lambda x: Verdict("SSP", "affine", True, {
+        "kind": "full-rank", "row_indices": [0], "determinant": 10, "cone_functional": [x]}),
+     Fraction(1, 10), 0.1),
+    ([[1, 0], [0, 3]], lambda x: Verdict("WSP", "affine", True, {
+        "kind": "face-separation", "pointedness": [1, 1], "pair_separators": [
+            {"pair": [0, 1], "vanishes_at": 0, "functional": [0, x]}]}),
+     Fraction(1, 3), 1 / 3),
+]
+
+
+@pytest.mark.parametrize("rows, build, exact, inexact", _FLOAT_CASES)
+def test_a_float_in_a_certificate_is_malformed(rows, build, exact, inexact):
+    """Checks run in exact arithmetic: a float entry in a certificate
+    vector is reported as malformed, never compared, also after a JSON
+    round trip (which keeps a JSON number as a float)."""
+    ws = WeightSystem.from_rows(rows)
+    assert check_verdict(ws, build(exact)) == []
+    verdict = build(inexact)
+    payload = json.loads(emit_report(Report("decide", Instance("weights", ws), {}, [verdict]),
+                                     "json"))
+    for mutant in (verdict, report_from_json(payload).verdicts[0]):
+        problems = check_verdict(ws, mutant)
+        assert len(problems) == 1 and problems[0].startswith("malformed certificate:"), problems
+        assert repr(inexact) in problems[0]
 
 
 def test_traced_benchmark_names_resolve():

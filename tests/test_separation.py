@@ -1,5 +1,6 @@
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from helpers import (
 )
 from torsep.cones import WeightSystem, homogenize, is_strictly_convex
 from torsep.linalg import dot
-from torsep.errors import HypothesisError
+from torsep.errors import HypothesisError, InternalError
 from torsep.separation import (
     cone_hypothesis,
     decide,
@@ -271,6 +272,17 @@ def test_sp_and_cone_hypothesis_match_the_lp_references():
             assert all(dot(functional, w) == 1 for w in ws.weights)
     assert {"edge-separation", "zero-weight", "generator-in-cone",
             "line-in-cone"} <= outcomes
+
+
+def test_cone_hypothesis_checks_the_solved_functional(monkeypatch):
+    """A wrong solution of W u = 1 fails ``cone_hypothesis``'s own integer
+    check: one entry off by one, or the whole functional doubled."""
+    functional = cone_hypothesis(M_WEIGHTS)[1]
+    assert functional == (Fraction(1, 2), Fraction(1, 2))
+    for wrong in ((functional[0] + 1, functional[1]), tuple(2 * x for x in functional)):
+        monkeypatch.setattr(torsep.separation, "solve_exact", lambda rows, rhs: wrong)
+        with pytest.raises(InternalError, match="cone functional"):
+            cone_hypothesis(M_WEIGHTS)
 
 
 def _refuse_lp(monkeypatch):
