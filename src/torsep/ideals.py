@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import namedtuple
-from functools import lru_cache
 from itertools import count
 from math import isqrt, prod
 from operator import le
@@ -273,12 +272,6 @@ class VanishingReport(namedtuple("VanishingReport", "prime trials seed failures"
         return not self.failures
 
 
-@lru_cache(maxsize=64)
-def _is_odd_prime(p: int) -> bool:
-    """Whether p is an odd prime, by trial division (cached per value)."""
-    return p >= 3 and p % 2 == 1 and all(p % f for f in range(3, isqrt(p) + 1, 2))
-
-
 def verify_vanishing(
     binomials, ws: WeightSystem, trials: int, prime: int, seed: int = 0
 ) -> VanishingReport:
@@ -295,7 +288,8 @@ def verify_vanishing(
         raise InputError("at least one trial is required")
     if prime > MAX_PRIME:
         raise InputError(f"prime {prime} exceeds the bound 2^31 - 1")
-    if not _is_odd_prime(prime):
+    if prime % 2 == 0 or prime < 3 or any(
+            prime % f == 0 for f in range(3, isqrt(prime) + 1, 2)):
         raise InputError(f"{prime} is not an odd prime")
     binomials = tuple(binomials)
     if not binomials:

@@ -90,12 +90,16 @@ def _phase1(matrix, rhs, ncols):
     m = len(matrix)
     scale = lcm(*(x.denominator for row in matrix for x in row),
                 *(x.denominator for x in rhs))
-    sigma = [-1 if rhs[i] < 0 else 1 for i in range(m)]
+    sigma = []
     tableau = []
-    for i, s in enumerate(sigma):
-        row = [s * x.numerator * (scale // x.denominator) for x in (*matrix[i], rhs[i])]
-        row[ncols:ncols] = [0] * m
+    for i in range(m):
+        s = -1 if rhs[i] < 0 else 1
+        sigma.append(s)
+        row = [s * x.numerator * (scale // x.denominator) for x in matrix[i]]
+        row += [0] * m
         row[ncols + i] = 1
+        b = rhs[i]
+        row.append(s * b.numerator * (scale // b.denominator))
         tableau.append(row)
     basis = [ncols + i for i in range(m)]
     denom = 1

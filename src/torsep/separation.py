@@ -53,7 +53,10 @@ def _sanitize(ws: WeightSystem, coefficients, i: int) -> list[Fraction]:
     zero weights (they contribute nothing to a weight relation)."""
     lam = list(coefficients)
     lam.insert(i, Fraction(0))
-    return [Fraction(0) if is_zero_vector(w) else x for w, x in zip(ws.weights, lam)]
+    return [
+        Fraction(0) if is_zero_vector(ws.weights[k]) else lam[k]
+        for k in range(ws.n)
+    ]
 
 
 def _sp_failure(ws: WeightSystem, i: int) -> dict | None:

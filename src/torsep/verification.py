@@ -131,7 +131,7 @@ def _check_face_separation(problems, ws, cert):
     _require(problems,
              all(dot(gamma_p, w) >= scale for w in ws.weights if not is_zero_vector(w)),
              "pointedness functional fails")
-    seen, supporting = set(), {}
+    seen = set()
     for entry in cert.get("pair_separators", ()):
         if not (_valid_pair(problems, ws, entry["pair"])
                 and _valid_index(problems, entry["vanishes_at"], ws.n, "vanishes_at")):
@@ -142,9 +142,7 @@ def _check_face_separation(problems, ws, cert):
         other = j if vanish == i else i
         gamma, scale = clear_denominators(entry["functional"])
         _require(problems, vanish in (i, j), "vanishing index must be in the pair")
-        if gamma not in supporting:  # one minimal-face witness serves many pairs
-            supporting[gamma] = all(dot(gamma, w) >= 0 for w in ws.weights)
-        _require(problems, supporting[gamma], "separator not supporting")
+        _require(problems, all(dot(gamma, w) >= 0 for w in ws.weights), "separator not supporting")
         _require(problems, dot(gamma, ws.weights[vanish]) == 0, "separator does not vanish")
         _require(problems, dot(gamma, ws.weights[other]) >= scale, "separator not positive")
     expected = {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)}

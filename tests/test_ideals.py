@@ -191,18 +191,12 @@ def test_vanishing_refuses_a_binomial_of_the_wrong_length():
         verify_vanishing([Binomial((1, 0), (0, 1))], M_WEIGHTS, trials=3, prime=10007)
 
 
-def test_prime_is_checked_once_per_value():
-    """The primality test runs once for a repeated prime, and a refused
-    prime is still refused on every call."""
-    ideals._is_odd_prime.cache_clear()
-    for _ in range(2):
-        assert verify_vanishing([], M_WEIGHTS, trials=1, prime=2**31 - 1).passed
-    assert ideals._is_odd_prime.cache_info()[:2] == (1, 1)  # (hits, misses)
-    for prime, message in ((10005, "not an odd prime"), (10006, "not an odd prime"),
-                           (2, "not an odd prime"), (2**31 + 11, "exceeds the bound")):
-        for _ in range(2):
-            with pytest.raises(InputError, match=message):
-                verify_vanishing([], M_WEIGHTS, trials=1, prime=prime)
+def test_vanishing_refuses_an_odd_composite():
+    """Trial division runs up to the square root inclusive: an odd
+    composite, even the square of a prime, is refused."""
+    for prime in (10005, 9, 10007**2):
+        with pytest.raises(InputError, match="not an odd prime"):
+            verify_vanishing([], M_WEIGHTS, trials=1, prime=prime)
 
 
 def test_generator_vectors_span_lattice_random():
