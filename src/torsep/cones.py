@@ -10,8 +10,9 @@ the intersection of the facets whose zero sets hold the positions,
 witnessed by the sum of their normals.  The lineality face (no
 positions, which holds only zero weights iff the cone is pointed),
 minimal faces (one position) and each face of the lattice (its own
-positions) therefore run no LP.  The LP is left to the edge tests, the
-relation of a cone that is not pointed, and single-face certificates.
+positions) therefore run no LP.  A failure relation is one LP on one
+face: ``face_combination`` writes a vector over the weights at given
+positions.  The edge tests and ``face_witness`` keep their own LPs.
 Indices are 0-based throughout; the human-readable coordinate x{k}
 corresponds to position k-1.
 """
@@ -120,23 +121,35 @@ class EdgeConditions(namedtuple("EdgeConditions", "index excludes_vector exclude
 def is_strictly_convex(ws: WeightSystem) -> PointednessResult:
     """Decide whether the weight cone is pointed (contains no line).
 
-    A nonzero weight on the lineality face ``smallest_face(ws, ())``
-    spans a line inside the cone, so the cone is pointed iff the
-    smallest face holds only zero weights; its witness is then >= 1 on
-    every nonzero weight.  An LP runs only for the relation of a cone
-    that is not pointed.
+    A nonzero weight on the lineality face L = ``smallest_face(ws, ())``
+    spans a line inside the cone, so the cone is pointed iff L holds
+    only zero weights; its witness is then >= 1 on every nonzero weight.
+    Otherwise L is a linear space spanned, as a cone, by its weights, so
+    for its first nonzero weight w_i, -w_i is a nonnegative combination
+    of the others on L, and that plus e_i is the relation: one LP.
     """
     face = smallest_face(ws, ())
-    if all(is_zero_vector(ws.weights[k]) for k in face.indices):
+    nonzero = [k for k in face.indices if not is_zero_vector(ws.weights[k])]
+    if not nonzero:
         return PointednessResult(True, functional=face.witness)
-    nonzero = [i for i, w in enumerate(ws.weights) if not is_zero_vector(w)]
-    res = lp_feasible([], [(ws.weights[i], 1) for i in nonzero], num_vars=ws.dim)
-    if res.feasible:
-        raise InternalError("pointedness LP contradicts the facets")
-    relation = [Fraction(0)] * ws.n
-    for i, mult in zip(nonzero, res.certificate):
-        relation[i] = mult
-    return PointednessResult(False, relation=tuple(relation))
+    i = nonzero[0]
+    lam = face_combination(ws, tuple(-x for x in ws.weights[i]), nonzero[1:])
+    if lam is None:
+        raise InternalError("the lineality face does not hold a negated weight")
+    return PointednessResult(False, relation=lam[:i] + (Fraction(1),) + lam[i + 1:])
+
+
+def face_combination(ws: WeightSystem, vector, positions) -> tuple[Fraction, ...] | None:
+    """Nonnegative coefficients writing ``vector`` over the weights at
+    ``positions``, as a length-n tuple that is 0 elsewhere and on zero
+    weights, or None when ``vector`` is outside their cone.  One
+    ``cone_member`` over the nonzero weights at ``positions``."""
+    columns = [k for k in positions if not is_zero_vector(ws.weights[k])]
+    membership = cone_member(vector, [ws.weights[k] for k in columns])
+    if not membership.inside:
+        return None
+    lam = dict(zip(columns, membership.coefficients))
+    return tuple(lam.get(k, Fraction(0)) for k in range(ws.n))
 
 
 def edge_conditions(ws: WeightSystem, i: int) -> EdgeConditions:

@@ -17,6 +17,7 @@ Every exact LP is one cone membership: ``cone_member`` decides ``{G lam
 = v, lam >= 0}`` and is the simplex's only caller, and ``lp_feasible``
 decides ``{B x = b, C x >= c}`` over free x as the membership of its
 Farkas alternative (one row per variable plus one, not per constraint).
+No verdict path calls ``lp_feasible``; ``cones.face_witness`` does.
 
 Every answer carries an exact witness that is re-checked by plain
 arithmetic before it is returned: a solution vector when feasible,

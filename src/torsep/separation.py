@@ -13,10 +13,11 @@ The lineality face (hence pointedness), minimal faces, their witnesses
 and the SSP coordinate witness are read off the facets, and the cone
 hypothesis off the Hermite form, so a holding SP or WSP verdict runs no
 LP.  SP has one route on every cone: the first failing position is read
-off the lineality and minimal faces.  The simplex runs only where a
-failing verdict needs an LP-made certificate: the membership behind
-that position, the relation of a cone that is not pointed, and the
-interior relations of a shared minimal face.
+off the lineality and minimal faces.  The simplex runs only for a
+failure's relation, each over the weights of one face: SP's over the
+minimal face of the failing weight (none for a zero weight), that of a
+cone that is not pointed over the lineality face, and the interior
+relations of a shared minimal face.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
@@ -28,12 +29,13 @@ from fractions import Fraction
 
 from .cones import (
     WeightSystem,
+    face_combination,
     homogenize,
     is_strictly_convex,
     minimal_face,
     smallest_face,
 )
-from .errors import CrossCheckError, HypothesisError, InternalError
+from .errors import CrossCheckError, HypothesisError, InputError, InternalError
 from .linalg import (
     clear_denominators,
     determinant,
@@ -45,52 +47,34 @@ from .linalg import (
 )
 from .lp import cone_member
 from .strata import ssp_coordinate_witness
-from .verdict import Verdict, vacuous
-
-
-def _sanitize(ws: WeightSystem, coefficients, i: int) -> list[Fraction]:
-    """Reinsert position i with coefficient 0 and drop coefficients on
-    zero weights (they contribute nothing to a weight relation)."""
-    lam = list(coefficients)
-    lam.insert(i, Fraction(0))
-    return [
-        Fraction(0) if is_zero_vector(ws.weights[k]) else lam[k]
-        for k in range(ws.n)
-    ]
+from .verdict import MODES, PROPERTIES, Verdict, vacuous
 
 
 def _sp_failure(ws: WeightSystem, i: int) -> dict | None:
     """The certificate of SP failing at position i, or None when neither
     w_i nor -w_i is a nonnegative combination of the other weights.
 
-    The negation is tested only when the weight itself is excluded.
+    A zero weight needs no LP.  Otherwise w_i, and then -w_i, is tested
+    over F(i) - {i}, where F(i) is the minimal face of w_i.  That is
+    exact: the witness f of F(i) is 0 on F(i) and >= 1 off it, so
+    sum_k lam_k w_k = +-w_i with lam >= 0 gives 0 = f.(+-w_i) >= the sum
+    of lam_k off F(i), and lam vanishes there.
     """
-    others = ws.others(i)
-    membership = cone_member(ws.weights[i], others)
-    if membership.inside:
-        lam = _sanitize(ws, membership.coefficients, i)
-        if all(x == 0 for x in lam):
-            # Zero weight: that coordinate is identically 1 on the
-            # closure, so its hyperplane is missed entirely.
-            return {"kind": "zero-weight", "index": i, "pair": (i, 0 if i else 1)}
-        j = next(k for k in range(ws.n) if lam[k] > 0)
-        return {
-            "kind": "generator-in-cone",
-            "index": i,
-            "coefficients": tuple(lam),
-            "pair": (j, i),
-        }
-    membership = cone_member(tuple(-x for x in ws.weights[i]), others)
-    if membership.inside:
-        relation = _sanitize(ws, membership.coefficients, i)
-        relation[i] = Fraction(1)
-        return {
-            "kind": "line-in-cone",
-            "index": i,
-            "relation": tuple(relation),
-            "pair": (i, 0 if i else 1),
-        }
-    return None
+    w = ws.weights[i]
+    if is_zero_vector(w):
+        # That coordinate is identically 1 on the closure, so its
+        # hyperplane is missed entirely.
+        return {"kind": "zero-weight", "index": i, "pair": (i, 0 if i else 1)}
+    face = [k for k in minimal_face(ws, i) if k != i]
+    lam = face_combination(ws, w, face)
+    if lam is not None:
+        j = next(k for k, x in enumerate(lam) if x > 0)
+        return {"kind": "generator-in-cone", "index": i, "coefficients": lam, "pair": (j, i)}
+    lam = face_combination(ws, tuple(-x for x in w), face)
+    if lam is None:
+        return None
+    return {"kind": "line-in-cone", "index": i,
+            "relation": lam[:i] + (Fraction(1),) + lam[i + 1:], "pair": (i, 0 if i else 1)}
 
 
 def decide_affine_sp(ws: WeightSystem) -> Verdict:
@@ -102,10 +86,10 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     holds another position outside L: a nonzero weight of L has -w_i in
     the cone of the others, and a weight off L lies in the cone of the
     others iff its minimal face holds another weight off L.  Only the
-    first such position's certificate takes an LP.  A holding verdict
-    runs none: L is empty, so the cone is pointed and p (the witness of
-    L) excludes -w_i, and K f_i - p excludes w_i, where f_i witnesses
-    the minimal face {i} and K = max_j p.w_j.
+    first such position's certificate takes LPs, on its minimal face.
+    A holding verdict runs none: L is empty, so the cone is pointed and
+    p (the witness of L) excludes -w_i, and K f_i - p excludes w_i,
+    where f_i witnesses the minimal face {i} and K = max_j p.w_j.
     """
     if ws.n == 1:
         return vacuous("SP", "affine")
@@ -332,5 +316,6 @@ def decide(ws: WeightSystem, property_name: str, mode: str = "affine") -> Verdic
     """Dispatch to the decider for (property, mode)."""
     key = (property_name.upper(), mode)
     if key not in _DISPATCH:
-        raise InternalError(f"no decider for {key}")
+        raise InputError(f"no decider for property {property_name!r} in mode {mode!r}: "
+                         f"properties are {', '.join(PROPERTIES)}, modes {', '.join(MODES)}")
     return _DISPATCH[key](ws)

@@ -2,12 +2,16 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import torsep.cones
+import torsep.lp
+from helpers import FIVE_WEIGHTS, M_WEIGHTS, N_WEIGHTS, QUARTET_WEIGHTS, fuzz_weights
 from torsep import cli
 
 M_JSON = '{"d":2,"weights":[[1,1],[2,0],[0,2]],"label":"M"}'
@@ -621,19 +625,52 @@ def test_json_coeffs_degree_guard(capsys, monkeypatch, degree):
         assert code == 0 and json.loads(out)["extra"]["separation_property"] is True
 
 
+def _catalog_stream(skip=()):
+    """The instances of ``perfbench/catalog.json`` (260), but for the
+    workloads named in ``skip``, as one batch stream."""
+    catalog = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "catalog.json").read_text(encoding="utf-8"))
+    return "".join(json.dumps({"d": e["d"], "weights": e["weights"]}) + "\n"
+                   for name, entries in catalog["workloads"].items() if name not in skip
+                   for e in entries)
+
+
+def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):
+    """With ``lp_feasible`` refused, decide, verify and oracle in both
+    modes still exit 0 with every certificate verified, on the golden
+    systems, seeded fuzz draws and the benchmark catalog."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verdict path called lp_feasible")
+
+    monkeypatch.setattr(torsep.lp, "lp_feasible", refuse)
+    monkeypatch.setattr(torsep.cones, "lp_feasible", refuse)
+    rng = random.Random(91)
+    systems = [M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS]
+    systems += [fuzz_weights(rng, rng.randint(1, 3), rng.randint(2, 5), 2) for _ in range(40)]
+    drawn = "".join(json.dumps({"d": ws.dim, "weights": ws.weights}) + "\n" for ws in systems)
+    # verify skips faces-wide, whose Graver completions take seconds.
+    for argv, skip in ((["decide", "--property", "all"], ()), (["verify"], ("faces-wide",)),
+                       (["oracle"], ())):
+        stream = drawn + _catalog_stream(skip)
+        for mode in ("affine", "projective"):
+            code, out, err = run_cli(capsys, [*argv, "--mode", mode, "--format", "json",
+                                              "--batch", "-"], stdin=stream, monkeypatch=monkeypatch)
+            assert (code, err) == (0, ""), (argv, mode, err)
+            records = [json.loads(line) for line in out.splitlines()]
+            assert len(records) == stream.count("\n")
+            assert all(v["verified"] for r in records for v in r["verdicts"]), (argv, mode)
+
+
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "b3914de33671a267dcd1f690e8db2262aebab60621b10500a20758e4c9388acc"
+CATALOG_OUTPUT_DIGEST = "8e1a7832980134be7fba4cccd51ee30205eb16ecd0647d6d3ed01aa08d20bd30"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):
     """The 260 instances of ``perfbench/catalog.json``, run in process as
     one ``--batch`` stream per command and format, give the pinned
     stdout, stderr and exit codes."""
-    catalog = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                          / "catalog.json").read_text(encoding="utf-8"))
-    stream = "".join(json.dumps({"d": e["d"], "weights": e["weights"]}) + "\n"
-                     for entries in catalog["workloads"].values() for e in entries)
+    stream = _catalog_stream()
     runs = [[*command, "--mode", mode] for mode in ("affine", "projective")
             for command in (["decide", "--property", "all"], ["oracle"])]
     digest = hashlib.sha256()

@@ -19,9 +19,9 @@ from helpers import (
     reference_affine_sp,
     reference_cone_hypothesis,
 )
-from torsep.cones import WeightSystem, homogenize, is_strictly_convex
-from torsep.linalg import dot
-from torsep.errors import HypothesisError, InternalError
+from torsep.cones import WeightSystem, homogenize, is_strictly_convex, minimal_face, smallest_face
+from torsep.linalg import dot, is_zero_vector
+from torsep.errors import HypothesisError, InputError, InternalError
 from torsep.separation import (
     cone_hypothesis,
     decide,
@@ -190,6 +190,12 @@ def test_decide_dispatcher():
     assert decide(M_WEIGHTS, "SP", "projective").property_name == "SP"
 
 
+@pytest.mark.parametrize("prop, mode", [("XX", "affine"), ("SP", "Affine")])
+def test_decide_refuses_an_unknown_property_or_mode_as_input(prop, mode):
+    with pytest.raises(InputError, match="properties are SP, WSP, SSP, modes affine, projective"):
+        decide(M_WEIGHTS, prop, mode)
+
+
 def _count_wsp_lps(monkeypatch, ws):
     """Run decide_affine_wsp from cold cone caches, recording the row
     count of every run of the simplex (``torsep.lp._phase1``), whatever
@@ -327,18 +333,60 @@ def test_failing_sp_on_pointed_cone_runs_one_cone_member(monkeypatch):
         return phase1(*args)
 
     monkeypatch.setattr(torsep.lp, "_phase1", counting)
-    # (weights, simplex runs): one cone_member on a pointed cone; on the
-    # cone that is not pointed, two at the first position of the
-    # lineality face, which tests w_1 and then -w_1.
-    failing = [(M_WEIGHTS, 1), (WeightSystem.from_rows([[0, 0], [1, 0]]), 1),
-               (WeightSystem.from_rows([[1, 0], [0, 1], [2, 0]]), 1),
-               (WeightSystem.from_rows([[1, 0], [0, 1], [0, -1]]), 2)]
-    for ws, count in failing:
-        assert is_strictly_convex(ws).pointed == (count == 1)
+    # (weights, pointed, simplex runs): none for a zero weight; one
+    # cone_member for a weight off the lineality face; on the cone that is
+    # not pointed, two at the first position of the lineality face, which
+    # test w_1 and then -w_1.
+    failing = [(M_WEIGHTS, True, 1), (WeightSystem.from_rows([[0, 0], [1, 0]]), True, 0),
+               (WeightSystem.from_rows([[1, 0], [0, 1], [2, 0]]), True, 1),
+               (WeightSystem.from_rows([[1, 0], [0, 1], [0, -1]]), False, 2)]
+    for ws, pointed, count in failing:
+        assert is_strictly_convex(ws).pointed == pointed
         calls.clear()
         verdict = _verified(ws, decide_affine_sp(ws))
         assert not verdict.holds and len(calls) == count, ws
     assert verdict.certificate["kind"] == "line-in-cone" and verdict.certificate["index"] == 1
+
+
+def test_failure_lps_run_on_the_minimal_face(monkeypatch):
+    """Each failure LP has as generators exactly the nonzero weights of
+    F(i) - {i} for SP failing at i (F(i) the minimal face of w_i), and of
+    L - {i} for the relation of a cone that is not pointed (L the
+    lineality face, i its first nonzero position)."""
+    member = torsep.cones.cone_member
+    generators = []
+
+    def recording(vector, gens):
+        generators.append(list(gens))
+        return member(vector, gens)
+
+    monkeypatch.setattr(torsep.cones, "cone_member", recording)
+    rng = random.Random(90)
+    kinds = set()
+    for _ in range(80):
+        base = fuzz_weights(rng, rng.randint(1, 4), rng.randint(2, 7), rng.choice((2, 50)))
+        for ws in (base, homogenize(base)):
+            def nonzero_off(positions, i):
+                return [ws.weights[k] for k in positions
+                        if k != i and not is_zero_vector(ws.weights[k])]
+
+            generators.clear()
+            verdict = _verified(ws, decide_affine_sp(ws))
+            if not verdict.holds:
+                kinds.add(verdict.kind)
+                i = verdict.certificate["index"]
+                runs = {"zero-weight": 0, "generator-in-cone": 1, "line-in-cone": 2}[verdict.kind]
+                assert generators == [nonzero_off(minimal_face(ws, i), i)] * runs, ws
+            generators.clear()
+            pointed = is_strictly_convex(ws)
+            if not pointed.pointed:
+                kinds.add("not pointed")
+                face = smallest_face(ws, ()).indices
+                i = next(k for k in face if not is_zero_vector(ws.weights[k]))
+                assert generators == [nonzero_off(face, i)], ws
+                assert pointed.relation[i] == 1, ws
+                assert all(c == 0 for k, c in enumerate(pointed.relation) if k not in face), ws
+    assert kinds == {"zero-weight", "generator-in-cone", "line-in-cone", "not pointed"}
 
 
 def test_decide_never_builds_the_face_lattice(monkeypatch):
