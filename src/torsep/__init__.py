@@ -12,11 +12,10 @@ arithmetic.
 __version__ = "0.1.0"
 
 from .linalg import kernel_lattice, rank, row_hnf
-from .lp import ConeMembership, FeasibilityResult, cone_member, lp_feasible
+from .lp import ConeMembership, cone_member
 from .cones import (
     ConeFace,
     WeightSystem,
-    edge_conditions,
     enumerate_faces,
     homogenize,
     is_strictly_convex,
@@ -48,7 +47,6 @@ from .ideals import (
     ScanResult,
     VanishingReport,
     binomial_generators,
-    octant_semigroup_generators,
     sp_violation_scan,
     verify_vanishing,
 )
@@ -67,12 +65,9 @@ __all__ = [
     "rank",
     "row_hnf",
     "ConeMembership",
-    "FeasibilityResult",
     "cone_member",
-    "lp_feasible",
     "ConeFace",
     "WeightSystem",
-    "edge_conditions",
     "enumerate_faces",
     "homogenize",
     "is_strictly_convex",
@@ -98,7 +93,6 @@ __all__ = [
     "ScanResult",
     "VanishingReport",
     "binomial_generators",
-    "octant_semigroup_generators",
     "sp_violation_scan",
     "verify_vanishing",
     "BinaryForm",

@@ -1,20 +1,19 @@
 """Polyhedral structure of the cone spanned by the action's weights.
 
 Every face is a ``ConeFace``: the generator index set (which weights lie
-on the face) and a supporting integer functional as witness; no ray
-canonicalisation is ever needed.  Faces are read off one cached facet
-table: ``facets`` finds the facets once per system by double
-description on ints alone, each witnessed by its primitive normal.  One
-query, ``smallest_face(ws, positions)``, answers every face question:
-the intersection of the facets whose zero sets hold the positions,
-witnessed by the sum of their normals.  The lineality face (no
-positions, which holds only zero weights iff the cone is pointed),
-minimal faces (one position) and each face of the lattice (its own
-positions) therefore run no LP.  A failure relation is one LP on one
-face: ``face_combination`` writes a vector over the weights at given
-positions.  The edge tests and ``face_witness`` keep their own LPs.
-Indices are 0-based throughout; the human-readable coordinate x{k}
-corresponds to position k-1.
+on the face) and a supporting integer functional as witness.  Faces are
+read off one cached facet table: ``facets`` finds the facets once per
+system by double description on ints alone, each witnessed by its
+primitive normal, and a second table keeps their zero sets as int
+bitmasks of positions, the one form of a face's index set until it is
+returned.  One query, ``smallest_face(ws, positions)``, answers every
+face question: the intersection of the facets whose zero masks hold the
+positions' mask, witnessed by the sum of their normals.  The lineality
+face (no positions), minimal faces (one position) and the face lattice
+(the zero masks closed under ``&``) therefore run no LP.  A failure
+relation is one LP on one face: ``face_combination`` writes a vector
+over the weights at given positions.  The edge tests and ``face_witness``
+keep their own LPs.  Positions are 0-based; coordinate x{k} is position k-1.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ class WeightSystem(namedtuple("WeightSystem", "dim weights")):
         return self.weights[:i] + self.weights[i + 1:]
 
     def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise InputError(f"index {i} out of range for {self.n} weights")
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.n:
+            raise InputError(f"index {i!r} is not a position below {self.n}")
 
 
 class ConeFace(namedtuple("ConeFace", "indices witness")):
@@ -159,7 +158,6 @@ def edge_conditions(ws: WeightSystem, i: int) -> EdgeConditions:
     rational combination of the others, ``excludes_negation`` likewise
     for its negation.  Certificates are the cone membership results.
     """
-    ws._check_index(i)
     others = ws.others(i)
     chi = ws.weights[i]
     mem_a = cone_member(chi, others)
@@ -276,6 +274,12 @@ def _check_facet(ws: WeightSystem, normal, r: int) -> ConeFace:
     return ConeFace(indices, normal)
 
 
+@lru_cache(maxsize=64)
+def _zero_masks(ws: WeightSystem) -> tuple[int, ...]:
+    """Each facet's zero set as a bitmask of positions, in ``facets`` order."""
+    return tuple(sum(1 << k for k in facet.indices) for facet in facets(ws))
+
+
 def smallest_face(ws: WeightSystem, positions) -> ConeFace:
     """The smallest face holding the weights at ``positions``, with its
     witness; no LP runs.  Every face of a polyhedral cone is the
@@ -286,21 +290,22 @@ def smallest_face(ws: WeightSystem, positions) -> ConeFace:
     gives the improper face and the zero witness.  With no positions it
     is the lineality face, the positions on every facet.
     """
-    return _smallest_face_cached(ws, frozenset(positions))
+    mask = 0
+    for i in positions:
+        ws._check_index(i)
+        mask |= 1 << i
+    return _smallest_face_cached(ws, mask)
 
 
 @lru_cache(maxsize=64)
-def _smallest_face_cached(ws: WeightSystem, positions: frozenset) -> ConeFace:
-    for i in positions:
-        ws._check_index(i)
-    face = set(range(ws.n))
-    total = [0] * ws.dim
-    for facet in facets(ws):
-        if positions.issubset(facet.indices):
-            face.intersection_update(facet.indices)
-            total = [a + b for a, b in zip(total, facet.witness)]
-    indices = tuple(sorted(face))
-    witness = primitive_vector(total)
+def _smallest_face_cached(ws: WeightSystem, mask: int) -> ConeFace:
+    face, normals = (1 << ws.n) - 1, [(0,) * ws.dim]
+    for zero, facet in zip(_zero_masks(ws), facets(ws)):
+        if zero & mask == mask:
+            face &= zero
+            normals.append(facet.witness)
+    indices = tuple(k for k in range(ws.n) if face >> k & 1)
+    witness = primitive_vector([sum(column) for column in zip(*normals)])
     if not supports_face(ws, indices, witness):
         raise InternalError("face witness fails its arithmetic check")
     return ConeFace(indices, witness)
@@ -359,15 +364,15 @@ def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[ConeF
 
 @lru_cache(maxsize=64)
 def _enumerate_faces_cached(ws: WeightSystem, max_n: int) -> tuple[ConeFace, ...]:
-    sets = {frozenset(range(ws.n))}
-    for facet in facets(ws):
-        sets |= {s.intersection(facet.indices) for s in sets}
-        if len(sets) > 2 ** max_n:
+    masks = {(1 << ws.n) - 1}
+    for zero in _zero_masks(ws):
+        masks |= {mask & zero for mask in masks}
+        if len(masks) > 2 ** max_n:
             raise ResourceGuardError(
                 f"face enumeration exceeds the guard of 2^{max_n} = {2 ** max_n} "
                 f"faces (max_n={max_n}); raise it explicitly if this is intended"
             )
-    faces = [smallest_face(ws, face) for face in sets]
+    faces = [_smallest_face_cached(ws, mask) for mask in masks]
     faces.sort(key=lambda f: (len(f.indices), f.indices))
     _check_euler_poincare(ws, faces)
     return tuple(faces)

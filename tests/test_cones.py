@@ -30,7 +30,7 @@ from torsep.cones import (
     smallest_face,
     supports_face,
 )
-from torsep.errors import InputError, ResourceGuardError
+from torsep.errors import InputError, InternalError, ResourceGuardError
 from torsep.linalg import dot, is_zero_vector, primitive_vector, rank
 from torsep.strata import characteristic_pairs, oracle_sp, oracle_wsp, strata
 
@@ -333,6 +333,16 @@ def test_smallest_face_matches_brute_force_faces():
         smallest_face(M_WEIGHTS, (0, 3))
 
 
+@pytest.mark.parametrize("position", [1.0, True, "0", None, -1])
+def test_a_position_that_is_not_an_int_in_range_is_an_input_error(position):
+    """Positions become shift counts, so a float, a bool or a string is
+    refused like a negative int rather than read as a position."""
+    with pytest.raises(InputError):
+        smallest_face(M_WEIGHTS, (0, position))
+    with pytest.raises(InputError):
+        M_WEIGHTS.others(position)
+
+
 def test_face_work_runs_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("face work called the LP")
@@ -428,3 +438,38 @@ def test_projective_facets_at_scale_are_pinned(d, seed, count, digest):
     normals = [facet.witness for facet in facets(ws)]
     assert len(normals) == count
     assert sha256(repr(normals).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, count, digest", [
+    (0, 1980, "72b8440f7c4ce69afeaf90157dc31b7340a83ded03624f844f2fba0c963a6114"),
+    (1, 1874, "1924c5d05bebdc38fcf2f59566148eca64bd6a51abd30217202cb1192a5803a9"),
+])
+def test_projective_face_lattice_at_scale_is_pinned(seed, count, digest):
+    """Projective face lattice of 16 weights in Z^6 with entries in
+    [-3, 3]: the face count and a digest of the (index set, witness)
+    sequence are pinned.  The sizes are fixed, so the work is too."""
+    rng = random.Random(seed)
+    ws = homogenize(WeightSystem(6, tuple(tuple(rng.randint(-3, 3) for _ in range(6))
+                                          for _ in range(16))))
+    faces = enumerate_faces(ws)
+    assert len(faces) == count
+    pairs = [(face.indices, face.witness) for face in faces]
+    assert sha256(repr(pairs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_a_dropped_facet_fails_the_euler_poincare_check(monkeypatch, dropped):
+    """With any one of the square pyramid's four facets missing from the
+    facet table, the closure misses a face and the alternating sum of
+    the face ranks no longer vanishes."""
+    ws = WeightSystem.from_rows([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
+    clear_cone_caches()
+    table = facets(ws)
+    assert len(table) == 4
+    monkeypatch.setattr(cones, "facets", lambda _: table[:dropped] + table[dropped + 1:])
+    clear_cone_caches()
+    try:
+        with pytest.raises(InternalError, match="Euler-Poincare"):
+            enumerate_faces(ws)
+    finally:
+        clear_cone_caches()
