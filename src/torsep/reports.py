@@ -20,6 +20,7 @@ from .binary_forms import BinaryForm, check_form_degree, form_to_string, parse_f
 from .cones import WeightSystem
 from .errors import InputError, ResourceGuardError
 from .verdict import Verdict
+from .verification import KINDS
 
 SCHEMA = "torsep/1"
 
@@ -261,26 +262,25 @@ def _flat(value) -> str:
     return str(value)
 
 
-_FORCING_KINDS = {"generator-in-cone", "strata-forcing-pair"}
-_MISSED_KINDS = {"zero-weight", "line-in-cone", "strata-missed-hyperplane"}
-_SECTION_KINDS = {"shared-face-interior", "strata-equivalent-pair"}
+_READINGS = {
+    "forcing": "x{0} = 0 forces x{1} = 0",
+    "missed": "x{index} never vanishes on the closure",
+    "section": "x{0} and x{1} cut the closure in the same hyperplane section",
+    "codimension": "x{0} = x{1} = 0 meets the closure in codimension at most 1",
+}
 
 
-def _describe_pair(kind, cert) -> str | None:
+def _describe_pair(verdict: Verdict) -> str | None:
+    """What the pair shows under the verdict's property (``KINDS``); None where
+    it reads as nothing, or is not two ints, or a read ``index`` is no int."""
+    kind, cert = KINDS.get(verdict.kind), verdict.certificate
+    reading = kind and dict(zip(kind.properties, kind.pair)).get(verdict.property_name)
     pair = cert.get("pair")
-    if pair is None:
-        return None
-    a, b = pair
-    if kind in _FORCING_KINDS:
-        return f"x{a + 1} = 0 forces x{b + 1} = 0"
-    if kind in _SECTION_KINDS or (kind == "line-in-cone" and "index" not in cert):
-        return f"x{a + 1} and x{b + 1} cut the closure in the same hyperplane section"
-    if kind in _MISSED_KINDS:
-        index = cert.get("index", a)
-        return f"x{index + 1} never vanishes on the closure"
-    if kind == "kernel-witness":
-        return f"x{a + 1} = x{b + 1} = 0 meets the closure in codimension at most 1"
-    return f"({a + 1}, {b + 1})"
+    if reading and isinstance(pair, (list, tuple)) and len(pair) == 2:
+        index = cert.get("index", pair[0]) if reading == "missed" else pair[0]
+        if all(type(k) is int for k in (*pair, index)):
+            return _READINGS[reading].format(*(k + 1 for k in pair), index=index + 1)
+    return None
 
 
 def _printable(text: str) -> str:
@@ -309,7 +309,7 @@ def render_text(report: Report) -> str:
     for i, v in enumerate(report.verdicts):
         word = "HOLDS" if v.holds else "FAILS"
         lines.append(f"{v.property_name} ({v.mode}): {word}")
-        described = _describe_pair(v.kind, v.certificate)
+        described = _describe_pair(v)
         if described:
             lines.append(f"  witness pair: {described}")
         lines.append("  certificate:")

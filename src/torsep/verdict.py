@@ -1,10 +1,8 @@
 """The Verdict type shared by the theorem deciders and the stratum oracle.
 
 A verdict pairs a holds/fails decision with a certificate: a plain dict
-whose ``kind`` field selects one of the documented certificate shapes
-(see ``torsep.verification`` for the exact arithmetic checks each kind
-must pass).  Ordered coordinate pairs ``(j, i)`` in certificates always
-mean "x_{j+1} = 0 forces x_{i+1} = 0 on the closure".
+whose ``kind`` field names an entry of ``torsep.verification.KINDS``,
+which states what the kind certifies and what its ``pair`` reads as.
 
 For projective verdicts the certificate data refers to the homogenized
 weights (each weight with an appended coordinate 1); index data is
@@ -44,9 +42,7 @@ class Verdict(namedtuple("Verdict", "property_name mode holds certificate notes"
         return self.certificate["kind"]
 
 
-_VACUOUS_REASON = (
-    "a single coordinate admits no pair of linearly independent linear forms"
-)
+_VACUOUS_REASON = "a single coordinate admits no pair of linearly independent linear forms"
 
 
 def vacuous(property_name: str, mode: str, notes: tuple[str, ...] = ()) -> Verdict:

@@ -1,12 +1,13 @@
 """Arithmetic re-verification of verdict certificates.
 
-Each certificate kind has a checker that re-derives its claims by plain
-exact arithmetic against the input weights: dot products, identities,
-rank computations and, for the strata-based kinds, smallest faces.
-``check_verdict`` returns a list of problems (empty means verified);
-``verify_verdict`` raises.  Each rational vector is multiplied by the
-lcm L of its denominators, so checks run on ints (w . gamma >= 1 as
-w . L gamma >= L); a float entry makes the certificate malformed.
+``KINDS`` gives each certificate kind the properties, outcome and modes
+it certifies, and a checker that re-derives its claims by exact
+arithmetic on the input weights: dot products, identities, ranks and,
+for the strata-based kinds, smallest faces.  ``check_verdict`` returns a
+list of problems (empty means verified; a kind under any other claim is
+one), and ``verify_verdict`` raises.  Each rational vector is multiplied
+by the lcm L of its denominators, so checks run on ints (w . gamma >= 1
+as w . L gamma >= L); a float entry makes the certificate malformed.
 
 No checker builds the face lattice.  The strata are the faces of the
 weight cone, and the lattice is the closure of the facet zero sets
@@ -20,10 +21,12 @@ x_{i+1} = 0 iff j is in ``smallest_face(ws, (i,))``.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .cones import WeightSystem, homogenize, smallest_face, supports_face
 from .errors import InputError, InternalError
 from .linalg import clear_denominators, combine, determinant, dot, is_zero_vector, rank
-from .verdict import Verdict
+from .verdict import MODES, Verdict
 
 
 def _require(problems, condition, message):
@@ -149,7 +152,7 @@ def _check_face_separation(problems, ws, cert):
     _require(problems, seen == expected, "pair separators must cover all pairs")
 
 
-def _check_shared_face_interior(problems, ws, cert):
+def _check_shared_face(problems, ws, cert):
     pair = cert["pair"]
     if not (_valid_pair(problems, ws, pair)
             and _valid_indices(problems, cert["face_indices"], ws.n, "face index")):
@@ -187,16 +190,15 @@ def _check_full_rank(problems, ws, cert):
     det = determinant([rows[i] for i in indices])
     _require(problems, det == cert["determinant"], "determinant mismatch")
     _require(problems, det != 0, "certifying minor is singular")
-    _check_cone_functional(problems, ws, cert)
+    if "cone_functional" in cert:  # optional: independent weights always have one
+        _check_cone_functional(problems, ws, cert)
 
 
 def _check_cone_functional(problems, ws, cert):
-    """An optional ``cone_functional`` must take the value 1 on every weight."""
-    u = cert.get("cone_functional")
-    if u is not None:
-        u, scale = clear_denominators(u)
-        _require(problems, all(dot(u, w) == scale for w in ws.weights),
-                 "cone functional does not take value 1")
+    """``cone_functional`` is 1 on every weight: the closure is a cone, as affine SSP needs."""
+    u, scale = clear_denominators(cert["cone_functional"])
+    _require(problems, all(dot(u, w) == scale for w in ws.weights),
+             "cone functional does not take value 1")
 
 
 def _check_kernel_witness(problems, ws, cert):
@@ -279,43 +281,42 @@ def _check_strata_distinguished(problems, ws, cert):
                           lambda i, j, s: (i in s) != (j in s))
 
 
-_CHECKERS = {
-    "vacuous": _check_vacuous,
-    "edge-separation": _check_edge_separation,
-    "zero-weight": _check_zero_weight,
-    "generator-in-cone": _check_generator_in_cone,
-    "line-in-cone": _check_line_in_cone,
-    "face-separation": _check_face_separation,
-    "shared-face-interior": _check_shared_face_interior,
-    "full-rank": _check_full_rank,
-    "kernel-witness": _check_kernel_witness,
-    "affine-independent": _check_full_rank,
-    "affine-dependence": _check_affine_dependence,
-    "strata-missed-hyperplane": _check_strata_missed,
-    "strata-forcing-pair": _check_strata_forcing,
-    "strata-separation": _check_strata_separation,
-    "strata-equivalent-pair": _check_strata_equivalent,
-    "strata-distinguished": _check_strata_distinguished,
+# Each kind's checker, properties, outcome (True: holds), the modes the deciders and
+# oracles make it for, and what its ``pair`` reads as under each of those properties.
+Kind = namedtuple("Kind", "check properties holds modes pair")
+KINDS = {
+    "vacuous": Kind(_check_vacuous, ("SP", "WSP"), True, MODES, ()),
+    "edge-separation": Kind(_check_edge_separation, ("SP",), True, MODES, ()),
+    "strata-separation": Kind(_check_strata_separation, ("SP",), True, MODES, ()),
+    "zero-weight": Kind(_check_zero_weight, ("SP",), False, MODES, ("missed",)),
+    "generator-in-cone": Kind(_check_generator_in_cone, ("SP",), False, MODES, ("forcing",)),
+    "strata-missed-hyperplane": Kind(_check_strata_missed, ("SP",), False, MODES, ("missed",)),
+    "strata-forcing-pair": Kind(_check_strata_forcing, ("SP",), False, MODES, ("forcing",)),
+    "face-separation": Kind(_check_face_separation, ("WSP",), True, MODES, ()),
+    "strata-distinguished": Kind(_check_strata_distinguished, ("WSP",), True, MODES, ()),
+    "shared-face-interior": Kind(_check_shared_face, ("WSP",), False, MODES, ("section",)),
+    "strata-equivalent-pair": Kind(_check_strata_equivalent, ("WSP",), False, MODES, ("section",)),
+    "line-in-cone": Kind(_check_line_in_cone, ("SP", "WSP"), False, MODES, ("missed", "section")),
+    "full-rank": Kind(_check_full_rank, ("SSP",), True, ("affine",), ()),
+    "kernel-witness": Kind(_check_kernel_witness, ("SSP",), False, ("affine",), ("codimension",)),
+    "affine-independent": Kind(_check_full_rank, ("SSP",), True, ("projective",), ()),
+    "affine-dependence": Kind(_check_affine_dependence, ("SSP",), False, ("projective",), ()),
 }
-
-# The kinds that certify a holding verdict; the others certify a failure.
-_HOLDING = {"vacuous", "edge-separation", "face-separation", "full-rank",
-            "affine-independent", "strata-separation", "strata-distinguished"}
 
 
 def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     """Re-verify a verdict's certificate; returns a list of problems."""
+    kind = KINDS.get(verdict.kind)
+    if kind is None:
+        return [f"unknown certificate kind {verdict.kind!r}"]
     problems: list[str] = []
-    kind = verdict.kind
-    checker = _CHECKERS.get(kind)
-    if checker is None:
-        return [f"unknown certificate kind {kind!r}"]
-    holding = kind in _HOLDING
-    _require(problems, verdict.holds == holding,
-             f"{kind} certifies a {'holding verdict' if holding else 'failure'}")
+    _require(problems, verdict.holds == kind.holds,
+             f"{verdict.kind} certifies a {'holding verdict' if kind.holds else 'failure'}")
+    _require(problems, verdict.property_name in kind.properties and verdict.mode in kind.modes,
+             f"{verdict.kind} is no {verdict.property_name} ({verdict.mode}) certificate")
     target = homogenize(ws) if verdict.mode == "projective" else ws
     try:
-        checker(problems, target, verdict.certificate)
+        kind.check(problems, target, verdict.certificate)
     except (InputError, KeyError, IndexError, TypeError, ValueError) as exc:
         problems.append(f"malformed certificate: {exc!r}")
     return problems

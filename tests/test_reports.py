@@ -13,6 +13,7 @@ from torsep.reports import (
     report_from_json,
 )
 from torsep.separation import decide_affine_sp, decide_affine_wsp
+from torsep.verdict import Verdict
 from torsep.verification import check_verdict
 
 
@@ -109,6 +110,31 @@ def test_text_rendering_contains_verdict_lines():
     assert "WSP (affine): HOLDS" in text
     assert "witness pair: x2 = 0 forces x1 = 0" in text
     assert "certificate" in text
+
+
+def test_every_pair_the_deciders_make_is_described():
+    for ws, verdict in golden_verdicts():
+        text = emit_report(Report("decide", Instance("weights", ws), {}, [verdict]), "text")
+        assert ("  witness pair: x" in text) == ("pair" in verdict.certificate), verdict
+
+
+@pytest.mark.parametrize("certificate", [
+    {"kind": "strata-forcing-pair", "pair": [0, 1, 2]},
+    {"kind": "strata-forcing-pair", "pair": ["a", "b"]},
+    {"kind": "strata-forcing-pair", "pair": [0]},
+    {"kind": "strata-forcing-pair", "pair": 7},
+    {"kind": "strata-forcing-pair", "pair": [True, 1]},
+    {"kind": "zero-weight", "index": "a", "pair": [0, 1]},
+    {"kind": "no-such-kind", "pair": [0, 1]},
+])
+def test_text_report_reads_only_a_pair_of_two_positions(certificate):
+    """A pair that is not two ints (with an int ``index`` where that is
+    read), or of a kind ``KINDS`` does not list, gets no witness-pair
+    line; the raw pair still shows in the certificate block."""
+    verdict = Verdict("SP", "affine", False, certificate)
+    text = emit_report(Report("decide", Instance("weights", M_WEIGHTS), {}, [verdict]), "text")
+    assert "witness pair" not in text
+    assert "\n    pair: " in text
 
 
 def test_unknown_format_rejected():

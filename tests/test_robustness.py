@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,12 @@ from helpers import (
 )
 from torsep import cones
 from torsep.cones import WeightSystem
-from torsep.errors import InputError, InternalError
+from torsep.errors import HypothesisError, InputError, InternalError
 from torsep.reports import Instance, Report, emit_report, report_from_json
-from torsep.separation import decide_affine_sp
+from torsep.separation import decide, decide_affine_sp
 from torsep.strata import oracle_sp
-from torsep.verdict import Verdict
-from torsep.verification import check_verdict, verify_verdict
+from torsep.verdict import MODES, PROPERTIES, Verdict, vacuous
+from torsep.verification import KINDS, check_verdict, verify_verdict
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -354,11 +355,69 @@ def test_certificate_mutations_never_raise():
             if must_report:
                 assert problems, (ws, mutant)
     assert count > 1000
-    assert {"edge-separation", "zero-weight", "generator-in-cone", "line-in-cone",
-            "face-separation", "shared-face-interior", "full-rank", "kernel-witness",
-            "affine-independent", "affine-dependence", "strata-separation",
-            "strata-forcing-pair", "strata-missed-hyperplane", "strata-distinguished",
-            "strata-equivalent-pair", "vacuous"} <= kinds
+    assert kinds == set(KINDS)
+
+
+def test_a_kind_is_refused_under_any_claim_it_does_not_certify():
+    """Every golden and fuzz oracle verdict is a claim its kind certifies
+    in ``KINDS``; relabelled to each other property and mode, keeping its
+    outcome, it is reported."""
+    relabelled = 0
+    for ws, verdict in [*golden_verdicts(), *fuzz_oracle_verdicts(71, 60)]:
+        kind = KINDS[verdict.kind]
+        assert verdict.property_name in kind.properties and verdict.mode in kind.modes
+        assert verdict.holds == kind.holds
+        for prop, mode in product(PROPERTIES, MODES):
+            if prop not in kind.properties or mode not in kind.modes:
+                relabelled += 1
+                assert check_verdict(ws, Verdict(prop, mode, verdict.holds,
+                                                 verdict.certificate)), (ws, prop, mode)
+    assert relabelled > 1000
+
+
+_PYRAMID = WeightSystem.from_rows([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
+_ONE_TWO = WeightSystem.from_rows([[1], [2]])
+# A kernel witness on (1), (2) without the cone functional that affine
+# SSP rests on: that orbit closure is not a cone, so SSP is not decided.
+_CONELESS_KERNEL_WITNESS = {"kind": "kernel-witness", "kernel_vector": [2, -1], "pair": [0, 1],
+                            "stratum_indices": [], "stratum_witness": [1], "stratum_dim": 0,
+                            "ambient_rank": 1}
+
+
+@pytest.mark.parametrize("ws, certificate, prop, holds", [
+    (_PYRAMID, lambda: decide(_PYRAMID, "SP").certificate, "SSP", True),
+    (_PYRAMID, lambda: decide(_PYRAMID, "SSP").certificate, "SP", False),
+    (WeightSystem.from_rows([[1], [0]]),
+     lambda: decide(WeightSystem.from_rows([[1], [0]]), "SP").certificate, "WSP", False),
+    (WeightSystem.from_rows([[0]]), lambda: vacuous("SP", "affine").certificate, "SSP", True),
+    (_ONE_TWO, lambda: _CONELESS_KERNEL_WITNESS, "SSP", False),
+    (_ONE_TWO, lambda: {"kind": "affine-dependence", "relation": [2, -1]}, "SSP", False),
+], ids=["edge-separation-as-ssp", "kernel-witness-as-sp", "zero-weight-as-wsp",
+        "vacuous-as-ssp", "kernel-witness-without-cone", "affine-dependence-as-affine"])
+def test_forged_claims_are_refused(ws, certificate, prop, holds):
+    """Six affine verdicts, each false or undecided (affine SSP refuses a
+    system that is not a cone), are reported: five carry a certificate
+    that passes its kind's arithmetic under a claim the kind does not
+    certify, and one an SSP failure without its cone functional."""
+    try:
+        truth = decide(ws, prop).holds
+    except HypothesisError:
+        truth = None
+    assert truth is not holds
+    assert check_verdict(ws, Verdict(prop, "affine", holds, certificate()))
+
+
+def test_affine_ssp_failure_needs_its_cone_functional():
+    """A ``kernel-witness`` certificate without its ``cone_functional``
+    is reported; with it, as the decider makes it, it verifies."""
+    verdict = decide(_PYRAMID, "SSP")
+    assert verdict.kind == "kernel-witness" and check_verdict(_PYRAMID, verdict) == []
+    bare = {k: v for k, v in verdict.certificate.items() if k != "cone_functional"}
+    assert check_verdict(_PYRAMID, Verdict("SSP", "affine", False, bare))
+    with pytest.raises(HypothesisError):
+        decide(_ONE_TWO, "SSP")
+    problems = check_verdict(_ONE_TWO, Verdict("SSP", "affine", False, _CONELESS_KERNEL_WITNESS))
+    assert problems == ["malformed certificate: KeyError('cone_functional')"]
 
 
 _STRATA_KINDS = {"strata-missed-hyperplane", "strata-forcing-pair", "strata-separation",
