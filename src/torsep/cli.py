@@ -29,13 +29,8 @@ from .errors import (
 from .ideals import binomial_generators, sp_violation_scan, verify_vanishing
 from .reports import Instance, Report, emit_report, parse_instance, parse_json_instance
 from .separation import decide, projective
-from .strata import (
-    characteristic_pairs,
-    oracle_sp,
-    oracle_wsp,
-    ssp_coordinate_witness,
-    strata,
-)
+from .strata import characteristic_pairs, oracle_sp, oracle_wsp, ssp_coordinate_witness, strata
+from .verdict import Verdict
 from .verification import check_verdict
 
 _PROPERTIES = {"sp": ["SP"], "wsp": ["WSP"], "ssp": ["SSP"], "all": ["SP", "WSP", "SSP"]}
@@ -57,41 +52,30 @@ def _verify_all(report: Report) -> bool:
     return ok
 
 
-def _cmd_decide(instance: Instance, args) -> Report:
-    ws = instance.payload
-    report = Report("decide", instance, {"mode": args.mode, "property": args.property})
+def _decide(ws, args):
+    verdicts, skipped = [], []
     for prop in _PROPERTIES[args.property]:
         try:
-            report.verdicts.append(decide(ws, prop, args.mode))
+            verdicts.append(decide(ws, prop, args.mode))
         except HypothesisError as exc:
             if args.property != "all":
                 raise
-            report.extra.setdefault("skipped", []).append(
-                {"property": prop, "mode": args.mode, "reason": str(exc)}
-            )
-    return report
+            skipped.append({"property": prop, "mode": args.mode, "reason": str(exc)})
+    return verdicts, {"skipped": skipped} if skipped else {}
 
 
-def _cmd_oracle(instance: Instance, args) -> Report:
-    ws = instance.payload
-    target = homogenize(ws) if args.mode == "projective" else ws
-    report = Report("oracle", instance, {"mode": args.mode, "property": args.property})
-    verdicts = []
-    if args.property in ("sp", "all"):
-        verdicts.append(oracle_sp(target, max_n=args.max_n))
-    if args.property in ("wsp", "all"):
-        verdicts.append(oracle_wsp(target, max_n=args.max_n))
+def _oracle(ws, prop: str, args) -> Verdict:
+    """The stratum oracle's ``prop`` verdict in ``args.mode``: a projective
+    one is the affine verdict of the homogenized weights, relabelled."""
+    oracle = oracle_sp if prop == "SP" else oracle_wsp
     if args.mode == "projective":
-        verdicts = [projective(v) for v in verdicts]
-    report.verdicts = verdicts
-    return report
+        return projective(oracle(homogenize(ws), max_n=args.max_n))
+    return oracle(ws, max_n=args.max_n)
 
 
-def _cmd_ideal(instance: Instance, args) -> Report:
-    ws = instance.payload
-    report = Report("ideal", instance, {"max_n": args.max_n})
+def _ideal(ws, args):
     binomials = binomial_generators(ws, max_n=args.max_n)
-    report.extra = {
+    return [], {
         "binomials": [
             {"a": list(b.a), "b": list(b.b), "text": b.to_string()} for b in binomials
         ],
@@ -99,40 +83,31 @@ def _cmd_ideal(instance: Instance, args) -> Report:
         "count": len(binomials),
         "spans_relation_lattice": True,  # enforced inside binomial_generators
     }
-    return report
 
 
-def _cmd_strata(instance: Instance, args) -> Report:
-    ws = instance.payload
-    report = Report("strata", instance, {"max_n": args.max_n})
+def _strata(ws, args):
     pieces = strata(ws, max_n=args.max_n)
-    report.extra = {
+    return [], {
         "strata": [
             {"indices": list(s.indices), "witness": list(s.witness), "dim": s.dim}
             for s in pieces
         ],
         "count": len(pieces),
     }
-    return report
 
 
-def _cmd_chpairs(instance: Instance, args) -> Report:
-    ws = instance.payload
-    report = Report("chpairs", instance, {"max_n": args.max_n})
+def _chpairs(ws, args):
     pairs = characteristic_pairs(ws, max_n=args.max_n)
-    report.extra = {
+    return [], {
         "pairs": [list(p) for p in pairs],
         "count": len(pairs),
         "diagonal_only": all(i == j for i, j in pairs),
     }
-    return report
 
 
-def _cmd_binary(instance: Instance, args) -> Report:
-    form = instance.payload
-    report = Report("binary", instance, {})
+def _binary(form, args):
     decomposition = squarefree_multiplicity_parts(form)
-    report.extra = {
+    return [], {
         "separation_property": decide_sp_binary_orbit(form),
         "constant": decomposition.constant,
         "parts": [
@@ -140,59 +115,39 @@ def _cmd_binary(instance: Instance, args) -> Report:
             for part, m in decomposition.parts
         ],
     }
-    return report
 
 
-def _cmd_verify(instance: Instance, args) -> Report:
+def _verify(ws, args):
     """Run the theorem route, the stratum oracle and the pattern scan,
-    and flag any disagreement (which exits with code 4)."""
-    ws = instance.payload
-    report = Report(
-        "verify",
-        instance,
-        {"mode": args.mode, "trials": args.trials, "prime": args.prime},
-        seed=args.seed,
-    )
+    and flag any disagreement (which exits with code 4).
+
+    A failing affine SSP verdict's ``kernel-witness`` pair is the facet
+    scan's own witness (the decider raises ``CrossCheckError`` when that
+    scan finds none), so the scan runs again only for the other verdicts."""
     target = homogenize(ws) if args.mode == "projective" else ws
-    routes = {}
-    agreement = True
-
-    v_sp = decide(ws, "SP", args.mode)
-    v_wsp = decide(ws, "WSP", args.mode)
-    report.verdicts = [v_sp, v_wsp]
-    o_sp = oracle_sp(target, max_n=args.max_n)
-    o_wsp = oracle_wsp(target, max_n=args.max_n)
-
+    verdicts = [decide(ws, prop, args.mode) for prop in ("SP", "WSP")]
+    routes = {v.property_name: {"theorem": v.holds,
+                                "oracle": _oracle(ws, v.property_name, args).holds}
+              for v in verdicts}
     binomials = binomial_generators(target, max_n=args.max_n)
-    if target.n >= 2:
-        scan = sp_violation_scan(binomials)
-        scan_value = not scan.violating
-    else:
-        scan_value = "not-applicable"
-    routes["SP"] = {"theorem": v_sp.holds, "oracle": o_sp.holds, "scan": scan_value}
-    if o_sp.holds != v_sp.holds or (scan_value != "not-applicable" and scan_value != v_sp.holds):
-        agreement = False
-    routes["WSP"] = {"theorem": v_wsp.holds, "oracle": o_wsp.holds}
-    if o_wsp.holds != v_wsp.holds:
-        agreement = False
-
+    routes["SP"]["scan"] = (not sp_violation_scan(binomials).violating if target.n >= 2
+                            else "not-applicable")
     try:
         v_ssp = decide(ws, "SSP", args.mode)
     except HypothesisError:
         routes["SSP"] = "skipped: orbit closure is not a cone"
     else:
-        witness = ssp_coordinate_witness(target)
-        report.verdicts.append(v_ssp)
+        verdicts.append(v_ssp)
+        witness = (v_ssp.certificate["pair"] if v_ssp.kind == "kernel-witness"
+                   else ssp_coordinate_witness(target))
         routes["SSP"] = {"theorem": v_ssp.holds, "witness_oracle": witness is None}
-        if (witness is None) != v_ssp.holds:
-            agreement = False
-
     vanishing = verify_vanishing(
         binomials, target, trials=args.trials, prime=args.prime, seed=args.seed
     )
-    if not vanishing.passed:
-        agreement = False
-    report.extra = {
+    agreement = vanishing.passed and all(
+        value in (route["theorem"], "not-applicable")
+        for route in routes.values() if isinstance(route, dict) for value in route.values())
+    return verdicts, {
         "routes": routes,
         "vanishing": {
             "prime": vanishing.prime,
@@ -201,31 +156,36 @@ def _cmd_verify(instance: Instance, args) -> Report:
         },
         "agreement": agreement,
     }
-    return report
 
 
+# Each command's route, (payload, args) -> (verdicts, extra), and the
+# options its report echoes, in order.
 _COMMANDS = {
-    "decide": _cmd_decide,
-    "oracle": _cmd_oracle,
-    "ideal": _cmd_ideal,
-    "strata": _cmd_strata,
-    "chpairs": _cmd_chpairs,
-    "binary": _cmd_binary,
-    "verify": _cmd_verify,
+    "decide": (_decide, ("mode", "property")),
+    "oracle": (lambda ws, args: ([_oracle(ws, prop, args) for prop in
+                                  _PROPERTIES[args.property] if prop != "SSP"], {}),
+               ("mode", "property")),
+    "ideal": (_ideal, ("max_n",)),
+    "strata": (_strata, ("max_n",)),
+    "chpairs": (_chpairs, ("max_n",)),
+    "binary": (_binary, ()),
+    "verify": (_verify, ("mode", "trials", "prime")),
 }
 
 
 def run_command(command: str, instance: Instance, args) -> Report:
-    """Dispatch a parsed instance to a command implementation."""
+    """Check the instance kind, run the command's route, and build its report."""
     if instance.kind == "binary-form" and command != "binary":
         raise InputError(f"command {command!r} expects a weight system")
     if instance.kind == "weights" and command == "binary":
         raise InputError("command 'binary' expects a binary form")
+    route, echoed = _COMMANDS[command]
     started = time.perf_counter()
-    report = _COMMANDS[command](instance, args)
-    if args.timing:
-        report.timing_ms = round((time.perf_counter() - started) * 1000, 3)
-    return report
+    verdicts, extra = route(instance.payload, args)
+    elapsed = round((time.perf_counter() - started) * 1000, 3)
+    return Report(command, instance, {name: getattr(args, name) for name in echoed},
+                  verdicts, extra=extra, seed=args.seed if command == "verify" else None,
+                  timing_ms=elapsed if args.timing else None)
 
 
 def _read_input(path: str) -> str:

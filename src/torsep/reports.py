@@ -20,7 +20,7 @@ from .binary_forms import BinaryForm, check_form_degree, form_to_string, parse_f
 from .cones import WeightSystem
 from .errors import InputError, ResourceGuardError
 from .verdict import Verdict
-from .verification import KINDS
+from .verification import pair_reading
 
 SCHEMA = "torsep/1"
 
@@ -236,10 +236,10 @@ def _render_value(value, indent):
         lines = []
         for k, v in value.items():
             if isinstance(v, (dict, list, tuple)) and v and not _is_flat(v):
-                lines.append(f"{pad}{k}:")
+                lines.append(f"{pad}{_flat(k)}:")
                 lines.append(_render_value(v, indent + 2))
             else:
-                lines.append(f"{pad}{k}: {_flat(v)}")
+                lines.append(f"{pad}{_flat(k)}: {_flat(v)}")
         return "\n".join(lines)
     if isinstance(value, (list, tuple)):
         return "\n".join(f"{pad}- {_flat(v)}" for v in value)
@@ -253,13 +253,14 @@ def _is_flat(value) -> bool:
 
 
 def _flat(value) -> str:
+    """``value`` on one line: every string in it goes through ``_printable``."""
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}: {_flat(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{_flat(k)}: {_flat(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "(" + ", ".join(_flat(v) for v in value) + ")"
     if value is None:
         return "-"
-    return str(value)
+    return _printable(value) if isinstance(value, str) else str(value)
 
 
 _READINGS = {
@@ -271,10 +272,9 @@ _READINGS = {
 
 
 def _describe_pair(verdict: Verdict) -> str | None:
-    """What the pair shows under the verdict's property (``KINDS``); None where
-    it reads as nothing, or is not two ints, or a read ``index`` is no int."""
-    kind, cert = KINDS.get(verdict.kind), verdict.certificate
-    reading = kind and dict(zip(kind.properties, kind.pair)).get(verdict.property_name)
+    """What the pair shows under the verdict's property (``pair_reading``); None
+    where it reads as nothing, or is not two ints, or a read ``index`` is no int."""
+    reading, cert = pair_reading(verdict), verdict.certificate
     pair = cert.get("pair")
     if reading and isinstance(pair, (list, tuple)) and len(pair) == 2:
         index = cert.get("index", pair[0]) if reading == "missed" else pair[0]
@@ -285,14 +285,15 @@ def _describe_pair(verdict: Verdict) -> str | None:
 
 def _printable(text: str) -> str:
     """``text`` with each unprintable character (line breaks, controls,
-    format characters) as its Python escape: a label starts no line."""
+    format characters) as its Python escape: a string starts no line."""
     return "".join(ch if ch.isprintable() else ascii(ch)[1:-1] for ch in text)
 
 
 def render_text(report: Report) -> str:
-    """Aligned human-readable rendering of a report."""
-    lines = [f"torsep {report.version} — {report.command}"]
-    opts = ", ".join(f"{k}={_flat(v)}" for k, v in report.options.items() if v is not None)
+    """Aligned human-readable rendering of a report.  Every string in it,
+    read back from JSON or not, goes through ``_printable``: none starts a line."""
+    lines = [f"torsep {_flat(report.version)} — {_flat(report.command)}"]
+    opts = ", ".join(f"{_flat(k)}={_flat(v)}" for k, v in report.options.items() if v is not None)
     if opts:
         lines.append(f"options: {opts}")
     inst = report.instance
@@ -304,7 +305,7 @@ def render_text(report: Report) -> str:
     else:
         lines.append(f"instance: binary form {form_to_string(inst.payload)}{label}")
     if report.seed is not None:
-        lines.append(f"seed: {report.seed}")
+        lines.append(f"seed: {_flat(report.seed)}")
     lines.append("")
     for i, v in enumerate(report.verdicts):
         word = "HOLDS" if v.holds else "FAILS"
@@ -315,14 +316,14 @@ def render_text(report: Report) -> str:
         lines.append("  certificate:")
         lines.append(_render_value(dict(v.certificate), 4))
         for note in v.notes:
-            lines.append(f"  note: {note}")
+            lines.append(f"  note: {_flat(note)}")
         ok = report.verified[i] if i < len(report.verified) else None
         lines.append(f"  verified: {'yes' if ok else 'NO' if ok is False else '-'}")
     if report.extra:
         lines.append("extra:")
         lines.append(_render_value(report.extra, 2))
     if report.timing_ms is not None:
-        lines.append(f"timing_ms: {report.timing_ms}")
+        lines.append(f"timing_ms: {_flat(report.timing_ms)}")
     return "\n".join(lines) + "\n"
 
 

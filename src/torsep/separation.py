@@ -25,8 +25,6 @@ Every verdict carries a certificate checkable by plain arithmetic; see
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cones import (
     WeightSystem,
     face_combination,
@@ -54,27 +52,29 @@ def _sp_failure(ws: WeightSystem, i: int) -> dict | None:
     """The certificate of SP failing at position i, or None when neither
     w_i nor -w_i is a nonnegative combination of the other weights.
 
-    A zero weight needs no LP.  Otherwise w_i, and then -w_i, is tested
-    over F(i) - {i}, where F(i) is the minimal face of w_i.  That is
-    exact: the witness f of F(i) is 0 on F(i) and >= 1 off it, so
-    sum_k lam_k w_k = +-w_i with lam >= 0 gives 0 = f.(+-w_i) >= the sum
-    of lam_k off F(i), and lam vanishes there.
+    A zero weight needs no LP.  Otherwise w_i is tested over F(i) - {i},
+    where F(i) is the minimal face of w_i.  That is exact: the witness f
+    of F(i) is 0 on F(i) and >= 1 off it, so sum_k lam_k w_k = w_i with
+    lam >= 0 gives 0 = f.w_i >= the sum of lam_k off F(i), and lam
+    vanishes there.  When that fails, i is on the lineality face L (off
+    L, ``decide_affine_sp`` asks only when F(i) holds another weight off
+    L, whose cone then holds w_i), and it is the first position of L,
+    as every earlier one has failed already; so F(i) = L, and -w_i over
+    L - {i} is the LP of ``is_strictly_convex``, whose relation is taken.
     """
     w = ws.weights[i]
     if is_zero_vector(w):
         # That coordinate is identically 1 on the closure, so its
         # hyperplane is missed entirely.
         return {"kind": "zero-weight", "index": i, "pair": (i, 0 if i else 1)}
-    face = [k for k in minimal_face(ws, i) if k != i]
-    lam = face_combination(ws, w, face)
+    lam = face_combination(ws, w, [k for k in minimal_face(ws, i) if k != i])
     if lam is not None:
         j = next(k for k, x in enumerate(lam) if x > 0)
         return {"kind": "generator-in-cone", "index": i, "coefficients": lam, "pair": (j, i)}
-    lam = face_combination(ws, tuple(-x for x in w), face)
-    if lam is None:
+    relation = is_strictly_convex(ws).relation
+    if relation is None:
         return None
-    return {"kind": "line-in-cone", "index": i,
-            "relation": lam[:i] + (Fraction(1),) + lam[i + 1:], "pair": (i, 0 if i else 1)}
+    return {"kind": "line-in-cone", "index": i, "relation": relation, "pair": (i, 0 if i else 1)}
 
 
 def decide_affine_sp(ws: WeightSystem) -> Verdict:

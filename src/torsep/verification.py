@@ -55,11 +55,11 @@ def _valid_pair(problems, ws, pair) -> bool:
     return True
 
 
-def _check_vacuous(problems, ws, cert):
+def _check_vacuous(problems, ws, cert, reading):
     _require(problems, ws.n == 1, "vacuous rule applies only to a single weight")
 
 
-def _check_edge_separation(problems, ws, cert):
+def _check_edge_separation(problems, ws, cert, reading):
     separators = cert.get("separators", ())
     _require(problems, len(separators) == ws.n, "one separator pair per weight required")
     seen = set()
@@ -80,7 +80,7 @@ def _check_edge_separation(problems, ws, cert):
     _require(problems, seen == set(range(ws.n)), "separators must cover every weight")
 
 
-def _check_zero_weight(problems, ws, cert):
+def _check_zero_weight(problems, ws, cert, reading):
     i = cert["index"]
     if not _valid_index(problems, i, ws.n):
         return
@@ -89,7 +89,7 @@ def _check_zero_weight(problems, ws, cert):
     _require(problems, cert["pair"][0] == i, "pair must start at the zero weight")
 
 
-def _check_generator_in_cone(problems, ws, cert):
+def _check_generator_in_cone(problems, ws, cert, reading):
     i = cert["index"]
     if not _valid_index(problems, i, ws.n):
         return
@@ -106,7 +106,7 @@ def _check_generator_in_cone(problems, ws, cert):
     _require(problems, lam[j] > 0, "pair's first coordinate has zero coefficient")
 
 
-def _check_line_in_cone(problems, ws, cert):
+def _check_line_in_cone(problems, ws, cert, reading):
     c = clear_denominators(cert["relation"])[0]
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, all(x >= 0 for x in c), "relation must be nonnegative")
@@ -118,18 +118,17 @@ def _check_line_in_cone(problems, ws, cert):
             _require(problems, not is_zero_vector(ws.weights[k]),
                      "relation supported on a zero weight")
     pair = cert["pair"]
-    if "index" in cert:
-        _valid_index(problems, cert["index"], ws.n)
     if not _valid_pair(problems, ws, pair):
         return
     _require(problems, c[pair[0]] > 0, "pair's first coordinate not in the relation")
-    if "index" in cert:  # SP flavour: so the relation holds ``index``, which never vanishes
-        _require(problems, pair[0] == cert["index"], "pair must start at the index")
-    else:  # WSP flavour: both coordinates never vanish
+    if reading == "missed":  # SP: the relation holds ``index``, which never vanishes
+        if _valid_index(problems, cert["index"], ws.n):
+            _require(problems, pair[0] == cert["index"], "pair must start at the index")
+    else:  # WSP: both coordinates are in the relation, so neither vanishes
         _require(problems, c[pair[1]] > 0, "pair's second coordinate not in the relation")
 
 
-def _check_face_separation(problems, ws, cert):
+def _check_face_separation(problems, ws, cert, reading):
     gamma_p, scale = clear_denominators(cert["pointedness"])
     _require(problems,
              all(dot(gamma_p, w) >= scale for w in ws.weights if not is_zero_vector(w)),
@@ -152,7 +151,7 @@ def _check_face_separation(problems, ws, cert):
     _require(problems, seen == expected, "pair separators must cover all pairs")
 
 
-def _check_shared_face(problems, ws, cert):
+def _check_shared_face(problems, ws, cert, reading):
     pair = cert["pair"]
     if not (_valid_pair(problems, ws, pair)
             and _valid_indices(problems, cert["face_indices"], ws.n, "face index")):
@@ -181,7 +180,7 @@ def _check_shared_face(problems, ws, cert):
     _require(problems, rel_indices == set(pair), "one relation per pair member required")
 
 
-def _check_full_rank(problems, ws, cert):
+def _check_full_rank(problems, ws, cert, reading):
     indices = cert["row_indices"]
     _require(problems, len(indices) == ws.n, "need as many rows as weights")
     if not _valid_indices(problems, indices, ws.dim, "row index"):
@@ -201,7 +200,7 @@ def _check_cone_functional(problems, ws, cert):
              "cone functional does not take value 1")
 
 
-def _check_kernel_witness(problems, ws, cert):
+def _check_kernel_witness(problems, ws, cert, reading):
     c = clear_denominators(cert["kernel_vector"])[0]
     _require(problems, not is_zero_vector(c), "kernel vector is zero")
     _require(problems, is_zero_vector(combine(ws.weights, c)),
@@ -222,7 +221,7 @@ def _check_kernel_witness(problems, ws, cert):
     _check_cone_functional(problems, ws, cert)
 
 
-def _check_affine_dependence(problems, ws, cert):
+def _check_affine_dependence(problems, ws, cert, reading):
     c = clear_denominators(cert["relation"])[0]
     _require(problems, len(c) == ws.n, "relation has wrong length")
     _require(problems, not is_zero_vector(c), "relation is zero")
@@ -230,7 +229,7 @@ def _check_affine_dependence(problems, ws, cert):
              "relation does not annihilate weights")
 
 
-def _check_strata_missed(problems, ws, cert):
+def _check_strata_missed(problems, ws, cert, reading):
     i = cert["index"]
     _valid_index(problems, i, ws.n)
     _require(problems, i in smallest_face(ws, ()).indices, "coordinate does vanish somewhere")
@@ -238,7 +237,7 @@ def _check_strata_missed(problems, ws, cert):
     _require(problems, cert["pair"][0] == i, "pair must start at the index")
 
 
-def _check_strata_forcing(problems, ws, cert):
+def _check_strata_forcing(problems, ws, cert, reading):
     if not _valid_pair(problems, ws, cert["pair"]):
         return
     j, i = cert["pair"]
@@ -261,13 +260,13 @@ def _check_pair_witnesses(problems, ws, cert, expected, splits):
     _require(problems, seen == expected, "witnesses must cover every pair")
 
 
-def _check_strata_separation(problems, ws, cert):
+def _check_strata_separation(problems, ws, cert, reading):
     _check_pair_witnesses(problems, ws, cert,
                           {(j, i) for j in range(ws.n) for i in range(ws.n) if i != j},
                           lambda j, i, s: j not in s and i in s)
 
 
-def _check_strata_equivalent(problems, ws, cert):
+def _check_strata_equivalent(problems, ws, cert, reading):
     if not _valid_pair(problems, ws, cert["pair"]):
         return
     i, j = cert["pair"]
@@ -275,14 +274,15 @@ def _check_strata_equivalent(problems, ws, cert):
              and i in smallest_face(ws, (j,)).indices, "pair is distinguished by some stratum")
 
 
-def _check_strata_distinguished(problems, ws, cert):
+def _check_strata_distinguished(problems, ws, cert, reading):
     _check_pair_witnesses(problems, ws, cert,
                           {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)},
                           lambda i, j, s: (i in s) != (j in s))
 
 
 # Each kind's checker, properties, outcome (True: holds), the modes the deciders and
-# oracles make it for, and what its ``pair`` reads as under each of those properties.
+# oracles make it for, and what its ``pair`` reads as under each of those properties;
+# a checker is called with the reading of the verdict's property.
 Kind = namedtuple("Kind", "check properties holds modes pair")
 KINDS = {
     "vacuous": Kind(_check_vacuous, ("SP", "WSP"), True, MODES, ()),
@@ -304,6 +304,12 @@ KINDS = {
 }
 
 
+def pair_reading(verdict: Verdict) -> str | None:
+    """What the verdict's ``pair`` reads as under its property (``KINDS``), or None."""
+    kind = KINDS.get(verdict.kind)
+    return kind and dict(zip(kind.properties, kind.pair)).get(verdict.property_name)
+
+
 def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     """Re-verify a verdict's certificate; returns a list of problems."""
     kind = KINDS.get(verdict.kind)
@@ -316,7 +322,7 @@ def check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
              f"{verdict.kind} is no {verdict.property_name} ({verdict.mode}) certificate")
     target = homogenize(ws) if verdict.mode == "projective" else ws
     try:
-        kind.check(problems, target, verdict.certificate)
+        kind.check(problems, target, verdict.certificate, pair_reading(verdict))
     except (InputError, KeyError, IndexError, TypeError, ValueError) as exc:
         problems.append(f"malformed certificate: {exc!r}")
     return problems

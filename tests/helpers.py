@@ -689,6 +689,7 @@ def reference_check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     checker = _LATTICE_STRATA_CHECKERS.get(verdict.kind)
     if checker is None:
         return check_verdict(ws, verdict)
-    kind = verification.KINDS[verdict.kind]._replace(check=checker)
+    kind = verification.KINDS[verdict.kind]._replace(
+        check=lambda problems, ws, cert, reading: checker(problems, ws, cert))
     with mock.patch.dict(verification.KINDS, {verdict.kind: kind}):
         return check_verdict(ws, verdict)

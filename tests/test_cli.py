@@ -682,3 +682,50 @@ def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):
     assert digest.hexdigest() == CATALOG_OUTPUT_DIGEST, (
         "catalog output changed; if the change is intended, record it and the new "
         f"digest {digest.hexdigest()} in CHANGES.md")
+
+
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_verify_scans_the_facets_for_an_ssp_witness_once(capsys, monkeypatch, mode):
+    """One verify of the square pyramid runs ``ssp_coordinate_witness``
+    once: an affine SSP failure's witness is its ``kernel-witness`` pair,
+    which the decider's own scan found."""
+    original = sys.modules["torsep.strata"].ssp_coordinate_witness
+    calls = []
+
+    def counted(ws):
+        calls.append(ws)
+        return original(ws)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("torsep.")]:
+        if getattr(module, "ssp_coordinate_witness", None) is original:
+            monkeypatch.setattr(module, "ssp_coordinate_witness", counted)
+    pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
+    code, out, err = run_cli(capsys, ["verify", "--mode", mode, "--format", "json", "-"],
+                             stdin=pyramid, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    extra = json.loads(out)["extra"]
+    assert extra["agreement"] and extra["routes"]["SSP"]["witness_oracle"] is False
+    assert len(calls) == 1
+
+
+# sha256 of verify (affine and projective) and ideal, in JSON and text,
+# over the verify-small and decide-wide entries of the benchmark catalog.
+VERIFY_OUTPUT_DIGEST = "d9a0eaf64beeb4ff3bda8e55aca3f808d22b02f36e81942e9140d489354ea854"
+
+
+def test_verify_and_ideal_output_bytes_are_pinned(capsys, monkeypatch):
+    """The verify-small and decide-wide instances of the benchmark
+    catalog (190), run in process as one ``--batch`` stream per command
+    and format, give the pinned stdout, stderr and exit codes.  The
+    faces-wide entries are left out: their Graver completions take seconds."""
+    monkeypatch.delenv("TORSEP_SEED", raising=False)
+    stream = _catalog_stream(("faces-wide",))
+    digest = hashlib.sha256()
+    for argv in (["verify", "--mode", "affine"], ["verify", "--mode", "projective"], ["ideal"]):
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(capsys, [*argv, "--format", fmt, "--batch", "-"],
+                                     stdin=stream, monkeypatch=monkeypatch)
+            digest.update(json.dumps([argv, fmt, code, out, err]).encode())
+    assert digest.hexdigest() == VERIFY_OUTPUT_DIGEST, (
+        "verify or ideal output changed; if the change is intended, record it and the new "
+        f"digest {digest.hexdigest()} in CHANGES.md")

@@ -137,6 +137,22 @@ def test_text_report_reads_only_a_pair_of_two_positions(certificate):
     assert "\n    pair: " in text
 
 
+def test_text_report_strings_start_no_line():
+    """A note and a certificate string holding a line break, read back
+    from JSON, each print on one line: neither forges a verdict line."""
+    verdict = Verdict("SP", "affine", False, {"kind": "no-such-kind",
+                                              "x\nSSP (affine): HOLDS": "x\nSSP (affine): HOLDS"},
+                      ("a\nSP (affine): FAILS",))
+    report = Report("decide", Instance("weights", M_WEIGHTS), {}, [verdict],
+                    extra={"k\n": ["v\rw"]})
+    text = emit_report(report_from_json(json.loads(emit_report(report, "json"))), "text")
+    assert "  note: a\\nSP (affine): FAILS\n" in text
+    assert "    x\\nSSP (affine): HOLDS: x\\nSSP (affine): HOLDS\n" in text
+    assert "  k\\n: (v\\rw)\n" in text
+    assert [ln for ln in text.splitlines() if ln.startswith(("SP", "SSP"))] == [
+        "SP (affine): FAILS"]
+
+
 def test_unknown_format_rejected():
     with pytest.raises(InputError):
         emit_report(_sample_report(), "yaml")

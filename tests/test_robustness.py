@@ -377,6 +377,8 @@ def test_a_kind_is_refused_under_any_claim_it_does_not_certify():
 
 _PYRAMID = WeightSystem.from_rows([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
 _ONE_TWO = WeightSystem.from_rows([[1], [2]])
+# A line through w1 and w2 and a ray: x1 and x2 never vanish on the closure, x3 does.
+_LINE_AND_RAY = WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1]])
 # A kernel witness on (1), (2) without the cone functional that affine
 # SSP rests on: that orbit closure is not a cone, so SSP is not decided.
 _CONELESS_KERNEL_WITNESS = {"kind": "kernel-witness", "kernel_vector": [2, -1], "pair": [0, 1],
@@ -392,19 +394,46 @@ _CONELESS_KERNEL_WITNESS = {"kind": "kernel-witness", "kernel_vector": [2, -1], 
     (WeightSystem.from_rows([[0]]), lambda: vacuous("SP", "affine").certificate, "SSP", True),
     (_ONE_TWO, lambda: _CONELESS_KERNEL_WITNESS, "SSP", False),
     (_ONE_TWO, lambda: {"kind": "affine-dependence", "relation": [2, -1]}, "SSP", False),
+    (_LINE_AND_RAY, lambda: {"kind": "line-in-cone", "relation": (1, 1, 0), "pair": (0, 2),
+                             "index": 0}, "WSP", False),
 ], ids=["edge-separation-as-ssp", "kernel-witness-as-sp", "zero-weight-as-wsp",
-        "vacuous-as-ssp", "kernel-witness-without-cone", "affine-dependence-as-affine"])
+        "vacuous-as-ssp", "kernel-witness-without-cone", "affine-dependence-as-affine",
+        "line-in-cone-pair-off-the-relation"])
 def test_forged_claims_are_refused(ws, certificate, prop, holds):
-    """Six affine verdicts, each false or undecided (affine SSP refuses a
-    system that is not a cone), are reported: five carry a certificate
-    that passes its kind's arithmetic under a claim the kind does not
-    certify, and one an SSP failure without its cone functional."""
-    try:
-        truth = decide(ws, prop).holds
-    except HypothesisError:
-        truth = None
-    assert truth is not holds
-    assert check_verdict(ws, Verdict(prop, "affine", holds, certificate()))
+    """Seven affine verdicts are reported.  Six are false or undecided
+    (affine SSP refuses a system that is not a cone): five carry a
+    certificate that passes its kind's arithmetic under a claim the kind
+    does not certify, and one an SSP failure without its cone functional.
+    The seventh fails WSP, as it should, but its ``line-in-cone`` pair
+    reads under WSP as "x1 and x3 cut the closure in the same hyperplane
+    section", and x3 vanishes on the closure while x1 does not."""
+    verdict = Verdict(prop, "affine", holds, certificate())
+    if verdict.kind == "line-in-cone":
+        assert not decide(ws, prop).holds
+        assert cones.smallest_face(ws, ()).indices == (0, 1)
+    else:
+        try:
+            truth = decide(ws, prop).holds
+        except HypothesisError:
+            truth = None
+        assert truth is not holds
+    assert check_verdict(ws, verdict)
+
+
+def test_line_in_cone_is_read_under_its_property():
+    """Under SP the relation holds ``index``, the pair's first position;
+    under WSP it holds both pair positions, whatever keys it carries."""
+    sp, wsp = decide(_LINE_AND_RAY, "SP"), decide(_LINE_AND_RAY, "WSP")
+    assert sp.kind == wsp.kind == "line-in-cone"
+    assert check_verdict(_LINE_AND_RAY, sp) == check_verdict(_LINE_AND_RAY, wsp) == []
+    no_index = {k: v for k, v in sp.certificate.items() if k != "index"}
+    assert check_verdict(_LINE_AND_RAY, Verdict("SP", "affine", False, no_index)) == [
+        "malformed certificate: KeyError('index')"]
+    for index in (1, True):
+        moved = dict(sp.certificate, index=index)
+        assert check_verdict(_LINE_AND_RAY, Verdict("SP", "affine", False, moved))
+    indexed = dict(wsp.certificate, index=wsp.certificate["pair"][0])
+    assert check_verdict(_LINE_AND_RAY, Verdict("WSP", "affine", False, indexed)) == []
 
 
 def test_affine_ssp_failure_needs_its_cone_functional():
