@@ -16,8 +16,7 @@ import os
 import sys
 import time
 
-from .binary_forms import decide_sp_binary_orbit, form_to_string, parse_form
-from .binary_forms import squarefree_multiplicity_parts
+from .binary_forms import decide_sp_binary_orbit, form_to_string, squarefree_multiplicity_parts
 from .cones import DEFAULT_MAX_N, homogenize
 from .errors import (
     CrossCheckError,
@@ -34,22 +33,6 @@ from .verdict import Verdict
 from .verification import check_verdict
 
 _PROPERTIES = {"sp": ["SP"], "wsp": ["WSP"], "ssp": ["SSP"], "all": ["SP", "WSP", "SSP"]}
-
-
-def _verify_all(report: Report) -> bool:
-    """Re-verify every verdict certificate before the report is printed."""
-    ws = report.instance.payload
-    report.verified = []
-    ok = True
-    for v in report.verdicts:
-        problems = check_verdict(ws, v)
-        report.verified.append(not problems)
-        if problems:
-            ok = False
-            report.extra.setdefault("verification_failures", []).append(
-                {"property": v.property_name, "mode": v.mode, "problems": problems}
-            )
-    return ok
 
 
 def _decide(ws, args):
@@ -174,7 +157,9 @@ _COMMANDS = {
 
 
 def run_command(command: str, instance: Instance, args) -> Report:
-    """Check the instance kind, run the command's route, and build its report."""
+    """Check the instance kind, run the command's route (``timing_ms`` times
+    it) and re-verify each verdict: the finished report's ``verified`` holds
+    the outcomes, and ``extra["verification_failures"]`` each failure."""
     if instance.kind == "binary-form" and command != "binary":
         raise InputError(f"command {command!r} expects a weight system")
     if instance.kind == "weights" and command == "binary":
@@ -183,9 +168,13 @@ def run_command(command: str, instance: Instance, args) -> Report:
     started = time.perf_counter()
     verdicts, extra = route(instance.payload, args)
     elapsed = round((time.perf_counter() - started) * 1000, 3)
-    return Report(command, instance, {name: getattr(args, name) for name in echoed},
-                  verdicts, extra=extra, seed=args.seed if command == "verify" else None,
-                  timing_ms=elapsed if args.timing else None)
+    problems = [check_verdict(instance.payload, v) for v in verdicts]
+    failures = [{"property": v.property_name, "mode": v.mode, "problems": p}
+                for v, p in zip(verdicts, problems) if p]
+    return Report(command, instance, {name: getattr(args, name) for name in echoed}, verdicts,
+                  [not p for p in problems],
+                  {**extra, "verification_failures": failures} if failures else extra,
+                  args.seed if command == "verify" else None, elapsed if args.timing else None)
 
 
 def _read_input(path: str) -> str:
@@ -280,23 +269,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _process_one(text: str, args, out, line: int | None = None) -> int:
+def _process_one(text: str, args, line: int | None = None) -> int:
     """Run one instance, input line ``line`` of a ``--batch`` run.
 
     A batch line that prints no JSON report prints an error record in
     its place, so JSON batch output stays aligned with its input."""
     where = "" if line is None else f"line {line}: "
     try:
-        if args.command == "binary" and args.form is not None:
-            instance = Instance("binary-form", parse_form(args.form))
-        elif args.batch:
-            instance = parse_json_instance(_utf8(text))
-        else:
-            instance = parse_instance(_utf8(text))
-        report = run_command(args.command, instance, args)
-        certificates_ok = _verify_all(report)
-        out.write(emit_report(report, args.format))
-        if not certificates_ok:
+        parse = parse_json_instance if args.batch else parse_instance
+        report = run_command(args.command, parse(_utf8(text)), args)
+        sys.stdout.write(emit_report(report, args.format))
+        if not all(report.verified):
             print(f"{where}error: a certificate failed re-verification", file=sys.stderr)
             return 4
         if report.extra.get("agreement") is False:
@@ -311,7 +294,7 @@ def _process_one(text: str, args, out, line: int | None = None) -> int:
         code, kind, message = 4, "internal error", str(exc)
     print(f"{where}{kind}: {message}", file=sys.stderr)
     if line is not None and args.format == "json":
-        out.write(json.dumps({"line": line, "error": message, "exit_class": code}) + "\n")
+        sys.stdout.write(json.dumps({"line": line, "error": message, "exit_class": code}) + "\n")
     return code
 
 
@@ -326,14 +309,13 @@ def _env_seed() -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
     try:
         if args.command == "verify" and args.seed is None:
             args.seed = _env_seed()
         if args.command == "binary" and args.form is not None:
             if args.batch:
                 raise InputError("--form cannot be combined with --batch")
-            return _process_one("", args, out)
+            return _process_one(json.dumps({"form": args.form}), args)
         text = _read_input(args.input)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -343,9 +325,9 @@ def main(argv=None) -> int:
         # Only "\n" ends a line (``str.splitlines`` also splits at U+2028).
         for k, line in enumerate(text.split("\n"), 1):
             if line.strip():
-                code = max(code, _process_one(line, args, out, k))
+                code = max(code, _process_one(line, args, k))
         return code
-    return _process_one(text, args, out)
+    return _process_one(text, args)
 
 
 if __name__ == "__main__":

@@ -150,22 +150,15 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
-class Report:
-    """Everything one command run produced, ready for serialization."""
+class Report(namedtuple("Report", "command instance options verdicts verified extra seed "
+                        "timing_ms version", defaults=((), (), None, None, None, __version__))):
+    """Everything one command run produced, ready for serialization.
 
-    def __init__(self, command: str, instance: Instance, options: dict,
-                 verdicts: list[Verdict] | None = None, verified: list[bool] | None = None,
-                 extra: dict | None = None, seed: int | None = None,
-                 timing_ms: float | None = None, version: str = __version__):
-        self.command = command
-        self.instance = instance
-        self.options = options
-        self.verdicts = [] if verdicts is None else verdicts
-        self.verified = [] if verified is None else verified
-        self.extra = {} if extra is None else extra
-        self.seed = seed
-        self.timing_ms = timing_ms
-        self.version = version
+    ``verified[i]`` is the re-verification outcome of ``verdicts[i]``
+    (missing: not checked).  Every default is immutable; an ``extra`` of
+    None is written as ``{}``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         """The report's fields in schema order; tuples and Fractions are
@@ -186,7 +179,7 @@ class Report:
             "options": self.options,
             "seed": self.seed,
             "verdicts": verdict_entries,
-            "extra": self.extra,
+            "extra": {} if self.extra is None else self.extra,
             "timing_ms": self.timing_ms,
         }
 
@@ -206,28 +199,35 @@ def _decode_rationals(value):
     return value
 
 
+def _fields(data, names: str, where: str) -> list:
+    """The values of the space-separated ``names`` in the JSON object ``data``."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object, not {type(data).__name__}")
+    for name in names.split():
+        if name not in data:
+            raise InputError(f"{where} has no {name!r}")
+    return [data[name] for name in names.split()]
+
+
 def report_from_json(data) -> Report:
     """Rebuild a Report from its JSON form.
 
     The instance is reconstructed with full types, and certificate
     rationals become Fractions again, so the verdicts re-verify.
     """
+    if not isinstance(data, dict):
+        raise InputError(f"the report must be a JSON object, not {type(data).__name__}")
     if data.get("schema") != SCHEMA:
         raise InputError(f"unsupported schema {data.get('schema')!r}")
-    entries = data.get("verdicts", [])
-    verdicts = [Verdict(e["property"], e["mode"], e["holds"], _decode_rationals(e["certificate"]),
-                        tuple(e.get("notes", ()))) for e in entries]
-    return Report(
-        command=data["command"],
-        instance=instance_from_json(data["instance"]),
-        options=data.get("options", {}),
-        verdicts=verdicts,
-        verified=[e.get("verified") for e in entries],
-        extra=data.get("extra", {}),
-        seed=data.get("seed"),
-        timing_ms=data.get("timing_ms"),
-        version=data.get("version", __version__),
-    )
+    command, instance = _fields(data, "command instance", "the report")
+    entries, verdicts = data.get("verdicts", []), []
+    for i, entry in enumerate(entries):
+        prop, mode, holds, cert = _fields(entry, "property mode holds certificate", f"verdict {i}")
+        verdicts.append(Verdict(prop, mode, holds, _decode_rationals(cert),
+                                tuple(entry.get("notes", ()))))
+    return Report(command, instance_from_json(instance), data.get("options", {}), verdicts,
+                  [e.get("verified") for e in entries], data.get("extra", {}), data.get("seed"),
+                  data.get("timing_ms"), data.get("version", __version__))
 
 
 def _render_value(value, indent):

@@ -114,6 +114,44 @@ def test_unverifiable_certificate_exits_four(capsys, monkeypatch):
     assert "verified: NO" in out
 
 
+def _fail_wsp_only(ws, verdict):
+    return ["forced failure"] if verdict.property_name == "WSP" else []
+
+
+def test_run_command_returns_a_verified_report(monkeypatch):
+    monkeypatch.setattr(cli, "check_verdict", _fail_wsp_only)
+    args = cli._build_parser().parse_args(["decide", "-"])
+    report = cli.run_command("decide", cli.Instance("weights", M_WEIGHTS), args)
+    assert report.verified == [True, False, True]
+    assert report.extra["verification_failures"] == [
+        {"property": "WSP", "mode": "affine", "problems": ["forced failure"]}]
+
+
+def test_batch_lines_failing_re_verification_exit_four(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_verdict", _fail_wsp_only)
+    code, out, err = run_cli(capsys, ["decide", "--batch", "--format", "json", "-"],
+                             stdin=M_JSON + "\n" + M_JSON + "\n", monkeypatch=monkeypatch)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 4 and len(records) == 2
+    assert [[v["verified"] for v in r["verdicts"]] for r in records] == [[True, False, True]] * 2
+    assert err == ("line 1: error: a certificate failed re-verification\n"
+                   "line 2: error: a certificate failed re-verification\n")
+
+
+# x^201 and x^1234567890 pass the degree guard's limit; "x\udcff*y" is
+# what a command-line byte that is not UTF-8 reads as.
+FORMS = ["x*y^3 - x^4", "x^201", "x*", "", "1/0*x", "x^2*y - x", "x\udcff*y", "x^1234567890"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("form", FORMS)
+def test_binary_form_flag_reads_as_a_json_instance(capsys, monkeypatch, form, fmt):
+    flag = run_cli(capsys, ["binary", "--form", form, "--format", fmt])
+    piped = run_cli(capsys, ["binary", "--format", fmt, "-"],
+                    stdin=json.dumps({"form": form}), monkeypatch=monkeypatch)
+    assert flag == piped
+
+
 def test_ideal_command(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

@@ -40,6 +40,7 @@ RECORDS = [
     SquarefreeDecomposition(Fraction(1), ((BinaryForm((1, -1)), 1),)),
     Verdict("SP", "affine", True, {"kind": "vacuous"}, notes=("n",)),
     Instance("weights", WeightSystem(1, ((1,),))),
+    Report("decide", Instance("weights", WeightSystem(1, ((1,),))), {}),
 ]
 
 
@@ -79,13 +80,13 @@ def test_records_are_immutable_tuples(record):
         record.extra = 1
 
 
-def test_report_is_a_plain_mutable_record():
-    report = Report("decide", RECORDS[-1], {})
-    assert not isinstance(report, tuple)
-    assert (report.verdicts, report.verified, report.extra) == ([], [], {})
-    assert Report("decide", RECORDS[-1], {}).verdicts is not report.verdicts
-    report.timing_ms = 1.5
-    assert report.timing_ms == 1.5
+def test_reports_share_no_mutable_default():
+    """Two reports built without ``verdicts`` or ``extra`` share nothing
+    a caller could change; a default ``extra`` is written as ``{}``."""
+    first, second = (Report("decide", RECORDS[-2], {}) for _ in range(2))
+    assert (first.verdicts, first.verified, first.extra) == ((), (), None)
+    assert first.to_json()["extra"] == {}
+    assert first.to_json()["extra"] is not second.to_json()["extra"]
 
 
 @pytest.mark.parametrize("build, message", [
@@ -144,8 +145,6 @@ def test_reports_hand_the_encoder_no_record():
                 args.seed = 0
             instance = parse_json_instance(json.dumps({"d": entry["d"],
                                                        "weights": entry["weights"]}))
-            report = cli.run_command(args.command, instance, args)
-            report.verified = [True] * len(report.verdicts)
-            _plain_tuples_only(report.to_json())
+            _plain_tuples_only(cli.run_command(args.command, instance, args).to_json())
             runs += 1
     assert runs == 260

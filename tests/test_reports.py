@@ -56,10 +56,8 @@ def test_parse_binary_form_payloads():
 
 def _sample_report():
     inst = parse_instance('{"d":2,"weights":[[1,1],[2,0],[0,2]],"label":"M"}')
-    report = Report("decide", inst, {"mode": "affine", "property": "all"})
-    report.verdicts = [decide_affine_sp(M_WEIGHTS), decide_affine_wsp(M_WEIGHTS)]
-    report.verified = [True, True]
-    return report
+    return Report("decide", inst, {"mode": "affine", "property": "all"},
+                  [decide_affine_sp(M_WEIGHTS), decide_affine_wsp(M_WEIGHTS)], [True, True])
 
 
 def test_json_round_trip_is_a_fixed_point():
@@ -86,6 +84,23 @@ def test_report_from_json_rejects_non_bool_holds():
     payload["verdicts"][0]["holds"] = "false"
     with pytest.raises(InputError, match="holds"):
         report_from_json(payload)
+
+
+def test_report_from_json_names_what_a_malformed_document_lacks():
+    def refused(document):
+        with pytest.raises(InputError) as excinfo:
+            report_from_json(document)
+        return str(excinfo.value)
+
+    assert refused([]) == "the report must be a JSON object, not list"
+    payload = json.loads(emit_report(_sample_report(), "json"))
+    del payload["command"]
+    assert refused(payload) == "the report has no 'command'"
+    payload = json.loads(emit_report(_sample_report(), "json"))
+    del payload["verdicts"][1]["property"]
+    assert refused(payload) == "verdict 1 has no 'property'"
+    payload["verdicts"][1] = "SP"
+    assert refused(payload) == "verdict 1 must be a JSON object, not str"
 
 
 def test_json_field_order_is_stable():
@@ -177,8 +192,7 @@ def test_json_writer_matches_the_standard_encoder():
 
 
 def test_json_writer_refuses_an_unknown_type():
-    report = _sample_report()
-    report.extra = {"faces": {frozenset({0})}}
+    report = _sample_report()._replace(extra={"faces": {frozenset({0})}})
     with pytest.raises(InputError, match="cannot encode set into JSON"):
         emit_report(report, "json")
 
