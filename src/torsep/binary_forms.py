@@ -166,6 +166,12 @@ class SquarefreeDecomposition(namedtuple("SquarefreeDecomposition", "constant pa
 
     __slots__ = ()
 
+    @property
+    def separation_property(self) -> bool:
+        """SP of the form's special-linear orbit: some part has multiplicity 1,
+        i.e. some linear factor over the algebraic closure appears once."""
+        return any(mult == 1 for _, mult in self.parts)
+
     def reconstruct(self) -> BinaryForm:
         if not self.parts:
             raise InternalError("squarefree decomposition has no parts")
@@ -204,13 +210,9 @@ def squarefree_multiplicity_parts(f: BinaryForm) -> SquarefreeDecomposition:
 
 
 def decide_sp_binary_orbit(f: BinaryForm) -> bool:
-    """Whether the special-linear orbit of f has the separation property.
-
-    True iff the multiplicity-one part is nonconstant, i.e. some linear
-    factor of f over the algebraic closure appears exactly once.
-    """
-    decomposition = squarefree_multiplicity_parts(f)
-    return any(mult == 1 for _, mult in decomposition.parts)
+    """Whether the special-linear orbit of f has the separation property
+    (``SquarefreeDecomposition.separation_property``)."""
+    return squarefree_multiplicity_parts(f).separation_property
 
 
 def substitute(f: BinaryForm, matrix) -> BinaryForm:

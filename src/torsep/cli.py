@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .binary_forms import decide_sp_binary_orbit, form_to_string, squarefree_multiplicity_parts
+from .binary_forms import form_to_string, squarefree_multiplicity_parts
 from .cones import DEFAULT_MAX_N, homogenize
 from .errors import (
     CrossCheckError,
@@ -80,7 +80,7 @@ def _strata(ws, args):
 
 
 def _chpairs(ws, args):
-    pairs = characteristic_pairs(ws, max_n=args.max_n)
+    pairs = characteristic_pairs(ws)
     return [], {
         "pairs": [list(p) for p in pairs],
         "count": len(pairs),
@@ -91,7 +91,7 @@ def _chpairs(ws, args):
 def _binary(form, args):
     decomposition = squarefree_multiplicity_parts(form)
     return [], {
-        "separation_property": decide_sp_binary_orbit(form),
+        "separation_property": decomposition.separation_property,
         "constant": decomposition.constant,
         "parts": [
             {"form": form_to_string(part), "coeffs": list(part.coeffs), "multiplicity": m}
@@ -150,7 +150,7 @@ _COMMANDS = {
                ("mode", "property")),
     "ideal": (_ideal, ("max_n",)),
     "strata": (_strata, ("max_n",)),
-    "chpairs": (_chpairs, ("max_n",)),
+    "chpairs": (_chpairs, ()),
     "binary": (_binary, ()),
     "verify": (_verify, ("mode", "trials", "prime")),
 }
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("chpairs", help="coordinate forcing pairs")
-    common(p)
+    common(p, guarded=False)
 
     p = sub.add_parser("binary", help="separation property of a binary form orbit")
     common(p, guarded=False)

@@ -48,25 +48,27 @@ class WeightSystem(namedtuple("WeightSystem", "dim weights")):
     __slots__ = ()
 
     def __new__(cls, dim: int, weights) -> "WeightSystem":
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise InputError(f"weight dimension must be an integer, not {dim!r}")
         if dim < 1:
             raise InputError("weight dimension must be at least 1")
+        weights = tuple(weights)
         if not weights:
             raise InputError("at least one weight is required")
-        frozen = tuple(tuple(w) for w in weights)
-        for i, w in enumerate(frozen):
+        for i, w in enumerate(weights):
+            if not isinstance(w, (list, tuple)):
+                raise InputError(f"weight {i} must be a list or tuple, not {type(w).__name__}")
             if len(w) != dim:
                 raise InputError(f"weight {i} has length {len(w)}, expected {dim}")
             for x in w:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise InputError(f"non-integer entry {x!r} in weight {i}")
-        return super().__new__(cls, dim, frozen)
+        return super().__new__(cls, dim, tuple(map(tuple, weights)))
 
     @classmethod
     def from_rows(cls, rows) -> "WeightSystem":
         rows = [tuple(r) for r in rows]
-        if not rows:
-            raise InputError("at least one weight is required")
-        return cls(len(rows[0]), tuple(rows))
+        return cls(len(rows[0]) if rows else 1, rows)
 
     @property
     def n(self) -> int:

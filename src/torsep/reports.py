@@ -82,15 +82,7 @@ def instance_from_json(data) -> Instance:
         d = data.get("d", len(rows[0]) if isinstance(rows[0], list) else None)
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise InputError("'d' must be a positive integer")
-        weights = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != d:
-                raise InputError(f"weight {i} does not have {d} entries")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(f"weight {i} has a non-integer entry {x!r}")
-            weights.append(tuple(row))
-        return Instance("weights", WeightSystem(d, tuple(weights)), label)
+        return Instance("weights", WeightSystem(d, rows), label)
     if "coeffs" in data:
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
@@ -136,18 +128,10 @@ def _parse_text_weights(text: str) -> Instance:
 def instance_to_json(instance: Instance) -> dict:
     if instance.kind == "weights":
         ws = instance.payload
-        return {
-            "kind": "weights",
-            "d": ws.dim,
-            "weights": [list(w) for w in ws.weights],
-            "label": instance.label,
-        }
-    form = instance.payload
-    return {
-        "kind": "binary-form",
-        "coeffs": [str(c) for c in form.coeffs],
-        "label": instance.label,
-    }
+        return {"kind": "weights", "d": ws.dim, "weights": [list(w) for w in ws.weights],
+                "label": instance.label}
+    return {"kind": "binary-form", "coeffs": [str(c) for c in instance.payload.coeffs],
+            "label": instance.label}
 
 
 class Report(namedtuple("Report", "command instance options verdicts verified extra seed "
@@ -209,6 +193,15 @@ def _fields(data, names: str, where: str) -> list:
     return [data[name] for name in names.split()]
 
 
+def _optional(data: dict, name: str, default, where: str):
+    """``data[name]``, or ``default`` if it is missing; refused unless of ``default``'s type."""
+    value = data.get(name, default)
+    if not isinstance(value, type(default)):
+        kind = "array" if isinstance(default, list) else "object"
+        raise InputError(f"{name!r} of {where} must be a JSON {kind}, not {type(value).__name__}")
+    return value
+
+
 def report_from_json(data) -> Report:
     """Rebuild a Report from its JSON form.
 
@@ -220,13 +213,14 @@ def report_from_json(data) -> Report:
     if data.get("schema") != SCHEMA:
         raise InputError(f"unsupported schema {data.get('schema')!r}")
     command, instance = _fields(data, "command instance", "the report")
-    entries, verdicts = data.get("verdicts", []), []
+    entries, verdicts = _optional(data, "verdicts", [], "the report"), []
+    options, extra = (_optional(data, name, {}, "the report") for name in ("options", "extra"))
     for i, entry in enumerate(entries):
         prop, mode, holds, cert = _fields(entry, "property mode holds certificate", f"verdict {i}")
         verdicts.append(Verdict(prop, mode, holds, _decode_rationals(cert),
-                                tuple(entry.get("notes", ()))))
-    return Report(command, instance_from_json(instance), data.get("options", {}), verdicts,
-                  [e.get("verified") for e in entries], data.get("extra", {}), data.get("seed"),
+                                tuple(_optional(entry, "notes", [], f"verdict {i}"))))
+    return Report(command, instance_from_json(instance), options, verdicts,
+                  [e.get("verified") for e in entries], extra, data.get("seed"),
                   data.get("timing_ms"), data.get("version", __version__))
 
 

@@ -3,19 +3,19 @@
 The affine orbit closure decomposes into torus orbits, one per face of
 the weight cone: on the stratum attached to a face, exactly the
 coordinates whose weights lie on that face are nonzero.  Re-deriving
-SP/WSP verdicts and coordinate forcing pairs from these vanishing
-patterns alone gives a decision route that shares only the facets with
-the theorem-backed deciders, which never build the face lattice.  Only
-``strata`` computes stratum dimensions; the oracles read one bitmask per
-coordinate, bit s set where it is nonzero on stratum s, so each question
-is one pass over the pairs.
+SP/WSP verdicts from these vanishing patterns alone gives a decision
+route that shares only the facets with the theorem-backed deciders,
+which never build the face lattice.  Only ``strata`` computes stratum
+dimensions; the oracles read one bitmask per coordinate, bit s set
+where it is nonzero on stratum s.  Coordinate forcing pairs and SSP
+witnesses are read off the minimal faces and the facets: no lattice.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets
+from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets, smallest_face
 from .linalg import rank
 from .verdict import Verdict, vacuous
 
@@ -101,17 +101,18 @@ def oracle_wsp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     return Verdict("WSP", "affine", True, cert, notes)
 
 
-def characteristic_pairs(
-    ws: WeightSystem, max_n: int = DEFAULT_MAX_N
-) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs (i, j) such that x_{i+1} = 0 forces x_{j+1} = 0.
+def characteristic_pairs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
+    """Ordered pairs (i, j) such that x_{i+1} = 0 forces x_{j+1} = 0: n
+    face queries, no face lattice.
 
-    Computed as: every stratum missing i also misses j.  The diagonal is
-    always included; the set equals the diagonal iff the oracle's SP
-    verdict holds (given n >= 2 and no coordinate nonzero everywhere).
+    That is, every stratum missing i misses j: every face holding j holds
+    i.  Every face holding j holds its smallest face F(j), itself a face,
+    so the pair is there iff i is in F(j).  The diagonal is always
+    included; the set equals the diagonal iff the oracle's SP verdict
+    holds (given n >= 2 and no coordinate nonzero everywhere).
     """
-    pat = _patterns(ws, max_n)[1]
-    return tuple((i, j) for i in range(ws.n) for j in range(ws.n) if not pat[j] & ~pat[i])
+    faces = [set(smallest_face(ws, (j,)).indices) for j in range(ws.n)]
+    return tuple((i, j) for i in range(ws.n) for j in range(ws.n) if i in faces[j])
 
 
 class SspWitness(namedtuple("SspWitness", "pair stratum ambient_rank")):

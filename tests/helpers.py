@@ -622,6 +622,18 @@ def reference_graver(generators, max_nodes: int = 40_000_000) -> tuple[Vector, .
                         if not _reducer(g, pos, neg, basis)))
 
 
+def reference_characteristic_pairs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
+    """The forcing pairs (i, j), x_{i+1} = 0 forcing x_{j+1} = 0, read off
+    the whole face lattice (built under ``max_n = n``): one bitmask per
+    coordinate, bit s set where it is nonzero on stratum s, and the pair
+    is there iff every stratum missing i also misses j."""
+    pat = [0] * ws.n
+    for s, face in enumerate(enumerate_faces(ws, max_n=ws.n)):
+        for k in face.indices:
+            pat[k] |= 1 << s
+    return tuple((i, j) for i in range(ws.n) for j in range(ws.n) if not pat[j] & ~pat[i])
+
+
 def _lattice_sets(ws):
     return [set(f.indices) for f in enumerate_faces(ws, max_n=ws.n)]
 

@@ -11,8 +11,16 @@ import pytest
 
 import torsep.cones
 import torsep.lp
-from helpers import FIVE_WEIGHTS, M_WEIGHTS, N_WEIGHTS, QUARTET_WEIGHTS, fuzz_weights
-from torsep import cli
+from helpers import (
+    FIVE_WEIGHTS,
+    M_WEIGHTS,
+    N_WEIGHTS,
+    QUARTET_WEIGHTS,
+    fuzz_weights,
+    reference_characteristic_pairs,
+)
+from torsep import binary_forms, cli
+from torsep.cones import WeightSystem, homogenize
 
 M_JSON = '{"d":2,"weights":[[1,1],[2,0],[0,2]],"label":"M"}'
 FIVE_JSON = '{"d":3,"weights":[[1,0,0],[1,1,0],[0,1,2],[0,2,1],[1,0,1]]}'
@@ -152,6 +160,28 @@ def test_binary_form_flag_reads_as_a_json_instance(capsys, monkeypatch, form, fm
     assert flag == piped
 
 
+@pytest.mark.parametrize("form, holds", [
+    ("x*y^3 - x^4", True), ("x^2*y^2", False), ("y^5", False), ("x^3*y - 2*x^2*y^2", True),
+])
+def test_binary_decomposes_each_form_once(capsys, monkeypatch, form, holds):
+    """One ``binary`` call computes one squarefree decomposition, and
+    reads its verdict off it."""
+    original = binary_forms.squarefree_multiplicity_parts
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("torsep.")]:
+        if getattr(module, "squarefree_multiplicity_parts", None) is original:
+            monkeypatch.setattr(module, "squarefree_multiplicity_parts", counted)
+    code, out, err = run_cli(capsys, ["binary", "--form", form, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+    assert json.loads(out)["extra"]["separation_property"] is holds
+
+
 def test_ideal_command(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,
@@ -186,6 +216,22 @@ def test_strata_and_chpairs_commands(capsys, monkeypatch):
     payload = json.loads(out)
     assert [1, 0] in payload["extra"]["pairs"]
     assert not payload["extra"]["diagonal_only"]
+
+
+def test_chpairs_answers_past_the_face_guard(capsys, monkeypatch):
+    """``chpairs`` reads the minimal faces: 16 homogenized weights in Z^9,
+    whose 9,678 faces pass the lattice's 2^12 guard, get the lattice's
+    pairs, with no option set."""
+    rng = random.Random(1)
+    ws = homogenize(WeightSystem(8, tuple(tuple(rng.randint(-3, 3) for _ in range(8))
+                                          for _ in range(16))))
+    code, out, err = run_cli(capsys, ["chpairs", "--format", "json", "-"],
+                             stdin=json.dumps({"weights": [list(w) for w in ws.weights]}),
+                             monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["options"] == {}
+    assert report["extra"]["pairs"] == [list(p) for p in reference_characteristic_pairs(ws)]
 
 
 def test_binary_command_with_flag(capsys, monkeypatch):
@@ -432,6 +478,7 @@ def test_max_n_must_be_a_nonnegative_integer(capsys, value, message):
     ["strata", "--seed", "3", "-"],
     ["binary", "--max-n", "5", "-"],
     ["decide", "--max-n", "5", "-"],
+    ["chpairs", "--max-n", "5", "-"],
 ])
 def test_options_only_where_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -701,7 +748,7 @@ def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):
 
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "8e1a7832980134be7fba4cccd51ee30205eb16ecd0647d6d3ed01aa08d20bd30"
+CATALOG_OUTPUT_DIGEST = "1385366dc12ecc806bd61f0bb65f2eabb0ea5c26e5f3107a99b5ca0e67895a19"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):

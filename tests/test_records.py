@@ -112,6 +112,19 @@ def test_record_constructors_keep_their_messages(build, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("dim, weights, message", [
+    ("2", ((1, 2),), "weight dimension must be an integer, not '2'"),
+    (True, ((1,),), "weight dimension must be an integer, not True"),
+    (1.0, ((1,),), "weight dimension must be an integer, not 1.0"),
+    (2, [5], "weight 0 must be a list or tuple, not int"),
+    (2, ["ab"], "weight 0 must be a list or tuple, not str"),
+])
+def test_weight_system_refuses_what_is_not_a_weight_system(dim, weights, message):
+    with pytest.raises(InputError) as excinfo:
+        WeightSystem(dim, weights)
+    assert str(excinfo.value) == message
+
+
 def test_constructors_normalise_their_fields():
     ws = WeightSystem(1, [[1], [2]])
     assert ws.weights == ((1,), (2,)) and type(ws.weights[0]) is tuple

@@ -101,6 +101,27 @@ def test_report_from_json_names_what_a_malformed_document_lacks():
     assert refused(payload) == "verdict 1 has no 'property'"
     payload["verdicts"][1] = "SP"
     assert refused(payload) == "verdict 1 must be a JSON object, not str"
+    for name in ("verdicts", "options", "extra"):
+        payload = json.loads(emit_report(_sample_report(), "json"))
+        payload[name] = 5
+        kind = "array" if name == "verdicts" else "object"
+        assert refused(payload) == f"{name!r} of the report must be a JSON {kind}, not int"
+    payload = json.loads(emit_report(_sample_report(), "json"))
+    payload["verdicts"][0]["notes"] = "abc"
+    assert refused(payload) == "'notes' of verdict 0 must be a JSON array, not str"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"weights": [[1, 2], [3]]}', "weight 1 has length 1, expected 2"),
+    ('{"weights": [[1, 2], "ab"]}', "weight 1 must be a list or tuple, not str"),
+    ('{"weights": [[1, 2], {"a": 1}]}', "weight 1 must be a list or tuple, not dict"),
+    ('{"weights": [[1, true]]}', "non-integer entry True in weight 0"),
+    ('{"weights": [[1, 2.5]]}', "non-integer entry 2.5 in weight 0"),
+])
+def test_json_weights_get_the_weight_system_messages(text, message):
+    with pytest.raises(InputError) as excinfo:
+        parse_instance(text)
+    assert str(excinfo.value) == message
 
 
 def test_json_field_order_is_stable():

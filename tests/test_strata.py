@@ -1,7 +1,14 @@
 import importlib
 import random
 
-from helpers import M_WEIGHTS, N_WEIGHTS, golden_verdicts, random_weights
+from helpers import (
+    M_WEIGHTS,
+    N_WEIGHTS,
+    fuzz_weights,
+    golden_verdicts,
+    random_weights,
+    reference_characteristic_pairs,
+)
 from torsep.cones import WeightSystem, homogenize
 from torsep.linalg import rank
 from torsep.strata import (
@@ -129,6 +136,36 @@ def test_characteristic_pairs_diagonal_iff_oracle_sp():
         pairs = characteristic_pairs(ws)
         diagonal_only = all(i == j for i, j in pairs)
         assert diagonal_only == oracle_sp(ws).holds
+
+
+def test_characteristic_pairs_match_the_face_lattice():
+    """The minimal faces give the forcing pairs that the whole face
+    lattice gives, on ``fuzz_weights`` draws, affine and homogenized."""
+    rng = random.Random(33)
+    forcing = 0
+    for _ in range(150):
+        base = fuzz_weights(rng, rng.randint(1, 4), rng.randint(1, 8), rng.choice((2, 3)))
+        for ws in (base, homogenize(base)):
+            pairs = characteristic_pairs(ws)
+            assert pairs == reference_characteristic_pairs(ws), ws
+            forcing += any(i != j for i, j in pairs)
+    assert forcing > 50
+
+
+def test_characteristic_pairs_build_no_face_lattice(monkeypatch):
+    """With ``enumerate_faces`` refused where the package binds it, the
+    forcing pairs are still answered, and equal the lattice's."""
+    rng = random.Random(34)
+    systems = [ws for ws, _ in golden_verdicts()]
+    systems += [random_weights(rng, rng.randint(1, 4), rng.randint(2, 8)) for _ in range(20)]
+    expected = [reference_characteristic_pairs(ws) for ws in systems]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the face lattice was built")
+
+    for name in ("torsep.cones", "torsep.strata"):
+        monkeypatch.setattr(importlib.import_module(name), "enumerate_faces", refuse)
+    assert [characteristic_pairs(ws) for ws in systems] == expected
 
 
 def test_oracles_compute_no_stratum_dimension(monkeypatch):
