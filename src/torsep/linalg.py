@@ -2,7 +2,7 @@
 
 Everything downstream reduces to the primitives here, and all of them
 rest on one fraction-free elimination: the Hermite row form computed by
-``_hermite``, which clears each later row of a column in one step.
+``_hermite``, which reduces each column by least remainders.
 Ranks, independent rows and determinants are read off the form, exact
 solves (over one integer denominator) off the form of [A | b], relation
 lattices off the form of [V | I], and lattices are compared by their
@@ -74,50 +74,39 @@ def _hermite(rows) -> tuple[tuple[Vector, ...], int]:
     spans the same lattice and is unique to it.  The sign is that of the
     swaps and negations applied, or 0 if a zero row was dropped, so a
     square matrix has determinant sign * (product of the diagonal).
-    In each column the first nonzero row P (entry a) clears each later
-    row R (entry b): R - (b / a) P if a divides b, else the determinant-1
-    step P, R <- x P + y R, (a R - b P) / g with x a + y b = g = gcd(a, b).
+    In each column every nonzero row R (entry b) becomes R - floor(b / a) P,
+    for the row P of least absolute entry a, until one nonzero row is left.
     """
     mat = [list(r) for r in rows]
-    m = len(mat)
     sign = 1
     r = 0
     for col in range(len(mat[0]) if mat else 0):
-        for p in range(r, m):
-            if mat[p][col]:
+        while True:
+            nz = [i for i in range(r, len(mat)) if mat[i][col] != 0]
+            if len(nz) <= 1:
                 break
-        else:
+            imin = min(nz, key=lambda i: abs(mat[i][col]))
+            for i in nz:
+                if i == imin:
+                    continue
+                q = mat[i][col] // mat[imin][col]
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[imin])]
+        if not nz:
             continue
-        piv = mat[p]
-        a = piv[col]
-        for i in range(p + 1, m):
-            row = mat[i]
-            b = row[col]
-            if not b:
-                continue
-            q, rem = divmod(b, a)
-            if not rem:
-                mat[i] = [s - q * t for s, t in zip(row, piv)]
-                continue
-            g = gcd(a, b)
-            x = pow(a // g, -1, abs(b // g))
-            y, u, v = (g - x * a) // b, -b // g, a // g
-            piv, mat[i] = ([x * s + y * t for s, t in zip(piv, row)],
-                           [u * s + v * t for s, t in zip(piv, row)])
-            a = g
-        mat[p], mat[r] = mat[r], piv
-        if p != r:
+        i = nz[0]
+        if i != r:
+            mat[r], mat[i] = mat[i], mat[r]
             sign = -sign
-        if a < 0:
-            mat[r] = piv = [-s for s in piv]
-            a = -a
+        if mat[r][col] < 0:
+            mat[r] = [-a for a in mat[r]]
             sign = -sign
         for k in range(r):
-            q = mat[k][col] // a
+            q = mat[k][col] // mat[r][col]
             if q:
-                mat[k] = [s - q * t for s, t in zip(mat[k], piv)]
+                mat[k] = [a - q * b for a, b in zip(mat[k], mat[r])]
         r += 1
-    return tuple(tuple(row) for row in mat[:r]), sign if r == m else 0
+    return tuple(tuple(row) for row in mat[:r]), sign if r == len(mat) else 0
 
 
 def rank(vectors) -> int:

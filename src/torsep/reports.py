@@ -115,11 +115,8 @@ def _parse_text_weights(text: str) -> Instance:
         raise InputError(f"expected {n} weight lines, found {len(lines) - 1}")
     weights = []
     for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != d:
-            raise InputError(f"line {idx}: expected {d} integers, found {len(parts)}")
         try:
-            weights.append(tuple(int(p) for p in parts))
+            weights.append(tuple(int(p) for p in line.split()))
         except ValueError as exc:
             raise InputError(f"line {idx}: {exc}") from exc
     return Instance("weights", WeightSystem(d, tuple(weights)), None)

@@ -4,10 +4,12 @@ oracles, and small transformation utilities."""
 from __future__ import annotations
 
 import heapq
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 from torsep import cones, lp, verification
@@ -76,6 +78,15 @@ def fuzz_oracle_verdicts(seed: int, count: int):
             for oracle in (oracle_sp, oracle_wsp):
                 v = oracle(target)
                 yield ws, Verdict(v.property_name, mode, v.holds, v.certificate)
+
+
+def subprocess_env():
+    """The environment for ``python -m torsep`` on this checkout's source,
+    without a seed from the caller's environment."""
+    env = {k: v for k, v in os.environ.items() if k != "TORSEP_SEED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_weights(rng: random.Random, d: int, n: int, bound: int = 2) -> WeightSystem:

@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
@@ -17,7 +16,9 @@ from helpers import (
     N_WEIGHTS,
     QUARTET_WEIGHTS,
     fuzz_weights,
+    random_weights,
     reference_characteristic_pairs,
+    subprocess_env,
 )
 from torsep import binary_forms, cli
 from torsep.cones import WeightSystem, homogenize
@@ -35,15 +36,6 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _subprocess_env():
-    """The environment for ``python -m torsep`` on this checkout's source,
-    without a seed from the caller's environment."""
-    env = {k: v for k, v in os.environ.items() if k != "TORSEP_SEED"}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_decide_text(capsys, monkeypatch, tmp_path):
@@ -368,7 +360,7 @@ def test_batch_stdin_byte_not_utf8_fails_its_line_only():
     """Standard input is read as bytes, so under a strict UTF-8 stdin
     codec a byte that is not UTF-8 fails its own line and later lines
     still run, as for a file."""
-    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    env = dict(subprocess_env(), PYTHONIOENCODING="utf-8:strict")
     stdin = b"\n".join([M_JSON.encode(), b'{"d": 1, "weights": [[1]], "label": "\xff"}',
                         FIVE_JSON.encode()]) + b"\n"
     done = subprocess.run([sys.executable, "-m", "torsep", "decide", "--format", "json",
@@ -405,7 +397,7 @@ def test_batch_lone_surrogate_label_fails_its_line_only():
     """The escape ``\\ud800`` decodes to a lone surrogate, which no UTF-8
     stdout can write: that line fails and the next still prints its text
     report."""
-    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    env = dict(subprocess_env(), PYTHONIOENCODING="utf-8:strict")
     stdin = '{"weights": [[1]], "label": "\\ud800"}\n{"weights": [[2]]}\n'
     done = subprocess.run([sys.executable, "-m", "torsep", "decide", "--format", "text",
                            "--batch", "-"], input=stdin.encode(), env=env,
@@ -420,7 +412,7 @@ def test_json_batch_prints_one_line_per_nonblank_input_line():
     """Under ``--batch --format json`` each nonblank input line prints one
     stdout line, a report or an error record naming its line, in input
     order; the stderr messages and the exit code are unchanged."""
-    env = dict(_subprocess_env(), PYTHONIOENCODING="utf-8:strict")
+    env = dict(subprocess_env(), PYTHONIOENCODING="utf-8:strict")
     stdin = b"\n".join([M_JSON.encode(), b"garbage", b'{"weights": [[1]], "label": NaN}',
                         b'{"weights": [[1]], "label": "\\ud800"}',
                         b'{"weights": [[1]], "label": "\xff"}', b"  ", FIVE_JSON.encode()])
@@ -571,7 +563,7 @@ def test_parser_is_built_once_and_survives_exits(capsys, monkeypatch):
         assert built.count("torsep") == 1
     finally:
         cli._build_parser.cache_clear()
-    env = _subprocess_env()
+    env = subprocess_env()
     fresh = subprocess.run([sys.executable, "-m", "torsep", *argv], input=FIVE_JSON,
                            env=env, capture_output=True, text=True, timeout=120)
     assert here == (fresh.returncode, fresh.stdout, fresh.stderr)
@@ -611,6 +603,23 @@ def test_decide_trips_no_guard(capsys, monkeypatch):
     verdicts = json.loads(out)["verdicts"]
     assert [v["property"] for v in verdicts] == ["SP", "WSP", "SSP"]
     assert verdicts[2]["certificate"]["kind"] == "kernel-witness"
+    assert all(v["verified"] is True for v in verdicts)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wide_projective_decide_finishes(seed):
+    """Projective ``decide --property all`` on 60 weights in Z^6 takes its
+    SSP relation from the kernel of the homogenized weights, so it runs
+    in a subprocess under a 30 s timeout (it takes about 2 s); every
+    verdict re-verifies."""
+    ws = random_weights(random.Random(seed), 6, 60, 3)
+    done = subprocess.run(
+        [sys.executable, "-m", "torsep", "decide", "--mode", "projective", "--property", "all",
+         "--format", "json", "-"], input=json.dumps({"weights": [list(w) for w in ws.weights]}),
+        env=subprocess_env(), capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    verdicts = json.loads(done.stdout)["verdicts"]
+    assert [v["property"] for v in verdicts] == ["SP", "WSP", "SSP"]
     assert all(v["verified"] is True for v in verdicts)
 
 

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -12,7 +16,9 @@ from helpers import (
     minors,
     random_weights,
     reference_hermite,
+    subprocess_env,
 )
+from torsep.cones import homogenize
 from torsep.errors import InputError
 from torsep.linalg import (
     _hermite,
@@ -178,7 +184,7 @@ def test_kernel_lattice_is_a_canonical_saturated_basis():
 
 
 def test_hermite_matches_the_least_remainder_reference():
-    """The one-step elimination gives the form and sign of repeated
+    """``_hermite`` gives the form and sign of repeated
     least-remainder reduction (``helpers.reference_hermite``): seeded
     matrices up to 8 x 10 with entries up to 50 in absolute value, some
     with zero rows or columns, square ones among them, and the empty
@@ -204,3 +210,34 @@ def test_hermite_matches_the_least_remainder_reference():
         if mat and len(mat) == len(mat[0]):
             signs.add(got[1])
     assert signs == {-1, 0, 1}
+
+
+# sha256 of repr(kernel_lattice(V)) for the homogenized d=6 draw of
+# random_weights(random.Random(seed), 6, n, 3).  The (40, 0) digest was
+# taken with the earlier one-step elimination, whose kernel it matches.
+WIDE_KERNEL_DIGESTS = {
+    (40, 0): "48fa982c57e78f707f643ad560c7efc6bb2ca2b766ebc22a02fc900c84561c0f",
+    (60, 0): "270e91c0fbd1d51cc3e720fec05f3ffaad9b3183b993370f492ef6c4b77018ad",
+    (60, 1): "3e1760e763cbfc69b16df83a529bff499078d006bc31bfa4c349063b3c02ff3a",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(WIDE_KERNEL_DIGESTS))
+def test_wide_kernel_lattice_stays_small(n, seed):
+    """The relation lattice of n homogenized weights in Z^7 is computed in
+    a subprocess under a 30 s timeout (it takes hundredths of a second;
+    an elimination whose lower rows grow with each column takes minutes
+    at n = 60), and it is the kernel built on ``reference_hermite``."""
+    vectors = homogenize(random_weights(random.Random(seed), 6, n, 3)).weights
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from torsep.linalg import kernel_lattice; "
+         "print(json.dumps(kernel_lattice(json.load(sys.stdin))))"],
+        input=json.dumps(vectors), env=subprocess_env(), capture_output=True, text=True,
+        timeout=30, check=True)
+    kernel = tuple(map(tuple, json.loads(done.stdout)))
+    assert all(not any(combine(vectors, c)) for c in kernel)
+    assert len(kernel) == n - rank(vectors)
+    form, _ = reference_hermite(
+        (*v, *(int(i == j) for i in range(n))) for j, v in enumerate(vectors))
+    assert kernel == tuple(row[7:] for row in form if not any(row[:7]))
+    assert hashlib.sha256(repr(kernel).encode()).hexdigest() == WIDE_KERNEL_DIGESTS[n, seed]

@@ -113,12 +113,14 @@ def test_report_from_json_names_what_a_malformed_document_lacks():
 
 @pytest.mark.parametrize("text, message", [
     ('{"weights": [[1, 2], [3]]}', "weight 1 has length 1, expected 2"),
+    ("2 2\n1 2\n3", "weight 1 has length 1, expected 2"),
     ('{"weights": [[1, 2], "ab"]}', "weight 1 must be a list or tuple, not str"),
     ('{"weights": [[1, 2], {"a": 1}]}', "weight 1 must be a list or tuple, not dict"),
     ('{"weights": [[1, true]]}', "non-integer entry True in weight 0"),
     ('{"weights": [[1, 2.5]]}', "non-integer entry 2.5 in weight 0"),
 ])
 def test_json_weights_get_the_weight_system_messages(text, message):
+    """A malformed weight reads the same as JSON and as text."""
     with pytest.raises(InputError) as excinfo:
         parse_instance(text)
     assert str(excinfo.value) == message
