@@ -178,15 +178,18 @@ def run_command(command: str, instance: Instance, args) -> Report:
 
 
 def _read_input(path: str) -> str:
-    # A byte that is not UTF-8 becomes a lone surrogate, refused by ``_utf8``.
+    # A byte that is not UTF-8 becomes a lone surrogate, refused by ``_utf8``;
+    # one leading byte-order mark is dropped, as RFC 8259, Section 8.1 allows.
     if path == "-":
         text = getattr(sys.stdin, "buffer", sys.stdin).read()
-        return text if isinstance(text, str) else text.decode("utf-8", "surrogateescape")
-    try:  # newline="": a file's line endings stay as on standard input
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        text = text if isinstance(text, str) else text.decode("utf-8", "surrogateescape")
+    else:
+        try:  # newline="": a file's line endings stay as on standard input
+            with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 def _utf8(text: str) -> str:

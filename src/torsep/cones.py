@@ -28,8 +28,8 @@ from .linalg import (
     clear_denominators,
     dot,
     independent_rows,
+    inverse_columns,
     is_zero_vector,
-    kernel_lattice,
     primitive_vector,
     rank,
 )
@@ -187,7 +187,7 @@ def facets(ws: WeightSystem) -> tuple[ConeFace, ...]:
     p}, which is pointed because the rays span Z^r.  They are found by
     double description (Motzkin et al. 1953; Fukuda & Prodon 1996):
     start from the simplicial cone of r independent rays, whose dual is
-    spanned by its r integer facet normals (kernel vectors), then cut
+    spanned by its r facet normals (columns of the rays' inverse), then cut
     the dual by one ray at a time.  A cut keeps every normal with
     h.p >= 0 and adds the primitive positive combination of each
     adjacent pair across the hyperplane h.p = 0.  Adjacency is decided
@@ -216,17 +216,15 @@ def facets(ws: WeightSystem) -> tuple[ConeFace, ...]:
 
 def _dual_extreme_rays(rays, r: int) -> list[tuple[int, ...]]:
     """Extreme rays of {h : h.p >= 0 for every p in rays}, where the
-    rays span Z^r (r >= 1), by double description.  Base normal i spans
-    the kernel of the other base rays (``(1,)`` when r = 1); at each cut,
-    ``holders`` maps the bit of each ray to the bitmask of the normals
-    whose tight set holds it (Terzer & Stelling 2008)."""
+    rays span Z^r (r >= 1), by double description.  Base normal i is
+    column i of the base's inverse, made primitive (0 on the other base
+    rays and positive on ray i); at each cut, ``holders`` maps the bit of
+    each ray to the bitmask of the normals whose tight set holds it
+    (Terzer & Stelling 2008)."""
     base = independent_rows(rays)
-    cone = []  # (normal, tight set)
-    for i in base:
-        others = [rays[k] for k in base if k != i]
-        h = kernel_lattice(tuple(zip(*others)))[0] if others else (1,)
-        cone.append((h if dot(h, rays[i]) > 0 else tuple(-x for x in h),
-                     sum(1 << k for k in base if k != i)))
+    columns = inverse_columns([rays[k] for k in base])[0]
+    cone = [(primitive_vector(h), sum(1 << k for k in base if k != i))
+            for i, h in zip(base, columns)]  # (normal, tight set)
     for k, ray in enumerate(rays):
         if k in base:
             continue
@@ -396,6 +394,7 @@ def _check_euler_poincare(ws: WeightSystem, faces) -> None:
         raise InternalError("face lattice fails the Euler-Poincare relation")
 
 
+@lru_cache(maxsize=64)
 def homogenize(ws: WeightSystem) -> WeightSystem:
     """Append a coordinate 1 to every weight (projective-to-affine move)."""
     return WeightSystem(ws.dim + 1, tuple(w + (1,) for w in ws.weights))

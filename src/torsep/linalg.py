@@ -4,9 +4,10 @@ Everything downstream reduces to the primitives here, and all of them
 rest on one fraction-free elimination: the Hermite row form computed by
 ``_hermite``, which reduces each column by least remainders.
 Ranks, independent rows and determinants are read off the form, exact
-solves (over one integer denominator) off the form of [A | b], relation
-lattices off the form of [V | I], and lattices are compared by their
-forms.  There is no matrix type: a family of weights is a tuple of
+solves (over one integer denominator) off the form of [A | b], an
+inverse's columns off the form of [B | I] by the same back substitution,
+relation lattices off the form of [V | I], and lattices are compared by
+their forms.  There is no matrix type: a family of weights is a tuple of
 integer tuples, and ``rank``, ``kernel_lattice`` and ``combine`` take it
 as it is, while the row functions take the rows (``zip(*weights)`` when
 the weights are the columns).  All arithmetic is arbitrary-precision
@@ -75,23 +76,20 @@ def _hermite(rows) -> tuple[tuple[Vector, ...], int]:
     swaps and negations applied, or 0 if a zero row was dropped, so a
     square matrix has determinant sign * (product of the diagonal).
     In each column every nonzero row R (entry b) becomes R - floor(b / a) P,
-    for the row P of least absolute entry a, until one nonzero row is left.
+    for the row P of least absolute entry a, until one nonzero row is left;
+    each round revisits only the rows the last one left nonzero (live rows).
     """
     mat = [list(r) for r in rows]
     sign = 1
     r = 0
     for col in range(len(mat[0]) if mat else 0):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][col] != 0]
-            if len(nz) <= 1:
-                break
+        nz = [i for i in range(r, len(mat)) if mat[i][col]]
+        while len(nz) > 1:
             imin = min(nz, key=lambda i: abs(mat[i][col]))
             for i in nz:
-                if i == imin:
-                    continue
-                q = mat[i][col] // mat[imin][col]
-                if q:
+                if i != imin and (q := mat[i][col] // mat[imin][col]):
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[imin])]
+            nz = [i for i in nz if mat[i][col]]
         if not nz:
             continue
         i = nz[0]
@@ -159,6 +157,21 @@ def kernel_lattice(vectors) -> tuple[Vector, ...]:
     return tuple(row[d:] for row in form if not any(row[:d]))
 
 
+def _back_substitute(form, n: int, c: int) -> tuple[list[int], int] | None:
+    """(x, D), D >= 1, with A x = D b and free variables 0, where ``form`` is the
+    Hermite form of [A | ...], A has n columns and b is the form's column c;
+    None when a row leads past A (inconsistent, or A singular)."""
+    nums, denom = [0] * n, 1
+    for row in reversed(form):
+        lead = next(j for j, a in enumerate(row) if a)
+        if lead >= n:
+            return None
+        top = row[c] * denom - dot(row[lead + 1:n], nums[lead + 1:])
+        nums = [row[lead] * a for a in nums]
+        nums[lead], denom = top, denom * row[lead]
+    return nums, denom
+
+
 def solve_exact(rows, rhs):
     """Exact solve of an integer linear system (rows) @ x = rhs.
 
@@ -170,12 +183,20 @@ def solve_exact(rows, rhs):
     if not rows:
         return ()
     n = len(rows[0])
-    nums, denom = [0] * n, 1
-    for row in reversed(_hermite([*row, b] for row, b in zip(rows, rhs))[0]):
-        lead = next(j for j, a in enumerate(row) if a)
-        if lead == n:
-            return None
-        top = row[n] * denom - dot(row[lead + 1:n], nums[lead + 1:])
-        nums = [row[lead] * a for a in nums]
-        nums[lead], denom = top, denom * row[lead]
-    return tuple(Fraction(a, denom) for a in nums)
+    x = _back_substitute(_hermite([*row, b] for row, b in zip(rows, rhs))[0], n, n)
+    return None if x is None else tuple(Fraction(a, x[1]) for a in x[0])
+
+
+def inverse_columns(rows) -> tuple[tuple[Vector, ...], int]:
+    """(C, D), D >= 1, with C the columns of D B^-1, for the list of rows of
+    a square invertible integer matrix B; no Fraction is built.  The form
+    of [B | I] is [H | U] with U B = H, so B^-1 e_i = H^-1 U e_i: one
+    elimination, and one back substitution per column over D = prod H_ii."""
+    r = len(rows)
+    if any(len(row) != r for row in rows):
+        raise InputError("inverse_columns requires a square matrix")
+    form = _hermite((*row, *(int(i == j) for j in range(r))) for i, row in enumerate(rows))[0]
+    columns = [_back_substitute(form, r, r + i) for i in range(r)]
+    if None in columns:
+        raise InputError("inverse_columns requires an invertible matrix")
+    return tuple(tuple(x) for x, _ in columns), columns[0][1] if r else 1

@@ -100,25 +100,31 @@ def instance_from_json(data) -> Instance:
     raise InputError("instance JSON needs 'weights', 'coeffs' or 'form'")
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _text_ints(tokens, idx: int) -> tuple[int, ...]:
+    """Text line ``idx``'s tokens, each an ASCII decimal integer, as ints."""
+    for token in tokens:
+        if not _DECIMAL.fullmatch(token):
+            raise InputError(f"line {idx}: {token!r} is not a decimal integer")
+    try:
+        return tuple(map(int, tokens))
+    except ValueError as exc:  # more digits than ``int`` converts
+        raise InputError(f"line {idx}: {exc}") from exc
+
+
 def _parse_text_weights(text: str) -> Instance:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split()
     if len(header) != 2:
         raise InputError("line 1: expected header 'd n'")
-    try:
-        d, n = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise InputError(f"line 1: {exc}") from exc
+    d, n = _text_ints(header, 1)
     if d < 1 or n < 1:
         raise InputError("line 1: d and n must be positive")
     if len(lines) != n + 1:
         raise InputError(f"expected {n} weight lines, found {len(lines) - 1}")
-    weights = []
-    for idx, line in enumerate(lines[1:], start=2):
-        try:
-            weights.append(tuple(int(p) for p in line.split()))
-        except ValueError as exc:
-            raise InputError(f"line {idx}: {exc}") from exc
+    weights = [_text_ints(line.split(), idx) for idx, line in enumerate(lines[1:], start=2)]
     return Instance("weights", WeightSystem(d, tuple(weights)), None)
 
 

@@ -218,8 +218,8 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
     """Strong separation property for cone-type affine orbit closures.
 
     Requires the closure to be a cone and refuses (HypothesisError)
-    otherwise.  Holds iff the weights are linearly independent, i.e.
-    the closure is the whole space.  A failure names the first
+    otherwise.  Holds iff the weights have no relation (the closure is
+    the whole space); a failure names the first relation and the first
     coordinate pair avoided by a facet, so no resource guard applies.
     """
     is_cone, functional = cone_hypothesis(ws)
@@ -228,18 +228,14 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
             "SSP hypothesis not satisfied: the orbit closure is not a cone "
             "(no rational functional takes the value 1 on every weight)"
         )
-    rows = tuple(zip(*ws.weights))
-    row_idx = independent_rows(rows)
-    if len(row_idx) == ws.n:
-        det = determinant([rows[i] for i in row_idx])
-        cert = {
-            "kind": "full-rank",
-            "row_indices": row_idx,
-            "determinant": det,
-            "cone_functional": functional,
-        }
-        return Verdict("SSP", "affine", True, cert, notes=_CONE_NOTES)
     kernel = kernel_lattice(ws.weights)
+    if not kernel:
+        rows = tuple(zip(*ws.weights))
+        row_idx = independent_rows(rows)
+        det = determinant([rows[i] for i in row_idx])
+        cert = {"kind": "full-rank", "row_indices": row_idx, "determinant": det,
+                "cone_functional": functional}
+        return Verdict("SSP", "affine", True, cert, notes=_CONE_NOTES)
     witness = ssp_coordinate_witness(ws)
     if witness is None:
         raise CrossCheckError(
@@ -286,19 +282,19 @@ def decide_projective_wsp(ws: WeightSystem) -> Verdict:
 def decide_projective_ssp(ws: WeightSystem) -> Verdict:
     """Strong separation property of the projective orbit closure.
 
-    Holds iff the weights are affinely independent (the closure is the
-    whole projective space); no cone hypothesis is needed because the
-    homogenized closure is always a cone.
+    Holds iff the homogenized weights have no relation (the weights are
+    affinely independent: the closure is the whole projective space); no
+    cone hypothesis is needed because the homogenized closure is a cone.
     """
     hws = homogenize(ws)
-    rows = tuple(zip(*hws.weights))
-    row_idx = independent_rows(rows)
-    if len(row_idx) == ws.n:
+    kernel = kernel_lattice(hws.weights)
+    if not kernel:
+        rows = tuple(zip(*hws.weights))
+        row_idx = independent_rows(rows)
         det = determinant([rows[i] for i in row_idx])
         cert = {"kind": "affine-independent", "row_indices": row_idx, "determinant": det}
         return Verdict("SSP", "projective", True, cert, notes=(_PROJ_NOTE,))
-    relation = kernel_lattice(hws.weights)[0]
-    cert = {"kind": "affine-dependence", "relation": relation}
+    cert = {"kind": "affine-dependence", "relation": kernel[0]}
     return Verdict("SSP", "projective", False, cert, notes=(_PROJ_NOTE,))
 
 

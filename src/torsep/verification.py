@@ -59,23 +59,27 @@ def _check_vacuous(problems, ws, cert, reading):
     _require(problems, ws.n == 1, "vacuous rule applies only to a single weight")
 
 
+def _values(memo, ws, gamma) -> list[int]:
+    """gamma.w for each weight w, computed once per ``memo`` (one per check call)."""
+    if gamma not in memo:
+        memo[gamma] = [dot(gamma, w) for w in ws.weights]
+    return memo[gamma]
+
+
 def _check_edge_separation(problems, ws, cert, reading):
     separators = cert.get("separators", ())
     _require(problems, len(separators) == ws.n, "one separator pair per weight required")
-    seen = set()
+    seen, memo = set(), {}
     for entry in separators:
         i = entry["index"]
         if not _valid_index(problems, i, ws.n):
             continue
         seen.add(i)
-        chi = ws.weights[i]
-        others = ws.others(i)
-        for key, target in (("vector_excluded_by", chi),
-                            ("negation_excluded_by", tuple(-x for x in chi))):
-            gamma = clear_denominators(entry[key])[0]
-            _require(problems, all(dot(gamma, w) >= 0 for w in others),
+        for key, sign in (("vector_excluded_by", 1), ("negation_excluded_by", -1)):
+            values = _values(memo, ws, clear_denominators(entry[key])[0])
+            _require(problems, all(v >= 0 for k, v in enumerate(values) if k != i),
                      f"separator {key} for weight {i} not supporting")
-            _require(problems, dot(gamma, target) < 0,
+            _require(problems, sign * values[i] < 0,
                      f"separator {key} for weight {i} does not exclude")
     _require(problems, seen == set(range(ws.n)), "separators must cover every weight")
 
@@ -133,7 +137,7 @@ def _check_face_separation(problems, ws, cert, reading):
     _require(problems,
              all(dot(gamma_p, w) >= scale for w in ws.weights if not is_zero_vector(w)),
              "pointedness functional fails")
-    seen = set()
+    seen, memo = set(), {}
     for entry in cert.get("pair_separators", ()):
         if not (_valid_pair(problems, ws, entry["pair"])
                 and _valid_index(problems, entry["vanishes_at"], ws.n, "vanishes_at")):
@@ -144,9 +148,10 @@ def _check_face_separation(problems, ws, cert, reading):
         other = j if vanish == i else i
         gamma, scale = clear_denominators(entry["functional"])
         _require(problems, vanish in (i, j), "vanishing index must be in the pair")
-        _require(problems, all(dot(gamma, w) >= 0 for w in ws.weights), "separator not supporting")
-        _require(problems, dot(gamma, ws.weights[vanish]) == 0, "separator does not vanish")
-        _require(problems, dot(gamma, ws.weights[other]) >= scale, "separator not positive")
+        values = _values(memo, ws, gamma)
+        _require(problems, min(values) >= 0, "separator not supporting")
+        _require(problems, values[vanish] == 0, "separator does not vanish")
+        _require(problems, values[other] >= scale, "separator not positive")
     expected = {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)}
     _require(problems, seen == expected, "pair separators must cover all pairs")
 

@@ -25,8 +25,10 @@ from torsep.errors import HypothesisError, ResourceGuardError
 from torsep.linalg import (
     Vector,
     combine,
+    dot,
     independent_rows,
     is_zero_vector,
+    kernel_lattice,
     primitive_vector,
     rank,
     solve_exact,
@@ -276,6 +278,20 @@ def facet_rays(ws: WeightSystem):
     rays = sorted({primitive_vector([w[c] for c in coords])
                    for w in ws.weights if not is_zero_vector(w)})
     return rays, len(coords)
+
+
+def reference_base_normals(rays) -> list[Vector]:
+    """The base normals double description started from before
+    ``linalg.inverse_columns``: for each base ray i (``independent_rows``),
+    the kernel vector of the other base rays (``(1,)`` when there are
+    none), negated unless it is positive on ray i."""
+    base = independent_rows(rays)
+    normals = []
+    for i in base:
+        others = [rays[k] for k in base if k != i]
+        h = kernel_lattice(tuple(zip(*others)))[0] if others else (1,)
+        normals.append(h if dot(h, rays[i]) > 0 else tuple(-x for x in h))
+    return normals
 
 
 def reference_dual_extreme_rays(rays, r: int) -> list[Vector]:

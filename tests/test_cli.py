@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import random
 import subprocess
@@ -309,6 +310,36 @@ def test_batch_lines_end_at_newline_only(capsys, monkeypatch, tmp_path):
     assert last["instance"]["weights"] == [[1, 0, 0], [1, 1, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1]]
     assert run_cli(capsys, ["decide", "--format", "json", "--batch", str(path)]) == (
         code, out, err)
+
+
+def test_a_leading_byte_order_mark_is_dropped(capsys, monkeypatch, tmp_path):
+    """A JSON instance, a text instance and a 2-line batch stream, each
+    led by a UTF-8 byte-order mark, read from standard input (as text or
+    bytes) or a file, give the output and exit code they give without
+    one (RFC 8259, Section 8.1).  A U+FEFF anywhere else is refused."""
+    class BytesStdin:
+        def __init__(self, data):
+            self.buffer = io.BytesIO(data)
+
+    for argv, text in ((["decide", "--format", "json", "-"], M_JSON),
+                       (["decide", "-"], "2 3\n1 1\n2 0\n0 2\n"),
+                       (["decide", "--format", "json", "--batch", "-"], M_JSON + "\n" + FIVE_JSON)):
+        plain = run_cli(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+        assert plain[0] == 0 and plain[1]
+        assert run_cli(capsys, argv, stdin="\ufeff" + text, monkeypatch=monkeypatch) == plain
+        monkeypatch.setattr(sys, "stdin", BytesStdin(b"\xef\xbb\xbf" + text.encode()))
+        assert run_cli(capsys, argv) == plain
+        path = tmp_path / "bom.txt"
+        path.write_text(text, encoding="utf-8-sig")
+        assert run_cli(capsys, [*argv[:-1], str(path)]) == plain
+    code, _, err = run_cli(capsys, ["decide", "-"], stdin="\ufeff\ufeff" + M_JSON,
+                           monkeypatch=monkeypatch)
+    assert (code, err.startswith("error: line 1: ")) == (2, True)
+    code, out, err = run_cli(capsys, ["decide", "--format", "json", "--batch", "-"],
+                             stdin="\ufeff" + M_JSON + "\n\ufeff" + FIVE_JSON,
+                             monkeypatch=monkeypatch)
+    assert (code, err.startswith("line 2: error: not a JSON instance")) == (2, True)
+    assert [json.loads(ln).get("line") for ln in out.splitlines()] == [None, 2]
 
 
 def test_batch_survives_malformed_instances(capsys, monkeypatch):

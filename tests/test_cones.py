@@ -1,12 +1,15 @@
 import random
+import sys
 from fractions import Fraction
 from hashlib import sha256
 
 import pytest
 
 from helpers import (
+    FIVE_WEIGHTS,
     M_WEIGHTS,
     N_WEIGHTS,
+    QUARTET_WEIGHTS,
     apply_unimodular,
     brute_force_cone_member,
     brute_force_faces,
@@ -418,6 +421,29 @@ def test_facet_layer_builds_no_fraction(monkeypatch):
             facets(ws)
             for i in range(ws.n):
                 smallest_face(ws, (i,))
+    finally:
+        clear_cone_caches()
+
+
+def test_facets_run_no_kernel_lattice(monkeypatch):
+    """With the facet caches cleared and ``kernel_lattice`` refused in
+    every torsep module, ``facets`` returns the same tables on the golden
+    systems and 200 fuzz draws, affine and homogenized: double
+    description starts from one inverse, not one kernel per base ray."""
+    golden = [M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS]
+    systems = golden + [homogenize(ws) for ws in golden] + list(_fuzz_cones(43, 200))
+    clear_cone_caches()
+    expected = [facets(ws) for ws in systems]
+    clear_cone_caches()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the facet layer called kernel_lattice")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "torsep" and hasattr(module, "kernel_lattice"):
+            monkeypatch.setattr(module, "kernel_lattice", refuse)
+    try:
+        assert [facets(ws) for ws in systems] == expected
     finally:
         clear_cone_caches()
 

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 from math import gcd
 
 import pytest
@@ -10,21 +11,24 @@ import pytest
 from helpers import (
     FIVE_WEIGHTS,
     brute_force_kernel_vectors,
+    facet_rays,
     greedy_independent_rows,
     leibniz_determinant,
     minor_rank,
     minors,
     random_weights,
+    reference_base_normals,
     reference_hermite,
     subprocess_env,
 )
-from torsep.cones import homogenize
+from torsep.cones import WeightSystem, homogenize
 from torsep.errors import InputError
 from torsep.linalg import (
     _hermite,
     combine,
     determinant,
     independent_rows,
+    inverse_columns,
     kernel_lattice,
     lattice_equal,
     primitive_vector,
@@ -241,3 +245,59 @@ def test_wide_kernel_lattice_stays_small(n, seed):
         (*v, *(int(i == j) for i in range(n))) for j, v in enumerate(vectors))
     assert kernel == tuple(row[7:] for row in form if not any(row[:7]))
     assert hashlib.sha256(repr(kernel).encode()).hexdigest() == WIDE_KERNEL_DIGESTS[n, seed]
+
+
+def _check_inverse_columns(rows):
+    """``inverse_columns(rows)`` is (C, D) with B C = D I and D >= 1, and
+    each column made primitive is the kernel-built base normal."""
+    columns, denom = inverse_columns(rows)
+    r = len(rows)
+    assert denom >= 1
+    assert [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in rows] == \
+        [[denom * int(i == j) for j in range(r)] for i in range(r)]
+    assert [primitive_vector(col) for col in columns] == reference_base_normals(rows), rows
+
+
+def test_inverse_columns_match_the_kernel_base_normals():
+    """Random invertible integer matrices, r = 1..6, entries in [-5, 5]."""
+    assert inverse_columns([]) == ((), 1)
+    rng = random.Random(37)
+    for r in range(1, 7):
+        found = 0
+        while found < 40:
+            rows = [tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(r)]
+            if determinant(rows):
+                _check_inverse_columns(rows)
+                found += 1
+
+
+def test_inverse_columns_match_on_every_catalog_base():
+    """Every double-description base of the decide-wide and faces-wide
+    benchmark catalogs, in the mode of its entry."""
+    catalog = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "catalog.json").read_text(encoding="utf-8"))
+    bases = 0
+    for name in ("decide-wide", "faces-wide"):
+        for entry in catalog["workloads"][name]:
+            ws = WeightSystem(entry["d"], entry["weights"])
+            if "projective" in entry["argv"]:
+                ws = homogenize(ws)
+            rays, r = facet_rays(ws)
+            if r:
+                _check_inverse_columns([rays[k] for k in independent_rows(rays)])
+                bases += 1
+    assert bases == 140
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0]], "invertible"),
+    ([[1, 2], [2, 4]], "invertible"),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], "invertible"),
+    ([[1, 2]], "square"),
+    ([[1], [2]], "square"),
+    ([[1, 0], [0]], "square"),
+    ([[1, 0], [0, 1, 0]], "square"),
+])
+def test_inverse_columns_refuses_a_singular_or_non_square_matrix(rows, message):
+    with pytest.raises(InputError, match=message):
+        inverse_columns(rows)

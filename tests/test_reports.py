@@ -40,6 +40,13 @@ def test_parse_errors_carry_location():
         parse_instance("{bad json")
     with pytest.raises(InputError, match="line 3"):
         parse_instance("1 2\n1\nx")
+    # ``int`` alone would read 1_0 as 10 and an Arabic-Indic one as 1.
+    with pytest.raises(InputError, match="^line 2: '1_0' is not a decimal integer$"):
+        parse_instance("2 2\n1_0 0\n0 1")
+    with pytest.raises(InputError, match="^line 3: '\u0661' is not a decimal integer$"):
+        parse_instance("2 2\n10 0\n0 \u0661")
+    with pytest.raises(InputError, match="^line 1: '\u0662' is not a decimal integer$"):
+        parse_instance("\u0662 2\n1 0\n0 1")
     with pytest.raises(InputError):
         parse_instance('{"d":2,"weights":[]}')
     with pytest.raises(InputError):

@@ -1,5 +1,7 @@
 import importlib
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,14 @@ from helpers import (
     reference_affine_sp,
     reference_cone_hypothesis,
 )
-from torsep.cones import WeightSystem, homogenize, is_strictly_convex, minimal_face, smallest_face
+from torsep.cones import (
+    WeightSystem,
+    facets,
+    homogenize,
+    is_strictly_convex,
+    minimal_face,
+    smallest_face,
+)
 from torsep.linalg import dot, is_zero_vector
 from torsep.errors import HypothesisError, InputError, InternalError
 from torsep.separation import (
@@ -136,6 +145,33 @@ def test_projective_ssp_examples():
     assert not v.holds
     relation = v.certificate["relation"]
     assert sum(relation) == 0
+
+
+@pytest.mark.parametrize("decider, ws, facet_system", [
+    (decide_projective_ssp, QUARTET_WEIGHTS, homogenize(QUARTET_WEIGHTS)),  # n > d + 1
+    (decide_affine_ssp, M_WEIGHTS, M_WEIGHTS),  # dependent, and a cone
+])
+def test_failing_ssp_takes_one_elimination(monkeypatch, decider, ws, facet_system):
+    """A failing SSP reads its relation off one ``kernel_lattice`` and
+    seeks no minor: ``independent_rows`` and ``determinant`` never run.
+    The facets are cached first, so only the decider's own calls count."""
+    facets(facet_system)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "torsep":
+            for name in ("kernel_lattice", "independent_rows", "determinant"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    verdict = decider(ws)
+    assert dict(calls) == {"kernel_lattice": 1}
+    assert not _verified(ws, verdict).holds
 
 
 def test_single_weight_is_vacuous():
