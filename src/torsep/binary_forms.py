@@ -234,9 +234,32 @@ def substitute(f: BinaryForm, matrix) -> BinaryForm:
     return BinaryForm(tuple(total))
 
 
-_FACTOR_RE = re.compile(
-    r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[xy])(?:\^(?P<exp>\d{1,9}))?)$"
-)
+_NUMERAL = "[0-9]+(?:/[0-9]+)?"  # ASCII digits only, as in every numeral torsep reads
+_FACTOR_RE = re.compile(rf"(?P<num>{_NUMERAL})|(?P<var>[xy])(?:\^(?P<exp>[0-9]{{1,9}}))?")
+_SIGNED_NUMERAL = re.compile(rf"[+-]?{_NUMERAL}")
+
+
+def read_numeral(numeral: str, what: str, kind=Fraction):
+    """``kind(numeral)``; a zero denominator or an over-long numeral is an InputError."""
+    try:
+        return kind(numeral)
+    except ZeroDivisionError:
+        raise InputError(f"{what}{numeral!r} has a zero denominator") from None
+    except ValueError:  # a numeral past ``sys.get_int_max_str_digits()``
+        raise InputError(f"{what}numeral of {len(numeral)} characters is longer "
+                         "than the interpreter reads") from None
+
+
+def form_from_coeffs(coeffs) -> BinaryForm:
+    """The form of a JSON ``coeffs`` list.  Each entry is a JSON integer, or a
+    string in the form text's numeral grammar with an optional sign."""
+    if not isinstance(coeffs, list):
+        raise InputError("'coeffs' must be a list")
+    check_form_degree(len(coeffs) - 1)
+    for c in coeffs:
+        if not (type(c) is int or isinstance(c, str) and _SIGNED_NUMERAL.fullmatch(c)):
+            raise InputError(f"'coeffs' entry {c!r} is not a JSON integer or numeral string")
+    return BinaryForm([c if type(c) is int else read_numeral(c, "coefficient ") for c in coeffs])
 
 
 def parse_form(text: str) -> BinaryForm:
@@ -264,17 +287,11 @@ def parse_form(text: str) -> BinaryForm:
         coeff = Fraction(sign)
         ex = ey = 0
         for factor in body.split("*"):
-            match = _FACTOR_RE.match(factor)
+            match = _FACTOR_RE.fullmatch(factor)
             if not match:
                 raise InputError(f"cannot parse factor {factor!r}")
             if match["num"]:
-                try:
-                    coeff *= Fraction(match["num"])
-                except ZeroDivisionError:
-                    raise InputError(f"coefficient {factor!r} has a zero denominator") from None
-                except ValueError:  # a numeral past ``sys.get_int_max_str_digits()``
-                    raise InputError(f"coefficient numeral of {len(factor)} characters is "
-                                     "longer than the interpreter reads") from None
+                coeff *= read_numeral(factor, "coefficient ")
             else:
                 e = int(match["exp"]) if match["exp"] else 1
                 if match["var"] == "x":

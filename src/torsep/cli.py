@@ -26,7 +26,7 @@ from .errors import (
     ResourceGuardError,
 )
 from .ideals import binomial_generators, sp_violation_scan, verify_vanishing
-from .reports import Instance, Report, emit_report, parse_instance, parse_json_instance
+from .reports import Instance, Report, emit_report, parse_instance, parse_json_instance, text_lines
 from .separation import decide, projective
 from .strata import characteristic_pairs, oracle_sp, oracle_wsp, ssp_coordinate_witness, strata
 from .verdict import Verdict
@@ -325,10 +325,8 @@ def main(argv=None) -> int:
         return 2
     if args.batch:
         code = 0
-        # Only "\n" ends a line (``str.splitlines`` also splits at U+2028).
-        for k, line in enumerate(text.split("\n"), 1):
-            if line.strip():
-                code = max(code, _process_one(line, args, k))
+        for k, line in text_lines(text):
+            code = max(code, _process_one(line, args, k))
         return code
     return _process_one(text, args)
 

@@ -188,17 +188,6 @@ def lp_feasible(equalities, inequalities, num_vars=None) -> FeasibilityResult:
     return result
 
 
-def verify_feasibility(equalities, inequalities, num_vars, result) -> None:
-    """Check a FeasibilityResult against its system by plain arithmetic.
-
-    Raises InternalError on any violation; the solver calls this on
-    every answer before returning it.
-    """
-    eqs, num_vars = _coerce(equalities, num_vars)
-    ineqs, num_vars = _coerce(inequalities, num_vars)
-    _check_feasibility(eqs, ineqs, num_vars or 0, result)
-
-
 def _check_feasibility(eqs, ineqs, n, result) -> None:
     if result.feasible:
         x = result.solution

@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
-from .binary_forms import BinaryForm, check_form_degree, form_to_string, parse_form
+from .binary_forms import form_from_coeffs, form_to_string, parse_form, read_numeral
 from .cones import WeightSystem
 from .errors import InputError, ResourceGuardError
 from .verdict import Verdict
@@ -37,14 +37,18 @@ def parse_instance(text: str) -> Instance:
 
     JSON weights: {"d": 2, "weights": [[1, 1], [2, 0], [0, 2]]}.
     JSON binary forms: {"coeffs": [...]} or {"form": "x^2*y^2 - 3*x^4"}.
-    Text weights: first line "d n", then n lines of d integers.
+    Text weights: "d n", then n lines of d integers.  An error's line counts blank lines.
     """
-    stripped = text.strip()
-    if not stripped:
-        raise InputError("empty instance")
-    if stripped.startswith("{"):
-        return parse_json_instance(stripped)
-    return _parse_text_weights(stripped)
+    if text.lstrip().startswith("{"):
+        return parse_json_instance(text)
+    return _parse_text_weights(text)
+
+
+def text_lines(text: str) -> list[tuple[int, str]]:
+    r"""The nonblank lines of ``text``, each with its 1-based number.  Only
+    "\n" ends a line: "\r\n" works, while "\r", "\f" or U+2028, where
+    ``str.splitlines`` would also split, stay inside their line."""
+    return [(k, line) for k, line in enumerate(text.split("\n"), 1) if line.strip()]
 
 
 def parse_json_instance(text: str) -> Instance:
@@ -84,15 +88,7 @@ def instance_from_json(data) -> Instance:
             raise InputError("'d' must be a positive integer")
         return Instance("weights", WeightSystem(d, rows), label)
     if "coeffs" in data:
-        coeffs = data["coeffs"]
-        if not isinstance(coeffs, list):
-            raise InputError("'coeffs' must be a list")
-        check_form_degree(len(coeffs) - 1)
-        try:
-            coeffs = tuple(Fraction(str(c)) for c in coeffs)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"'coeffs' must be rationals, got {coeffs!r}") from None
-        return Instance("binary-form", BinaryForm(coeffs), label)
+        return Instance("binary-form", form_from_coeffs(data["coeffs"]), label)
     if "form" in data:
         if not isinstance(data["form"], str):
             raise InputError("'form' must be a string")
@@ -108,23 +104,23 @@ def _text_ints(tokens, idx: int) -> tuple[int, ...]:
     for token in tokens:
         if not _DECIMAL.fullmatch(token):
             raise InputError(f"line {idx}: {token!r} is not a decimal integer")
-    try:
-        return tuple(map(int, tokens))
-    except ValueError as exc:  # more digits than ``int`` converts
-        raise InputError(f"line {idx}: {exc}") from exc
+    return tuple(read_numeral(token, f"line {idx}: ", int) for token in tokens)
 
 
 def _parse_text_weights(text: str) -> Instance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
+    lines = text_lines(text)
+    if not lines:
+        raise InputError("empty instance")
+    (first, header), rows = lines[0], lines[1:]
+    header = header.split()
     if len(header) != 2:
-        raise InputError("line 1: expected header 'd n'")
-    d, n = _text_ints(header, 1)
+        raise InputError(f"line {first}: expected header 'd n'")
+    d, n = _text_ints(header, first)
     if d < 1 or n < 1:
-        raise InputError("line 1: d and n must be positive")
-    if len(lines) != n + 1:
-        raise InputError(f"expected {n} weight lines, found {len(lines) - 1}")
-    weights = [_text_ints(line.split(), idx) for idx, line in enumerate(lines[1:], start=2)]
+        raise InputError(f"line {first}: d and n must be positive")
+    if len(rows) != n:
+        raise InputError(f"expected {n} weight lines, found {len(rows)}")
+    weights = [_text_ints(line.split(), idx) for idx, line in rows]
     return Instance("weights", WeightSystem(d, tuple(weights)), None)
 
 
@@ -172,13 +168,13 @@ class Report(namedtuple("Report", "command instance options verdicts verified ex
 
 
 # The strings ``_rational`` writes for a Fraction.
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _decode_rationals(value):
     """Undo ``_rational`` on certificate data: rational strings become Fractions."""
     if isinstance(value, str):
-        return Fraction(value) if _RATIONAL.fullmatch(value) else value
+        return read_numeral(value, "certificate ") if _RATIONAL.fullmatch(value) else value
     if isinstance(value, list):
         return [_decode_rationals(v) for v in value]
     if isinstance(value, dict):

@@ -33,7 +33,7 @@ from torsep.linalg import (
     rank,
     solve_exact,
 )
-from torsep.lp import FeasibilityResult, lp_feasible, verify_feasibility
+from torsep.lp import FeasibilityResult, lp_feasible
 from torsep.separation import decide
 from torsep.strata import SspWitness, oracle_sp, oracle_wsp, strata
 from torsep.verdict import Verdict, vacuous
@@ -443,7 +443,7 @@ def reference_lp_feasible(equalities, inequalities, num_vars=None) -> Feasibilit
         result = FeasibilityResult(False, certificate=cert)
     else:
         result = FeasibilityResult(True, solution=tuple(-q / vec[n] for q in vec[:n]))
-    verify_feasibility(equalities, inequalities, n, result)
+    lp._check_feasibility(eqs, ineqs, n, result)
     return result
 
 

@@ -354,6 +354,17 @@ def test_batch_survives_malformed_instances(capsys, monkeypatch):
     assert [r.get("line") for r in records] == [None, 2, 3, 4, None]
     assert [records[0]["instance"]["coeffs"], records[4]["instance"]["coeffs"]] == [
         ["1", "2"], ["1", "0", "-1"]]
+    # A numeral is ASCII digits: no other digit, exponent, blank, "_" or float.
+    malformed = ['{"coeffs": ["\u0661", 1]}', '{"coeffs": ["1e1", 1]}', '{"coeffs": [" 2 ", 1]}',
+                 '{"coeffs": ["1_0", 1]}', '{"coeffs": [1.5, 1]}',
+                 '{"form": "\u0661*x*y - y^2"}', '{"form": "x\\n*y"}']
+    code, out, err = run_cli(capsys, ["binary", "--format", "json", "--batch", "-"],
+                             stdin="\n".join(malformed) + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert [e.split(": ")[:2] for e in err.splitlines()] == [
+        [f"line {k}", "error"] for k in range(1, len(malformed) + 1)]
+    assert [json.loads(ln)["line"] for ln in out.splitlines()] == list(
+        range(1, len(malformed) + 1))
     code, out, err = run_cli(capsys, ["decide", "-"], stdin='{"d": true, "weights": [[1], [2]]}',
                              monkeypatch=monkeypatch)
     assert (code, out) == (2, "")

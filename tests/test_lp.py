@@ -8,7 +8,7 @@ from helpers import brute_force_cone_member, reference_lp_feasible, reference_ph
 from torsep import lp
 from torsep.errors import InputError
 from torsep.linalg import dot
-from torsep.lp import cone_member, lp_feasible, verify_feasibility
+from torsep.lp import cone_member, lp_feasible
 
 
 def test_trivial_feasible():
@@ -56,12 +56,13 @@ def test_verify_feasibility_rejects_bad_objects():
     from torsep.lp import FeasibilityResult
 
     with pytest.raises(InternalError):
-        verify_feasibility(
-            [([1], 1)], [], 1, FeasibilityResult(True, solution=(Fraction(0),))
+        lp._check_feasibility(
+            lp._coerce([([1], 1)], 1)[0], [], 1,
+            FeasibilityResult(True, solution=(Fraction(0),)),
         )
     with pytest.raises(InternalError):
-        verify_feasibility(
-            [], [([1], 1), ([-1], 0)], 1,
+        lp._check_feasibility(
+            [], lp._coerce([([1], 1), ([-1], 0)], 1)[0], 1,
             FeasibilityResult(False, certificate=(Fraction(1), Fraction(2))),
         )
 
@@ -143,7 +144,7 @@ def _solve_and_check(eqs, ineqs, num_vars=None):
     first = lp_feasible(eqs, ineqs, num_vars=num_vars)
     assert lp_feasible(eqs, ineqs, num_vars=num_vars) == first
     n = num_vars if num_vars is not None else len((eqs + ineqs)[0][0])
-    verify_feasibility(eqs, ineqs, n, first)
+    lp._check_feasibility(lp._coerce(eqs, n)[0], lp._coerce(ineqs, n)[0], n, first)
     return first
 
 

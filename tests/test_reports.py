@@ -22,12 +22,14 @@ def test_parse_json_weights():
     assert inst.kind == "weights"
     assert inst.payload.dim == 2
     assert inst.payload.n == 3
+    assert parse_instance('\r\n{"d":2,"weights":[[1,1],[2,0],[0,2]]}\r\n') == inst
 
 
 def test_parse_text_weights():
     inst = parse_instance("1 2\n1\n-1")
     assert inst.payload.dim == 1
     assert inst.payload.weights == ((1,), (-1,))
+    assert parse_instance("1 2\r\n1\r\n-1\r\n") == inst
 
 
 def test_parse_dimension_mismatch():
@@ -51,6 +53,21 @@ def test_parse_errors_carry_location():
         parse_instance('{"d":2,"weights":[]}')
     with pytest.raises(InputError):
         parse_instance("")
+    # A line number counts every input line, blank ones too, in both formats.
+    with pytest.raises(InputError, match="^line 4: 'x' is not a decimal integer$"):
+        parse_instance("2 2\n\n1 0\nx 1")
+    with pytest.raises(InputError, match="^line 3: expected header 'd n'$"):
+        parse_instance("\n \n2 2 2\n1 0\n0 1")
+    with pytest.raises(InputError, match="^line 3: d and n must be positive$"):
+        parse_instance("\n\n0 2\n1 0\n0 1")
+    with pytest.raises(InputError, match="parse error at line 3, column 30: "):
+        parse_instance('\n\n{"d": 2, "weights": [[1, 0], x]}')
+    with pytest.raises(InputError, match="^line 2: numeral of 5000 characters is longer than "
+                       "the interpreter reads$"):
+        parse_instance("2 2\n" + "7" * 5000 + " 0\n0 1")
+    for separator in "\f\v\r\x1c\x85\u2028":  # only "\n" ends a line; these do not
+        with pytest.raises(InputError, match="^expected 2 weight lines, found 1$"):
+            parse_instance(f"2 2\n1 0{separator}0 1")
 
 
 def test_parse_binary_form_payloads():
@@ -59,6 +76,8 @@ def test_parse_binary_form_payloads():
     assert inst.payload.degree == 4
     inst2 = parse_instance('{"coeffs": ["1", "0", "-2"]}')
     assert inst2.payload.degree == 2
+    inst3 = parse_instance('{"coeffs": [4, "+3", "-1/2", "06/4"]}')
+    assert inst3.payload.coeffs == (4, 3, Fraction(-1, 2), Fraction(3, 2))
 
 
 def _sample_report():
@@ -116,6 +135,20 @@ def test_report_from_json_names_what_a_malformed_document_lacks():
     payload = json.loads(emit_report(_sample_report(), "json"))
     payload["verdicts"][0]["notes"] = "abc"
     assert refused(payload) == "'notes' of verdict 0 must be a JSON array, not str"
+    payload = json.loads(emit_report(_sample_report(), "json"))
+    payload["verdicts"][0]["certificate"]["coefficients"][0] = "9" * 5000
+    assert refused(payload) == ("certificate numeral of 5000 characters is longer than the "
+                                "interpreter reads")
+
+
+def test_a_certificate_numeral_in_other_digits_stays_a_string():
+    """Only the ASCII strings ``_rational`` writes are read back as Fractions."""
+    payload = json.loads(emit_report(_sample_report(), "json"))
+    assert payload["verdicts"][0]["certificate"]["coefficients"] == ["0", "1/2", "1/2"]
+    payload["verdicts"][0]["certificate"]["coefficients"][1] = "\u0661/2"
+    rebuilt = report_from_json(payload)
+    assert rebuilt.verdicts[0].certificate["coefficients"][1] == "\u0661/2"
+    assert check_verdict(rebuilt.instance.payload, rebuilt.verdicts[0]) != []
 
 
 @pytest.mark.parametrize("text, message", [
