@@ -15,18 +15,14 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 
 from .binary_forms import form_to_string, squarefree_multiplicity_parts
 from .cones import DEFAULT_MAX_N, homogenize
-from .errors import (
-    CrossCheckError,
-    HypothesisError,
-    InputError,
-    InternalError,
-    ResourceGuardError,
-)
+from .errors import HypothesisError, InputError, InternalError, ResourceGuardError
 from .ideals import binomial_generators, sp_violation_scan, verify_vanishing
-from .reports import Instance, Report, emit_report, parse_instance, parse_json_instance, text_lines
+from .reports import (Instance, Report, emit_report, parse_instance, parse_json_instance,
+                      read_integer, text_lines)
 from .separation import decide, projective
 from .strata import characteristic_pairs, oracle_sp, oracle_wsp, ssp_coordinate_witness, strata
 from .verdict import Verdict
@@ -105,7 +101,7 @@ def _verify(ws, args):
     and flag any disagreement (which exits with code 4).
 
     A failing affine SSP verdict's ``kernel-witness`` pair is the facet
-    scan's own witness (the decider raises ``CrossCheckError`` when that
+    scan's own witness (the decider raises ``InternalError`` when that
     scan finds none), so the scan runs again only for the other verdicts."""
     target = homogenize(ws) if args.mode == "projective" else ws
     verdicts = [decide(ws, prop, args.mode) for prop in ("SP", "WSP")]
@@ -141,18 +137,52 @@ def _verify(ws, args):
     }
 
 
-# Each command's route, (payload, args) -> (verdicts, extra), and the
-# options its report echoes, in order.
+def _integer(text: str, minimum: int | None = None) -> int:
+    """The argparse type of every integer option: ``reports.read_integer``'s
+    ASCII decimal integer, at least ``minimum`` if one is given."""
+    try:
+        value = read_integer(text)
+    except InputError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _property(*choices):
+    """The ``--property`` option of a command that decides ``choices``, or all of them."""
+    return "--property", {"choices": (*choices, "all"), "default": "all"}
+
+
+_MODE = "--mode", {"choices": ("affine", "projective"), "default": "affine"}
+_MAX_N = "--max-n", {"type": functools.partial(_integer, minimum=0), "default": DEFAULT_MAX_N,
+                     "metavar": "N", "help": "refuse more than 2^N faces, or a Graver "
+                     "completion over more than N weights (default %(default)s)"}
+
+# Each command's help line, its route, (payload, args) -> (verdicts, extra),
+# its own options (flag, ``add_argument`` settings) and the options its
+# report echoes, in order.
+_Command = namedtuple("_Command", "help route options echoed")
 _COMMANDS = {
-    "decide": (_decide, ("mode", "property")),
-    "oracle": (lambda ws, args: ([_oracle(ws, prop, args) for prop in
-                                  _PROPERTIES[args.property] if prop != "SSP"], {}),
-               ("mode", "property")),
-    "ideal": (_ideal, ("max_n",)),
-    "strata": (_strata, ("max_n",)),
-    "chpairs": (_chpairs, ()),
-    "binary": (_binary, ()),
-    "verify": (_verify, ("mode", "trials", "prime")),
+    "decide": _Command("theorem-route verdicts", _decide,
+                       (_MODE, _property("sp", "wsp", "ssp")), ("mode", "property")),
+    "oracle": _Command("stratum-oracle verdicts",
+                       lambda ws, args: ([_oracle(ws, prop, args) for prop in
+                                          _PROPERTIES[args.property] if prop != "SSP"], {}),
+                       (_MODE, _property("sp", "wsp"), _MAX_N), ("mode", "property")),
+    "verify": _Command("all routes plus agreement check", _verify, (
+        _MODE, _MAX_N,
+        ("--seed", {"type": _integer,
+                    "help": "vanishing-check seed (default: $TORSEP_SEED, else 0)"}),
+        ("--trials", {"type": _integer, "default": 20}),
+        ("--prime", {"type": _integer, "default": 10007,
+                     "help": "odd prime of the vanishing check, at most 2^31 - 1"}),
+    ), ("mode", "trials", "prime")),
+    "ideal": _Command("binomial generating system", _ideal, (_MAX_N,), ("max_n",)),
+    "strata": _Command("orbit strata of the closure", _strata, (_MAX_N,), ("max_n",)),
+    "chpairs": _Command("coordinate forcing pairs", _chpairs, (), ()),
+    "binary": _Command("separation property of a binary form orbit", _binary,
+                       (("--form", {"help": "binary form text, e.g. 'x*y^3 - x^4'"}),), ()),
 }
 
 
@@ -164,7 +194,7 @@ def run_command(command: str, instance: Instance, args) -> Report:
         raise InputError(f"command {command!r} expects a weight system")
     if instance.kind == "weights" and command == "binary":
         raise InputError("command 'binary' expects a binary form")
-    route, echoed = _COMMANDS[command]
+    _, route, _, echoed = _COMMANDS[command]
     started = time.perf_counter()
     verdicts, extra = route(instance.payload, args)
     elapsed = round((time.perf_counter() - started) * 1000, 3)
@@ -201,17 +231,6 @@ def _utf8(text: str) -> str:
     return text
 
 
-def _nonnegative_int(text: str) -> int:
-    """The argparse type of ``--max-n``: an integer that is at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged,
@@ -222,53 +241,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "with independently checkable certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, guarded=True):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("input", nargs="?", default="-",
                        help="instance file, or '-' for stdin (default)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        if guarded:
-            p.add_argument("--max-n", dest="max_n", type=_nonnegative_int,
-                           default=DEFAULT_MAX_N, metavar="N",
-                           help="refuse more than 2^N faces, or a Graver "
-                           "completion over more than N weights (default 12)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
         p.add_argument("--batch", action="store_true",
                        help="treat each nonblank input line as one JSON instance")
-
-    p = sub.add_parser("decide", help="theorem-route verdicts")
-    common(p, guarded=False)
-    p.add_argument("--mode", choices=("affine", "projective"), default="affine")
-    p.add_argument("--property", choices=("sp", "wsp", "ssp", "all"), default="all")
-
-    p = sub.add_parser("oracle", help="stratum-oracle verdicts")
-    common(p)
-    p.add_argument("--mode", choices=("affine", "projective"), default="affine")
-    p.add_argument("--property", choices=("sp", "wsp", "all"), default="all")
-
-    p = sub.add_parser("verify", help="all routes plus agreement check")
-    common(p)
-    p.add_argument("--mode", choices=("affine", "projective"), default="affine")
-    p.add_argument("--seed", type=int, default=None,
-                   help="vanishing-check seed (default: $TORSEP_SEED, else 0)")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--prime", type=int, default=10007,
-                   help="odd prime of the vanishing check, at most 2^31 - 1")
-
-    p = sub.add_parser("ideal", help="binomial generating system")
-    common(p)
-
-    p = sub.add_parser("strata", help="orbit strata of the closure")
-    common(p)
-
-    p = sub.add_parser("chpairs", help="coordinate forcing pairs")
-    common(p, guarded=False)
-
-    p = sub.add_parser("binary", help="separation property of a binary form orbit")
-    common(p, guarded=False)
-    p.add_argument("--form", help="binary form text, e.g. 'x*y^3 - x^4'")
-
+        for flag, settings in command.options:
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -293,7 +276,7 @@ def _process_one(text: str, args, line: int | None = None) -> int:
         code, kind, message = 2, "error", str(exc)
     except HypothesisError as exc:
         code, kind, message = 3, "hypothesis error", str(exc)
-    except (CrossCheckError, InternalError) as exc:
+    except InternalError as exc:
         code, kind, message = 4, "internal error", str(exc)
     print(f"{where}{kind}: {message}", file=sys.stderr)
     if line is not None and args.format == "json":
@@ -301,20 +284,15 @@ def _process_one(text: str, args, line: int | None = None) -> int:
     return code
 
 
-def _env_seed() -> int:
-    """``verify``'s default seed: ``$TORSEP_SEED`` at call time, else 0."""
-    value = os.environ.get("TORSEP_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"TORSEP_SEED must be an integer, got {value!r}") from None
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify" and args.seed is None:
-            args.seed = _env_seed()
+        if args.command == "verify" and args.seed is None:  # $TORSEP_SEED at call time, else 0
+            seed = os.environ.get("TORSEP_SEED", "0")
+            try:
+                args.seed = read_integer(seed)
+            except InputError:
+                raise InputError(f"TORSEP_SEED must be an integer, got {seed!r}") from None
         if args.command == "binary" and args.form is not None:
             if args.batch:
                 raise InputError("--form cannot be combined with --batch")

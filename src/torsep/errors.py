@@ -17,12 +17,13 @@ class HypothesisError(TorsepError):
 
 
 class ResourceGuardError(TorsepError):
-    """An enumeration guard (subset scan, lattice-point box) was exceeded."""
-
-
-class CrossCheckError(TorsepError):
-    """Two independent decision routes disagree.  Always a hard error."""
+    """A size guard was exceeded: a face lattice of more than 2^max_n faces,
+    a Graver completion over more than ``max_n`` weights or forming more than
+    ``max_nodes`` critical pairs, a binary form of degree above 200, or a
+    report integer longer than the interpreter's digit limit for writing one."""
 
 
 class InternalError(TorsepError):
-    """A computed certificate failed its own exactness check."""
+    """A computed certificate failed its own exactness check, or two of the
+    program's computations disagree (say the SSP rank test and the facet
+    scan).  Always a hard error."""

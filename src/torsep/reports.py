@@ -99,12 +99,12 @@ def instance_from_json(data) -> Instance:
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _text_ints(tokens, idx: int) -> tuple[int, ...]:
-    """Text line ``idx``'s tokens, each an ASCII decimal integer, as ints."""
-    for token in tokens:
-        if not _DECIMAL.fullmatch(token):
-            raise InputError(f"line {idx}: {token!r} is not a decimal integer")
-    return tuple(read_numeral(token, f"line {idx}: ", int) for token in tokens)
+def read_integer(text: str, where: str = "") -> int:
+    """``text`` as an int: an ASCII decimal integer with an optional sign, the
+    grammar of text weights and of the command line's integer options."""
+    if not _DECIMAL.fullmatch(text):
+        raise InputError(f"{where}{text!r} is not a decimal integer")
+    return read_numeral(text, where, int)
 
 
 def _parse_text_weights(text: str) -> Instance:
@@ -115,12 +115,13 @@ def _parse_text_weights(text: str) -> Instance:
     header = header.split()
     if len(header) != 2:
         raise InputError(f"line {first}: expected header 'd n'")
-    d, n = _text_ints(header, first)
+    d, n = (read_integer(token, f"line {first}: ") for token in header)
     if d < 1 or n < 1:
         raise InputError(f"line {first}: d and n must be positive")
     if len(rows) != n:
         raise InputError(f"expected {n} weight lines, found {len(rows)}")
-    weights = [_text_ints(line.split(), idx) for idx, line in rows]
+    weights = [tuple(read_integer(token, f"line {idx}: ") for token in line.split())
+               for idx, line in rows]
     return Instance("weights", WeightSystem(d, tuple(weights)), None)
 
 

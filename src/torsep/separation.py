@@ -33,7 +33,7 @@ from .cones import (
     minimal_face,
     smallest_face,
 )
-from .errors import CrossCheckError, HypothesisError, InputError, InternalError
+from .errors import HypothesisError, InputError, InternalError
 from .linalg import (
     clear_denominators,
     determinant,
@@ -238,7 +238,7 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
         return Verdict("SSP", "affine", True, cert, notes=_CONE_NOTES)
     witness = ssp_coordinate_witness(ws)
     if witness is None:
-        raise CrossCheckError(
+        raise InternalError(
             "weights are dependent but no facet avoids a coordinate pair; "
             "the rank test and the facet scan disagree"
         )

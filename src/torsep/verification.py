@@ -47,6 +47,24 @@ def _valid_indices(problems, ks, bound, what="index") -> bool:
     return all([_valid_index(problems, k, bound, what) for k in ks])
 
 
+def _matches(problems, value: int, claimed, what: str) -> None:
+    """Record a problem unless ``claimed`` is an int (not a bool or a float) equal to ``value``."""
+    is_int = type(claimed) is int
+    _require(problems, is_int, f"malformed certificate: {what} {claimed!r} is not an int")
+    _require(problems, not is_int or value == claimed, f"{what} mismatch")
+
+
+def _relation(problems, ws, vector, what: str):
+    """``vector`` as ints (its denominators cleared), recording a problem
+    unless it has one entry per weight, is nonzero and sums the weights to zero."""
+    c = clear_denominators(vector)[0]
+    _require(problems, len(c) == ws.n, f"{what} has wrong length")
+    _require(problems, not is_zero_vector(c), f"{what} is zero")
+    _require(problems, is_zero_vector(combine(ws.weights, c)),
+             f"{what} does not sum the weights to zero")
+    return c
+
+
 def _valid_pair(problems, ws, pair) -> bool:
     _require(problems, len(pair) == 2, "pair must have two entries")
     if len(pair) != 2 or not _valid_indices(problems, pair, ws.n, "pair index"):
@@ -111,12 +129,8 @@ def _check_generator_in_cone(problems, ws, cert, reading):
 
 
 def _check_line_in_cone(problems, ws, cert, reading):
-    c = clear_denominators(cert["relation"])[0]
-    _require(problems, len(c) == ws.n, "relation has wrong length")
+    c = _relation(problems, ws, cert["relation"], "relation")
     _require(problems, all(x >= 0 for x in c), "relation must be nonnegative")
-    _require(problems, any(x > 0 for x in c), "relation must be nonzero")
-    _require(problems, is_zero_vector(combine(ws.weights, c)),
-             "relation does not sum to zero")
     for k in range(ws.n):
         if c[k] > 0:
             _require(problems, not is_zero_vector(ws.weights[k]),
@@ -192,7 +206,7 @@ def _check_full_rank(problems, ws, cert, reading):
         return
     rows = tuple(zip(*ws.weights))
     det = determinant([rows[i] for i in indices])
-    _require(problems, det == cert["determinant"], "determinant mismatch")
+    _matches(problems, det, cert["determinant"], "determinant")
     _require(problems, det != 0, "certifying minor is singular")
     if "cone_functional" in cert:  # optional: independent weights always have one
         _check_cone_functional(problems, ws, cert)
@@ -206,10 +220,7 @@ def _check_cone_functional(problems, ws, cert):
 
 
 def _check_kernel_witness(problems, ws, cert, reading):
-    c = clear_denominators(cert["kernel_vector"])[0]
-    _require(problems, not is_zero_vector(c), "kernel vector is zero")
-    _require(problems, is_zero_vector(combine(ws.weights, c)),
-             "kernel vector not in the kernel")
+    _relation(problems, ws, cert["kernel_vector"], "kernel vector")
     pair = cert["pair"]
     if not (_valid_pair(problems, ws, pair)
             and _valid_indices(problems, cert["stratum_indices"], ws.n, "stratum index")):
@@ -219,19 +230,15 @@ def _check_kernel_witness(problems, ws, cert, reading):
     _require(problems, supports_face(ws, s, cert["stratum_witness"]),
              "stratum witness does not support the stratum")
     ambient = rank(ws.weights)
-    _require(problems, ambient == cert["ambient_rank"], "ambient rank mismatch")
+    _matches(problems, ambient, cert["ambient_rank"], "ambient rank")
     sdim = rank([ws.weights[k] for k in s])
-    _require(problems, sdim == cert["stratum_dim"], "stratum dimension mismatch")
+    _matches(problems, sdim, cert["stratum_dim"], "stratum dimension")
     _require(problems, sdim >= ambient - 1, "stratum not deep enough to witness failure")
     _check_cone_functional(problems, ws, cert)
 
 
 def _check_affine_dependence(problems, ws, cert, reading):
-    c = clear_denominators(cert["relation"])[0]
-    _require(problems, len(c) == ws.n, "relation has wrong length")
-    _require(problems, not is_zero_vector(c), "relation is zero")
-    _require(problems, is_zero_vector(combine(ws.weights, c)),
-             "relation does not annihilate weights")
+    _relation(problems, ws, cert["relation"], "relation")
 
 
 def _check_strata_missed(problems, ws, cert, reading):

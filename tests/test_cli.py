@@ -21,8 +21,9 @@ from helpers import (
     reference_characteristic_pairs,
     subprocess_env,
 )
-from torsep import binary_forms, cli
+from torsep import binary_forms, cli, separation
 from torsep.cones import WeightSystem, homogenize
+from torsep.errors import InternalError
 
 M_JSON = '{"d":2,"weights":[[1,1],[2,0],[0,2]],"label":"M"}'
 FIVE_JSON = '{"d":3,"weights":[[1,0,0],[1,1,0],[0,1,2],[0,2,1],[1,0,1]]}'
@@ -496,15 +497,48 @@ def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
             assert out.count("instance: ") == 1 and "label: M" in out
 
 
+# Integers that ``int()`` reads but the text-weight grammar does not.
+NOT_ASCII_DECIMALS = ["\u0663", "1_0", " 3"]
+
+
 @pytest.mark.parametrize("value, message", [
     ("-1", "argument --max-n: must be at least 0, got -1"),
     ("x", "argument --max-n: invalid int value: 'x'"),
+    *[(value, f"argument --max-n: invalid int value: {value!r}") for value in NOT_ASCII_DECIMALS],
 ])
 def test_max_n_must_be_a_nonnegative_integer(capsys, value, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(["strata", "--max-n", value, "-"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_DECIMALS)
+@pytest.mark.parametrize("option", ["--seed", "--trials", "--prime"])
+def test_integer_options_read_ascii_decimals(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", option, value, "-"])
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_DECIMALS)
+def test_seed_environment_reads_ascii_decimals(capsys, monkeypatch, value):
+    monkeypatch.setenv("TORSEP_SEED", value)
+    code, out, err = run_cli(capsys, ["verify", "-"], stdin=M_JSON, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: TORSEP_SEED must be an integer, got {value!r}\n"
+
+
+def test_command_table_builds_each_subparser():
+    """Each subcommand takes the four common arguments and then its own
+    ``_COMMANDS`` options, and its report echoes only options it takes."""
+    parser = cli._build_parser()
+    for name, command in cli._COMMANDS.items():
+        dests = list(vars(parser.parse_args([name])))
+        own = [flag.removeprefix("--").replace("-", "_") for flag, _ in command.options]
+        assert dests == ["command", "input", "format", "timing", "batch", *own], name
+        assert set(command.echoed) <= set(own), name
 
 
 @pytest.mark.parametrize("argv", [
@@ -842,6 +876,24 @@ def test_verify_scans_the_facets_for_an_ssp_witness_once(capsys, monkeypatch, mo
     extra = json.loads(out)["extra"]
     assert extra["agreement"] and extra["routes"]["SSP"]["witness_oracle"] is False
     assert len(calls) == 1
+
+
+def test_facet_scan_disagreeing_with_the_rank_test_is_an_internal_error(capsys, monkeypatch):
+    """Dependent weights whose facet scan finds no SSP witness pair: the
+    decider raises InternalError, which exits 4, and a JSON batch line
+    prints its error record in place of the report."""
+    monkeypatch.setattr(separation, "ssp_coordinate_witness", lambda ws: None)
+    pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
+    with pytest.raises(InternalError, match="the rank test and the facet scan disagree"):
+        separation.decide_affine_ssp(cli.parse_instance(pyramid).payload)
+    code, out, err = run_cli(capsys, ["decide", "--property", "ssp", "-"], stdin=pyramid,
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (4, "") and err.startswith("internal error: ")
+    code, out, err = run_cli(capsys, ["decide", "--batch", "--format", "json", "-"],
+                             stdin=pyramid + "\n", monkeypatch=monkeypatch)
+    assert code == 4 and err.startswith("line 1: internal error: ")
+    record = json.loads(out)
+    assert (record["line"], record["exit_class"]) == (1, 4)
 
 
 # sha256 of verify (affine and projective) and ideal, in JSON and text,

@@ -176,10 +176,22 @@ def test_malformed_certificate_is_a_problem_not_a_crash(verdict):
         verify_verdict(ws, verdict)
 
 
-# (weights, verdict builder, exact entry, float entry): each certificate
-# checks out with the exact rational, and at the float near it passes
-# only in float arithmetic (0.1 * 10 == 1.0 and (1/3) * 3 == 1.0,
-# although neither float is that rational).
+_PYRAMID_ROWS = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+
+
+def _pyramid_kernel_witness(key):
+    """The square pyramid's SSP failure, as the decider makes it, with ``key`` set to x."""
+    cert = {"kind": "kernel-witness", "kernel_vector": [1, -1, 1, -1], "pair": [0, 1],
+            "stratum_indices": [2, 3], "stratum_witness": [1, 1, 1], "stratum_dim": 2,
+            "ambient_rank": 3, "cone_functional": [0, 0, 1]}
+    return lambda x: Verdict("SSP", "affine", False, {**cert, key: x})
+
+
+# (weights, verdict builder, exact entry, inexact entry): each certificate
+# checks out with the exact rational or int, and at the float (or bool)
+# near it passes only in float arithmetic or under == (0.1 * 10 == 1.0,
+# (1/3) * 3 == 1.0 and True == 1.0 == 1, although neither float is that
+# rational and a determinant or a rank is no float or bool).
 _FLOAT_CASES = [
     ([[1], [10]], lambda x: Verdict("SP", "affine", False, {
         "kind": "generator-in-cone", "index": 0, "coefficients": [0, x], "pair": [1, 0]}),
@@ -194,14 +206,21 @@ _FLOAT_CASES = [
         "kind": "face-separation", "pointedness": [1, 1], "pair_separators": [
             {"pair": [0, 1], "vanishes_at": 0, "functional": [0, x]}]}),
      Fraction(1, 3), 1 / 3),
+    ([[1]], lambda x: Verdict("SSP", "affine", True, {
+        "kind": "full-rank", "row_indices": [0], "determinant": x}), 1, 1.0),
+    ([[1]], lambda x: Verdict("SSP", "affine", True, {
+        "kind": "full-rank", "row_indices": [0], "determinant": x}), 1, True),
+    (_PYRAMID_ROWS, _pyramid_kernel_witness("stratum_dim"), 2, 2.0),
+    (_PYRAMID_ROWS, _pyramid_kernel_witness("ambient_rank"), 3, 3.0),
 ]
 
 
 @pytest.mark.parametrize("rows, build, exact, inexact", _FLOAT_CASES)
 def test_a_float_in_a_certificate_is_malformed(rows, build, exact, inexact):
     """Checks run in exact arithmetic: a float entry in a certificate
-    vector is reported as malformed, never compared, also after a JSON
-    round trip (which keeps a JSON number as a float)."""
+    vector, or a float or bool where a certificate claims an int, is
+    reported as malformed, never compared, also after a JSON round trip
+    (which keeps a JSON number as a float and true as a bool)."""
     ws = WeightSystem.from_rows(rows)
     assert check_verdict(ws, build(exact)) == []
     verdict = build(inexact)
@@ -375,7 +394,7 @@ def test_a_kind_is_refused_under_any_claim_it_does_not_certify():
     assert relabelled > 1000
 
 
-_PYRAMID = WeightSystem.from_rows([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
+_PYRAMID = WeightSystem.from_rows(_PYRAMID_ROWS)
 _ONE_TWO = WeightSystem.from_rows([[1], [2]])
 # A line through w1 and w2 and a ray: x1 and x2 never vanish on the closure, x3 does.
 _LINE_AND_RAY = WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1]])
