@@ -13,17 +13,20 @@ The lineality face (hence pointedness), minimal faces, their witnesses
 and the SSP coordinate witness are read off the facets, and the cone
 hypothesis off the Hermite form, so a holding SP or WSP verdict runs no
 LP.  SP has one route on every cone: the first failing position is read
-off the lineality and minimal faces.  The simplex runs only for a
-failure's relation, each over the weights of one face: SP's over the
-minimal face of the failing weight (none for a zero weight), that of a
-cone that is not pointed over the lineality face, and the interior
-relations of a shared minimal face.
+off the lineality and minimal faces.  WSP walks its pairs once: the
+first pair with a shared minimal face fails, else each has its
+separator.  The simplex runs only for a failure's relation, each over
+the weights of one face: SP's over the minimal face of the failing
+weight (none for a zero weight), that of a cone that is not pointed
+over the lineality face, and the interior relations of a shared face.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .cones import (
     WeightSystem,
@@ -48,9 +51,9 @@ from .strata import ssp_coordinate_witness
 from .verdict import MODES, PROPERTIES, Verdict, vacuous
 
 
-def _sp_failure(ws: WeightSystem, i: int) -> dict | None:
-    """The certificate of SP failing at position i, or None when neither
-    w_i nor -w_i is a nonnegative combination of the other weights.
+def _sp_failure(ws: WeightSystem, i: int) -> dict:
+    """The certificate of SP failing at position i: w_i or -w_i is a
+    nonnegative combination of the other weights.
 
     A zero weight needs no LP.  Otherwise w_i is tested over F(i) - {i},
     where F(i) is the minimal face of w_i.  That is exact: the witness f
@@ -60,7 +63,8 @@ def _sp_failure(ws: WeightSystem, i: int) -> dict | None:
     L, ``decide_affine_sp`` asks only when F(i) holds another weight off
     L, whose cone then holds w_i), and it is the first position of L,
     as every earlier one has failed already; so F(i) = L, and -w_i over
-    L - {i} is the LP of ``is_strictly_convex``, whose relation is taken.
+    L - {i} is the LP of ``is_strictly_convex``, whose relation exists as
+    L is not empty (the cone is not pointed) and is taken.
     """
     w = ws.weights[i]
     if is_zero_vector(w):
@@ -73,7 +77,7 @@ def _sp_failure(ws: WeightSystem, i: int) -> dict | None:
         return {"kind": "generator-in-cone", "index": i, "coefficients": lam, "pair": (j, i)}
     relation = is_strictly_convex(ws).relation
     if relation is None:
-        return None
+        raise InternalError("SP failure expected but no certificate found")
     return {"kind": "line-in-cone", "index": i, "relation": relation, "pair": (i, 0 if i else 1)}
 
 
@@ -97,10 +101,7 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     low = set(lineality.indices)
     for i in range(ws.n):
         if i in low or len(set(minimal_face(ws, i)) - low) > 1:
-            cert = _sp_failure(ws, i)
-            if cert is None:
-                raise InternalError("SP failure expected but no certificate found")
-            return Verdict("SP", "affine", False, cert)
+            return Verdict("SP", "affine", False, _sp_failure(ws, i))
     p = lineality.witness
     top = max(dot(p, w) for w in ws.weights)
     separators = tuple(
@@ -115,13 +116,13 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     return Verdict("SP", "affine", True, {"kind": "edge-separation", "separators": separators})
 
 
-def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, tuple[int, ...]]:
-    """Integer relation M * w_idx = sum_k c_k w_k over the other face
-    weights, with M and every c_k at least 1: w_idx is in the relative
-    interior of the face.  With M = 1 + m and c_k = 1 + c'_k it is one
-    membership of ``ws.dim`` rows: sum_k w_k - w_idx in the cone of w_idx
-    and the -w_k, with coefficients (m, c') = Y / L, where L is the lcm
-    of their denominators; then (M, c) = L + Y."""
+def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> dict:
+    """The record of an integer relation M * w_idx = sum_k c_k w_k over
+    the other face weights, with M and every c_k at least 1: w_idx is in
+    the relative interior of the face.  With M = 1 + m and c_k = 1 + c'_k
+    it is one membership of ``ws.dim`` rows: sum_k w_k - w_idx in the cone
+    of w_idx and the -w_k, with coefficients (m, c') = Y / L, where L is
+    the lcm of their denominators; then (M, c) = L + Y."""
     others = [k for k in face_indices if k != idx]
     w = ws.weights
     target = tuple(sum(w[k][r] for k in others) - w[idx][r] for r in range(ws.dim))
@@ -131,7 +132,8 @@ def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> tuple[int, t
     nums, scale = clear_denominators(membership.coefficients)
     mult, *ints = [scale + y for y in nums]
     coeffs = dict(zip(others, ints))
-    return mult, tuple(coeffs.get(k, 0) for k in range(ws.n))
+    return {"index": idx, "multiplier": mult,
+            "coefficients": tuple(coeffs.get(k, 0) for k in range(ws.n))}
 
 
 def decide_affine_wsp(ws: WeightSystem) -> Verdict:
@@ -148,36 +150,25 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
         }
         return Verdict("WSP", "affine", False, cert)
     faces = [smallest_face(ws, (i,)) for i in range(ws.n)]
-    for i in range(ws.n):
-        for j in range(i + 1, ws.n):
-            if faces[i].indices != faces[j].indices:
-                continue
-            shared = faces[i].indices
-            relations = []
-            for idx in (i, j):
-                mult, coeffs = _interior_relation(ws, idx, shared)
-                relations.append(
-                    {"index": idx, "multiplier": mult, "coefficients": coeffs}
-                )
+    separators = []
+    for i, j in combinations(range(ws.n), 2):
+        shared = faces[i].indices
+        if shared == faces[j].indices:
             cert = {
                 "kind": "shared-face-interior",
                 "pair": (i, j),
                 "face_indices": shared,
                 "face_witness": faces[i].witness,
-                "relations": tuple(relations),
+                "relations": tuple(_interior_relation(ws, idx, shared) for idx in (i, j)),
             }
             return Verdict("WSP", "affine", False, cert)
-    # Distinct minimal faces: if j is off F(i), the witness of F(i)
-    # vanishes at i and is >= 1 at j.  Otherwise F(j) is strictly inside
-    # F(i), so i is off F(j) and the witness of F(j) separates instead.
-    separators = []
-    for i in range(ws.n):
-        for j in range(i + 1, ws.n):
-            vanishes_at = i if j not in faces[i].indices else j
-            separators.append(
-                {"pair": (i, j), "vanishes_at": vanishes_at,
-                 "functional": faces[vanishes_at].witness}
-            )
+        # Distinct minimal faces: if j is off F(i), the witness of F(i)
+        # vanishes at i and is >= 1 at j.  Otherwise F(j) is strictly inside
+        # F(i), so i is off F(j) and the witness of F(j) separates instead.
+        vanishes_at = i if j not in shared else j
+        separators.append(
+            {"pair": (i, j), "vanishes_at": vanishes_at, "functional": faces[vanishes_at].witness}
+        )
     cert = {
         "kind": "face-separation",
         "pointedness": pointed.functional,
@@ -214,6 +205,13 @@ _CONE_NOTES = (
 )
 
 
+def _maximal_minor(ws: WeightSystem) -> dict:
+    """The first independent rows of the transposed weights, and their determinant."""
+    rows = tuple(zip(*ws.weights))
+    indices = independent_rows(rows)
+    return {"row_indices": indices, "determinant": determinant([rows[i] for i in indices])}
+
+
 def decide_affine_ssp(ws: WeightSystem) -> Verdict:
     """Strong separation property for cone-type affine orbit closures.
 
@@ -230,11 +228,7 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
         )
     kernel = kernel_lattice(ws.weights)
     if not kernel:
-        rows = tuple(zip(*ws.weights))
-        row_idx = independent_rows(rows)
-        det = determinant([rows[i] for i in row_idx])
-        cert = {"kind": "full-rank", "row_indices": row_idx, "determinant": det,
-                "cone_functional": functional}
+        cert = {"kind": "full-rank", **_maximal_minor(ws), "cone_functional": functional}
         return Verdict("SSP", "affine", True, cert, notes=_CONE_NOTES)
     witness = ssp_coordinate_witness(ws)
     if witness is None:
@@ -289,10 +283,7 @@ def decide_projective_ssp(ws: WeightSystem) -> Verdict:
     hws = homogenize(ws)
     kernel = kernel_lattice(hws.weights)
     if not kernel:
-        rows = tuple(zip(*hws.weights))
-        row_idx = independent_rows(rows)
-        det = determinant([rows[i] for i in row_idx])
-        cert = {"kind": "affine-independent", "row_indices": row_idx, "determinant": det}
+        cert = {"kind": "affine-independent", **_maximal_minor(hws)}
         return Verdict("SSP", "projective", True, cert, notes=(_PROJ_NOTE,))
     cert = {"kind": "affine-dependence", "relation": kernel[0]}
     return Verdict("SSP", "projective", False, cert, notes=(_PROJ_NOTE,))

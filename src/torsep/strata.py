@@ -6,14 +6,16 @@ coordinates whose weights lie on that face are nonzero.  Re-deriving
 SP/WSP verdicts from these vanishing patterns alone gives a decision
 route that shares only the facets with the theorem-backed deciders,
 which never build the face lattice.  Only ``strata`` computes stratum
-dimensions; the oracles read one bitmask per coordinate, bit s set
-where it is nonzero on stratum s.  Coordinate forcing pairs and SSP
-witnesses are read off the minimal faces and the facets: no lattice.
+dimensions; both oracles are one pass, which reads one bitmask per
+coordinate (bit s set where it is nonzero on stratum s) and walks the
+property's pairs once.  Coordinate forcing pairs and SSP witnesses are
+read off the minimal faces and the facets: no lattice.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations, permutations
 
 from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets, smallest_face
 from .linalg import rank
@@ -36,15 +38,38 @@ def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
     )
 
 
-def _patterns(ws: WeightSystem, max_n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The strata's positions in canonical order, and per coordinate the
-    bitmask of the strata on which it is nonzero (bit s for stratum s)."""
+_NOTES = ("stratum oracle",)
+
+
+def _pair_pass(prop: str, ws: WeightSystem, max_n: int) -> Verdict:
+    """The oracle's ``prop`` verdict: one pass over its coordinate pairs
+    (i, j), split by the strata that hold j and miss i (SP) or hold
+    exactly one of the two (WSP).  The first pair no stratum splits
+    fails; otherwise each pair is witnessed by its lowest split stratum."""
+    if ws.n == 1:
+        return vacuous(prop, "affine", _NOTES)
     sets = [f.indices for f in enumerate_faces(ws, max_n=max_n)]
-    pat = [0] * ws.n
+    pat = [0] * ws.n  # bit s of pat[k] is set iff k is nonzero on stratum s
     for s, indices in enumerate(sets):
         for k in indices:
             pat[k] |= 1 << s
-    return sets, pat
+    sp = prop == "SP"
+    everywhere = (1 << len(sets)) - 1
+    if sp and everywhere in pat:
+        i = pat.index(everywhere)
+        cert = {"kind": "strata-missed-hyperplane", "index": i, "pair": (i, 0 if i else 1)}
+        return Verdict(prop, "affine", False, cert, _NOTES)
+    witnesses = []
+    for i, j in (permutations if sp else combinations)(range(ws.n), 2):
+        split = pat[j] & ~pat[i] if sp else pat[i] ^ pat[j]
+        if not split:
+            kind = "strata-forcing-pair" if sp else "strata-equivalent-pair"
+            return Verdict(prop, "affine", False, {"kind": kind, "pair": (i, j)}, _NOTES)
+        first = (split & -split).bit_length() - 1  # lowest set bit
+        witnesses.append({"pair": (i, j), "stratum": sets[first]})
+    cert = {"kind": "strata-separation" if sp else "strata-distinguished",
+            "pair_witnesses": tuple(witnesses)}
+    return Verdict(prop, "affine", True, cert, _NOTES)
 
 
 def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
@@ -54,28 +79,7 @@ def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     in every stratum), or some ordered pair (j, i) has every stratum
     missing j also missing i (so x_{j+1} = 0 forces x_{i+1} = 0).
     """
-    if ws.n == 1:
-        return vacuous("SP", "affine", ("stratum oracle",))
-    sets, pat = _patterns(ws, max_n)
-    notes = ("stratum oracle",)
-    everywhere = (1 << len(sets)) - 1
-    for i in range(ws.n):
-        if pat[i] == everywhere:
-            cert = {"kind": "strata-missed-hyperplane", "index": i, "pair": (i, 0 if i else 1)}
-            return Verdict("SP", "affine", False, cert, notes)
-    witnesses = []
-    for j in range(ws.n):
-        for i in range(ws.n):
-            if i == j:
-                continue
-            split = pat[i] & ~pat[j]  # the strata that hold i and miss j
-            if not split:
-                cert = {"kind": "strata-forcing-pair", "pair": (j, i)}
-                return Verdict("SP", "affine", False, cert, notes)
-            first = (split & -split).bit_length() - 1  # lowest set bit
-            witnesses.append({"pair": (j, i), "stratum": sets[first]})
-    cert = {"kind": "strata-separation", "pair_witnesses": tuple(witnesses)}
-    return Verdict("SP", "affine", True, cert, notes)
+    return _pair_pass("SP", ws, max_n)
 
 
 def oracle_wsp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
@@ -84,21 +88,7 @@ def oracle_wsp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
     Fails iff two coordinates vanish on exactly the same strata, i.e.
     the two coordinate hyperplanes cut the closure in the same set.
     """
-    if ws.n == 1:
-        return vacuous("WSP", "affine", ("stratum oracle",))
-    sets, pat = _patterns(ws, max_n)
-    notes = ("stratum oracle",)
-    witnesses = []
-    for i in range(ws.n):
-        for j in range(i + 1, ws.n):
-            split = pat[i] ^ pat[j]
-            if not split:
-                cert = {"kind": "strata-equivalent-pair", "pair": (i, j)}
-                return Verdict("WSP", "affine", False, cert, notes)
-            first = (split & -split).bit_length() - 1
-            witnesses.append({"pair": (i, j), "stratum": sets[first]})
-    cert = {"kind": "strata-distinguished", "pair_witnesses": tuple(witnesses)}
-    return Verdict("WSP", "affine", True, cert, notes)
+    return _pair_pass("WSP", ws, max_n)
 
 
 def characteristic_pairs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:

@@ -47,6 +47,10 @@ def test_decide_text(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert "SP (affine): FAILS" in out
     assert "verified: yes" in out
+    assert "timing_ms" not in out
+    code, out, _ = run_cli(capsys, ["decide", "--timing", "--format", "text", str(path)])
+    assert code == 0
+    assert len([line for line in out.splitlines() if line.startswith("timing_ms: ")]) == 1
 
 
 def test_decide_json_verdicts(capsys, monkeypatch, tmp_path):
@@ -62,10 +66,14 @@ def test_decide_json_verdicts(capsys, monkeypatch, tmp_path):
     assert all(v["verified"] for v in payload["verdicts"])
 
 
-def test_input_error_exit_code(capsys, monkeypatch):
+def test_input_error_exit_code(capsys, monkeypatch, tmp_path):
     code, _, err = run_cli(capsys, ["decide", "-"], stdin="nonsense", monkeypatch=monkeypatch)
     assert code == 2
     assert "error" in err
+    missing = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, ["decide", str(missing)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
 
 
 def test_hypothesis_error_exit_code(capsys, monkeypatch):
@@ -276,6 +284,15 @@ def test_batch_mode_reports_per_line_errors(capsys, monkeypatch):
     assert error == {"line": 1, "error": err.split("line 1: error: ")[1].rstrip("\n"),
                      "exit_class": 2}
     assert report["instance"]["label"] == "M"  # the good line still produced a report
+    code, out, err = run_cli(capsys, ["decide", "--format", "json", "--batch", "-"],
+                             stdin="{}\n[1, 2]\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.splitlines() == ["line 1: error: instance JSON needs 'weights', 'coeffs' or 'form'",
+                                "line 2: error: instance JSON must be an object"]
+    assert [json.loads(ln)["line"] for ln in out.splitlines()] == [1, 2]
+    # Without --batch, a bracket starts no JSON instance: [1, 2] is read as text weights.
+    code, out, err = run_cli(capsys, ["decide", "-"], stdin="[1, 2]\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: line 1: '[1,' is not a decimal integer\n")
 
 
 def test_batch_line_must_be_json(capsys, monkeypatch):
@@ -753,10 +770,12 @@ def test_binary_text_report_shows_the_label(capsys, monkeypatch):
     (["--form", "x^5000*y"], None, "form has degree 5001, above the guard of 200"),
     (["-"], '{"form": "x^150*y^51 + y^201"}', "form has degree 201, above the guard of 200"),
     (["--form", "x^" + "9" * 5000], None, "cannot parse factor 'x^" + "9" * 5000 + "'"),
-], ids=["form", "json-form", "exponent-digits"])
+    (["--form", "x^2 -"], None, "dangling sign in form at position 4"),
+], ids=["form", "json-form", "exponent-digits", "dangling-sign"])
 def test_binary_form_degree_guard(capsys, monkeypatch, argv, stdin, message):
     """A parsed form of degree above 200 is refused before its coefficient
-    list is built; an exponent of more than nine digits does not parse."""
+    list is built; an exponent of more than nine digits, or a sign with no
+    term after it, does not parse."""
     code, out, err = run_cli(capsys, ["binary", *argv], stdin=stdin, monkeypatch=monkeypatch)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     code, out, _ = run_cli(capsys, ["binary", "--form", "x^199*y", "--format", "json"])
@@ -894,6 +913,46 @@ def test_facet_scan_disagreeing_with_the_rank_test_is_an_internal_error(capsys, 
     assert code == 4 and err.startswith("line 1: internal error: ")
     record = json.loads(out)
     assert (record["line"], record["exit_class"]) == (1, 4)
+
+
+def test_sp_failure_without_a_certificate_is_an_internal_error(capsys, monkeypatch):
+    """A failing SP position whose weight is in no cone of its minimal face,
+    on a pointed cone (so there is no line relation either), has no
+    certificate: the decider raises InternalError, which exits 4."""
+    monkeypatch.setattr(separation, "face_combination", lambda ws, target, indices: None)
+    with pytest.raises(InternalError, match="^SP failure expected but no certificate found$"):
+        separation.decide_affine_sp(M_WEIGHTS)
+    code, out, err = run_cli(capsys, ["decide", "--property", "sp", "-"], stdin=M_JSON,
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (4, "")
+    assert err == "internal error: SP failure expected but no certificate found\n"
+
+
+def test_verify_routes_that_disagree_exit_four(capsys, monkeypatch):
+    """An oracle WSP verdict flipped on the square pyramid disagrees with
+    the theorem route: verify still prints its report, with agreement
+    false, and exits 4; each batch line reports its own disagreement."""
+    original = cli.oracle_wsp
+
+    def flipped(ws, max_n):
+        verdict = original(ws, max_n=max_n)
+        return verdict._replace(holds=not verdict.holds)
+
+    monkeypatch.setattr(cli, "oracle_wsp", flipped)
+    pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
+    code, out, err = run_cli(capsys, ["verify", "--format", "json", "-"], stdin=pyramid,
+                             monkeypatch=monkeypatch)
+    assert (code, err) == (4, "error: independent decision routes disagree\n")
+    extra = json.loads(out)["extra"]
+    assert extra["agreement"] is False
+    assert extra["routes"]["WSP"] == {"theorem": True, "oracle": False}
+    code, out, err = run_cli(capsys, ["verify", "--batch", "--format", "json", "-"],
+                             stdin=pyramid + "\n" + pyramid + "\n", monkeypatch=monkeypatch)
+    assert code == 4
+    assert err.splitlines() == [f"line {k}: error: independent decision routes disagree"
+                                for k in (1, 2)]
+    reports = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["extra"]["agreement"] for r in reports] == [False, False]
 
 
 # sha256 of verify (affine and projective) and ideal, in JSON and text,

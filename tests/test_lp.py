@@ -41,6 +41,8 @@ def test_no_variables():
 def test_dimension_mismatch():
     with pytest.raises(InputError):
         lp_feasible([([1, 2], 0)], [([1], 0)])
+    with pytest.raises(InputError, match="^generator length 1 does not match 2$"):
+        cone_member((1, 0), [(1,)])
 
 
 def test_results_are_deterministic():

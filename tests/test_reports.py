@@ -120,6 +120,7 @@ def test_report_from_json_names_what_a_malformed_document_lacks():
 
     assert refused([]) == "the report must be a JSON object, not list"
     payload = json.loads(emit_report(_sample_report(), "json"))
+    assert refused({**payload, "schema": "torsep/2"}) == "unsupported schema 'torsep/2'"
     del payload["command"]
     assert refused(payload) == "the report has no 'command'"
     payload = json.loads(emit_report(_sample_report(), "json"))
