@@ -897,6 +897,23 @@ def test_verify_scans_the_facets_for_an_ssp_witness_once(capsys, monkeypatch, mo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_verify_draws_no_points_for_its_relations(capsys, monkeypatch, mode):
+    """Every binomial verify checks is a weight relation, which the
+    vanishing check skips: a billion trials on the square pyramid draw no
+    point and finish at once, and the report echoes the trial count."""
+    monkeypatch.setattr(random, "Random", None)  # a draw would raise
+    pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
+    code, out, err = run_cli(capsys, ["verify", "--mode", mode, "--trials", "1000000000",
+                                      "--format", "json", "-"],
+                             stdin=pyramid, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["options"]["trials"] == 1_000_000_000
+    assert report["extra"]["vanishing"] == {"prime": 10007, "trials": 1_000_000_000,
+                                            "failures": 0}
+
+
 def test_facet_scan_disagreeing_with_the_rank_test_is_an_internal_error(capsys, monkeypatch):
     """Dependent weights whose facet scan finds no SSP witness pair: the
     decider raises InternalError, which exits 4, and a JSON batch line

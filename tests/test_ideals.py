@@ -7,6 +7,8 @@ import pytest
 from helpers import (
     FIVE_WEIGHTS,
     M_WEIGHTS,
+    N_WEIGHTS,
+    QUARTET_WEIGHTS,
     brute_force_graver,
     fuzz_weights,
     random_weights,
@@ -14,7 +16,7 @@ from helpers import (
     reference_vanishing_failures,
 )
 from torsep import ideals
-from torsep.cones import WeightSystem
+from torsep.cones import WeightSystem, homogenize
 from torsep.errors import InputError, ResourceGuardError
 from torsep.ideals import (
     Binomial,
@@ -24,7 +26,7 @@ from torsep.ideals import (
     sp_violation_scan,
     verify_vanishing,
 )
-from torsep.linalg import kernel_lattice, lattice_equal
+from torsep.linalg import combine, kernel_lattice, lattice_equal
 
 
 def test_binomial_canonical_sign():
@@ -179,6 +181,61 @@ def test_vanishing_matches_the_power_by_power_reference():
         assert report == (prime, 5, k, reference_vanishing_failures(bins, ws, 5, prime, k))
         failing += not report.passed
     assert failing > 10
+
+
+def test_vanishing_skips_only_binomials_that_cannot_fail():
+    """Binomials whose relation (a - b)W is 0 mod p - 1 are not evaluated,
+    and the report is still that of evaluating every binomial: 500 seeded
+    fuzz systems, each Graver set with random binomials mixed in and
+    shuffled, at the primes 3, 5 and 7 (where many non-relations are 0
+    mod p - 1) and 10007, with varied trials and seeds."""
+    rng = random.Random(36)
+    skipped = failing = 0
+    for _ in range(500):
+        ws = fuzz_weights(rng, rng.randint(1, 3), rng.randint(1, 5), rng.choice((2, 5)))
+        bins = list(binomial_generators(ws))
+        for _ in range(rng.randint(0, 5)):
+            c = [rng.randint(-4, 4) for _ in range(ws.n)]
+            if any(c):
+                bins.append(Binomial.from_vector(c))
+        rng.shuffle(bins)
+        prime, trials, seed = rng.choice((3, 5, 7, 10007)), rng.randint(1, 6), rng.randrange(999)
+        report = verify_vanishing(bins, ws, trials=trials, prime=prime, seed=seed)
+        assert report == (prime, trials, seed,
+                          reference_vanishing_failures(bins, ws, trials, prime, seed))
+        relations = [combine(ws.weights, b.vector) for b in bins]
+        skipped += sum(any(r) and not any(x % (prime - 1) for x in r) for r in relations)
+        failing += not report.passed
+    assert skipped > 100 and failing > 200
+
+
+def test_vanishing_of_weight_relations_draws_no_points(monkeypatch):
+    """The binomials of ``binomial_generators`` are weight relations, so
+    none can fail and no point is drawn, however many trials are asked
+    for: on the golden systems and 50 fuzz draws, in both modes."""
+    rng = random.Random(37)
+    systems = [M_WEIGHTS, N_WEIGHTS, FIVE_WEIGHTS, QUARTET_WEIGHTS,
+               *(fuzz_weights(rng, rng.randint(1, 3), rng.randint(1, 6), rng.choice((2, 9)))
+                 for _ in range(50))]
+    monkeypatch.setattr(ideals.random, "Random", None)  # a draw would raise
+    for ws in systems:
+        for target in (ws, homogenize(ws)):
+            bins = binomial_generators(target)
+            for prime in (3, 10007):
+                assert verify_vanishing(bins, target, trials=10**9, prime=prime,
+                                        seed=5) == (prime, 10**9, 5, ())
+
+
+def test_vanishing_checks_each_prime_once():
+    """The trial division behind the odd-prime check runs once per prime,
+    not once per call."""
+    ideals._is_odd_prime.cache_clear()
+    for _ in range(3):
+        assert verify_vanishing([], M_WEIGHTS, trials=1, prime=2**31 - 1).passed
+        with pytest.raises(InputError, match="not an odd prime"):
+            verify_vanishing([], M_WEIGHTS, trials=1, prime=10005)
+    info = ideals._is_odd_prime.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_vanishing_refuses_a_binomial_of_the_wrong_length():
