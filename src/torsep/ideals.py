@@ -17,14 +17,13 @@ from __future__ import annotations
 import heapq
 import random
 from collections import namedtuple
-from functools import lru_cache
 from itertools import count
 from math import isqrt, prod
 from operator import le
 
 from .cones import DEFAULT_MAX_N, WeightSystem
 from .errors import InputError, InternalError, ResourceGuardError
-from .linalg import Vector, combine, dot, is_zero_vector, kernel_lattice, lattice_equal, row_hnf
+from .linalg import Vector, combine, is_zero_vector, kernel_lattice, lattice_equal, row_hnf
 
 DEFAULT_MAX_NODES = 2_000_000
 MAX_PRIME = 2**31 - 1
@@ -273,12 +272,6 @@ class VanishingReport(namedtuple("VanishingReport", "prime trials seed failures"
         return not self.failures
 
 
-@lru_cache(typed=True)
-def _is_odd_prime(prime: int) -> bool:
-    """Trial division by the odd numbers up to the square root."""
-    return prime % 2 == 1 and prime >= 3 and all(prime % f for f in range(3, isqrt(prime) + 1, 2))
-
-
 def verify_vanishing(
     binomials, ws: WeightSystem, trials: int, prime: int, seed: int = 0
 ) -> VanishingReport:
@@ -289,7 +282,7 @@ def verify_vanishing(
     coordinates x_i = prod t_r^(w_i[r]) and evaluates the kept binomials
     (each power t_r^e and x_k^e once a trial, into a table); a nonzero
     value is a failure.  The prime is at most ``MAX_PRIME``, which bounds
-    the trial division that checks it (its verdict is cached per prime).
+    the trial division that checks it.
 
     A binomial is kept iff its relation (a - b)W is nonzero mod p - 1 in
     some coordinate; with none kept (as for ``binomial_generators``) no
@@ -301,14 +294,14 @@ def verify_vanishing(
         raise InputError("at least one trial is required")
     if prime > MAX_PRIME:
         raise InputError(f"prime {prime} exceeds the bound 2^31 - 1")
-    if not _is_odd_prime(prime):
+    if prime % 2 == 0 or prime < 3 or any(
+            prime % f == 0 for f in range(3, isqrt(prime) + 1, 2)):
         raise InputError(f"{prime} is not an odd prime")
     binomials = tuple(binomials)
     if any(len(binom.a) != ws.n for binom in binomials):
         raise InputError(f"a binomial's length is not the number of weights, {ws.n}")
-    columns = tuple(zip(*ws.weights))
-    binomials = tuple(binom for binom in binomials if any(
-        (dot(binom.a, col) - dot(binom.b, col)) % (prime - 1) for col in columns))
+    binomials = tuple(binom for binom in binomials
+                      if any(x % (prime - 1) for x in combine(ws.weights, binom.vector)))
     if not binomials:
         return VanishingReport(prime, trials, seed, ())
     # Table slots of (row, exponent mod p - 1) and (coordinate, exponent); 0 takes none.

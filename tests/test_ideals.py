@@ -226,18 +226,6 @@ def test_vanishing_of_weight_relations_draws_no_points(monkeypatch):
                                         seed=5) == (prime, 10**9, 5, ())
 
 
-def test_vanishing_checks_each_prime_once():
-    """The trial division behind the odd-prime check runs once per prime,
-    not once per call."""
-    ideals._is_odd_prime.cache_clear()
-    for _ in range(3):
-        assert verify_vanishing([], M_WEIGHTS, trials=1, prime=2**31 - 1).passed
-        with pytest.raises(InputError, match="not an odd prime"):
-            verify_vanishing([], M_WEIGHTS, trials=1, prime=10005)
-    info = ideals._is_odd_prime.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
-
-
 def test_vanishing_refuses_a_binomial_of_the_wrong_length():
     """A binomial with more (or fewer) exponents than weights is an
     input error, not a check of its prefix."""
