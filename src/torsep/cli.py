@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from collections import namedtuple
@@ -20,7 +19,8 @@ from collections import namedtuple
 from .binary_forms import form_to_string, squarefree_multiplicity_parts
 from .cones import DEFAULT_MAX_N, homogenize
 from .errors import HypothesisError, InputError, InternalError, ResourceGuardError
-from .ideals import binomial_generators, sp_violation_scan, verify_vanishing
+from .ideals import binomial_generators, sp_violation_scan
+from .linalg import combine
 from .reports import (Instance, Report, emit_report, parse_instance, parse_json_instance,
                       read_integer, text_lines)
 from .separation import decide, projective
@@ -102,7 +102,12 @@ def _verify(ws, args):
 
     A failing affine SSP verdict's ``kernel-witness`` pair is the facet
     scan's own witness (the decider raises ``InternalError`` when that
-    scan finds none), so the scan runs again only for the other verdicts."""
+    scan finds none), so the scan runs again only for the other verdicts.
+
+    ``vanishing.failures`` counts the binomials x^a - x^b whose a - b is
+    not a relation of the (homogenized) weights: exactly those that do not
+    vanish on the torus orbit, since t^(aW) = t^(bW) for every t iff
+    (a - b)W = 0.  A nonzero count breaks agreement."""
     target = homogenize(ws) if args.mode == "projective" else ws
     verdicts = [decide(ws, prop, args.mode) for prop in ("SP", "WSP")]
     routes = {v.property_name: {"theorem": v.holds,
@@ -120,32 +125,23 @@ def _verify(ws, args):
         witness = (v_ssp.certificate["pair"] if v_ssp.kind == "kernel-witness"
                    else ssp_coordinate_witness(target))
         routes["SSP"] = {"theorem": v_ssp.holds, "witness_oracle": witness is None}
-    vanishing = verify_vanishing(
-        binomials, target, trials=args.trials, prime=args.prime, seed=args.seed
-    )
-    agreement = vanishing.passed and all(
+    failures = sum(any(combine(target.weights, b.vector)) for b in binomials)
+    agreement = failures == 0 and all(
         value in (route["theorem"], "not-applicable")
         for route in routes.values() if isinstance(route, dict) for value in route.values())
-    return verdicts, {
-        "routes": routes,
-        "vanishing": {
-            "prime": vanishing.prime,
-            "trials": vanishing.trials,
-            "failures": len(vanishing.failures),
-        },
-        "agreement": agreement,
-    }
+    return verdicts, {"routes": routes, "vanishing": {"failures": failures},
+                      "agreement": agreement}
 
 
-def _integer(text: str, minimum: int | None = None) -> int:
-    """The argparse type of every integer option: ``reports.read_integer``'s
-    ASCII decimal integer, at least ``minimum`` if one is given."""
+def _max_n(text: str) -> int:
+    """The argparse type of ``--max-n``, the one integer option:
+    ``reports.read_integer``'s ASCII decimal integer, at least 0."""
     try:
         value = read_integer(text)
     except InputError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if minimum is not None and value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -155,7 +151,7 @@ def _property(*choices):
 
 
 _MODE = "--mode", {"choices": ("affine", "projective"), "default": "affine"}
-_MAX_N = "--max-n", {"type": functools.partial(_integer, minimum=0), "default": DEFAULT_MAX_N,
+_MAX_N = "--max-n", {"type": _max_n, "default": DEFAULT_MAX_N,
                      "metavar": "N", "help": "refuse more than 2^N faces, or a Graver "
                      "completion over more than N weights (default %(default)s)"}
 
@@ -170,14 +166,7 @@ _COMMANDS = {
                        lambda ws, args: ([_oracle(ws, prop, args) for prop in
                                           _PROPERTIES[args.property] if prop != "SSP"], {}),
                        (_MODE, _property("sp", "wsp"), _MAX_N), ("mode", "property")),
-    "verify": _Command("all routes plus agreement check", _verify, (
-        _MODE, _MAX_N,
-        ("--seed", {"type": _integer,
-                    "help": "vanishing-check seed (default: $TORSEP_SEED, else 0)"}),
-        ("--trials", {"type": _integer, "default": 20}),
-        ("--prime", {"type": _integer, "default": 10007,
-                     "help": "odd prime of the vanishing check, at most 2^31 - 1"}),
-    ), ("mode", "trials", "prime")),
+    "verify": _Command("all routes plus agreement check", _verify, (_MODE, _MAX_N), ("mode",)),
     "ideal": _Command("binomial generating system", _ideal, (_MAX_N,), ("max_n",)),
     "strata": _Command("orbit strata of the closure", _strata, (_MAX_N,), ("max_n",)),
     "chpairs": _Command("coordinate forcing pairs", _chpairs, (), ()),
@@ -204,7 +193,7 @@ def run_command(command: str, instance: Instance, args) -> Report:
     return Report(command, instance, {name: getattr(args, name) for name in echoed}, verdicts,
                   [not p for p in problems],
                   {**extra, "verification_failures": failures} if failures else extra,
-                  args.seed if command == "verify" else None, elapsed if args.timing else None)
+                  elapsed if args.timing else None)
 
 
 def _read_input(path: str) -> str:
@@ -287,12 +276,6 @@ def _process_one(text: str, args, line: int | None = None) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify" and args.seed is None:  # $TORSEP_SEED at call time, else 0
-            seed = os.environ.get("TORSEP_SEED", "0")
-            try:
-                args.seed = read_integer(seed)
-            except InputError:
-                raise InputError(f"TORSEP_SEED must be an integer, got {seed!r}") from None
         if args.command == "binary" and args.form is not None:
             if args.batch:
                 raise InputError("--form cannot be combined with --batch")

@@ -134,8 +134,8 @@ def instance_to_json(instance: Instance) -> dict:
             "label": instance.label}
 
 
-class Report(namedtuple("Report", "command instance options verdicts verified extra seed "
-                        "timing_ms version", defaults=((), (), None, None, None, __version__))):
+class Report(namedtuple("Report", "command instance options verdicts verified extra "
+                        "timing_ms version", defaults=((), (), None, None, __version__))):
     """Everything one command run produced, ready for serialization.
 
     ``verified[i]`` is the re-verification outcome of ``verdicts[i]``
@@ -161,7 +161,7 @@ class Report(namedtuple("Report", "command instance options verdicts verified ex
             "command": self.command,
             "instance": instance_to_json(self.instance),
             "options": self.options,
-            "seed": self.seed,
+            "seed": None,  # no command is seeded; the key stays in torsep/1
             "verdicts": verdict_entries,
             "extra": {} if self.extra is None else self.extra,
             "timing_ms": self.timing_ms,
@@ -220,7 +220,7 @@ def report_from_json(data) -> Report:
         verdicts.append(Verdict(prop, mode, holds, _decode_rationals(cert),
                                 tuple(_optional(entry, "notes", [], f"verdict {i}"))))
     return Report(command, instance_from_json(instance), options, verdicts,
-                  [e.get("verified") for e in entries], extra, data.get("seed"),
+                  [e.get("verified") for e in entries], extra,
                   data.get("timing_ms"), data.get("version", __version__))
 
 
@@ -298,8 +298,6 @@ def render_text(report: Report) -> str:
         lines.append(f"instance: weights d={ws.dim} n={ws.n}: {shown}{label}")
     else:
         lines.append(f"instance: binary form {form_to_string(inst.payload)}{label}")
-    if report.seed is not None:
-        lines.append(f"seed: {_flat(report.seed)}")
     lines.append("")
     for i, v in enumerate(report.verdicts):
         word = "HOLDS" if v.holds else "FAILS"

@@ -24,6 +24,7 @@ from helpers import (
 from torsep import binary_forms, cli, separation
 from torsep.cones import WeightSystem, homogenize
 from torsep.errors import InternalError
+from torsep.ideals import Binomial
 
 M_JSON = '{"d":2,"weights":[[1,1],[2,0],[0,2]],"label":"M"}'
 FIVE_JSON = '{"d":3,"weights":[[1,0,0],[1,1,0],[0,1,2],[0,2,1],[1,0,1]]}'
@@ -531,20 +532,12 @@ def test_max_n_must_be_a_nonnegative_integer(capsys, value, message):
 
 
 @pytest.mark.parametrize("value", NOT_ASCII_DECIMALS)
-@pytest.mark.parametrize("option", ["--seed", "--trials", "--prime"])
+@pytest.mark.parametrize("option", ["--max-n"])
 def test_integer_options_read_ascii_decimals(capsys, option, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", option, value, "-"])
     assert exc.value.code == 2
     assert f"argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", NOT_ASCII_DECIMALS)
-def test_seed_environment_reads_ascii_decimals(capsys, monkeypatch, value):
-    monkeypatch.setenv("TORSEP_SEED", value)
-    code, out, err = run_cli(capsys, ["verify", "-"], stdin=M_JSON, monkeypatch=monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == f"error: TORSEP_SEED must be an integer, got {value!r}\n"
 
 
 def test_command_table_builds_each_subparser():
@@ -564,6 +557,9 @@ def test_command_table_builds_each_subparser():
     ["binary", "--max-n", "5", "-"],
     ["decide", "--max-n", "5", "-"],
     ["chpairs", "--max-n", "5", "-"],
+    ["verify", "--seed", "3", "-"],
+    ["verify", "--trials", "20", "-"],
+    ["verify", "--prime", "10007", "-"],
 ])
 def test_options_only_where_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -572,52 +568,34 @@ def test_options_only_where_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_same_seed_identical_reports(capsys, monkeypatch):
-    code1, out1, _ = run_cli(
-        capsys,
-        ["verify", "--format", "json", "--seed", "7", "-"],
-        stdin=M_JSON,
-        monkeypatch=monkeypatch,
-    )
-    code2, out2, _ = run_cli(
-        capsys,
-        ["verify", "--format", "json", "--seed", "7", "-"],
-        stdin=M_JSON,
-        monkeypatch=monkeypatch,
-    )
+def test_verify_help_lists_no_sampling_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert not [flag for flag in ("--seed", "--trials", "--prime") if flag in out]
+
+
+def test_verify_reports_are_identical(capsys, monkeypatch):
+    code1, out1, _ = run_cli(capsys, ["verify", "--format", "json", "-"], stdin=M_JSON,
+                             monkeypatch=monkeypatch)
+    code2, out2, _ = run_cli(capsys, ["verify", "--format", "json", "-"], stdin=M_JSON,
+                             monkeypatch=monkeypatch)
     assert code1 == code2 == 0
     assert out1 == out2
 
 
-def test_seed_from_environment(capsys, monkeypatch):
-    """``TORSEP_SEED`` is read on each call, not when the parser is built."""
-    for value in ("99", "5"):
-        monkeypatch.setenv("TORSEP_SEED", value)
-        code, out, _ = run_cli(
-            capsys, ["verify", "--format", "json", "-"], stdin=M_JSON, monkeypatch=monkeypatch
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == int(value)
-    monkeypatch.delenv("TORSEP_SEED")
-    _, out, _ = run_cli(
-        capsys, ["verify", "--format", "json", "-"], stdin=M_JSON, monkeypatch=monkeypatch
-    )
-    assert json.loads(out)["seed"] == 0
-
-
 def test_non_integer_seed_environment(capsys, monkeypatch):
-    monkeypatch.setenv("TORSEP_SEED", "abc")
-    code, out, err = run_cli(capsys, ["verify", "-"], stdin=M_JSON, monkeypatch=monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == "error: TORSEP_SEED must be an integer, got 'abc'\n"
-    code, out, _ = run_cli(
-        capsys, ["verify", "--format", "json", "--seed", "3", "-"],
-        stdin=M_JSON, monkeypatch=monkeypatch,
-    )
-    assert code == 0 and json.loads(out)["seed"] == 3
-    code, out, err = run_cli(capsys, ["decide", "-"], stdin=M_JSON, monkeypatch=monkeypatch)
-    assert code == 0 and err == ""
-    assert "SP (affine): FAILS" in out
+    """``TORSEP_SEED`` is not read: verify's report is the same with it
+    unset or set to anything, and its ``seed`` is null."""
+    monkeypatch.delenv("TORSEP_SEED", raising=False)
+    unset = run_cli(capsys, ["verify", "--format", "json", "-"], stdin=M_JSON,
+                    monkeypatch=monkeypatch)
+    assert unset[0] == 0 and json.loads(unset[1])["seed"] is None
+    for value in ("abc", "\u0661"):
+        monkeypatch.setenv("TORSEP_SEED", value)
+        assert run_cli(capsys, ["verify", "--format", "json", "-"], stdin=M_JSON,
+                       monkeypatch=monkeypatch) == unset
 
 
 def test_binary_form_with_batch_is_an_input_error(capsys, monkeypatch):
@@ -899,19 +877,30 @@ def test_verify_scans_the_facets_for_an_ssp_witness_once(capsys, monkeypatch, mo
 
 @pytest.mark.parametrize("mode", ["affine", "projective"])
 def test_verify_draws_no_points_for_its_relations(capsys, monkeypatch, mode):
-    """Every binomial verify checks is a weight relation, which the
-    vanishing check skips: a billion trials on the square pyramid draw no
-    point and finish at once, and the report echoes the trial count."""
+    """verify checks vanishing exactly, on the relations themselves, so
+    it draws no random point; on the square pyramid nothing fails."""
     monkeypatch.setattr(random, "Random", None)  # a draw would raise
     pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
-    code, out, err = run_cli(capsys, ["verify", "--mode", mode, "--trials", "1000000000",
-                                      "--format", "json", "-"],
+    code, out, err = run_cli(capsys, ["verify", "--mode", mode, "--format", "json", "-"],
                              stdin=pyramid, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
-    report = json.loads(out)
-    assert report["options"]["trials"] == 1_000_000_000
-    assert report["extra"]["vanishing"] == {"prime": 10007, "trials": 1_000_000_000,
-                                            "failures": 0}
+    assert json.loads(out)["extra"]["vanishing"] == {"failures": 0}
+
+
+def test_verify_counts_a_binomial_that_is_no_relation(capsys, monkeypatch):
+    """A binomial x_1 - 1 slipped into the generating system is not a
+    weight relation: verify counts it once, so agreement is false and
+    the run exits 4."""
+    original = cli.binomial_generators
+    monkeypatch.setattr(cli, "binomial_generators", lambda ws, max_n: (
+        *original(ws, max_n=max_n), Binomial.from_vector([1] + [0] * (ws.n - 1))))
+    pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
+    code, out, err = run_cli(capsys, ["verify", "--format", "json", "-"], stdin=pyramid,
+                             monkeypatch=monkeypatch)
+    assert (code, err) == (4, "error: independent decision routes disagree\n")
+    extra = json.loads(out)["extra"]
+    assert extra["vanishing"] == {"failures": 1}
+    assert extra["agreement"] is False
 
 
 def test_facet_scan_disagreeing_with_the_rank_test_is_an_internal_error(capsys, monkeypatch):
@@ -974,7 +963,7 @@ def test_verify_routes_that_disagree_exit_four(capsys, monkeypatch):
 
 # sha256 of verify (affine and projective) and ideal, in JSON and text,
 # over the verify-small and decide-wide entries of the benchmark catalog.
-VERIFY_OUTPUT_DIGEST = "d9a0eaf64beeb4ff3bda8e55aca3f808d22b02f36e81942e9140d489354ea854"
+VERIFY_OUTPUT_DIGEST = "2e8e5fdeb376659ce720ae4d95c38cdb2b6b9bf678cea28284d1d03275868bd7"
 
 
 def test_verify_and_ideal_output_bytes_are_pinned(capsys, monkeypatch):

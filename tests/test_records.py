@@ -154,8 +154,6 @@ def test_reports_hand_the_encoder_no_record():
     for entries in catalog["workloads"].values():
         for entry in entries:
             args = parser.parse_args([*entry["argv"], "-"])
-            if args.command == "verify":
-                args.seed = 0
             instance = parse_json_instance(json.dumps({"d": entry["d"],
                                                        "weights": entry["weights"]}))
             _plain_tuples_only(cli.run_command(args.command, instance, args).to_json())
