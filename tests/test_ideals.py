@@ -339,10 +339,22 @@ def test_graver_matches_reference_completion():
 
 @pytest.mark.parametrize("n, seed, size", [
     (7, 5, 315), (7, 8, 51), (7, 9, 101), (7, 10, 430), (8, 9, 365)])
-def test_graver_pinned_scale_points(n, seed, size):
-    """Graver basis sizes of d = 3 draws with entries in [-2, 2]."""
+def test_graver_pinned_scale_points(monkeypatch, n, seed, size):
+    """Graver basis sizes of d = 3 draws with entries in [-2, 2], and the
+    critical pairs the completion forms for them over all its steps (read
+    off the counter that every step shares, passed last)."""
+    complete, counters = ideals._complete, []
+
+    def counted(*args):
+        counters.append(args[-1])
+        return complete(*args)
+
+    monkeypatch.setattr(ideals, "_complete", counted)
     ws = random_weights(random.Random(seed), 3, n)
     assert len(binomial_generators(ws)) == size
+    assert len(set(map(id, counters))) == 1
+    pairs = {(7, 5): 2_293, (7, 8): 163, (7, 9): 798, (7, 10): 4_313, (8, 9): 12_153}
+    assert next(counters[0]) - 1 == pairs[n, seed]
 
 
 def _differential_systems():
