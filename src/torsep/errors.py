@@ -19,8 +19,8 @@ class HypothesisError(TorsepError):
 class ResourceGuardError(TorsepError):
     """A size guard was exceeded: a face lattice of more than 2^max_n faces,
     a Graver completion over more than ``max_n`` weights or forming more than
-    ``max_nodes`` critical pairs, a binary form of degree above 200, or a
-    report integer longer than the interpreter's digit limit for writing one."""
+    ``ideals.MAX_NODES`` critical pairs, a binary form of degree above 200, or
+    a report integer longer than the interpreter's digit limit for writing one."""
 
 
 class InternalError(TorsepError):

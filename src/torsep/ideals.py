@@ -25,7 +25,7 @@ from .cones import DEFAULT_MAX_N, WeightSystem
 from .errors import InputError, InternalError, ResourceGuardError
 from .linalg import Vector, combine, is_zero_vector, kernel_lattice, lattice_equal, row_hnf
 
-DEFAULT_MAX_NODES = 2_000_000
+MAX_NODES = 2_000_000
 MAX_PRIME = 2**31 - 1
 
 
@@ -108,30 +108,26 @@ def _reducer(s, code, size, index):
     return None
 
 
-def _complete(generators, active, lifted, max_nodes, formed):
+def _complete(generators, active, lifted, formed):
     """⊑-minimal elements, on the ``active`` coordinates, of a set that
     holds ``generators`` and is closed under the critical vectors f +- g
     whose signs clash on ``active`` but not on ``lifted`` (masks).
 
     Critical vectors are taken by increasing active 1-norm and reduced
     by +-G before joining G; only elements with support off ``lifted``
-    can clash there.  ``formed`` counts them over all calls.  When no
-    pair clashes (fewer than two generators are nonzero on an active
-    coordinate off ``lifted``, or no two of them form a pair) the
-    generators are returned as given.
+    can clash there.  ``formed`` counts them over all calls, up to
+    ``MAX_NODES``.  When no two generators clash the generators are
+    returned as given.
     """
     n = len(generators[0])
     zero, low, fixed = (0,) * n, (1 << n) - 1, lifted | lifted << n
     cols = [i for i in range(n) if active >> i & 1]
-    new = [i for i in cols if not lifted >> i & 1]
-    if sum(1 for v in generators if any(v[i] for i in new)) < 2:
-        return generators
     basis, movers, queue, queued, index = [], [], [], set(), {}
 
     def pair(r, sign, g):
-        if next(formed) > max_nodes:
+        if next(formed) > MAX_NODES:
             raise ResourceGuardError(
-                f"Graver completion formed more than {max_nodes} critical pairs (max_nodes)")
+                f"Graver completion formed more than {MAX_NODES} critical pairs (MAX_NODES)")
         c = tuple(x + sign * y for x, y in zip(r, g))
         c = c if c > zero else tuple(-x for x in c)
         if c not in queued:
@@ -168,7 +164,7 @@ def _complete(generators, active, lifted, max_nodes, formed):
             if k < len(generators) or not _reducer(g, code, size, index)]
 
 
-def _graver_basis(generators, max_nodes: int) -> tuple[Vector, ...]:
+def _graver_basis(generators) -> tuple[Vector, ...]:
     """Graver basis of the lattice spanned by ``generators``, sorted: its
     ⊑-minimal nonzero vectors, each with a positive leading entry.
 
@@ -179,23 +175,18 @@ def _graver_basis(generators, max_nodes: int) -> tuple[Vector, ...]:
     lifted one at a time: the basis so far generates the next
     projection, and f +- g is formed only when f and +-g agree in sign
     on the coordinates already lifted and are strictly opposite at j.
-    ``max_nodes`` bounds the critical vectors formed, summed over all
+    ``MAX_NODES`` bounds the critical vectors formed, summed over all
     lifts.
     """
     graver, formed = row_hnf(generators), count(1)
     lifted, active = 0, sum(1 << next(i for i, x in enumerate(row) if x) for row in graver)
     while len(graver) > 1 and lifted != (1 << len(graver[0])) - 1:
-        graver = _complete(graver, active, lifted, max_nodes, formed)
+        graver = _complete(graver, active, lifted, formed)
         lifted, active = active, active | (active + 1)
     return tuple(sorted(graver))
 
 
-def octant_semigroup_generators(
-    basis,
-    positives,
-    n: int,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> tuple[Vector, ...]:
+def octant_semigroup_generators(basis, positives, n: int) -> tuple[Vector, ...]:
     """Hilbert basis of the semigroup (relation lattice & octant).
 
     ``basis`` spans the relation lattice in Z^n; the octant is >= 0 on
@@ -204,16 +195,12 @@ def octant_semigroup_generators(
     Graver elements (with either sign) that lie in the octant.
     """
     sigma = [1 if i in positives else -1 for i in range(n)]
-    graver = _graver_basis(basis, max_nodes)
+    graver = _graver_basis(basis)
     return tuple(sorted(v for g in graver for v in (g, tuple(-x for x in g))
                         if all(s * x >= 0 for s, x in zip(sigma, v))))
 
 
-def binomial_generators(
-    ws: WeightSystem,
-    max_n: int = DEFAULT_MAX_N,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> tuple[Binomial, ...]:
+def binomial_generators(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Binomial, ...]:
     """Finite binomial generating system for the ideal of the closure.
 
     The binomials of the Graver basis of the relation lattice (the union
@@ -227,7 +214,7 @@ def binomial_generators(
             f"(max_n={max_n}); raise it explicitly if this is intended"
         )
     lattice = kernel_lattice(ws.weights)
-    result = tuple(sorted(map(Binomial.from_vector, _graver_basis(lattice, max_nodes))))
+    result = tuple(sorted(map(Binomial.from_vector, _graver_basis(lattice))))
     vectors = [b.vector for b in result]
     if any(any(combine(ws.weights, v)) for v in vectors):
         raise InternalError("emitted binomial is not a weight relation")
@@ -280,9 +267,8 @@ def verify_vanishing(
 
     Each trial draws t in ((Z/p)^*)^dim, forms the point with
     coordinates x_i = prod t_r^(w_i[r]) and evaluates the kept binomials
-    (each power t_r^e and x_k^e once a trial, into a table); a nonzero
-    value is a failure.  The prime is at most ``MAX_PRIME``, which bounds
-    the trial division that checks it.
+    there; a nonzero value is a failure.  The prime is at most
+    ``MAX_PRIME``, which bounds the trial division that checks it.
 
     A binomial is kept iff its relation (a - b)W is nonzero mod p - 1 in
     some coordinate; with none kept (as for ``binomial_generators``) no
@@ -304,22 +290,15 @@ def verify_vanishing(
                       if any(x % (prime - 1) for x in combine(ws.weights, binom.vector)))
     if not binomials:
         return VanishingReport(prime, trials, seed, ())
-    # Table slots of (row, exponent mod p - 1) and (coordinate, exponent); 0 takes none.
-    t_powers, x_powers = {}, {}
-    weight_slots = [[t_powers.setdefault((r, e % (prime - 1)), len(t_powers))
-                     for r, e in enumerate(w) if e % (prime - 1)] for w in ws.weights]
-    binom_slots = [[[x_powers.setdefault((k, e), len(x_powers)) for k, e in enumerate(exps) if e]
-                    for exps in binom] for binom in binomials]
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
         t = tuple(rng.randrange(1, prime) for _ in range(ws.dim))
-        t_table = [pow(t[r], e, prime) for r, e in t_powers]
-        point = [prod(map(t_table.__getitem__, slots)) % prime for slots in weight_slots]
-        x_table = [pow(point[k], e, prime) for k, e in x_powers]
-        for binom, (a_slots, b_slots) in zip(binomials, binom_slots):
-            value = (prod(map(x_table.__getitem__, a_slots))
-                     - prod(map(x_table.__getitem__, b_slots))) % prime
+        point = [prod(pow(t_r, e % (prime - 1), prime) for t_r, e in zip(t, w)) % prime
+                 for w in ws.weights]
+        for binom in binomials:
+            value = (prod(pow(x, e, prime) for x, e in zip(point, binom.a))
+                     - prod(pow(x, e, prime) for x, e in zip(point, binom.b))) % prime
             if value:
                 failures.append((trial, t, binom, value))
     return VanishingReport(prime, trials, seed, tuple(failures))

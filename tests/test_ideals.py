@@ -20,7 +20,6 @@ from torsep.cones import WeightSystem, homogenize
 from torsep.errors import InputError, ResourceGuardError
 from torsep.ideals import (
     Binomial,
-    DEFAULT_MAX_NODES,
     binomial_generators,
     octant_semigroup_generators,
     sp_violation_scan,
@@ -163,8 +162,8 @@ def test_vanishing_detects_wrong_binomial():
 
 
 def test_vanishing_matches_the_power_by_power_reference():
-    """The power tables give the failures, in order and value, of
-    evaluating every power afresh (``helpers.reference_vanishing_failures``):
+    """The sampler gives the failures, in order and value, of evaluating
+    every power afresh (``helpers.reference_vanishing_failures``):
     Graver sets, which vanish, and seeded random binomials, most of which
     do not, on fuzz systems with negative and zero weights."""
     rng = random.Random(97)
@@ -273,24 +272,27 @@ def test_generators_for_m_is_exact_graver_basis():
     assert [b.vector for b in binomial_generators(M_WEIGHTS)] == [(2, -1, -1)]
 
 
-def test_generators_pair_budget_is_enforced():
+def test_generators_pair_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(ideals, "MAX_NODES", 3)
     with pytest.raises(ResourceGuardError, match="critical pairs"):
-        binomial_generators(FIVE_WEIGHTS, max_nodes=3)
+        binomial_generators(FIVE_WEIGHTS)
 
 
 def test_generators_pair_budget_sums_over_lifts(monkeypatch):
     """FIVE_WEIGHTS forms 4 critical pairs in all, over its base step
     and three lifts, and no step forms 4 alone: a budget of 4 passes and
     one of 3 trips the guard."""
-    with pytest.raises(ResourceGuardError, match="critical pairs"):
-        binomial_generators(FIVE_WEIGHTS, max_nodes=3)
     expected = binomial_generators(FIVE_WEIGHTS)
-    assert binomial_generators(FIVE_WEIGHTS, max_nodes=4) == expected
+    monkeypatch.setattr(ideals, "MAX_NODES", 3)
+    with pytest.raises(ResourceGuardError, match="critical pairs"):
+        binomial_generators(FIVE_WEIGHTS)
+    monkeypatch.setattr(ideals, "MAX_NODES", 4)
+    assert binomial_generators(FIVE_WEIGHTS) == expected
     complete, per_step = ideals._complete, []
 
-    def counted(generators, active, lifted, max_nodes, formed):
+    def counted(generators, active, lifted, formed):
         mine = count(1)
-        result = complete(generators, active, lifted, max_nodes, mine)
+        result = complete(generators, active, lifted, mine)
         per_step.append(next(mine) - 1)
         return result
 
@@ -305,15 +307,15 @@ def test_lift_without_a_pair_returns_its_generators(monkeypatch):
     generators back as given and forms no pair."""
     complete, steps = ideals._complete, []
 
-    def recorded(generators, active, lifted, max_nodes, formed):
+    def recorded(generators, active, lifted, formed):
         mine = count(1)
-        result = complete(generators, active, lifted, max_nodes, mine)
+        result = complete(generators, active, lifted, mine)
         steps.append((result is generators, next(mine) - 1))
         return result
 
     monkeypatch.setattr(ideals, "_complete", recorded)
     lattice = kernel_lattice(((2, 2), (0, 0), (0, 1), (-2, 0)))
-    assert ideals._graver_basis(lattice, DEFAULT_MAX_NODES) == reference_graver(lattice)
+    assert ideals._graver_basis(lattice) == reference_graver(lattice)
     assert steps == [(True, 0)] * 3
 
 
@@ -334,7 +336,7 @@ def test_graver_matches_reference_completion():
         systems.append(fuzz_weights(rng, rng.randint(1, 4), rng.randint(1, 7), 2))
     for ws in systems:
         lattice = kernel_lattice(ws.weights)
-        assert ideals._graver_basis(lattice, DEFAULT_MAX_NODES) == reference_graver(lattice), ws
+        assert ideals._graver_basis(lattice) == reference_graver(lattice), ws
 
 
 @pytest.mark.parametrize("n, seed, size", [
