@@ -51,13 +51,13 @@ def _add(p: Poly, q: Poly) -> Poly:
 
 
 def _divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of p by q != 0; both are trimmed (no trailing zeros)."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = _deg(q)
-    lead = q[-1]
-    while len(rem) - 1 >= dq and any(x != 0 for x in rem):
+    dq, lead = _deg(q), q[-1]
+    while len(rem) > dq:  # a trimmed remainder is nonzero iff it is nonempty
         shift = len(rem) - 1 - dq
         factor = rem[-1] / lead
         quot[shift] = factor
@@ -268,25 +268,16 @@ def parse_form(text: str) -> BinaryForm:
     stripped = text.replace(" ", "")
     if not stripped:
         raise InputError("empty form")
-    terms = []
-    i = 0
-    while i < len(stripped):
-        sign = 1
-        if stripped[i] in "+-":
-            sign = -1 if stripped[i] == "-" else 1
-            i += 1
-        j = i
-        while j < len(stripped) and stripped[j] not in "+-":
-            j += 1
-        if j == i:
-            raise InputError(f"dangling sign in form at position {i}")
-        terms.append((sign, stripped[i:j]))
-        i = j
+    # A term is a sign and the text up to the next sign; the last match is empty.
+    terms = [m for m in re.finditer(r"(?P<sign>[+-]?)(?P<body>[^+-]*)", stripped) if m[0]]
+    for m in terms:  # every dangling sign is reported before any factor is read
+        if not m["body"]:
+            raise InputError(f"dangling sign in form at position {m.end()}")
     monomials = []
-    for sign, body in terms:
-        coeff = Fraction(sign)
+    for m in terms:
+        coeff = Fraction(-1 if m["sign"] == "-" else 1)
         ex = ey = 0
-        for factor in body.split("*"):
+        for factor in m["body"].split("*"):
             match = _FACTOR_RE.fullmatch(factor)
             if not match:
                 raise InputError(f"cannot parse factor {factor!r}")

@@ -164,9 +164,9 @@ def _complete(generators, active, lifted, formed):
             if k < len(generators) or not _reducer(g, code, size, index)]
 
 
-def _graver_basis(generators) -> tuple[Vector, ...]:
-    """Graver basis of the lattice spanned by ``generators``, sorted: its
-    ⊑-minimal nonzero vectors, each with a positive leading entry.
+def _graver_basis(lattice) -> tuple[Vector, ...]:
+    """Sorted Graver basis of a lattice given in Hermite form (``row_hnf``,
+    ``kernel_lattice``): ⊑-minimal nonzero vectors, positive leading entry.
 
     Project-and-lift (Hemmecke 2003).  In Hermite form the lattice
     projects injectively onto the pivot coordinates.  The completion of
@@ -178,7 +178,7 @@ def _graver_basis(generators) -> tuple[Vector, ...]:
     ``MAX_NODES`` bounds the critical vectors formed, summed over all
     lifts.
     """
-    graver, formed = row_hnf(generators), count(1)
+    graver, formed = lattice, count(1)
     lifted, active = 0, sum(1 << next(i for i, x in enumerate(row) if x) for row in graver)
     while len(graver) > 1 and lifted != (1 << len(graver[0])) - 1:
         graver = _complete(graver, active, lifted, formed)
@@ -195,7 +195,7 @@ def octant_semigroup_generators(basis, positives, n: int) -> tuple[Vector, ...]:
     Graver elements (with either sign) that lie in the octant.
     """
     sigma = [1 if i in positives else -1 for i in range(n)]
-    graver = _graver_basis(basis)
+    graver = _graver_basis(row_hnf(basis))
     return tuple(sorted(v for g in graver for v in (g, tuple(-x for x in g))
                         if all(s * x >= 0 for s, x in zip(sigma, v))))
 

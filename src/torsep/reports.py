@@ -235,9 +235,7 @@ def _render_value(value, indent):
             else:
                 lines.append(f"{pad}{_flat(k)}: {_flat(v)}")
         return "\n".join(lines)
-    if isinstance(value, (list, tuple)):
-        return "\n".join(f"{pad}- {_flat(v)}" for v in value)
-    return f"{pad}{_flat(value)}"
+    return "\n".join(f"{pad}- {_flat(v)}" for v in value)
 
 
 def _is_flat(value) -> bool:

@@ -15,7 +15,7 @@ read off the minimal faces and the facets: no lattice.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets, smallest_face
 from .linalg import rank
@@ -121,17 +121,18 @@ def ssp_coordinate_witness(ws: WeightSystem) -> SspWitness | None:
 
     Intended for inputs whose orbit closure is a cone (the caller checks
     that hypothesis).  A witness avoids the pair and has rank >= r - 1
-    (r the rank of the weights), so it is a facet: pairs are scanned
-    lexicographically and facets in canonical order, each facet being
-    its own stratum witness, and no face lattice is built.
+    (r the rank of the weights), so it is a facet, its own stratum
+    witness; no face lattice is built.  Every pair a facet avoids lies
+    off it, so its first is its two lowest off-positions; the least of
+    these over the facets in canonical order, from the first facet giving
+    it, is the first pair avoided and the first facet avoiding it.
     """
     if ws.n < 2:
         return None
-    ambient = rank(ws.weights)
-    deep = sorted(facets(ws), key=lambda f: (len(f.indices), f.indices))
-    for i in range(ws.n):
-        for j in range(i + 1, ws.n):
-            for facet in deep:
-                if i not in facet.indices and j not in facet.indices:
-                    return SspWitness((i, j), facet, ambient)
-    return None
+    best = None
+    for facet in sorted(facets(ws), key=lambda f: (len(f.indices), f.indices)):
+        held = set(facet.indices)
+        pair = tuple(islice((k for k in range(ws.n) if k not in held), 2))
+        if len(pair) == 2 and (best is None or pair < best[0]):
+            best = pair, facet
+    return None if best is None else SspWitness(*best, rank(ws.weights))

@@ -175,6 +175,19 @@ def test_parse_rejects_bad_input():
         parse_form("x^2 * z")
 
 
+@pytest.mark.parametrize("text, position", [("xz+-y", 3), ("x+", 2), ("--x", 1)])
+def test_dangling_sign_is_reported_before_any_factor(text, position):
+    """Every term is checked for a sign with no term after it before any
+    factor is read: in 'xz+-y' the dangling sign wins over the bad factor
+    'xz' before it.  Positions count after the spaces are removed."""
+    with pytest.raises(InputError, match=rf"^dangling sign in form at position {position}$"):
+        parse_form(text)
+
+
+def test_parse_reads_a_leading_plus_sign():
+    assert parse_form("+x*y - y^2").coeffs == (0, 1, -1)
+
+
 def test_form_validation():
     with pytest.raises(InputError):
         BinaryForm((Fraction(1),))

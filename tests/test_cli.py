@@ -792,6 +792,35 @@ def test_json_coeffs_degree_guard(capsys, monkeypatch, degree):
         assert code == 0 and json.loads(out)["extra"]["separation_property"] is True
 
 
+def test_json_coeffs_must_be_a_list(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["binary", "-"], stdin='{"coeffs": 5}',
+                             monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: 'coeffs' must be a list\n")
+
+
+_GRAVER_GUARD = ("Graver basis completion over 4 weights exceeds the guard (max_n=3); "
+                 "raise it explicitly if this is intended")
+
+
+@pytest.mark.parametrize("command, instance", [
+    ("ideal", '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'),
+    # Two faces, so the face guard of 2^3 passes and the Graver guard trips.
+    ("verify", '{"weights": [[1], [1], [1], [1]]}'),
+], ids=["ideal-pyramid", "verify-line"])
+def test_graver_weight_guard_exits_two(capsys, monkeypatch, command, instance):
+    """Four weights over ``--max-n 3`` are refused by the Graver guard:
+    exit 2 with its message, and under ``--batch --format json`` the
+    line prints its error record."""
+    code, out, err = run_cli(capsys, [command, "--max-n", "3", "-"], stdin=instance,
+                             monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {_GRAVER_GUARD}\n")
+    code, out, err = run_cli(capsys, [command, "--max-n", "3", "--batch", "--format", "json",
+                                      "-"], stdin=instance + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert err == f"line 1: error: {_GRAVER_GUARD}\n"
+    assert json.loads(out) == {"line": 1, "error": _GRAVER_GUARD, "exit_class": 2}
+
+
 def _catalog_stream(skip=()):
     """The instances of ``perfbench/catalog.json`` (260), but for the
     workloads named in ``skip``, as one batch stream."""

@@ -278,6 +278,18 @@ def test_generators_pair_budget_is_enforced(monkeypatch):
         binomial_generators(FIVE_WEIGHTS)
 
 
+def test_generators_weight_guard_runs_before_the_lattice(monkeypatch):
+    """More weights than ``max_n`` is refused before the relation lattice
+    is formed: a ``kernel_lattice`` that raises is never reached."""
+    def unreachable(vectors):
+        raise AssertionError("kernel_lattice ran past the weight guard")
+
+    monkeypatch.setattr(ideals, "kernel_lattice", unreachable)
+    with pytest.raises(ResourceGuardError, match=r"^Graver basis completion over 5 weights "
+                       r"exceeds the guard \(max_n=4\); "):
+        binomial_generators(FIVE_WEIGHTS, max_n=FIVE_WEIGHTS.n - 1)
+
+
 def test_generators_pair_budget_sums_over_lifts(monkeypatch):
     """FIVE_WEIGHTS forms 4 critical pairs in all, over its base step
     and three lifts, and no step forms 4 alone: a budget of 4 passes and

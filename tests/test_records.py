@@ -12,7 +12,7 @@ import pytest
 
 from helpers import clear_cone_caches
 from torsep import cli, cones
-from torsep.binary_forms import BinaryForm, SquarefreeDecomposition
+from torsep.binary_forms import BinaryForm, SquarefreeDecomposition, parse_form
 from torsep.cones import ConeFace, EdgeConditions, PointednessResult, WeightSystem
 from torsep.errors import InputError
 from torsep.ideals import Binomial, ScanResult, VanishingReport
@@ -61,6 +61,11 @@ def test_equal_weight_systems_share_a_facets_cache_entry():
     again = cones.facets(WeightSystem.from_rows([[1, 0], [0, 1], [1, 1]]))
     assert again is first
     assert cones.facets.cache_info().hits == 1
+
+
+def test_records_render_as_polynomials():
+    assert str(Binomial.from_vector((0, 2, -1))) == "x2^2 - x3"
+    assert str(parse_form("x*y^3 - x^4")) == "-x^4 + x*y^3"
 
 
 def test_binomials_sort_by_exponents():
