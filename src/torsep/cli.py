@@ -17,10 +17,10 @@ import time
 from collections import namedtuple
 
 from .binary_forms import form_to_string, squarefree_multiplicity_parts
-from .cones import DEFAULT_MAX_N, homogenize
+from .cones import DEFAULT_MAX_N, clear_caches, homogenize
 from .errors import HypothesisError, InputError, InternalError, ResourceGuardError
 from .ideals import binomial_generators, sp_violation_scan
-from .linalg import combine
+from .linalg import count_nonrelations
 from .reports import (Instance, Report, emit_report, parse_instance, parse_json_instance,
                       read_integer, text_lines)
 from .separation import decide, projective
@@ -125,7 +125,7 @@ def _verify(ws, args):
         witness = (v_ssp.certificate["pair"] if v_ssp.kind == "kernel-witness"
                    else ssp_coordinate_witness(target))
         routes["SSP"] = {"theorem": v_ssp.holds, "witness_oracle": witness is None}
-    failures = sum(any(combine(target.weights, b.vector)) for b in binomials)
+    failures = count_nonrelations(target.weights, (b.vector for b in binomials))
     agreement = failures == 0 and all(
         value in (route["theorem"], "not-applicable")
         for route in routes.values() if isinstance(route, dict) for value in route.values())
@@ -245,11 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _process_one(text: str, args, line: int | None = None) -> int:
-    """Run one instance, input line ``line`` of a ``--batch`` run.
+    """Run one instance, input line ``line`` of a ``--batch`` run, on empty ``cones`` caches.
 
     A batch line that prints no JSON report prints an error record in
     its place, so JSON batch output stays aligned with its input."""
     where = "" if line is None else f"line {line}: "
+    clear_caches()
     try:
         parse = parse_json_instance if args.batch else parse_instance
         report = run_command(args.command, parse(_utf8(text)), args)

@@ -398,3 +398,12 @@ def _check_euler_poincare(ws: WeightSystem, faces) -> None:
 def homogenize(ws: WeightSystem) -> WeightSystem:
     """Append a coordinate 1 to every weight (projective-to-affine move)."""
     return WeightSystem(ws.dim + 1, tuple(w + (1,) for w in ws.weights))
+
+
+_CACHED = (facets, _zero_masks, _smallest_face_cached, _enumerate_faces_cached, homogenize)
+
+
+def clear_caches() -> None:
+    """Empty the caches; each hit falls within one instance, so ``cli`` clears them per instance."""
+    for cached in _CACHED:
+        cached.cache_clear()

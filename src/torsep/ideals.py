@@ -19,11 +19,11 @@ import random
 from collections import namedtuple
 from itertools import count
 from math import isqrt, prod
-from operator import le
+from operator import add, le, neg, sub
 
 from .cones import DEFAULT_MAX_N, WeightSystem
 from .errors import InputError, InternalError, ResourceGuardError
-from .linalg import Vector, combine, is_zero_vector, kernel_lattice, lattice_equal, row_hnf
+from .linalg import Vector, combine, count_nonrelations, kernel_lattice, lattice_equal, row_hnf
 
 MAX_NODES = 2_000_000
 MAX_PRIME = 2**31 - 1
@@ -57,10 +57,7 @@ class Binomial(namedtuple("Binomial", "a b")):
             raise InputError("zero vector has no binomial")
         if next(x for x in c if x) < 0:
             c = tuple(-x for x in c)
-        return cls(
-            tuple(x if x > 0 else 0 for x in c),
-            tuple(-x if x < 0 else 0 for x in c),
-        )
+        return cls(tuple(x if x > 0 else 0 for x in c), tuple(-x if x < 0 else 0 for x in c))
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -79,35 +76,6 @@ class Binomial(namedtuple("Binomial", "a b")):
         return self.to_string()
 
 
-def _signed(v, cols) -> tuple[Vector, int, Vector]:
-    """v with its sign code and its absolute values on the coordinates
-    ``cols``.  The code of v in Z^n has bit i set where v_i > 0 and bit
-    n + i where v_i < 0, so g ⊑ v on ``cols`` exactly when the code of
-    g is a submask of that of v and no |g_i| exceeds |v_i|."""
-    return (v, sum(1 << i if v[i] > 0 else 1 << len(v) + i for i in cols if v[i]),
-            tuple(abs(v[i]) for i in cols))
-
-
-def _submasks(mask):
-    """Every nonzero submask of ``mask``, ``mask`` itself first."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
-def _reducer(s, code, size, index):
-    """(sign, g) with g in ``index``, not s, and sign * g ⊑ s on the active
-    coordinates, or None.  ``index`` maps the code of each sign * g to its
-    (sign, absolute values, g), so the candidates lie under the submasks
-    of the code of s (cf. the support tree of Hemmecke & Malkin 2009)."""
-    for key in _submasks(code):
-        for sign, gsize, g in index.get(key, ()):
-            if g is not s and all(map(le, gsize, size)):
-                return sign, g
-    return None
-
-
 def _complete(generators, active, lifted, formed):
     """⊑-minimal elements, on the ``active`` coordinates, of a set that
     holds ``generators`` and is closed under the critical vectors f +- g
@@ -118,21 +86,47 @@ def _complete(generators, active, lifted, formed):
     can clash there.  ``formed`` counts them over all calls, up to
     ``MAX_NODES``.  When no two generators clash the generators are
     returned as given.
+
+    The code of v has bit i (n + i) set where v_i > 0 (< 0), i active, so
+    g ⊑ v there iff the code of g is a submask of that of v and no |g_i|
+    exceeds |v_i|.  ``index`` maps the code of each +-g to (the operator
+    that takes +-g off, |g| on ``active``, g), searched from a code down
+    its submasks (cf. the support tree of Hemmecke & Malkin 2009).
     """
     n = len(generators[0])
     zero, low, fixed = (0,) * n, (1 << n) - 1, lifted | lifted << n
-    cols = [i for i in range(n) if active >> i & 1]
+    bits = [(i, 1 << i, 1 << n + i) for i in range(n) if active >> i & 1]
     basis, movers, queue, queued, index = [], [], [], set(), {}
+    push, pop, lookup = heapq.heappush, heapq.heappop, index.get
 
-    def pair(r, sign, g):
+    def signed(v):  # the code of v and |v| on ``active``
+        code, size = 0, []
+        for i, positive, negative in bits:
+            if (x := v[i]) < 0:
+                code, x = code | negative, -x
+            elif x:
+                code |= positive
+            size.append(x)
+        return code, size
+
+    def reducer(s, code, size):  # the ``index`` entry of a +-g ⊑ s, g not s, or None
+        mask = code
+        while mask:
+            for hit in lookup(mask, ()):
+                if hit[2] is not s and all(map(le, hit[1], size)):
+                    return hit
+            mask = (mask - 1) & code
+        return None
+
+    def pair(c):
         if next(formed) > MAX_NODES:
             raise ResourceGuardError(
                 f"Graver completion formed more than {MAX_NODES} critical pairs (MAX_NODES)")
-        c = tuple(x + sign * y for x, y in zip(r, g))
-        c = c if c > zero else tuple(-x for x in c)
+        c = tuple(map(neg, c)) if c < zero else c
         if c not in queued:
             queued.add(c)
-            heapq.heappush(queue, (sum(abs(c[i]) for i in cols), c))
+            code, size = signed(c)
+            push(queue, (sum(size), c, code, size))
 
     def join(r, code, size):
         flip = code >> n | (code & low) << n
@@ -140,28 +134,31 @@ def _complete(generators, active, lifted, formed):
         if code & ~fixed:
             for g, gcode, gflip in movers:
                 if (cross := code & gflip) and not cross & fixed:
-                    pair(r, 1, g)
+                    pair(tuple(map(add, r, g)))
                 if (same := code & gcode) and not same & fixed:
-                    pair(r, -1, g)
+                    pair(tuple(map(sub, r, g)))
             movers.append((r, code, flip))
         basis.append((r, code, size))
-        index.setdefault(code, []).append((1, size, r))
-        index.setdefault(flip, []).append((-1, size, r))
+        index.setdefault(code, []).append((sub, size, r))
+        index.setdefault(flip, []).append((add, size, r))
 
     # Hermite rows on their pivots, and Graver elements of the previous
     # projection, are ⊑-minimal there: they join unreduced and stay.
     for v in generators:
-        join(*_signed(v, cols))
+        join(v, *signed(v))
     if not queue:
         return generators
     while queue:
-        r, code, size = _signed(heapq.heappop(queue)[1], cols)
-        while code and (hit := _reducer(r, code, size, index)):
-            r, code, size = _signed(tuple(x - hit[0] * y for x, y in zip(r, hit[1])), cols)
+        _, r, code, size = pop(queue)
+        while code and (hit := reducer(r, code, size)):
+            r = tuple(map(hit[0], r, hit[2]))
+            code, size = signed(r)
         if code:
-            join(*(_signed(tuple(-x for x in r), cols) if r < zero else (r, code, size)))
+            if r < zero:  # -r has the same sizes and the opposite code
+                r, code = tuple(map(neg, r)), code >> n | (code & low) << n
+            join(r, code, size)
     return [g for k, (g, code, size) in enumerate(basis)
-            if k < len(generators) or not _reducer(g, code, size, index)]
+            if k < len(generators) or not reducer(g, code, size)]
 
 
 def _graver_basis(lattice) -> tuple[Vector, ...]:
@@ -209,18 +206,15 @@ def binomial_generators(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[B
     that span the full relation lattice.
     """
     if ws.n > max_n:
-        raise ResourceGuardError(
-            f"Graver basis completion over {ws.n} weights exceeds the guard "
-            f"(max_n={max_n}); raise it explicitly if this is intended"
-        )
+        raise ResourceGuardError(f"Graver basis completion over {ws.n} weights exceeds the "
+                                 f"guard (max_n={max_n}); raise it explicitly if this is intended")
     lattice = kernel_lattice(ws.weights)
-    result = tuple(sorted(map(Binomial.from_vector, _graver_basis(lattice))))
-    vectors = [b.vector for b in result]
-    if any(any(combine(ws.weights, v)) for v in vectors):
+    graver = _graver_basis(lattice)
+    if count_nonrelations(ws.weights, graver):
         raise InternalError("emitted binomial is not a weight relation")
-    if not lattice_equal(vectors, lattice):
+    if not lattice_equal(graver, lattice):
         raise InternalError("binomial relation vectors do not span the lattice")
-    return result
+    return tuple(sorted(map(Binomial.from_vector, graver)))
 
 
 class ScanResult(namedtuple("ScanResult", "violating binomial form", defaults=(None, None))):
@@ -239,12 +233,10 @@ class ScanResult(namedtuple("ScanResult", "violating binomial form", defaults=(N
 def sp_violation_scan(binomials) -> ScanResult:
     """Scan binomials for the two SP-violating shapes."""
     for binom in binomials:
-        if is_zero_vector(binom.b):
+        if not any(binom.b):
             return ScanResult(True, binom, 1)
-    for binom in binomials:
-        support_a = sum(1 for x in binom.a if x > 0)
-        support_b = sum(1 for x in binom.b if x > 0)
-        if support_a == 1 or support_b == 1:
+    for binom in binomials:  # exponents are nonnegative: nonzero means positive
+        if 1 in (sum(map(bool, binom.a)), sum(map(bool, binom.b))):
             return ScanResult(True, binom, 2)
     return ScanResult(False)
 

@@ -66,6 +66,16 @@ def combine(vectors, c) -> tuple:
     return tuple(dot(column, c) for column in zip(*vectors))
 
 
+def count_nonrelations(vectors, coefficients) -> int:
+    """How many c have ``combine(vectors, c)`` nonzero; the columns are read once."""
+    columns, count = tuple(zip(*vectors)), 0
+    for c in coefficients:
+        if len(c) != len(vectors):
+            raise InputError(f"{len(c)} coefficients for {len(vectors)} vectors")
+        count += any(sum(map(mul, column, c)) for column in columns)
+    return count
+
+
 def _hermite(rows) -> tuple[tuple[Vector, ...], int]:
     """Canonical Hermite row form of an integer row family, and the sign.
 
@@ -138,8 +148,9 @@ def row_hnf(rows) -> tuple[Vector, ...]:
 
 
 def lattice_equal(rows_a, rows_b) -> bool:
-    """Whether two integer row families span the same lattice."""
-    return row_hnf(rows_a) == row_hnf(rows_b)
+    """Whether two row families span the same lattice (``rows_b`` is read once)."""
+    form, rows_b = row_hnf(rows_a), tuple(map(tuple, rows_b))
+    return form == rows_b or form == row_hnf(rows_b)
 
 
 def kernel_lattice(vectors) -> tuple[Vector, ...]:

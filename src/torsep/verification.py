@@ -38,8 +38,8 @@ def _valid_index(problems, k, bound, what="index") -> bool:
     """Record a problem unless ``k`` is an int (not a bool) with
     0 <= k < bound; return whether it is."""
     ok = isinstance(k, int) and not isinstance(k, bool) and 0 <= k < bound
-    _require(problems, ok,
-             f"malformed certificate: {what} {k!r} is not a position below {bound}")
+    if not ok:
+        problems.append(f"malformed certificate: {what} {k!r} is not a position below {bound}")
     return ok
 
 
@@ -49,9 +49,10 @@ def _valid_indices(problems, ks, bound, what="index") -> bool:
 
 def _matches(problems, value: int, claimed, what: str) -> None:
     """Record a problem unless ``claimed`` is an int (not a bool or a float) equal to ``value``."""
-    is_int = type(claimed) is int
-    _require(problems, is_int, f"malformed certificate: {what} {claimed!r} is not an int")
-    _require(problems, not is_int or value == claimed, f"{what} mismatch")
+    if type(claimed) is not int:
+        problems.append(f"malformed certificate: {what} {claimed!r} is not an int")
+    elif value != claimed:
+        problems.append(f"{what} mismatch")
 
 
 def _relation(problems, ws, vector, what: str):
@@ -95,10 +96,10 @@ def _check_edge_separation(problems, ws, cert, reading):
         seen.add(i)
         for key, sign in (("vector_excluded_by", 1), ("negation_excluded_by", -1)):
             values = _values(memo, ws, clear_denominators(entry[key])[0])
-            _require(problems, all(v >= 0 for k, v in enumerate(values) if k != i),
-                     f"separator {key} for weight {i} not supporting")
-            _require(problems, sign * values[i] < 0,
-                     f"separator {key} for weight {i} does not exclude")
+            if not all(v >= 0 for k, v in enumerate(values) if k != i):
+                problems.append(f"separator {key} for weight {i} not supporting")
+            if sign * values[i] >= 0:
+                problems.append(f"separator {key} for weight {i} does not exclude")
     _require(problems, seen == set(range(ws.n)), "separators must cover every weight")
 
 

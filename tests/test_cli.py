@@ -16,6 +16,7 @@ from helpers import (
     M_WEIGHTS,
     N_WEIGHTS,
     QUARTET_WEIGHTS,
+    clear_cone_caches,
     fuzz_weights,
     random_weights,
     reference_characteristic_pairs,
@@ -1011,3 +1012,27 @@ def test_verify_and_ideal_output_bytes_are_pinned(capsys, monkeypatch):
     assert digest.hexdigest() == VERIFY_OUTPUT_DIGEST, (
         "verify or ideal output changed; if the change is intended, record it and the new "
         f"digest {digest.hexdigest()} in CHANGES.md")
+
+
+def test_batch_lines_leave_one_instance_in_the_cone_caches(capsys, monkeypatch):
+    """Each instance runs on empty ``cones`` caches: after a three-line
+    ``--batch`` no cache holds more entries than a single run of the last
+    line leaves, and the output is that of the three single runs."""
+    caches = (torsep.cones.facets, torsep.cones._zero_masks, torsep.cones._smallest_face_cached,
+              torsep.cones._enumerate_faces_cached, torsep.cones.homogenize)
+    pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
+    lines = [FIVE_JSON, M_JSON, pyramid]
+    argv = ["verify", "--mode", "projective", "--format", "json", "-"]
+    code, batch, _ = run_cli(capsys, [*argv, "--batch"], stdin="\n".join(lines) + "\n",
+                             monkeypatch=monkeypatch)
+    held = [cache.cache_info().currsize for cache in caches]
+    singles = []
+    for line in lines:
+        clear_cone_caches()
+        single_code, out, _ = run_cli(capsys, argv, stdin=line, monkeypatch=monkeypatch)
+        assert single_code == 0
+        singles.append(out)
+    single = [cache.cache_info().currsize for cache in caches]
+    assert code == 0 and batch == "".join(singles)
+    assert all(h <= s for h, s in zip(held, single)), (held, single)
+    assert min(single) >= 1

@@ -17,7 +17,7 @@ from helpers import (
 )
 from torsep import ideals
 from torsep.cones import WeightSystem, homogenize
-from torsep.errors import InputError, ResourceGuardError
+from torsep.errors import InputError, InternalError, ResourceGuardError
 from torsep.ideals import (
     Binomial,
     binomial_generators,
@@ -255,6 +255,23 @@ def test_generator_vectors_span_lattice_random():
             assert report.passed
         else:
             assert bins == ()
+
+
+SQUARE_PYRAMID = WeightSystem.from_rows([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]])
+
+
+@pytest.mark.parametrize("extra, message", [
+    (((1, -1, 1, -1), (1, 0, 0, 0)), "emitted binomial is not a weight relation"),
+    (((2, -2, 2, -2),), "binomial relation vectors do not span the lattice"),
+], ids=["not-a-relation", "sublattice"])
+def test_generators_check_the_completion_exactly(monkeypatch, extra, message):
+    """The square pyramid's relation lattice is spanned by (1, -1, 1, -1).
+    A completion that adds (1, 0, 0, 0), which is no relation, or that
+    returns the doubled row, which spans a sublattice, is refused."""
+    assert kernel_lattice(SQUARE_PYRAMID.weights) == ((1, -1, 1, -1),)
+    monkeypatch.setattr(ideals, "_graver_basis", lambda lattice: extra)
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        binomial_generators(SQUARE_PYRAMID)
 
 
 def test_generators_five_weight_system_is_exact_graver_basis():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -26,6 +27,7 @@ from torsep.errors import InputError
 from torsep.linalg import (
     _hermite,
     combine,
+    count_nonrelations,
     determinant,
     independent_rows,
     inverse_columns,
@@ -91,6 +93,65 @@ def test_row_hnf_is_basis_invariant():
     mixed = ((1, 1, 1), (3, 5, 7), (2, 4, 6))
     assert lattice_equal(rows, mixed)
     assert not lattice_equal(rows, ((1, 0, 0),))
+
+
+def test_lattice_equal_matches_comparing_both_forms():
+    """``lattice_equal(a, b)`` is ``row_hnf(a) == row_hnf(b)`` when b is a's
+    Hermite form (as tuples, as lists, or as an iterator), a permutation
+    of that form, another basis of the same lattice, or a different
+    lattice; seeded families with up to 4 rows of length up to 6."""
+    rng = random.Random(4077)
+    outcomes = []
+    for _ in range(300):
+        d, n = rng.randint(1, 4), rng.randint(1, 6)
+        a = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(d)]
+        form = row_hnf(a)
+        shuffled = rng.sample(form, len(form))
+        other = [list(row) for row in form]
+        for _ in range(4):  # unimodular row operations
+            if len(other) > 1:
+                i, j = rng.sample(range(len(other)), 2)
+                q = rng.randint(-2, 2)
+                other[i] = [x + q * y for x, y in zip(other[i], other[j])]
+            if other:
+                k = rng.randrange(len(other))
+                other[k] = [-x for x in other[k]]
+        different = ([(2 * x for x in form[0]), *form[1:]] if form
+                     else [tuple(rng.randint(-1, 1) for _ in range(n))])
+        different = [tuple(row) for row in different]
+        for b in (form, [list(row) for row in form], shuffled, other, different):
+            expected = row_hnf(a) == row_hnf(b)
+            assert lattice_equal(a, b) == expected, (a, b)
+            assert lattice_equal(a, iter(list(b))) == expected, (a, b)
+            outcomes.append(expected)
+    assert outcomes.count(True) >= 1000 and outcomes.count(False) >= 200
+
+
+def test_count_nonrelations_matches_combine():
+    """``count_nonrelations(w, vectors)`` is ``sum(any(combine(w, v)) for v in
+    vectors)`` on seeded families mixing lattice relations and other vectors,
+    and refuses a vector of the wrong length as ``combine`` does."""
+    rng = random.Random(5081)
+    relations = 0
+    for _ in range(300):
+        ws = random_weights(rng, rng.randint(1, 4), rng.randint(1, 7))
+        kernel = kernel_lattice(ws.weights)
+        vectors = []
+        for _ in range(rng.randint(0, 8)):
+            if kernel and rng.random() < 0.6:
+                q = [rng.randint(-2, 2) for _ in kernel]
+                vectors.append(tuple(sum(map(mul, q, column)) for column in zip(*kernel)))
+            else:
+                vectors.append(tuple(rng.randint(-2, 2) for _ in range(ws.n)))
+        expected = sum(any(combine(ws.weights, v)) for v in vectors)
+        assert count_nonrelations(ws.weights, vectors) == expected, (ws, vectors)
+        assert count_nonrelations(ws.weights, iter(vectors)) == expected
+        relations += len(vectors) - expected
+    assert relations >= 300
+    with pytest.raises(InputError, match=r"^2 coefficients for 3 vectors$"):
+        combine(((1,), (2,), (3,)), (1, 0))
+    with pytest.raises(InputError, match=r"^2 coefficients for 3 vectors$"):
+        count_nonrelations(((1,), (2,), (3,)), [(1, 1, -1), (1, 0)])
 
 
 def test_primitive_vector():
