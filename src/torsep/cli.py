@@ -17,12 +17,11 @@ import time
 from collections import namedtuple
 
 from .binary_forms import form_to_string, squarefree_multiplicity_parts
-from .cones import DEFAULT_MAX_N, clear_caches, homogenize
+from .cones import clear_caches, homogenize
 from .errors import HypothesisError, InputError, InternalError, ResourceGuardError
 from .ideals import binomial_generators, sp_violation_scan
 from .linalg import count_nonrelations
-from .reports import (Instance, Report, emit_report, parse_instance, parse_json_instance,
-                      read_integer, text_lines)
+from .reports import Instance, Report, emit_report, parse_instance, parse_json_instance, text_lines
 from .separation import decide, projective
 from .strata import characteristic_pairs, oracle_sp, oracle_wsp, ssp_coordinate_witness, strata
 from .verdict import Verdict
@@ -48,12 +47,12 @@ def _oracle(ws, prop: str, args) -> Verdict:
     one is the affine verdict of the homogenized weights, relabelled."""
     oracle = oracle_sp if prop == "SP" else oracle_wsp
     if args.mode == "projective":
-        return projective(oracle(homogenize(ws), max_n=args.max_n))
-    return oracle(ws, max_n=args.max_n)
+        return projective(oracle(homogenize(ws)))
+    return oracle(ws)
 
 
 def _ideal(ws, args):
-    binomials = binomial_generators(ws, max_n=args.max_n)
+    binomials = binomial_generators(ws)
     return [], {
         "binomials": [
             {"a": list(b.a), "b": list(b.b), "text": b.to_string()} for b in binomials
@@ -65,7 +64,7 @@ def _ideal(ws, args):
 
 
 def _strata(ws, args):
-    pieces = strata(ws, max_n=args.max_n)
+    pieces = strata(ws)
     return [], {
         "strata": [
             {"indices": list(s.indices), "witness": list(s.witness), "dim": s.dim}
@@ -113,7 +112,7 @@ def _verify(ws, args):
     routes = {v.property_name: {"theorem": v.holds,
                                 "oracle": _oracle(ws, v.property_name, args).holds}
               for v in verdicts}
-    binomials = binomial_generators(target, max_n=args.max_n)
+    binomials = binomial_generators(target)
     routes["SP"]["scan"] = (not sp_violation_scan(binomials).violating if target.n >= 2
                             else "not-applicable")
     try:
@@ -133,27 +132,12 @@ def _verify(ws, args):
                       "agreement": agreement}
 
 
-def _max_n(text: str) -> int:
-    """The argparse type of ``--max-n``, the one integer option:
-    ``reports.read_integer``'s ASCII decimal integer, at least 0."""
-    try:
-        value = read_integer(text)
-    except InputError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 def _property(*choices):
     """The ``--property`` option of a command that decides ``choices``, or all of them."""
     return "--property", {"choices": (*choices, "all"), "default": "all"}
 
 
 _MODE = "--mode", {"choices": ("affine", "projective"), "default": "affine"}
-_MAX_N = "--max-n", {"type": _max_n, "default": DEFAULT_MAX_N,
-                     "metavar": "N", "help": "refuse more than 2^N faces, or a Graver "
-                     "completion over more than N weights (default %(default)s)"}
 
 # Each command's help line, its route, (payload, args) -> (verdicts, extra),
 # its own options (flag, ``add_argument`` settings) and the options its
@@ -165,10 +149,10 @@ _COMMANDS = {
     "oracle": _Command("stratum-oracle verdicts",
                        lambda ws, args: ([_oracle(ws, prop, args) for prop in
                                           _PROPERTIES[args.property] if prop != "SSP"], {}),
-                       (_MODE, _property("sp", "wsp"), _MAX_N), ("mode", "property")),
-    "verify": _Command("all routes plus agreement check", _verify, (_MODE, _MAX_N), ("mode",)),
-    "ideal": _Command("binomial generating system", _ideal, (_MAX_N,), ("max_n",)),
-    "strata": _Command("orbit strata of the closure", _strata, (_MAX_N,), ("max_n",)),
+                       (_MODE, _property("sp", "wsp")), ("mode", "property")),
+    "verify": _Command("all routes plus agreement check", _verify, (_MODE,), ("mode",)),
+    "ideal": _Command("binomial generating system", _ideal, (), ()),
+    "strata": _Command("orbit strata of the closure", _strata, (), ()),
     "chpairs": _Command("coordinate forcing pairs", _chpairs, (), ()),
     "binary": _Command("separation property of a binary form orbit", _binary,
                        (("--form", {"help": "binary form text, e.g. 'x*y^3 - x^4'"}),), ()),

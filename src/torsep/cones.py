@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .lp import cone_member, lp_feasible
 
-DEFAULT_MAX_N = 12
+MAX_FACES = 2**12
 
 
 class WeightSystem(namedtuple("WeightSystem", "dim weights")):
@@ -349,29 +349,22 @@ def face_witness(ws: WeightSystem, indices) -> tuple[int, ...] | None:
     return gamma
 
 
-def enumerate_faces(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[ConeFace, ...]:
+@lru_cache(maxsize=64)
+def enumerate_faces(ws: WeightSystem) -> tuple[ConeFace, ...]:
     """Every face, sorted by (size, index set): the closure of the facet
     zero sets under intersection, starting from the full index set.
 
     Each face is ``smallest_face`` of its own positions, with its
-    witness.  The closure is refused once it passes ``2 ** max_n`` faces
+    witness.  The closure is refused once it passes ``MAX_FACES`` faces
     (n weights have at most ``2 ** n``).  Only the stratum oracle builds
     the lattice; the deciders and the verifier read the facets.
     """
-    # Every max_n >= n is the same guard: one cache entry, no huge power of 2.
-    return _enumerate_faces_cached(ws, min(max_n, ws.n))
-
-
-@lru_cache(maxsize=64)
-def _enumerate_faces_cached(ws: WeightSystem, max_n: int) -> tuple[ConeFace, ...]:
     masks = {(1 << ws.n) - 1}
     for zero in _zero_masks(ws):
         masks |= {mask & zero for mask in masks}
-        if len(masks) > 2 ** max_n:
+        if len(masks) > MAX_FACES:
             raise ResourceGuardError(
-                f"face enumeration exceeds the guard of 2^{max_n} = {2 ** max_n} "
-                f"faces (max_n={max_n}); raise it explicitly if this is intended"
-            )
+                f"face enumeration exceeds the guard of {MAX_FACES} faces (MAX_FACES)")
     faces = [_smallest_face_cached(ws, mask) for mask in masks]
     faces.sort(key=lambda f: (len(f.indices), f.indices))
     _check_euler_poincare(ws, faces)
@@ -400,7 +393,7 @@ def homogenize(ws: WeightSystem) -> WeightSystem:
     return WeightSystem(ws.dim + 1, tuple(w + (1,) for w in ws.weights))
 
 
-_CACHED = (facets, _zero_masks, _smallest_face_cached, _enumerate_faces_cached, homogenize)
+_CACHED = (facets, _zero_masks, _smallest_face_cached, enumerate_faces, homogenize)
 
 
 def clear_caches() -> None:

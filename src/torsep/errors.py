@@ -17,10 +17,11 @@ class HypothesisError(TorsepError):
 
 
 class ResourceGuardError(TorsepError):
-    """A size guard was exceeded: a face lattice of more than 2^max_n faces,
-    a Graver completion over more than ``max_n`` weights or forming more than
-    ``ideals.MAX_NODES`` critical pairs, a binary form of degree above 200, or
-    a report integer longer than the interpreter's digit limit for writing one."""
+    """A size guard, a constant no option sets, was exceeded: a face lattice
+    of more than ``cones.MAX_FACES`` faces, a Graver completion over more than
+    ``ideals.MAX_WEIGHTS`` weights or forming more than ``ideals.MAX_NODES``
+    critical pairs, a binary form of degree above ``binary_forms.MAX_FORM_DEGREE``,
+    or a report integer longer than the interpreter's digit limit for writing one."""
 
 
 class InternalError(TorsepError):

@@ -21,11 +21,12 @@ from itertools import count
 from math import isqrt, prod
 from operator import add, le, neg, sub
 
-from .cones import DEFAULT_MAX_N, WeightSystem
+from .cones import WeightSystem
 from .errors import InputError, InternalError, ResourceGuardError
 from .linalg import Vector, combine, count_nonrelations, kernel_lattice, lattice_equal, row_hnf
 
 MAX_NODES = 2_000_000
+MAX_WEIGHTS = 12
 MAX_PRIME = 2**31 - 1
 
 
@@ -197,7 +198,7 @@ def octant_semigroup_generators(basis, positives, n: int) -> tuple[Vector, ...]:
                         if all(s * x >= 0 for s, x in zip(sigma, v))))
 
 
-def binomial_generators(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Binomial, ...]:
+def binomial_generators(ws: WeightSystem) -> tuple[Binomial, ...]:
     """Finite binomial generating system for the ideal of the closure.
 
     The binomials of the Graver basis of the relation lattice (the union
@@ -205,9 +206,9 @@ def binomial_generators(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[B
     sorted, and its relation vectors are checked to be weight relations
     that span the full relation lattice.
     """
-    if ws.n > max_n:
+    if ws.n > MAX_WEIGHTS:
         raise ResourceGuardError(f"Graver basis completion over {ws.n} weights exceeds the "
-                                 f"guard (max_n={max_n}); raise it explicitly if this is intended")
+                                 f"guard of {MAX_WEIGHTS} weights (MAX_WEIGHTS)")
     lattice = kernel_lattice(ws.weights)
     graver = _graver_basis(lattice)
     if count_nonrelations(ws.weights, graver):

@@ -101,7 +101,7 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 def read_integer(text: str, where: str = "") -> int:
     """``text`` as an int: an ASCII decimal integer with an optional sign, the
-    grammar of text weights and of the command line's integer options."""
+    grammar of the text weights' header and entries."""
     if not _DECIMAL.fullmatch(text):
         raise InputError(f"{where}{text!r} is not a decimal integer")
     return read_numeral(text, where, int)

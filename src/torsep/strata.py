@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, islice, permutations
 
-from .cones import DEFAULT_MAX_N, WeightSystem, enumerate_faces, facets, smallest_face
+from .cones import WeightSystem, enumerate_faces, facets, smallest_face
 from .linalg import rank
 from .verdict import Verdict, vacuous
 
@@ -30,25 +30,25 @@ class Stratum(namedtuple("Stratum", "indices witness dim")):
     __slots__ = ()
 
 
-def strata(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> tuple[Stratum, ...]:
+def strata(ws: WeightSystem) -> tuple[Stratum, ...]:
     """One stratum per face of the weight cone, in canonical order."""
     return tuple(
         Stratum(f.indices, f.witness, rank([ws.weights[k] for k in f.indices]))
-        for f in enumerate_faces(ws, max_n=max_n)
+        for f in enumerate_faces(ws)
     )
 
 
 _NOTES = ("stratum oracle",)
 
 
-def _pair_pass(prop: str, ws: WeightSystem, max_n: int) -> Verdict:
+def _pair_pass(prop: str, ws: WeightSystem) -> Verdict:
     """The oracle's ``prop`` verdict: one pass over its coordinate pairs
     (i, j), split by the strata that hold j and miss i (SP) or hold
     exactly one of the two (WSP).  The first pair no stratum splits
     fails; otherwise each pair is witnessed by its lowest split stratum."""
     if ws.n == 1:
         return vacuous(prop, "affine", _NOTES)
-    sets = [f.indices for f in enumerate_faces(ws, max_n=max_n)]
+    sets = [f.indices for f in enumerate_faces(ws)]
     pat = [0] * ws.n  # bit s of pat[k] is set iff k is nonzero on stratum s
     for s, indices in enumerate(sets):
         for k in indices:
@@ -72,23 +72,23 @@ def _pair_pass(prop: str, ws: WeightSystem, max_n: int) -> Verdict:
     return Verdict(prop, "affine", True, cert, _NOTES)
 
 
-def oracle_sp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
+def oracle_sp(ws: WeightSystem) -> Verdict:
     """SP verdict from vanishing patterns alone.
 
     Fails iff some coordinate never vanishes on the closure (it appears
     in every stratum), or some ordered pair (j, i) has every stratum
     missing j also missing i (so x_{j+1} = 0 forces x_{i+1} = 0).
     """
-    return _pair_pass("SP", ws, max_n)
+    return _pair_pass("SP", ws)
 
 
-def oracle_wsp(ws: WeightSystem, max_n: int = DEFAULT_MAX_N) -> Verdict:
+def oracle_wsp(ws: WeightSystem) -> Verdict:
     """WSP verdict from vanishing patterns alone.
 
     Fails iff two coordinates vanish on exactly the same strata, i.e.
     the two coordinate hyperplanes cut the closure in the same set.
     """
-    return _pair_pass("WSP", ws, max_n)
+    return _pair_pass("WSP", ws)
 
 
 def characteristic_pairs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:

@@ -402,7 +402,7 @@ def reference_ssp_witness(ws: WeightSystem) -> SspWitness | None:
     if ws.n < 2:
         return None
     ambient = rank(ws.weights)
-    all_strata = strata(ws, max_n=ws.n)
+    all_strata = strata(ws)
     for i in range(ws.n):
         for j in range(i + 1, ws.n):
             for s in all_strata:
@@ -651,18 +651,21 @@ def reference_graver(generators, max_nodes: int = 40_000_000) -> tuple[Vector, .
 
 def reference_characteristic_pairs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     """The forcing pairs (i, j), x_{i+1} = 0 forcing x_{j+1} = 0, read off
-    the whole face lattice (built under ``max_n = n``): one bitmask per
-    coordinate, bit s set where it is nonzero on stratum s, and the pair
-    is there iff every stratum missing i also misses j."""
+    the whole face lattice: one bitmask per coordinate, bit s set where it
+    is nonzero on stratum s, and the pair is there iff every stratum
+    missing i also misses j.  The lattice is built uncached, under a face
+    guard of at least 2^n, which no input can trip."""
     pat = [0] * ws.n
-    for s, face in enumerate(enumerate_faces(ws, max_n=ws.n)):
+    with mock.patch.object(cones, "MAX_FACES", max(cones.MAX_FACES, 2 ** ws.n)):
+        faces = enumerate_faces.__wrapped__(ws)
+    for s, face in enumerate(faces):
         for k in face.indices:
             pat[k] |= 1 << s
     return tuple((i, j) for i in range(ws.n) for j in range(ws.n) if not pat[j] & ~pat[i])
 
 
 def _lattice_sets(ws):
-    return [set(f.indices) for f in enumerate_faces(ws, max_n=ws.n)]
+    return [set(f.indices) for f in enumerate_faces(ws)]
 
 
 def _lattice_missed(problems, ws, cert):
@@ -722,9 +725,9 @@ _LATTICE_STRATA_CHECKERS = {
 
 def reference_check_verdict(ws: WeightSystem, verdict: Verdict) -> list[str]:
     """``check_verdict``, except that the five ``strata-*`` kinds are
-    checked against every stratum of the face lattice (built under
-    ``max_n = n``, a guard no input can trip), as the verifier did
-    before it read smallest faces."""
+    checked against every stratum of the face lattice, as the verifier
+    did before it read smallest faces.  An oracle verdict's lattice
+    passed ``cones.MAX_FACES``, so its reference check builds no larger one."""
     checker = _LATTICE_STRATA_CHECKERS.get(verdict.kind)
     if checker is None:
         return check_verdict(ws, verdict)

@@ -22,7 +22,7 @@ from helpers import (
     reference_characteristic_pairs,
     subprocess_env,
 )
-from torsep import binary_forms, cli, separation
+from torsep import binary_forms, cli, cones, ideals, separation
 from torsep.cones import WeightSystem, homogenize
 from torsep.errors import InternalError
 from torsep.ideals import Binomial
@@ -224,8 +224,8 @@ def test_strata_and_chpairs_commands(capsys, monkeypatch):
 
 def test_chpairs_answers_past_the_face_guard(capsys, monkeypatch):
     """``chpairs`` reads the minimal faces: 16 homogenized weights in Z^9,
-    whose 9,678 faces pass the lattice's 2^12 guard, get the lattice's
-    pairs, with no option set."""
+    whose 9,678 faces pass the lattice's guard of 4,096 (``MAX_FACES``),
+    get the lattice's pairs."""
     rng = random.Random(1)
     ws = homogenize(WeightSystem(8, tuple(tuple(rng.randint(-3, 3) for _ in range(8))
                                           for _ in range(16))))
@@ -516,31 +516,6 @@ def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
             assert out.count("instance: ") == 1 and "label: M" in out
 
 
-# Integers that ``int()`` reads but the text-weight grammar does not.
-NOT_ASCII_DECIMALS = ["\u0663", "1_0", " 3"]
-
-
-@pytest.mark.parametrize("value, message", [
-    ("-1", "argument --max-n: must be at least 0, got -1"),
-    ("x", "argument --max-n: invalid int value: 'x'"),
-    *[(value, f"argument --max-n: invalid int value: {value!r}") for value in NOT_ASCII_DECIMALS],
-])
-def test_max_n_must_be_a_nonnegative_integer(capsys, value, message):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["strata", "--max-n", value, "-"])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", NOT_ASCII_DECIMALS)
-@pytest.mark.parametrize("option", ["--max-n"])
-def test_integer_options_read_ascii_decimals(capsys, option, value):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", option, value, "-"])
-    assert exc.value.code == 2
-    assert f"argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
-
-
 def test_command_table_builds_each_subparser():
     """Each subcommand takes the four common arguments and then its own
     ``_COMMANDS`` options, and its report echoes only options it takes."""
@@ -561,6 +536,7 @@ def test_command_table_builds_each_subparser():
     ["verify", "--seed", "3", "-"],
     ["verify", "--trials", "20", "-"],
     ["verify", "--prime", "10007", "-"],
+    *[[command, "--max-n", "5", "-"] for command in ("oracle", "verify", "ideal", "strata")],
 ])
 def test_options_only_where_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -655,13 +631,13 @@ def test_weight_commands_reject_binary_instances(capsys, monkeypatch):
 ORTHANT_13 = json.dumps({"d": 13, "weights": [[int(i == j) for j in range(13)]
                                               for i in range(13)]})
 WIDE_13 = json.dumps({"d": 2, "weights": [[1, k] for k in range(13)]})
+_FACE_GUARD = "face enumeration exceeds the guard of 4096 faces (MAX_FACES)"
 
 
 def test_resource_guard_exit_code(capsys, monkeypatch):
-    # 2^13 faces exceed the default guard; 13 weights with 4 faces do not.
+    # 2^13 faces exceed the face guard; 13 weights with 4 faces do not.
     code, _, err = run_cli(capsys, ["strata", "-"], stdin=ORTHANT_13, monkeypatch=monkeypatch)
-    assert code == 2
-    assert "guard of 2^12 = 4096 faces" in err
+    assert (code, err) == (2, f"error: {_FACE_GUARD}\n")
     code, out, _ = run_cli(capsys, ["strata", "--format", "json", "-"], stdin=WIDE_13,
                            monkeypatch=monkeypatch)
     assert code == 0
@@ -696,14 +672,20 @@ def test_wide_projective_decide_finishes(seed):
 
 
 def test_raised_guard_holds_through_reverification(capsys, monkeypatch):
-    code, out, err = run_cli(
-        capsys, ["oracle", "--max-n", "13", "--format", "json", "-"],
-        stdin=ORTHANT_13, monkeypatch=monkeypatch,
-    )
+    """With ``MAX_FACES`` raised to 2^13 the oracle answers on the orthant
+    of Z^13 and both ``strata-*`` certificates re-verify; at 4,096 it is
+    refused."""
+    argv = ["oracle", "--format", "json", "-"]
+    monkeypatch.setattr(cones, "MAX_FACES", 2**13)
+    code, out, err = run_cli(capsys, argv, stdin=ORTHANT_13, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     verdicts = json.loads(out)["verdicts"]
-    assert len(verdicts) == 2
+    assert [v["certificate"]["kind"] for v in verdicts] == ["strata-separation",
+                                                           "strata-distinguished"]
     assert all(v["holds"] and v["verified"] is True for v in verdicts)
+    monkeypatch.setattr(cones, "MAX_FACES", 2**12)
+    code, out, err = run_cli(capsys, argv, stdin=ORTHANT_13, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {_FACE_GUARD}\n")
 
 
 def test_text_label_cannot_forge_report_lines(capsys, monkeypatch):
@@ -799,24 +781,29 @@ def test_json_coeffs_must_be_a_list(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: 'coeffs' must be a list\n")
 
 
-_GRAVER_GUARD = ("Graver basis completion over 4 weights exceeds the guard (max_n=3); "
-                 "raise it explicitly if this is intended")
+_GRAVER_GUARD = ("Graver basis completion over 13 weights exceeds the guard of 12 weights "
+                 "(MAX_WEIGHTS)")
 
 
 @pytest.mark.parametrize("command, instance", [
-    ("ideal", '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'),
-    # Two faces, so the face guard of 2^3 passes and the Graver guard trips.
-    ("verify", '{"weights": [[1], [1], [1], [1]]}'),
+    # The square pyramid and nine copies of its axis, inside it: ten faces.
+    ("ideal", json.dumps({"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+                          + [[0, 0, 1]] * 9})),
+    # Two faces, so the face guard passes and the Graver guard trips.
+    ("verify", json.dumps({"weights": [[1]] * 13})),
 ], ids=["ideal-pyramid", "verify-line"])
 def test_graver_weight_guard_exits_two(capsys, monkeypatch, command, instance):
-    """Four weights over ``--max-n 3`` are refused by the Graver guard:
-    exit 2 with its message, and under ``--batch --format json`` the
-    line prints its error record."""
-    code, out, err = run_cli(capsys, [command, "--max-n", "3", "-"], stdin=instance,
-                             monkeypatch=monkeypatch)
+    """Thirteen weights are refused by the Graver guard before the
+    relation lattice is formed: exit 2 with its message, and under
+    ``--batch --format json`` the line prints its error record."""
+    def unreachable(vectors):
+        raise AssertionError("kernel_lattice ran past the weight guard")
+
+    monkeypatch.setattr(ideals, "kernel_lattice", unreachable)
+    code, out, err = run_cli(capsys, [command, "-"], stdin=instance, monkeypatch=monkeypatch)
     assert (code, out, err) == (2, "", f"error: {_GRAVER_GUARD}\n")
-    code, out, err = run_cli(capsys, [command, "--max-n", "3", "--batch", "--format", "json",
-                                      "-"], stdin=instance + "\n", monkeypatch=monkeypatch)
+    code, out, err = run_cli(capsys, [command, "--batch", "--format", "json", "-"],
+                             stdin=instance + "\n", monkeypatch=monkeypatch)
     assert code == 2
     assert err == f"line 1: error: {_GRAVER_GUARD}\n"
     assert json.loads(out) == {"line": 1, "error": _GRAVER_GUARD, "exit_class": 2}
@@ -860,7 +847,7 @@ def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):
 
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "1385366dc12ecc806bd61f0bb65f2eabb0ea5c26e5f3107a99b5ca0e67895a19"
+CATALOG_OUTPUT_DIGEST = "6daba877e0e7446c4ac42cc0032006e7e1dc4c672460238d40319bf0e73eae0a"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):
@@ -922,8 +909,8 @@ def test_verify_counts_a_binomial_that_is_no_relation(capsys, monkeypatch):
     weight relation: verify counts it once, so agreement is false and
     the run exits 4."""
     original = cli.binomial_generators
-    monkeypatch.setattr(cli, "binomial_generators", lambda ws, max_n: (
-        *original(ws, max_n=max_n), Binomial.from_vector([1] + [0] * (ws.n - 1))))
+    monkeypatch.setattr(cli, "binomial_generators", lambda ws: (
+        *original(ws), Binomial.from_vector([1] + [0] * (ws.n - 1))))
     pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
     code, out, err = run_cli(capsys, ["verify", "--format", "json", "-"], stdin=pyramid,
                              monkeypatch=monkeypatch)
@@ -970,8 +957,8 @@ def test_verify_routes_that_disagree_exit_four(capsys, monkeypatch):
     false, and exits 4; each batch line reports its own disagreement."""
     original = cli.oracle_wsp
 
-    def flipped(ws, max_n):
-        verdict = original(ws, max_n=max_n)
+    def flipped(ws):
+        verdict = original(ws)
         return verdict._replace(holds=not verdict.holds)
 
     monkeypatch.setattr(cli, "oracle_wsp", flipped)
@@ -993,7 +980,7 @@ def test_verify_routes_that_disagree_exit_four(capsys, monkeypatch):
 
 # sha256 of verify (affine and projective) and ideal, in JSON and text,
 # over the verify-small and decide-wide entries of the benchmark catalog.
-VERIFY_OUTPUT_DIGEST = "2e8e5fdeb376659ce720ae4d95c38cdb2b6b9bf678cea28284d1d03275868bd7"
+VERIFY_OUTPUT_DIGEST = "8e914745e92cb5fe58be4f51d8173703eed7635406d9b1f4df884036ef79fa73"
 
 
 def test_verify_and_ideal_output_bytes_are_pinned(capsys, monkeypatch):
@@ -1019,7 +1006,7 @@ def test_batch_lines_leave_one_instance_in_the_cone_caches(capsys, monkeypatch):
     ``--batch`` no cache holds more entries than a single run of the last
     line leaves, and the output is that of the three single runs."""
     caches = (torsep.cones.facets, torsep.cones._zero_masks, torsep.cones._smallest_face_cached,
-              torsep.cones._enumerate_faces_cached, torsep.cones.homogenize)
+              torsep.cones.enumerate_faces, torsep.cones.homogenize)
     pyramid = '{"weights": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}'
     lines = [FIVE_JSON, M_JSON, pyramid]
     argv = ["verify", "--mode", "projective", "--format", "json", "-"]

@@ -296,15 +296,16 @@ def test_generators_pair_budget_is_enforced(monkeypatch):
 
 
 def test_generators_weight_guard_runs_before_the_lattice(monkeypatch):
-    """More weights than ``max_n`` is refused before the relation lattice
-    is formed: a ``kernel_lattice`` that raises is never reached."""
+    """More weights than ``MAX_WEIGHTS`` is refused before the relation
+    lattice is formed: a ``kernel_lattice`` that raises is never reached."""
     def unreachable(vectors):
         raise AssertionError("kernel_lattice ran past the weight guard")
 
     monkeypatch.setattr(ideals, "kernel_lattice", unreachable)
+    monkeypatch.setattr(ideals, "MAX_WEIGHTS", FIVE_WEIGHTS.n - 1)
     with pytest.raises(ResourceGuardError, match=r"^Graver basis completion over 5 weights "
-                       r"exceeds the guard \(max_n=4\); "):
-        binomial_generators(FIVE_WEIGHTS, max_n=FIVE_WEIGHTS.n - 1)
+                       r"exceeds the guard of 4 weights \(MAX_WEIGHTS\)$"):
+        binomial_generators(FIVE_WEIGHTS)
 
 
 def test_generators_pair_budget_sums_over_lifts(monkeypatch):

@@ -245,7 +245,7 @@ def test_json_writer_matches_the_standard_encoder():
     label = 'é "q" \\ \n   日本'
     for ws, verdict in golden_verdicts():
         inst = Instance("weights", ws, label)
-        report = Report("decide", inst, {"mode": verdict.mode, "max_n": None}, [verdict],
+        report = Report("decide", inst, {"mode": verdict.mode, "property": None}, [verdict],
                         [True], {"empty": {}, "none": [], "nested": [(), {"a": 1.5}],
                                  "half": Fraction(1, 2), "flags": (True, False)},
                         timing_ms=0.25)

@@ -529,7 +529,8 @@ def test_oracle_certificates_verify_without_the_face_lattice(monkeypatch):
         raise AssertionError("the verifier built the face lattice")
 
     clear_cone_caches()
-    monkeypatch.setattr(cones, "_enumerate_faces_cached", refuse)
+    for module in (cones, importlib.import_module("torsep.strata")):
+        monkeypatch.setattr(module, "enumerate_faces", refuse)
     try:
         for ws, verdict in verdicts:
             assert check_verdict(ws, verdict) == [], (ws, verdict)
