@@ -13,12 +13,13 @@ The lineality face (hence pointedness), minimal faces, their witnesses
 and the SSP coordinate witness are read off the facets, and the cone
 hypothesis off the Hermite form, so a holding SP or WSP verdict runs no
 LP.  SP has one route on every cone: the first failing position is read
-off the lineality and minimal faces.  WSP walks its pairs once: the
-first pair with a shared minimal face fails, else each has its
-separator.  The simplex runs only for a failure's relation, each over
-the weights of one face: SP's over the minimal face of the failing
-weight (none for a zero weight), that of a cone that is not pointed
-over the lineality face, and the interior relations of a shared face.
+off the lineality and minimal faces.  WSP fails at the first pair with
+a shared minimal face.  Both hold on the witness of the lineality face
+and one of each weight's minimal face.  The simplex runs only for a
+failure's relation, each over the weights of one face: SP's over the
+minimal face of the failing weight (none for a zero weight), that of a
+cone that is not pointed over the lineality face, and the interior
+relations of a shared face.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
@@ -91,9 +92,9 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     the cone of the others, and a weight off L lies in the cone of the
     others iff its minimal face holds another weight off L.  Only the
     first such position's certificate takes LPs, on its minimal face.
-    A holding verdict runs none: L is empty, so the cone is pointed and
-    p (the witness of L) excludes -w_i, and K f_i - p excludes w_i,
-    where f_i witnesses the minimal face {i} and K = max_j p.w_j.
+    A holding verdict runs none.  It holds on p, the witness of L = {}
+    (>= 1 on every weight), which keeps each -w_i out of the cone, and on
+    each f_i, that of {i} (0 at w_i, >= 1 elsewhere), which keeps w_i out.
     """
     if ws.n == 1:
         return vacuous("SP", "affine")
@@ -102,18 +103,9 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     for i in range(ws.n):
         if i in low or len(set(minimal_face(ws, i)) - low) > 1:
             return Verdict("SP", "affine", False, _sp_failure(ws, i))
-    p = lineality.witness
-    top = max(dot(p, w) for w in ws.weights)
-    separators = tuple(
-        {
-            "index": i,
-            "vector_excluded_by": tuple(top * a - b for a, b in zip(
-                smallest_face(ws, (i,)).witness, p)),
-            "negation_excluded_by": p,
-        }
-        for i in range(ws.n)
-    )
-    return Verdict("SP", "affine", True, {"kind": "edge-separation", "separators": separators})
+    cert = {"kind": "edge-separation", "pointedness": lineality.witness,
+            "face_witnesses": tuple(smallest_face(ws, (i,)).witness for i in range(ws.n))}
+    return Verdict("SP", "affine", True, cert)
 
 
 def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> dict:
@@ -137,7 +129,8 @@ def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> dict:
 
 
 def decide_affine_wsp(ws: WeightSystem) -> Verdict:
-    """Weak separation property of the affine orbit closure."""
+    """Weak separation property of the affine orbit closure: the cone is
+    pointed and no two weights share a minimal face.  Certified as SP is."""
     if ws.n == 1:
         return vacuous("WSP", "affine")
     pointed = is_strictly_convex(ws)
@@ -150,7 +143,6 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
         }
         return Verdict("WSP", "affine", False, cert)
     faces = [smallest_face(ws, (i,)) for i in range(ws.n)]
-    separators = []
     for i, j in combinations(range(ws.n), 2):
         shared = faces[i].indices
         if shared == faces[j].indices:
@@ -162,18 +154,8 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
                 "relations": tuple(_interior_relation(ws, idx, shared) for idx in (i, j)),
             }
             return Verdict("WSP", "affine", False, cert)
-        # Distinct minimal faces: if j is off F(i), the witness of F(i)
-        # vanishes at i and is >= 1 at j.  Otherwise F(j) is strictly inside
-        # F(i), so i is off F(j) and the witness of F(j) separates instead.
-        vanishes_at = i if j not in shared else j
-        separators.append(
-            {"pair": (i, j), "vanishes_at": vanishes_at, "functional": faces[vanishes_at].witness}
-        )
-    cert = {
-        "kind": "face-separation",
-        "pointedness": pointed.functional,
-        "pair_separators": tuple(separators),
-    }
+    cert = {"kind": "face-separation", "pointedness": pointed.functional,
+            "face_witnesses": tuple(face.witness for face in faces)}
     return Verdict("WSP", "affine", True, cert)
 
 

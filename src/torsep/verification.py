@@ -22,6 +22,7 @@ x_{i+1} = 0 iff j is in ``smallest_face(ws, (i,))``.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
 from .cones import WeightSystem, homogenize, smallest_face, supports_face
 from .errors import InputError, InternalError
@@ -78,29 +79,33 @@ def _check_vacuous(problems, ws, cert, reading):
     _require(problems, ws.n == 1, "vacuous rule applies only to a single weight")
 
 
-def _values(memo, ws, gamma) -> list[int]:
-    """gamma.w for each weight w, computed once per ``memo`` (one per check call)."""
-    if gamma not in memo:
-        memo[gamma] = [dot(gamma, w) for w in ws.weights]
-    return memo[gamma]
+def _face_witness_table(problems, ws, cert, p_positions):
+    """Check the pointedness functional p >= 1 at ``p_positions``, and each
+    face witness f_i >= 0 on every weight and 0 at w_i, so its zero set is
+    a face holding the minimal face of w_i.  Return where each f_i is >= 1."""
+    p, scale = clear_denominators(cert["pointedness"])
+    _require(problems, all(dot(p, ws.weights[j]) >= scale for j in p_positions),
+             "pointedness functional fails")
+    witnesses = cert["face_witnesses"]
+    _require(problems, len(witnesses) == ws.n, "one face witness per weight required")
+    table = []
+    for i in range(ws.n):
+        gamma, scale = clear_denominators(witnesses[i])
+        values = [dot(gamma, w) for w in ws.weights]
+        _require(problems, min(values) >= 0 and values[i] == 0,
+                 f"face witness {i} does not support a face holding weight {i}")
+        table.append({j for j, v in enumerate(values) if v >= scale})
+    return table
 
 
 def _check_edge_separation(problems, ws, cert, reading):
-    separators = cert.get("separators", ())
-    _require(problems, len(separators) == ws.n, "one separator pair per weight required")
-    seen, memo = set(), {}
-    for entry in separators:
-        i = entry["index"]
-        if not _valid_index(problems, i, ws.n):
-            continue
-        seen.add(i)
-        for key, sign in (("vector_excluded_by", 1), ("negation_excluded_by", -1)):
-            values = _values(memo, ws, clear_denominators(entry[key])[0])
-            if not all(v >= 0 for k, v in enumerate(values) if k != i):
-                problems.append(f"separator {key} for weight {i} not supporting")
-            if sign * values[i] >= 0:
-                problems.append(f"separator {key} for weight {i} does not exclude")
-    _require(problems, seen == set(range(ws.n)), "separators must cover every weight")
+    """SP holds: p >= 1 on every weight, and each f_i >= 1 at every other
+    weight.  A combination w_i = sum_k c_k w_k of the others, c >= 0,
+    gives 0 = f_i.w_i >= sum_k c_k, so w_i = 0, but p.w_i >= 1; and
+    -w_i = sum_k c_k w_k gives -p.w_i = sum_k c_k p.w_k >= 0."""
+    for i, ones in enumerate(_face_witness_table(problems, ws, cert, range(ws.n))):
+        _require(problems, len(ones - {i}) == ws.n - 1,
+                 f"face witness {i} is below 1 at another weight")
 
 
 def _check_zero_weight(problems, ws, cert, reading):
@@ -148,27 +153,15 @@ def _check_line_in_cone(problems, ws, cert, reading):
 
 
 def _check_face_separation(problems, ws, cert, reading):
-    gamma_p, scale = clear_denominators(cert["pointedness"])
-    _require(problems,
-             all(dot(gamma_p, w) >= scale for w in ws.weights if not is_zero_vector(w)),
-             "pointedness functional fails")
-    seen, memo = set(), {}
-    for entry in cert.get("pair_separators", ()):
-        if not (_valid_pair(problems, ws, entry["pair"])
-                and _valid_index(problems, entry["vanishes_at"], ws.n, "vanishes_at")):
-            continue
-        i, j = entry["pair"]
-        seen.add((i, j))
-        vanish = entry["vanishes_at"]
-        other = j if vanish == i else i
-        gamma, scale = clear_denominators(entry["functional"])
-        _require(problems, vanish in (i, j), "vanishing index must be in the pair")
-        values = _values(memo, ws, gamma)
-        _require(problems, min(values) >= 0, "separator not supporting")
-        _require(problems, values[vanish] == 0, "separator does not vanish")
-        _require(problems, values[other] >= scale, "separator not positive")
-    expected = {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)}
-    _require(problems, seen == expected, "pair separators must cover all pairs")
+    """WSP holds: p >= 1 on every nonzero weight, so the cone is pointed (a
+    nonnegative relation among the weights is 0 off the zero weights), and
+    each pair i, j has f_i.w_j >= 1 or f_j.w_i >= 1: w_j is off the zero set
+    of f_i, which holds the minimal face of w_i, so their minimal faces differ."""
+    nonzero = [j for j, w in enumerate(ws.weights) if not is_zero_vector(w)]
+    table = _face_witness_table(problems, ws, cert, nonzero)
+    for i, j in combinations(range(ws.n), 2):
+        if j not in table[i] and i not in table[j]:
+            problems.append(f"no face witness separates weights {i} and {j}")
 
 
 def _check_shared_face(problems, ws, cert, reading):

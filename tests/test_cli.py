@@ -847,7 +847,7 @@ def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):
 
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "6daba877e0e7446c4ac42cc0032006e7e1dc4c672460238d40319bf0e73eae0a"
+CATALOG_OUTPUT_DIGEST = "406eb63f5c175961042d97eaa3e55303bee8bb4bf3c108bbea7ecb018af643da"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):
@@ -980,7 +980,7 @@ def test_verify_routes_that_disagree_exit_four(capsys, monkeypatch):
 
 # sha256 of verify (affine and projective) and ideal, in JSON and text,
 # over the verify-small and decide-wide entries of the benchmark catalog.
-VERIFY_OUTPUT_DIGEST = "8e914745e92cb5fe58be4f51d8173703eed7635406d9b1f4df884036ef79fa73"
+VERIFY_OUTPUT_DIGEST = "191554eb340f1bc97aa5800765e62f09a04d10208095442f565c762b7e432cc5"
 
 
 def test_verify_and_ideal_output_bytes_are_pinned(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -203,8 +203,7 @@ _FLOAT_CASES = [
         "kind": "full-rank", "row_indices": [0], "determinant": 10, "cone_functional": [x]}),
      Fraction(1, 10), 0.1),
     ([[1, 0], [0, 3]], lambda x: Verdict("WSP", "affine", True, {
-        "kind": "face-separation", "pointedness": [1, 1], "pair_separators": [
-            {"pair": [0, 1], "vanishes_at": 0, "functional": [0, x]}]}),
+        "kind": "face-separation", "pointedness": [1, 1], "face_witnesses": [[0, x], [1, 0]]}),
      Fraction(1, 3), 1 / 3),
     ([[1]], lambda x: Verdict("SSP", "affine", True, {
         "kind": "full-rank", "row_indices": [0], "determinant": x}), 1, 1.0),
@@ -287,8 +286,7 @@ def test_never_vanishing_index_is_tied_to_its_pair():
 
 
 # Certificate fields whose leaves are positions: weights, except rows.
-_INDEX_KEYS = {"index", "pair", "face_indices", "stratum_indices", "vanishes_at",
-               "stratum", "row_indices"}
+_INDEX_KEYS = {"index", "pair", "face_indices", "stratum_indices", "stratum", "row_indices"}
 
 
 def _leaves(obj, path=()):
@@ -453,6 +451,71 @@ def test_line_in_cone_is_read_under_its_property():
         assert check_verdict(_LINE_AND_RAY, Verdict("SP", "affine", False, moved))
     indexed = dict(wsp.certificate, index=wsp.certificate["pair"][0])
     assert check_verdict(_LINE_AND_RAY, Verdict("WSP", "affine", False, indexed)) == []
+
+
+# (1, 1) is the sum of (1, 0) and (0, 1): it lies on no edge of the cone.
+_INNER_SUM = WeightSystem.from_rows([[1, 0], [1, 1], [0, 1]])
+
+
+def test_a_wsp_certificate_is_refused_as_an_sp_certificate():
+    """On (1, 0), (1, 1), (0, 1) WSP holds and SP fails.  The WSP
+    certificate's two fields, relabelled ``edge-separation``, are refused
+    under SP: the witness of the minimal face of (1, 1), the whole cone,
+    is 0 at the other two weights."""
+    wsp = decide(_INNER_SUM, "WSP")
+    assert wsp.kind == "face-separation" and check_verdict(_INNER_SUM, wsp) == []
+    assert not decide(_INNER_SUM, "SP").holds
+    forged = Verdict("SP", "affine", True, {**wsp.certificate, "kind": "edge-separation"})
+    assert check_verdict(_INNER_SUM, forged) == ["face witness 1 is below 1 at another weight"]
+
+
+def test_face_witnesses_of_a_shared_minimal_face_are_refused():
+    """(1, 0) and (2, 0) share a minimal face, so WSP fails.  Witnesses
+    that each support a face holding their weight are refused as a
+    ``face-separation`` certificate: both are 0 at the other weight."""
+    ws = WeightSystem.from_rows([[1, 0], [2, 0], [0, 1]])
+    assert not decide(ws, "WSP").holds
+    forged = Verdict("WSP", "affine", True, {"kind": "face-separation", "pointedness": (1, 1),
+                                             "face_witnesses": ((0, 1), (0, 1), (1, 0))})
+    assert check_verdict(ws, forged) == ["no face witness separates weights 0 and 1"]
+
+
+@pytest.mark.parametrize("rows, prop, witnesses, problems", [
+    ([[1, 0], [1, 1], [0, 1]], "SP", ((0, 1), (1, 1), (1, 0)), [1]),
+    ([[1, 0], [0, 1], [1, 2], [2, 1]], "WSP", ((0, 1), (1, 0), (2, -1), (1, -2)), [2, 3]),
+], ids=["sp-witness-positive-at-its-weight", "wsp-witnesses-negative-at-a-weight"])
+def test_a_face_witness_must_support_a_face_holding_its_weight(rows, prop, witnesses,
+                                                                problems):
+    """The property fails on both systems, yet every other condition
+    holds: on the first, (1, 1) gets a witness positive on every weight;
+    on the second, (1, 2) and (2, 1), inside the same face, get witnesses
+    that separate them but are negative at a weight."""
+    ws = WeightSystem.from_rows(rows)
+    assert not decide(ws, prop).holds
+    kind = {"SP": "edge-separation", "WSP": "face-separation"}[prop]
+    forged = Verdict(prop, "affine", True, {"kind": kind, "pointedness": (1, 1),
+                                            "face_witnesses": witnesses})
+    assert check_verdict(ws, forged) == [
+        f"face witness {i} does not support a face holding weight {i}" for i in problems]
+
+
+def test_swapped_face_witnesses_are_refused():
+    """Each face witness belongs to its weight: in every golden holding SP
+    and WSP certificate, swapping the witnesses of any two weights is
+    reported."""
+    kinds = set()
+    for ws, verdict in golden_verdicts():
+        cert = verdict.certificate
+        if verdict.kind not in ("edge-separation", "face-separation"):
+            continue
+        for i, j in combinations(range(ws.n), 2):
+            witnesses = list(cert["face_witnesses"])
+            witnesses[i], witnesses[j] = witnesses[j], witnesses[i]
+            mutant = Verdict(verdict.property_name, verdict.mode, True,
+                             {**cert, "face_witnesses": tuple(witnesses)})
+            assert check_verdict(ws, mutant), (ws, mutant)
+            kinds.add(verdict.kind)
+    assert kinds == {"edge-separation", "face-separation"}
 
 
 def test_affine_ssp_failure_needs_its_cone_functional():

@@ -58,7 +58,7 @@ def test_affine_sp_m_fails_with_pair():
 def test_affine_sp_n_holds():
     v = _verified(N_WEIGHTS, decide_affine_sp(N_WEIGHTS))
     assert v.holds
-    assert len(v.certificate["separators"]) == 4
+    assert len(v.certificate["face_witnesses"]) == 4
 
 
 def test_affine_sp_five_weight_holds():
@@ -134,6 +134,19 @@ def test_projective_wsp_examples():
     dup = WeightSystem.from_rows([[0], [1], [1]])
     assert not _verified(dup, decide_projective_wsp(dup)).holds
     assert _verified(QUARTET_WEIGHTS, decide_projective_wsp(QUARTET_WEIGHTS)).holds
+
+
+def test_moment_curve_certificates_hold_one_witness_per_weight():
+    """On the projective moment curve (t, t^2, t^3), t = 1..40, SP and WSP
+    hold, each on the pointedness functional and exactly one face witness
+    per weight."""
+    ws = WeightSystem.from_rows([[t, t ** 2, t ** 3] for t in range(1, 41)])
+    sp, wsp = decide_projective_sp(ws), decide_projective_wsp(ws)
+    assert (sp.kind, wsp.kind) == ("edge-separation", "face-separation")
+    for verdict in (sp, wsp):
+        assert _verified(ws, verdict).holds
+        assert sorted(verdict.certificate) == ["face_witnesses", "kind", "pointedness"]
+        assert len(verdict.certificate["face_witnesses"]) == 40
 
 
 def test_projective_ssp_examples():
