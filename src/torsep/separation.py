@@ -14,12 +14,12 @@ and the SSP coordinate witness are read off the facets, and the cone
 hypothesis off the Hermite form, so a holding SP or WSP verdict runs no
 LP.  SP has one route on every cone: the first failing position is read
 off the lineality and minimal faces.  WSP fails at the first pair with
-a shared minimal face.  Both hold on the witness of the lineality face
-and one of each weight's minimal face.  The simplex runs only for a
-failure's relation, each over the weights of one face: SP's over the
-minimal face of the failing weight (none for a zero weight), that of a
-cone that is not pointed over the lineality face, and the interior
-relations of a shared face.
+a shared minimal face.  Both hold on one witness of each weight's
+minimal face, which also rules out a line in the cone.  The simplex
+runs only for a failure's relation, each over the weights of one face:
+SP's over the minimal face of the failing weight (none for a zero
+weight), that of a cone that is not pointed over the lineality face,
+and the interior relations of a shared face.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
@@ -40,7 +40,6 @@ from .cones import (
 from .errors import HypothesisError, InputError, InternalError
 from .linalg import (
     clear_denominators,
-    determinant,
     dot,
     independent_rows,
     is_zero_vector,
@@ -92,18 +91,17 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     the cone of the others, and a weight off L lies in the cone of the
     others iff its minimal face holds another weight off L.  Only the
     first such position's certificate takes LPs, on its minimal face.
-    A holding verdict runs none.  It holds on p, the witness of L = {}
-    (>= 1 on every weight), which keeps each -w_i out of the cone, and on
-    each f_i, that of {i} (0 at w_i, >= 1 elsewhere), which keeps w_i out.
+    A holding verdict runs none.  It holds on each f_i, the witness of
+    {i} (0 at w_i, >= 1 elsewhere), which keeps w_i out of the cone of the
+    others, and -w_i too, as f_j.w_i >= 1 for any j != i.
     """
     if ws.n == 1:
         return vacuous("SP", "affine")
-    lineality = smallest_face(ws, ())
-    low = set(lineality.indices)
+    low = set(smallest_face(ws, ()).indices)
     for i in range(ws.n):
         if i in low or len(set(minimal_face(ws, i)) - low) > 1:
             return Verdict("SP", "affine", False, _sp_failure(ws, i))
-    cert = {"kind": "edge-separation", "pointedness": lineality.witness,
+    cert = {"kind": "edge-separation",
             "face_witnesses": tuple(smallest_face(ws, (i,)).witness for i in range(ws.n))}
     return Verdict("SP", "affine", True, cert)
 
@@ -154,8 +152,7 @@ def decide_affine_wsp(ws: WeightSystem) -> Verdict:
                 "relations": tuple(_interior_relation(ws, idx, shared) for idx in (i, j)),
             }
             return Verdict("WSP", "affine", False, cert)
-    cert = {"kind": "face-separation", "pointedness": pointed.functional,
-            "face_witnesses": tuple(face.witness for face in faces)}
+    cert = {"kind": "face-separation", "face_witnesses": tuple(face.witness for face in faces)}
     return Verdict("WSP", "affine", True, cert)
 
 
@@ -188,10 +185,9 @@ _CONE_NOTES = (
 
 
 def _maximal_minor(ws: WeightSystem) -> dict:
-    """The first independent rows of the transposed weights, and their determinant."""
-    rows = tuple(zip(*ws.weights))
-    indices = independent_rows(rows)
-    return {"row_indices": indices, "determinant": determinant([rows[i] for i in indices])}
+    """The first independent rows of the transposed weights: a nonsingular
+    minor, whose determinant the checker computes."""
+    return {"row_indices": independent_rows(tuple(zip(*ws.weights)))}
 
 
 def decide_affine_ssp(ws: WeightSystem) -> Verdict:
@@ -224,8 +220,6 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
         "pair": witness.pair,
         "stratum_indices": witness.stratum.indices,
         "stratum_witness": witness.stratum.witness,
-        "stratum_dim": witness.ambient_rank - 1,
-        "ambient_rank": witness.ambient_rank,
         "cone_functional": functional,
     }
     return Verdict("SSP", "affine", False, cert, notes=_CONE_NOTES)

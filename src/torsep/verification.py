@@ -48,14 +48,6 @@ def _valid_indices(problems, ks, bound, what="index") -> bool:
     return all([_valid_index(problems, k, bound, what) for k in ks])
 
 
-def _matches(problems, value: int, claimed, what: str) -> None:
-    """Record a problem unless ``claimed`` is an int (not a bool or a float) equal to ``value``."""
-    if type(claimed) is not int:
-        problems.append(f"malformed certificate: {what} {claimed!r} is not an int")
-    elif value != claimed:
-        problems.append(f"{what} mismatch")
-
-
 def _relation(problems, ws, vector, what: str):
     """``vector`` as ints (its denominators cleared), recording a problem
     unless it has one entry per weight, is nonzero and sums the weights to zero."""
@@ -79,13 +71,10 @@ def _check_vacuous(problems, ws, cert, reading):
     _require(problems, ws.n == 1, "vacuous rule applies only to a single weight")
 
 
-def _face_witness_table(problems, ws, cert, p_positions):
-    """Check the pointedness functional p >= 1 at ``p_positions``, and each
-    face witness f_i >= 0 on every weight and 0 at w_i, so its zero set is
-    a face holding the minimal face of w_i.  Return where each f_i is >= 1."""
-    p, scale = clear_denominators(cert["pointedness"])
-    _require(problems, all(dot(p, ws.weights[j]) >= scale for j in p_positions),
-             "pointedness functional fails")
+def _face_witness_table(problems, ws, cert):
+    """Check each face witness f_i >= 0 on every weight and 0 at w_i, so its
+    zero set is a face holding the minimal face of w_i.  Return where each
+    f_i is >= 1."""
     witnesses = cert["face_witnesses"]
     _require(problems, len(witnesses) == ws.n, "one face witness per weight required")
     table = []
@@ -99,11 +88,12 @@ def _face_witness_table(problems, ws, cert, p_positions):
 
 
 def _check_edge_separation(problems, ws, cert, reading):
-    """SP holds: p >= 1 on every weight, and each f_i >= 1 at every other
-    weight.  A combination w_i = sum_k c_k w_k of the others, c >= 0,
-    gives 0 = f_i.w_i >= sum_k c_k, so w_i = 0, but p.w_i >= 1; and
-    -w_i = sum_k c_k w_k gives -p.w_i = sum_k c_k p.w_k >= 0."""
-    for i, ones in enumerate(_face_witness_table(problems, ws, cert, range(ws.n))):
+    """SP holds: each f_i >= 1 at every other weight, with n >= 2 (n = 1
+    is ``vacuous``).  A combination w_i = sum_k c_k w_k of the others,
+    c >= 0, gives 0 = f_i.w_i >= sum_k c_k, so w_i = 0, but f_j.w_i >= 1
+    for any j != i; and -w_i = sum_k c_k w_k gives
+    -f_j.w_i <= -1 < 0 <= sum_k c_k f_j.w_k."""
+    for i, ones in enumerate(_face_witness_table(problems, ws, cert)):
         _require(problems, len(ones - {i}) == ws.n - 1,
                  f"face witness {i} is below 1 at another weight")
 
@@ -153,12 +143,13 @@ def _check_line_in_cone(problems, ws, cert, reading):
 
 
 def _check_face_separation(problems, ws, cert, reading):
-    """WSP holds: p >= 1 on every nonzero weight, so the cone is pointed (a
-    nonnegative relation among the weights is 0 off the zero weights), and
-    each pair i, j has f_i.w_j >= 1 or f_j.w_i >= 1: w_j is off the zero set
-    of f_i, which holds the minimal face of w_i, so their minimal faces differ."""
-    nonzero = [j for j, w in enumerate(ws.weights) if not is_zero_vector(w)]
-    table = _face_witness_table(problems, ws, cert, nonzero)
+    """WSP holds: each pair i, j has f_i.w_j >= 1 or f_j.w_i >= 1, with
+    n >= 2 (n = 1 is ``vacuous``).  Then w_j is off the zero set of f_i,
+    which holds the minimal face of w_i, so their minimal faces differ.
+    The cone is pointed too: one that holds a line has, as its lineality
+    space, a face generated by at least two nonzero weights; every face
+    holds that space, so f_i.w_j = f_j.w_i = 0 for two such weights."""
+    table = _face_witness_table(problems, ws, cert)
     for i, j in combinations(range(ws.n), 2):
         if j not in table[i] and i not in table[j]:
             problems.append(f"no face witness separates weights {i} and {j}")
@@ -199,9 +190,8 @@ def _check_full_rank(problems, ws, cert, reading):
     if not _valid_indices(problems, indices, ws.dim, "row index"):
         return
     rows = tuple(zip(*ws.weights))
-    det = determinant([rows[i] for i in indices])
-    _matches(problems, det, cert["determinant"], "determinant")
-    _require(problems, det != 0, "certifying minor is singular")
+    _require(problems, determinant([rows[i] for i in indices]) != 0,
+             "certifying minor is singular")
     if "cone_functional" in cert:  # optional: independent weights always have one
         _check_cone_functional(problems, ws, cert)
 
@@ -223,11 +213,8 @@ def _check_kernel_witness(problems, ws, cert, reading):
     _require(problems, not (s & set(pair)), "stratum must avoid the pair")
     _require(problems, supports_face(ws, s, cert["stratum_witness"]),
              "stratum witness does not support the stratum")
-    ambient = rank(ws.weights)
-    _matches(problems, ambient, cert["ambient_rank"], "ambient rank")
-    sdim = rank([ws.weights[k] for k in s])
-    _matches(problems, sdim, cert["stratum_dim"], "stratum dimension")
-    _require(problems, sdim >= ambient - 1, "stratum not deep enough to witness failure")
+    _require(problems, rank([ws.weights[k] for k in s]) >= rank(ws.weights) - 1,
+             "stratum not deep enough to witness failure")
     _check_cone_functional(problems, ws, cert)
 
 

@@ -359,9 +359,9 @@ def reference_affine_sp(ws: WeightSystem) -> Verdict:
     ``cone_member`` LPs per position.  The verdict is the reference, and
     a failure carries the first failing position's certificate.  A
     holding verdict carries its kind alone: the LPs' separating
-    functionals are not the pointedness functional and face witnesses
-    that ``edge-separation`` holds on, and tests compare only ``holds``
-    and ``kind`` of a holding verdict."""
+    functionals are not the face witnesses that ``edge-separation``
+    holds on, and tests compare only ``holds`` and ``kind`` of a holding
+    verdict."""
     if ws.n == 1:
         return vacuous("SP", "affine")
 

@@ -494,16 +494,17 @@ def test_json_batch_prints_one_line_per_nonblank_input_line():
 
 
 def test_report_integer_past_the_digit_limit_is_a_guard_error(capsys, tmp_path):
-    """The SSP determinant of three diagonal weights of 2,001 digits has
-    about 6,000, more than the interpreter writes; that line fails with
-    exit 2 and the next one still runs."""
-    big = 10 ** 2000 + 1
+    """SP fails on (B, 1), (1, B), (2, 3) with B = 10^2200 + 7: (2, 3) is in
+    the cone of the others, with coefficients whose denominators have
+    about 4,400 digits, more than the interpreter writes; that line fails
+    with exit 2 and the next one still runs."""
+    big = 10 ** 2200 + 7
     path = tmp_path / "batch.jsonl"
-    path.write_text(json.dumps({"d": 3, "weights": [[big, 0, 0], [0, big, 0], [0, 0, big]]})
+    path.write_text(json.dumps({"weights": [[big, 1], [1, big], [2, 3]]})
                     + "\n" + M_JSON + "\n")
     limit = sys.get_int_max_str_digits()
     for fmt in ("json", "text"):
-        code, out, err = run_cli(capsys, ["decide", "--property", "ssp", "--format", fmt,
+        code, out, err = run_cli(capsys, ["decide", "--property", "sp", "--format", fmt,
                                           "--batch", str(path)])
         assert code == 2
         assert err == (f"line 1: error: report holds an integer of more than {limit} "
@@ -847,7 +848,7 @@ def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):
 
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "406eb63f5c175961042d97eaa3e55303bee8bb4bf3c108bbea7ecb018af643da"
+CATALOG_OUTPUT_DIGEST = "eaddc53de3a77e7d82000c58e12aac3cc70fbcc8927c8fef4c6abedeea43810e"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):
@@ -980,7 +981,7 @@ def test_verify_routes_that_disagree_exit_four(capsys, monkeypatch):
 
 # sha256 of verify (affine and projective) and ideal, in JSON and text,
 # over the verify-small and decide-wide entries of the benchmark catalog.
-VERIFY_OUTPUT_DIGEST = "191554eb340f1bc97aa5800765e62f09a04d10208095442f565c762b7e432cc5"
+VERIFY_OUTPUT_DIGEST = "ffafce2600e0c3eff0156a116e1b67d1d598859cde6f0d54cb8ad5e7c686d3bd"
 
 
 def test_verify_and_ideal_output_bytes_are_pinned(capsys, monkeypatch):

@@ -40,7 +40,7 @@ def _env_with_src():
 
 
 # The full-rank certificate of the weights (1,0),(0,1).
-_FULL_RANK = {"kind": "full-rank", "row_indices": (0, 1), "determinant": 1}
+_FULL_RANK = {"kind": "full-rank", "row_indices": (0, 1)}
 
 
 def test_verdict_rejects_unknown_property_and_mode():
@@ -162,8 +162,8 @@ def test_acceptance_suite_passes_under_optimize_flag():
 
 @pytest.mark.parametrize("verdict", [
     Verdict("SSP", "affine", True,
-            {"kind": "full-rank", "row_indices": (0, 5), "determinant": 1}),
-    Verdict("SSP", "affine", True, {"kind": "full-rank", "determinant": 1}),
+            {"kind": "full-rank", "row_indices": (0, 5)}),
+    Verdict("SSP", "affine", True, {"kind": "full-rank"}),
     Verdict("SP", "affine", False,
             {"kind": "generator-in-cone", "index": 0, "coefficients": [0, 1],
              "pair": (7, 0)}),
@@ -179,19 +179,11 @@ def test_malformed_certificate_is_a_problem_not_a_crash(verdict):
 _PYRAMID_ROWS = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
 
 
-def _pyramid_kernel_witness(key):
-    """The square pyramid's SSP failure, as the decider makes it, with ``key`` set to x."""
-    cert = {"kind": "kernel-witness", "kernel_vector": [1, -1, 1, -1], "pair": [0, 1],
-            "stratum_indices": [2, 3], "stratum_witness": [1, 1, 1], "stratum_dim": 2,
-            "ambient_rank": 3, "cone_functional": [0, 0, 1]}
-    return lambda x: Verdict("SSP", "affine", False, {**cert, key: x})
-
-
 # (weights, verdict builder, exact entry, inexact entry): each certificate
 # checks out with the exact rational or int, and at the float (or bool)
 # near it passes only in float arithmetic or under == (0.1 * 10 == 1.0,
-# (1/3) * 3 == 1.0 and True == 1.0 == 1, although neither float is that
-# rational and a determinant or a rank is no float or bool).
+# (1/3) * 3 == 1.0 and False == 0.0 == 0, although neither float is that
+# rational and a row index is no float or bool).
 _FLOAT_CASES = [
     ([[1], [10]], lambda x: Verdict("SP", "affine", False, {
         "kind": "generator-in-cone", "index": 0, "coefficients": [0, x], "pair": [1, 0]}),
@@ -200,17 +192,15 @@ _FLOAT_CASES = [
         "kind": "line-in-cone", "relation": [1, x], "pair": [0, 1]}),
      Fraction(1, 10), 0.1),
     ([[10]], lambda x: Verdict("SSP", "affine", True, {
-        "kind": "full-rank", "row_indices": [0], "determinant": 10, "cone_functional": [x]}),
+        "kind": "full-rank", "row_indices": [0], "cone_functional": [x]}),
      Fraction(1, 10), 0.1),
     ([[1, 0], [0, 3]], lambda x: Verdict("WSP", "affine", True, {
-        "kind": "face-separation", "pointedness": [1, 1], "face_witnesses": [[0, x], [1, 0]]}),
+        "kind": "face-separation", "face_witnesses": [[0, x], [1, 0]]}),
      Fraction(1, 3), 1 / 3),
     ([[1]], lambda x: Verdict("SSP", "affine", True, {
-        "kind": "full-rank", "row_indices": [0], "determinant": x}), 1, 1.0),
+        "kind": "full-rank", "row_indices": [x]}), 0, 0.0),
     ([[1]], lambda x: Verdict("SSP", "affine", True, {
-        "kind": "full-rank", "row_indices": [0], "determinant": x}), 1, True),
-    (_PYRAMID_ROWS, _pyramid_kernel_witness("stratum_dim"), 2, 2.0),
-    (_PYRAMID_ROWS, _pyramid_kernel_witness("ambient_rank"), 3, 3.0),
+        "kind": "full-rank", "row_indices": [x]}), 0, False),
 ]
 
 
@@ -219,7 +209,7 @@ def test_a_float_in_a_certificate_is_malformed(rows, build, exact, inexact):
     """Checks run in exact arithmetic: a float entry in a certificate
     vector, or a float or bool where a certificate claims an int, is
     reported as malformed, never compared, also after a JSON round trip
-    (which keeps a JSON number as a float and true as a bool)."""
+    (which keeps a JSON number as a float and false as a bool)."""
     ws = WeightSystem.from_rows(rows)
     assert check_verdict(ws, build(exact)) == []
     verdict = build(inexact)
@@ -252,7 +242,7 @@ def test_verdict_rejects_certificate_without_string_kind(certificate):
 
 def test_negative_row_index_is_reported():
     ws = WeightSystem.from_rows([[1, 0], [0, 1]])
-    cert = {"kind": "full-rank", "row_indices": [0, -1], "determinant": 1}
+    cert = {"kind": "full-rank", "row_indices": [0, -1]}
     assert check_verdict(ws, Verdict("SSP", "affine", True, cert))
 
 
@@ -399,8 +389,7 @@ _LINE_AND_RAY = WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1]])
 # A kernel witness on (1), (2) without the cone functional that affine
 # SSP rests on: that orbit closure is not a cone, so SSP is not decided.
 _CONELESS_KERNEL_WITNESS = {"kind": "kernel-witness", "kernel_vector": [2, -1], "pair": [0, 1],
-                            "stratum_indices": [], "stratum_witness": [1], "stratum_dim": 0,
-                            "ambient_rank": 1}
+                            "stratum_indices": [], "stratum_witness": [1]}
 
 
 @pytest.mark.parametrize("ws, certificate, prop, holds", [
@@ -475,9 +464,30 @@ def test_face_witnesses_of_a_shared_minimal_face_are_refused():
     ``face-separation`` certificate: both are 0 at the other weight."""
     ws = WeightSystem.from_rows([[1, 0], [2, 0], [0, 1]])
     assert not decide(ws, "WSP").holds
-    forged = Verdict("WSP", "affine", True, {"kind": "face-separation", "pointedness": (1, 1),
+    forged = Verdict("WSP", "affine", True, {"kind": "face-separation",
                                              "face_witnesses": ((0, 1), (0, 1), (1, 0))})
     assert check_verdict(ws, forged) == ["no face witness separates weights 0 and 1"]
+
+
+_BELOW_ONE = "face witness {} is below 1 at another weight"
+
+
+@pytest.mark.parametrize("rows, prop, problems", [
+    ([[1, 0], [-1, 0], [0, 1]], "SP", [_BELOW_ONE.format(i) for i in (0, 1, 2)]),
+    ([[0, 0], [1, 0], [0, 1]], "SP", [_BELOW_ONE.format(i) for i in (1, 2)]),
+    ([[1, 0], [-1, 0], [0, 1]], "WSP", ["no face witness separates weights 0 and 1"]),
+], ids=["sp-line", "sp-zero-weight", "wsp-line"])
+def test_forged_holding_certificates_fail_on_the_face_witnesses(rows, prop, problems):
+    """The property fails on each system: a line, or a zero weight, is
+    in the cone.  A holding certificate of the witnesses of the weights'
+    minimal faces, each supporting its face, is refused by the face
+    witness table alone, with no pointedness functional to check."""
+    ws = WeightSystem.from_rows(rows)
+    assert not decide(ws, prop).holds
+    kind = {"SP": "edge-separation", "WSP": "face-separation"}[prop]
+    witnesses = tuple(cones.smallest_face(ws, (i,)).witness for i in range(ws.n))
+    forged = Verdict(prop, "affine", True, {"kind": kind, "face_witnesses": witnesses})
+    assert check_verdict(ws, forged) == problems
 
 
 @pytest.mark.parametrize("rows, prop, witnesses, problems", [
@@ -493,8 +503,7 @@ def test_a_face_witness_must_support_a_face_holding_its_weight(rows, prop, witne
     ws = WeightSystem.from_rows(rows)
     assert not decide(ws, prop).holds
     kind = {"SP": "edge-separation", "WSP": "face-separation"}[prop]
-    forged = Verdict(prop, "affine", True, {"kind": kind, "pointedness": (1, 1),
-                                            "face_witnesses": witnesses})
+    forged = Verdict(prop, "affine", True, {"kind": kind, "face_witnesses": witnesses})
     assert check_verdict(ws, forged) == [
         f"face witness {i} does not support a face holding weight {i}" for i in problems]
 

@@ -138,14 +138,13 @@ def test_projective_wsp_examples():
 
 def test_moment_curve_certificates_hold_one_witness_per_weight():
     """On the projective moment curve (t, t^2, t^3), t = 1..40, SP and WSP
-    hold, each on the pointedness functional and exactly one face witness
-    per weight."""
+    hold, each on exactly one face witness per weight."""
     ws = WeightSystem.from_rows([[t, t ** 2, t ** 3] for t in range(1, 41)])
     sp, wsp = decide_projective_sp(ws), decide_projective_wsp(ws)
     assert (sp.kind, wsp.kind) == ("edge-separation", "face-separation")
     for verdict in (sp, wsp):
         assert _verified(ws, verdict).holds
-        assert sorted(verdict.certificate) == ["face_witnesses", "kind", "pointedness"]
+        assert sorted(verdict.certificate) == ["face_witnesses", "kind"]
         assert len(verdict.certificate["face_witnesses"]) == 40
 
 
