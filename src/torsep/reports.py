@@ -257,21 +257,19 @@ def _flat(value) -> str:
 
 _READINGS = {
     "forcing": "x{0} = 0 forces x{1} = 0",
-    "missed": "x{index} never vanishes on the closure",
+    "missed": "x{0} never vanishes on the closure",
     "section": "x{0} and x{1} cut the closure in the same hyperplane section",
     "codimension": "x{0} = x{1} = 0 meets the closure in codimension at most 1",
 }
 
 
 def _describe_pair(verdict: Verdict) -> str | None:
-    """What the pair shows under the verdict's property (``pair_reading``); None
-    where it reads as nothing, or is not two ints, or a read ``index`` is no int."""
-    reading, cert = pair_reading(verdict), verdict.certificate
-    pair = cert.get("pair")
-    if reading and isinstance(pair, (list, tuple)) and len(pair) == 2:
-        index = cert.get("index", pair[0]) if reading == "missed" else pair[0]
-        if all(type(k) is int for k in (*pair, index)):
-            return _READINGS[reading].format(*(k + 1 for k in pair), index=index + 1)
+    """What the pair shows under the verdict's property (``pair_reading``),
+    read off the pair alone; None where it reads as nothing or is not two ints."""
+    reading, pair = pair_reading(verdict), verdict.certificate.get("pair")
+    if (reading and isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(type(k) is int for k in pair)):
+        return _READINGS[reading].format(*(k + 1 for k in pair))
     return None
 
 

@@ -19,7 +19,9 @@ minimal face, which also rules out a line in the cone.  The simplex
 runs only for a failure's relation, each over the weights of one face:
 SP's over the minimal face of the failing weight (none for a zero
 weight), that of a cone that is not pointed over the lineality face,
-and the interior relations of a shared face.
+and the interior relations of a shared face.  SSP builds no whole
+relation lattice: affine SSP counts independent rows, and projective
+SSP reads the relations of the first dim + 1 homogenized weights.
 
 Every verdict carries a certificate checkable by plain arithmetic; see
 ``torsep.verification``.
@@ -70,15 +72,15 @@ def _sp_failure(ws: WeightSystem, i: int) -> dict:
     if is_zero_vector(w):
         # That coordinate is identically 1 on the closure, so its
         # hyperplane is missed entirely.
-        return {"kind": "zero-weight", "index": i, "pair": (i, 0 if i else 1)}
+        return {"kind": "zero-weight", "pair": (i, 0 if i else 1)}
     lam = face_combination(ws, w, [k for k in minimal_face(ws, i) if k != i])
     if lam is not None:
         j = next(k for k, x in enumerate(lam) if x > 0)
-        return {"kind": "generator-in-cone", "index": i, "coefficients": lam, "pair": (j, i)}
+        return {"kind": "generator-in-cone", "coefficients": lam, "pair": (j, i)}
     relation = is_strictly_convex(ws).relation
     if relation is None:
         raise InternalError("SP failure expected but no certificate found")
-    return {"kind": "line-in-cone", "index": i, "relation": relation, "pair": (i, 0 if i else 1)}
+    return {"kind": "line-in-cone", "relation": relation, "pair": (i, 0 if i else 1)}
 
 
 def decide_affine_sp(ws: WeightSystem) -> Verdict:
@@ -122,8 +124,7 @@ def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> dict:
     nums, scale = clear_denominators(membership.coefficients)
     mult, *ints = [scale + y for y in nums]
     coeffs = dict(zip(others, ints))
-    return {"index": idx, "multiplier": mult,
-            "coefficients": tuple(coeffs.get(k, 0) for k in range(ws.n))}
+    return {"multiplier": mult, "coefficients": tuple(coeffs.get(k, 0) for k in range(ws.n))}
 
 
 def decide_affine_wsp(ws: WeightSystem) -> Verdict:
@@ -184,19 +185,14 @@ _CONE_NOTES = (
 )
 
 
-def _maximal_minor(ws: WeightSystem) -> dict:
-    """The first independent rows of the transposed weights: a nonsingular
-    minor, whose determinant the checker computes."""
-    return {"row_indices": independent_rows(tuple(zip(*ws.weights)))}
-
-
 def decide_affine_ssp(ws: WeightSystem) -> Verdict:
     """Strong separation property for cone-type affine orbit closures.
 
     Requires the closure to be a cone and refuses (HypothesisError)
-    otherwise.  Holds iff the weights have no relation (the closure is
-    the whole space); a failure names the first relation and the first
-    coordinate pair avoided by a facet, so no resource guard applies.
+    otherwise.  Holds iff the weights are independent: the first
+    independent rows of the transposed weights, the nonsingular minor a
+    holding verdict carries, are n.  A failure names the first coordinate
+    pair avoided by a facet, and that facet; no resource guard applies.
     """
     is_cone, functional = cone_hypothesis(ws)
     if not is_cone:
@@ -204,9 +200,9 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
             "SSP hypothesis not satisfied: the orbit closure is not a cone "
             "(no rational functional takes the value 1 on every weight)"
         )
-    kernel = kernel_lattice(ws.weights)
-    if not kernel:
-        cert = {"kind": "full-rank", **_maximal_minor(ws), "cone_functional": functional}
+    rows = independent_rows(tuple(zip(*ws.weights)))
+    if len(rows) == ws.n:
+        cert = {"kind": "full-rank", "row_indices": rows, "cone_functional": functional}
         return Verdict("SSP", "affine", True, cert, notes=_CONE_NOTES)
     witness = ssp_coordinate_witness(ws)
     if witness is None:
@@ -216,7 +212,6 @@ def decide_affine_ssp(ws: WeightSystem) -> Verdict:
         )
     cert = {
         "kind": "kernel-witness",
-        "kernel_vector": kernel[0],
         "pair": witness.pair,
         "stratum_indices": witness.stratum.indices,
         "stratum_witness": witness.stratum.witness,
@@ -252,16 +247,19 @@ def decide_projective_wsp(ws: WeightSystem) -> Verdict:
 def decide_projective_ssp(ws: WeightSystem) -> Verdict:
     """Strong separation property of the projective orbit closure.
 
-    Holds iff the homogenized weights have no relation (the weights are
-    affinely independent: the closure is the whole projective space); no
-    cone hypothesis is needed because the homogenized closure is a cone.
+    Holds iff the homogenized weights, in Z^dim, are independent (the
+    closure is the whole projective space); no cone hypothesis is needed,
+    as the homogenized closure is a cone.  Any dim + 1 of them are
+    dependent, so the relation lattice of the first dim + 1 is empty
+    exactly when SSP holds; a failure pads its first relation with zeros.
     """
     hws = homogenize(ws)
-    kernel = kernel_lattice(hws.weights)
+    kernel = kernel_lattice(hws.weights[:hws.dim + 1])
     if not kernel:
-        cert = {"kind": "affine-independent", **_maximal_minor(hws)}
+        cert = {"kind": "affine-independent",
+                "row_indices": independent_rows(tuple(zip(*hws.weights)))}
         return Verdict("SSP", "projective", True, cert, notes=(_PROJ_NOTE,))
-    cert = {"kind": "affine-dependence", "relation": kernel[0]}
+    cert = {"kind": "affine-dependence", "relation": kernel[0] + (0,) * (hws.n - len(kernel[0]))}
     return Verdict("SSP", "projective", False, cert, notes=(_PROJ_NOTE,))
 
 

@@ -57,7 +57,7 @@ def _pair_pass(prop: str, ws: WeightSystem) -> Verdict:
     everywhere = (1 << len(sets)) - 1
     if sp and everywhere in pat:
         i = pat.index(everywhere)
-        cert = {"kind": "strata-missed-hyperplane", "index": i, "pair": (i, 0 if i else 1)}
+        cert = {"kind": "strata-missed-hyperplane", "pair": (i, 0 if i else 1)}
         return Verdict(prop, "affine", False, cert, _NOTES)
     witnesses = []
     for i, j in (permutations if sp else combinations)(range(ws.n), 2):

@@ -35,17 +35,13 @@ def _require(problems, condition, message):
         problems.append(message)
 
 
-def _valid_index(problems, k, bound, what="index") -> bool:
-    """Record a problem unless ``k`` is an int (not a bool) with
-    0 <= k < bound; return whether it is."""
-    ok = isinstance(k, int) and not isinstance(k, bool) and 0 <= k < bound
-    if not ok:
+def _valid_indices(problems, ks, bound, what: str) -> bool:
+    """Record a problem for each entry of ``ks`` that is not an int (not a
+    bool) k with 0 <= k < bound; return whether there is none."""
+    bad = [k for k in ks if isinstance(k, bool) or not (isinstance(k, int) and 0 <= k < bound)]
+    for k in bad:
         problems.append(f"malformed certificate: {what} {k!r} is not a position below {bound}")
-    return ok
-
-
-def _valid_indices(problems, ks, bound, what="index") -> bool:
-    return all([_valid_index(problems, k, bound, what) for k in ks])
+    return not bad
 
 
 def _relation(problems, ws, vector, what: str):
@@ -99,32 +95,27 @@ def _check_edge_separation(problems, ws, cert, reading):
 
 
 def _check_zero_weight(problems, ws, cert, reading):
-    i = cert["index"]
-    if not _valid_index(problems, i, ws.n):
-        return
-    _require(problems, is_zero_vector(ws.weights[i]), f"weight {i} is not zero")
-    _valid_pair(problems, ws, cert["pair"])
-    _require(problems, cert["pair"][0] == i, "pair must start at the zero weight")
+    if _valid_pair(problems, ws, cert["pair"]):
+        i = cert["pair"][0]
+        _require(problems, is_zero_vector(ws.weights[i]), f"weight {i} is not zero")
 
 
 def _check_generator_in_cone(problems, ws, cert, reading):
-    i = cert["index"]
-    if not _valid_index(problems, i, ws.n):
+    if not _valid_pair(problems, ws, cert["pair"]):
         return
+    j, i = cert["pair"]
     lam, scale = clear_denominators(cert["coefficients"])
     _require(problems, len(lam) == ws.n, "coefficient vector has wrong length")
     _require(problems, all(x >= 0 for x in lam), "coefficients must be nonnegative")
     _require(problems, lam[i] == 0, "weight may not appear in its own combination")
     _require(problems, combine(ws.weights, lam) == tuple(scale * x for x in ws.weights[i]),
              "combination does not reproduce the weight")
-    if not _valid_pair(problems, ws, cert["pair"]):
-        return
-    j, tgt = cert["pair"]
-    _require(problems, tgt == i, "pair must end at the dependent weight")
     _require(problems, lam[j] > 0, "pair's first coordinate has zero coefficient")
 
 
 def _check_line_in_cone(problems, ws, cert, reading):
+    """A relation c >= 0 keeps x^c = 1 on the closure: x at ``pair[0]``
+    never vanishes (SP), nor, if it is in c too, x at ``pair[1]`` (WSP)."""
     c = _relation(problems, ws, cert["relation"], "relation")
     _require(problems, all(x >= 0 for x in c), "relation must be nonnegative")
     for k in range(ws.n):
@@ -135,10 +126,7 @@ def _check_line_in_cone(problems, ws, cert, reading):
     if not _valid_pair(problems, ws, pair):
         return
     _require(problems, c[pair[0]] > 0, "pair's first coordinate not in the relation")
-    if reading == "missed":  # SP: the relation holds ``index``, which never vanishes
-        if _valid_index(problems, cert["index"], ws.n):
-            _require(problems, pair[0] == cert["index"], "pair must start at the index")
-    else:  # WSP: both coordinates are in the relation, so neither vanishes
+    if reading == "section":
         _require(problems, c[pair[1]] > 0, "pair's second coordinate not in the relation")
 
 
@@ -164,12 +152,9 @@ def _check_shared_face(problems, ws, cert, reading):
     _require(problems, set(pair) <= shared, "pair must lie on the shared face")
     _require(problems, supports_face(ws, shared, cert["face_witness"]),
              "face witness does not support the shared face")
-    rel_indices = set()
-    for rel in cert["relations"]:
-        idx = rel["index"]
-        if not _valid_index(problems, idx, ws.n, "relation index"):
-            continue
-        rel_indices.add(idx)
+    relations = cert["relations"]
+    _require(problems, len(relations) == 2, "one relation per pair member required")
+    for idx, rel in zip(pair, relations):  # relation k belongs to pair[k]
         (mult, *coeffs), scale = clear_denominators((rel["multiplier"], *rel["coefficients"]))
         _require(problems, mult >= scale, "relation multiplier must be positive")
         _require(problems, len(coeffs) == ws.n, "relation has wrong length")
@@ -181,7 +166,6 @@ def _check_shared_face(problems, ws, cert, reading):
         _require(problems,
                  tuple(mult * x for x in ws.weights[idx]) == combine(ws.weights, coeffs),
                  "interior relation identity fails")
-    _require(problems, rel_indices == set(pair), "one relation per pair member required")
 
 
 def _check_full_rank(problems, ws, cert, reading):
@@ -204,7 +188,9 @@ def _check_cone_functional(problems, ws, cert):
 
 
 def _check_kernel_witness(problems, ws, cert, reading):
-    _relation(problems, ws, cert["kernel_vector"], "kernel vector")
+    """SSP fails: the face S avoids both pair positions, so |S| <= n - 2,
+    and rank(S) >= r - 1 (r the rank of the weights) gives r <= n - 1, so
+    the weights are dependent; no relation vector is needed to show it."""
     pair = cert["pair"]
     if not (_valid_pair(problems, ws, pair)
             and _valid_indices(problems, cert["stratum_indices"], ws.n, "stratum index")):
@@ -223,11 +209,9 @@ def _check_affine_dependence(problems, ws, cert, reading):
 
 
 def _check_strata_missed(problems, ws, cert, reading):
-    i = cert["index"]
-    _valid_index(problems, i, ws.n)
-    _require(problems, i in smallest_face(ws, ()).indices, "coordinate does vanish somewhere")
-    _valid_pair(problems, ws, cert["pair"])
-    _require(problems, cert["pair"][0] == i, "pair must start at the index")
+    if _valid_pair(problems, ws, cert["pair"]):
+        _require(problems, cert["pair"][0] in smallest_face(ws, ()).indices,
+                 "coordinate does vanish somewhere")
 
 
 def _check_strata_forcing(problems, ws, cert, reading):

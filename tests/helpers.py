@@ -377,17 +377,15 @@ def reference_affine_sp(ws: WeightSystem) -> Verdict:
         if not cond.excludes_vector:
             lam = sanitize(cond.vector_membership.coefficients, i)
             if all(x == 0 for x in lam):
-                cert = {"kind": "zero-weight", "index": i, "pair": (i, j0)}
+                cert = {"kind": "zero-weight", "pair": (i, j0)}
                 return Verdict("SP", "affine", False, cert)
             j = next(k for k in range(ws.n) if lam[k] > 0)
-            cert = {"kind": "generator-in-cone", "index": i,
-                    "coefficients": tuple(lam), "pair": (j, i)}
+            cert = {"kind": "generator-in-cone", "coefficients": tuple(lam), "pair": (j, i)}
             return Verdict("SP", "affine", False, cert)
         if not cond.excludes_negation:
             relation = sanitize(cond.negation_membership.coefficients, i)
             relation[i] = Fraction(1)
-            cert = {"kind": "line-in-cone", "index": i,
-                    "relation": tuple(relation), "pair": (i, j0)}
+            cert = {"kind": "line-in-cone", "relation": tuple(relation), "pair": (i, j0)}
             return Verdict("SP", "affine", False, cert)
     return Verdict("SP", "affine", True, {"kind": "edge-separation"})
 
@@ -667,12 +665,10 @@ def _lattice_sets(ws):
 
 
 def _lattice_missed(problems, ws, cert):
-    i = cert["index"]
-    verification._valid_index(problems, i, ws.n)
-    sets = _lattice_sets(ws)
-    verification._require(problems, all(i in s for s in sets), "coordinate does vanish somewhere")
-    verification._valid_pair(problems, ws, cert["pair"])
-    verification._require(problems, cert["pair"][0] == i, "pair must start at the index")
+    if verification._valid_pair(problems, ws, cert["pair"]):
+        i = cert["pair"][0]
+        verification._require(problems, all(i in s for s in _lattice_sets(ws)),
+                              "coordinate does vanish somewhere")
 
 
 def _lattice_forcing(problems, ws, cert):

@@ -848,7 +848,7 @@ def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):
 
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "eaddc53de3a77e7d82000c58e12aac3cc70fbcc8927c8fef4c6abedeea43810e"
+CATALOG_OUTPUT_DIGEST = "59ffec9278a5faa196e2541d8826a8f4b696095f28b97637a29ee2a348b08e62"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):
@@ -981,7 +981,7 @@ def test_verify_routes_that_disagree_exit_four(capsys, monkeypatch):
 
 # sha256 of verify (affine and projective) and ideal, in JSON and text,
 # over the verify-small and decide-wide entries of the benchmark catalog.
-VERIFY_OUTPUT_DIGEST = "ffafce2600e0c3eff0156a116e1b67d1d598859cde6f0d54cb8ad5e7c686d3bd"
+VERIFY_OUTPUT_DIGEST = "8f746ff137586ec72ee9856063a8e58259132662989b011b155f2cf6fa16a402"
 
 
 def test_verify_and_ideal_output_bytes_are_pinned(capsys, monkeypatch):

@@ -203,13 +203,13 @@ def test_every_pair_the_deciders_make_is_described():
     {"kind": "strata-forcing-pair", "pair": [0]},
     {"kind": "strata-forcing-pair", "pair": 7},
     {"kind": "strata-forcing-pair", "pair": [True, 1]},
-    {"kind": "zero-weight", "index": "a", "pair": [0, 1]},
+    {"kind": "strata-forcing-pair", "pair": [0, 1.0]},
     {"kind": "no-such-kind", "pair": [0, 1]},
 ])
 def test_text_report_reads_only_a_pair_of_two_positions(certificate):
-    """A pair that is not two ints (with an int ``index`` where that is
-    read), or of a kind ``KINDS`` does not list, gets no witness-pair
-    line; the raw pair still shows in the certificate block."""
+    """A pair that is not two ints, or of a kind ``KINDS`` does not list,
+    gets no witness-pair line; the raw pair still shows in the
+    certificate block."""
     verdict = Verdict("SP", "affine", False, certificate)
     text = emit_report(Report("decide", Instance("weights", M_WEIGHTS), {}, [verdict]), "text")
     assert "witness pair" not in text

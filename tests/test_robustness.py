@@ -248,31 +248,22 @@ def test_negative_row_index_is_reported():
 
 def test_never_vanishing_index_is_tied_to_its_pair():
     """An SP ``line-in-cone`` or ``strata-missed-hyperplane`` certificate
-    names the coordinate that never vanishes as ``index`` and as the
-    pair's first entry; moving either one alone is reported."""
+    names the coordinate that never vanishes as the pair's first entry,
+    and nowhere else.  On (1,0), (-1,0), (0,1), x1 and x2 never vanish
+    and x3 does: a pair moved to start at x3 is refused, and one moved to
+    start at x2 verifies, its text naming x2."""
     ws = WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1]])
     line, missed = decide_affine_sp(ws), oracle_sp(ws)
-    assert line.certificate == {"kind": "line-in-cone", "index": 0,
-                                "relation": (1, 1, 0), "pair": (0, 1)}
-    assert missed.certificate == {"kind": "strata-missed-hyperplane", "index": 0,
-                                  "pair": (0, 1)}
-    edits = [(line, {"index": 2}), (line, {"index": 2, "pair": (1, 0)}),
-             (line, {"index": 1}), (missed, {"pair": (1, 2)}), (missed, {"index": 1})]
-    for verdict, edit in edits:
-        mutant = Verdict("SP", "affine", False, {**verdict.certificate, **edit})
-        assert check_verdict(ws, mutant), edit
-    moved = 0
-    for w, verdict in golden_verdicts():
-        cert = verdict.certificate
-        if verdict.kind in ("line-in-cone", "strata-missed-hyperplane") and "index" in cert:
-            assert check_verdict(w, verdict) == []
-            for k in range(w.n):
-                if k != cert["index"]:
-                    mutant = Verdict(verdict.property_name, verdict.mode, False,
-                                     {**cert, "index": k})
-                    assert check_verdict(w, mutant), (w, mutant)
-                    moved += 1
-    assert moved > 0
+    assert line.certificate == {"kind": "line-in-cone", "relation": (1, 1, 0), "pair": (0, 1)}
+    assert missed.certificate == {"kind": "strata-missed-hyperplane", "pair": (0, 1)}
+    for verdict in (line, missed):
+        for pair in ((2, 0), (2, 1)):
+            mutant = Verdict("SP", "affine", False, {**verdict.certificate, "pair": pair})
+            assert check_verdict(ws, mutant), (verdict.kind, pair)
+        moved = Verdict("SP", "affine", False, {**verdict.certificate, "pair": (1, 0)})
+        assert check_verdict(ws, moved) == []
+        text = emit_report(Report("decide", Instance("weights", ws), {}, [moved]), "text")
+        assert "  witness pair: x2 never vanishes on the closure\n" in text
 
 
 # Certificate fields whose leaves are positions: weights, except rows.
@@ -388,7 +379,7 @@ _ONE_TWO = WeightSystem.from_rows([[1], [2]])
 _LINE_AND_RAY = WeightSystem.from_rows([[1, 0], [-1, 0], [0, 1]])
 # A kernel witness on (1), (2) without the cone functional that affine
 # SSP rests on: that orbit closure is not a cone, so SSP is not decided.
-_CONELESS_KERNEL_WITNESS = {"kind": "kernel-witness", "kernel_vector": [2, -1], "pair": [0, 1],
+_CONELESS_KERNEL_WITNESS = {"kind": "kernel-witness", "pair": [0, 1],
                             "stratum_indices": [], "stratum_witness": [1]}
 
 
@@ -427,19 +418,45 @@ def test_forged_claims_are_refused(ws, certificate, prop, holds):
 
 
 def test_line_in_cone_is_read_under_its_property():
-    """Under SP the relation holds ``index``, the pair's first position;
-    under WSP it holds both pair positions, whatever keys it carries."""
+    """The SP and WSP certificates carry the same keys.  Under SP the
+    relation must hold the pair's first position; only under WSP must it
+    hold the second too."""
     sp, wsp = decide(_LINE_AND_RAY, "SP"), decide(_LINE_AND_RAY, "WSP")
     assert sp.kind == wsp.kind == "line-in-cone"
+    assert set(sp.certificate) == set(wsp.certificate) == {"kind", "relation", "pair"}
     assert check_verdict(_LINE_AND_RAY, sp) == check_verdict(_LINE_AND_RAY, wsp) == []
-    no_index = {k: v for k, v in sp.certificate.items() if k != "index"}
-    assert check_verdict(_LINE_AND_RAY, Verdict("SP", "affine", False, no_index)) == [
-        "malformed certificate: KeyError('index')"]
-    for index in (1, True):
-        moved = dict(sp.certificate, index=index)
+    off = {**sp.certificate, "pair": (0, 2)}  # the relation (1, 1, 0) misses x3
+    assert check_verdict(_LINE_AND_RAY, Verdict("SP", "affine", False, off)) == []
+    assert check_verdict(_LINE_AND_RAY, Verdict("WSP", "affine", False, off)) == [
+        "pair's second coordinate not in the relation"]
+    for pair in ((2, 0), (True, 1)):
+        moved = {**sp.certificate, "pair": pair}
         assert check_verdict(_LINE_AND_RAY, Verdict("SP", "affine", False, moved))
-    indexed = dict(wsp.certificate, index=wsp.certificate["pair"][0])
-    assert check_verdict(_LINE_AND_RAY, Verdict("WSP", "affine", False, indexed)) == []
+
+
+def test_a_kernel_witness_on_independent_weights_is_refused_by_its_depth():
+    """``kernel-witness`` carries no relation: on the independent weights
+    (1,0), (0,1) a forged one, whose empty stratum is a face avoiding the
+    pair and whose cone functional is 1 on both weights, is refused by the
+    rank check alone."""
+    ws = WeightSystem.from_rows([[1, 0], [0, 1]])
+    assert decide(ws, "SSP").holds
+    forged = {"kind": "kernel-witness", "pair": (0, 1), "stratum_indices": (),
+              "stratum_witness": (1, 1), "cone_functional": (1, 1)}
+    assert check_verdict(ws, Verdict("SSP", "affine", False, forged)) == [
+        "stratum not deep enough to witness failure"]
+
+
+def test_shared_face_relations_are_read_in_pair_order():
+    """Relation k of a ``shared-face-interior`` certificate belongs to
+    ``pair[k]``: the relations swapped, or only one of them, are refused."""
+    ws = WeightSystem.from_rows([[1, 1], [2, 2], [1, 0]])
+    verdict = decide(ws, "WSP")
+    assert verdict.kind == "shared-face-interior" and check_verdict(ws, verdict) == []
+    first, second = verdict.certificate["relations"]
+    for relations in ((second, first), (first,)):
+        mutant = Verdict("WSP", "affine", False, {**verdict.certificate, "relations": relations})
+        assert check_verdict(ws, mutant), relations
 
 
 # (1, 1) is the sum of (1, 0) and (0, 1): it lies on no edge of the cone.
@@ -552,7 +569,7 @@ def _forgeries(ws, verdict, rng):
     n, mode = ws.n, verdict.mode
     if verdict.property_name == "SP":
         for i in range(n):
-            yield Verdict("SP", mode, False, {"kind": "strata-missed-hyperplane", "index": i,
+            yield Verdict("SP", mode, False, {"kind": "strata-missed-hyperplane",
                                               "pair": (i, 0 if i else 1)})
         for j in range(n):
             for i in range(n):

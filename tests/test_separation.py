@@ -97,7 +97,9 @@ def test_affine_ssp_standard_basis_holds():
 def test_affine_ssp_m_fails():
     v = _verified(M_WEIGHTS, decide_affine_ssp(M_WEIGHTS))
     assert not v.holds
-    assert v.certificate["kernel_vector"] == (2, -1, -1)
+    assert v.certificate["pair"] == (0, 1)
+    assert v.certificate["stratum_indices"] == (2,)
+    assert v.certificate["stratum_witness"] == (1, 0)
     assert v.certificate["cone_functional"] is not None
 
 
@@ -164,9 +166,11 @@ def test_projective_ssp_examples():
     (decide_affine_ssp, M_WEIGHTS, M_WEIGHTS),  # dependent, and a cone
 ])
 def test_failing_ssp_takes_one_elimination(monkeypatch, decider, ws, facet_system):
-    """A failing SSP reads its relation off one ``kernel_lattice`` and
-    seeks no minor: ``independent_rows`` and ``determinant`` never run.
-    The facets are cached first, so only the decider's own calls count."""
+    """A failing SSP takes one elimination of those counted here: the
+    projective decider reads its relation off one ``kernel_lattice``, and
+    the affine one its verdict off one ``independent_rows``, building no
+    relation lattice.  No determinant runs.  The facets are cached first,
+    so only the decider's own calls count."""
     facets(facet_system)
     calls = Counter()
 
@@ -182,8 +186,28 @@ def test_failing_ssp_takes_one_elimination(monkeypatch, decider, ws, facet_syste
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     verdict = decider(ws)
-    assert dict(calls) == {"kernel_lattice": 1}
+    projective = decider is decide_projective_ssp
+    assert dict(calls) == {"kernel_lattice" if projective else "independent_rows": 1}
     assert not _verified(ws, verdict).holds
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_projective_ssp_reads_the_relations_of_dim_plus_one_weights(monkeypatch, seed):
+    """60 weights in Z^6: projective SSP calls ``kernel_lattice`` once, on
+    the first 8 homogenized weights, and its relation is zero past them."""
+    rng = random.Random(seed)
+    ws = WeightSystem.from_rows([[rng.randint(-3, 3) for _ in range(6)] for _ in range(60)])
+    kernel_lattice, sizes = torsep.separation.kernel_lattice, []
+
+    def recording(vectors):
+        sizes.append(len(vectors))
+        return kernel_lattice(vectors)
+
+    monkeypatch.setattr(torsep.separation, "kernel_lattice", recording)
+    verdict = _verified(ws, decide_projective_ssp(ws))
+    assert verdict.kind == "affine-dependence" and sizes == [8]
+    relation = verdict.certificate["relation"]
+    assert len(relation) == 60 and any(relation[:8]) and not any(relation[8:])
 
 
 def test_single_weight_is_vacuous():
@@ -393,7 +417,7 @@ def test_failing_sp_on_pointed_cone_runs_one_cone_member(monkeypatch):
         calls.clear()
         verdict = _verified(ws, decide_affine_sp(ws))
         assert not verdict.holds and len(calls) == count, ws
-    assert verdict.certificate["kind"] == "line-in-cone" and verdict.certificate["index"] == 1
+    assert verdict.certificate["kind"] == "line-in-cone" and verdict.certificate["pair"][0] == 1
 
 
 def test_failure_lps_run_on_the_minimal_face(monkeypatch):
@@ -422,7 +446,8 @@ def test_failure_lps_run_on_the_minimal_face(monkeypatch):
             verdict = _verified(ws, decide_affine_sp(ws))
             if not verdict.holds:
                 kinds.add(verdict.kind)
-                i = verdict.certificate["index"]
+                pair = verdict.certificate["pair"]
+                i = pair[1] if verdict.kind == "generator-in-cone" else pair[0]
                 runs = {"zero-weight": 0, "generator-in-cone": 1, "line-in-cone": 2}[verdict.kind]
                 assert generators == [nonzero_off(minimal_face(ws, i), i)] * runs, ws
             generators.clear()

@@ -62,7 +62,7 @@ def test_oracle_sp_never_vanishing_coordinate():
     v = oracle_sp(ws)
     assert not v.holds
     assert v.certificate["kind"] == "strata-missed-hyperplane"
-    assert v.certificate["index"] == 0
+    assert v.certificate["pair"] == (0, 1)
 
 
 def test_oracle_wsp_examples():
