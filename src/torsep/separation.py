@@ -99,13 +99,14 @@ def decide_affine_sp(ws: WeightSystem) -> Verdict:
     """
     if ws.n == 1:
         return vacuous("SP", "affine")
-    low = set(smallest_face(ws, ()).indices)
+    low, witnesses = set(smallest_face(ws, ()).indices), []
     for i in range(ws.n):
-        if i in low or len(set(minimal_face(ws, i)) - low) > 1:
+        face = smallest_face(ws, (i,))
+        if i in low or len(set(face.indices) - low) > 1:
             return Verdict("SP", "affine", False, _sp_failure(ws, i))
-    cert = {"kind": "edge-separation",
-            "face_witnesses": tuple(smallest_face(ws, (i,)).witness for i in range(ws.n))}
-    return Verdict("SP", "affine", True, cert)
+        witnesses.append(face.witness)
+    return Verdict("SP", "affine", True, {"kind": "edge-separation",
+                                          "face_witnesses": tuple(witnesses)})
 
 
 def _interior_relation(ws: WeightSystem, idx: int, face_indices) -> dict:

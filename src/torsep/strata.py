@@ -7,9 +7,9 @@ SP/WSP verdicts from these vanishing patterns alone gives a decision
 route that shares only the facets with the theorem-backed deciders,
 which never build the face lattice.  Only ``strata`` computes stratum
 dimensions; both oracles are one pass, which reads one bitmask per
-coordinate (bit s set where it is nonzero on stratum s) and walks the
-property's pairs once.  Coordinate forcing pairs and SSP witnesses are
-read off the minimal faces and the facets: no lattice.
+coordinate (bit s set where it is nonzero on stratum s), walks the
+property's pairs once and, if none fails, lists one stratum per weight.
+Forcing pairs and SSP witnesses come from minimal faces and facets.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _pair_pass(prop: str, ws: WeightSystem) -> Verdict:
     """The oracle's ``prop`` verdict: one pass over its coordinate pairs
     (i, j), split by the strata that hold j and miss i (SP) or hold
     exactly one of the two (WSP).  The first pair no stratum splits
-    fails; otherwise each pair is witnessed by its lowest split stratum."""
+    fails; else each k's lowest stratum S_k, its smallest face, is listed."""
     if ws.n == 1:
         return vacuous(prop, "affine", _NOTES)
     sets = [f.indices for f in enumerate_faces(ws)]
@@ -54,21 +54,16 @@ def _pair_pass(prop: str, ws: WeightSystem) -> Verdict:
         for k in indices:
             pat[k] |= 1 << s
     sp = prop == "SP"
-    everywhere = (1 << len(sets)) - 1
-    if sp and everywhere in pat:
-        i = pat.index(everywhere)
+    if sp and sets[0]:  # the least stratum, the lineality face, is in every stratum
+        i = sets[0][0]
         cert = {"kind": "strata-missed-hyperplane", "pair": (i, 0 if i else 1)}
         return Verdict(prop, "affine", False, cert, _NOTES)
-    witnesses = []
     for i, j in (permutations if sp else combinations)(range(ws.n), 2):
-        split = pat[j] & ~pat[i] if sp else pat[i] ^ pat[j]
-        if not split:
+        if not (pat[j] & ~pat[i] if sp else pat[i] ^ pat[j]):
             kind = "strata-forcing-pair" if sp else "strata-equivalent-pair"
             return Verdict(prop, "affine", False, {"kind": kind, "pair": (i, j)}, _NOTES)
-        first = (split & -split).bit_length() - 1  # lowest set bit
-        witnesses.append({"pair": (i, j), "stratum": sets[first]})
     cert = {"kind": "strata-separation" if sp else "strata-distinguished",
-            "pair_witnesses": tuple(witnesses)}
+            "strata": tuple(sets[(p & -p).bit_length() - 1] for p in pat)}  # lowest set bit
     return Verdict(prop, "affine", True, cert, _NOTES)
 
 

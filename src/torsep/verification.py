@@ -15,8 +15,9 @@ under intersection, so a set S of positions is a stratum iff S equals
 the intersection of the facets whose zero sets hold S, which is
 ``smallest_face(ws, S)``.  The least stratum, ``smallest_face(ws, ())``,
 holds the coordinates that vanish nowhere.  A face that holds i holds
-the smallest face of i, itself a face, so x_{j+1} = 0 forces
-x_{i+1} = 0 iff j is in ``smallest_face(ws, (i,))``.
+the smallest face of i, itself a face and the lowest stratum holding i
+(a holding ``strata-*`` certificate lists one per weight), so
+x_{j+1} = 0 forces x_{i+1} = 0 iff j is in ``smallest_face(ws, (i,))``.
 """
 
 from __future__ import annotations
@@ -159,7 +160,9 @@ def _check_shared_face(problems, ws, cert, reading):
         _require(problems, mult >= scale, "relation multiplier must be positive")
         _require(problems, len(coeffs) == ws.n, "relation has wrong length")
         for k in range(ws.n):
-            if k in shared and k != idx:
+            if k == idx:
+                _require(problems, coeffs[k] == 0, f"relation of weight {k} uses weight {k}")
+            elif k in shared:
                 _require(problems, coeffs[k] >= scale, "interior relation needs all face weights")
             else:
                 _require(problems, coeffs[k] == 0, "relation supported off the face")
@@ -221,26 +224,24 @@ def _check_strata_forcing(problems, ws, cert, reading):
     _require(problems, j in smallest_face(ws, (i,)).indices, "forcing pair does not force")
 
 
-def _check_pair_witnesses(problems, ws, cert, expected, splits):
-    """Each pair in ``expected`` needs one witness: a stratum on which
-    ``splits(a, b, stratum)`` holds for the pair (a, b)."""
-    seen = set()
-    for entry in cert.get("pair_witnesses", ()):
-        if not (_valid_pair(problems, ws, entry["pair"])
-                and _valid_indices(problems, entry["stratum"], ws.n, "stratum index")):
-            continue
-        a, b = entry["pair"]
-        seen.add((a, b))
-        s = tuple(entry["stratum"])
-        _require(problems, smallest_face(ws, s).indices == s, "claimed stratum is not a stratum")
-        _require(problems, splits(a, b, s), "stratum does not split the pair")
-    _require(problems, seen == expected, "witnesses must cover every pair")
+def _stratum_table(problems, ws, cert):
+    """Check each listed S_k is a stratum holding k: valid positions, its
+    own smallest face, with k in it.  Return the strata as sets."""
+    listed = cert["strata"]
+    _require(problems, len(listed) == ws.n, "one stratum per weight required")
+    table = [tuple(listed[k]) for k in range(ws.n)]
+    for k, s in enumerate(table):
+        if _valid_indices(problems, s, ws.n, "stratum index"):
+            _require(problems, smallest_face(ws, s).indices == s, f"entry {k} is not a stratum")
+            _require(problems, k in s, f"stratum {k} does not hold weight {k}")
+    return [set(s) for s in table]
 
 
 def _check_strata_separation(problems, ws, cert, reading):
-    _check_pair_witnesses(problems, ws, cert,
-                          {(j, i) for j in range(ws.n) for i in range(ws.n) if i != j},
-                          lambda j, i, s: j not in s and i in s)
+    """SP holds: each S_j is {j}, a stratum holding j and missing each i != j,
+    so it splits (i, j); with n >= 2 no coordinate is in every stratum."""
+    for j, s in enumerate(_stratum_table(problems, ws, cert)):
+        _require(problems, s <= {j}, f"stratum {j} holds another weight")
 
 
 def _check_strata_equivalent(problems, ws, cert, reading):
@@ -252,9 +253,12 @@ def _check_strata_equivalent(problems, ws, cert, reading):
 
 
 def _check_strata_distinguished(problems, ws, cert, reading):
-    _check_pair_witnesses(problems, ws, cert,
-                          {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)},
-                          lambda i, j, s: (i in s) != (j in s))
+    """WSP holds: for each pair i, j, S_i misses j or S_j misses i, and a
+    stratum holding one of the two and missing the other distinguishes them."""
+    table = _stratum_table(problems, ws, cert)
+    for i, j in combinations(range(ws.n), 2):
+        if j in table[i] and i in table[j]:
+            problems.append(f"no stratum distinguishes weights {i} and {j}")
 
 
 # Each kind's checker, properties, outcome (True: holds), the modes the deciders and

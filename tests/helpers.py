@@ -680,20 +680,20 @@ def _lattice_forcing(problems, ws, cert):
                           "forcing pair does not force")
 
 
-def _lattice_pair_witnesses(problems, ws, cert, expected, splits):
+def _lattice_strata(problems, ws, cert, splits):
+    """Each listed S_k is in the face lattice and holds k, and every pair
+    (i, j) of the property is split: ``splits(i, j, S_i, S_j)``."""
     sets = {tuple(sorted(s)) for s in _lattice_sets(ws)}
-    seen = set()
-    for entry in cert.get("pair_witnesses", ()):
-        if not (verification._valid_pair(problems, ws, entry["pair"])
-                and verification._valid_indices(problems, entry["stratum"], ws.n,
-                                                "stratum index")):
-            continue
-        a, b = entry["pair"]
-        seen.add((a, b))
-        s = tuple(entry["stratum"])
-        verification._require(problems, s in sets, "claimed stratum is not a stratum")
-        verification._require(problems, splits(a, b, s), "stratum does not split the pair")
-    verification._require(problems, seen == expected, "witnesses must cover every pair")
+    listed = cert["strata"]
+    verification._require(problems, len(listed) == ws.n, "one stratum per weight required")
+    table = [tuple(listed[k]) for k in range(ws.n)]
+    for k, s in enumerate(table):
+        if verification._valid_indices(problems, s, ws.n, "stratum index"):
+            verification._require(problems, s in sets, f"entry {k} is not a stratum")
+            verification._require(problems, k in s, f"stratum {k} does not hold weight {k}")
+    for i, j in combinations(range(ws.n), 2):
+        verification._require(problems, splits(i, j, set(table[i]), set(table[j])),
+                              f"no listed stratum splits weights {i} and {j}")
 
 
 def _lattice_equivalent(problems, ws, cert):
@@ -707,13 +707,13 @@ def _lattice_equivalent(problems, ws, cert):
 _LATTICE_STRATA_CHECKERS = {
     "strata-missed-hyperplane": _lattice_missed,
     "strata-forcing-pair": _lattice_forcing,
-    "strata-separation": lambda problems, ws, cert: _lattice_pair_witnesses(
-        problems, ws, cert, {(j, i) for j in range(ws.n) for i in range(ws.n) if i != j},
-        lambda j, i, s: j not in s and i in s),
+    # SP: S_j holds j and misses i, and S_i holds i and misses j.
+    "strata-separation": lambda problems, ws, cert: _lattice_strata(
+        problems, ws, cert, lambda i, j, si, sj: i not in sj and j not in si),
     "strata-equivalent-pair": _lattice_equivalent,
-    "strata-distinguished": lambda problems, ws, cert: _lattice_pair_witnesses(
-        problems, ws, cert, {(i, j) for i in range(ws.n) for j in range(i + 1, ws.n)},
-        lambda i, j, s: (i in s) != (j in s)),
+    # WSP: S_i or S_j holds one of the two coordinates and misses the other.
+    "strata-distinguished": lambda problems, ws, cert: _lattice_strata(
+        problems, ws, cert, lambda i, j, si, sj: j not in si or i not in sj),
 }
 
 

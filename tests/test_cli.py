@@ -848,7 +848,7 @@ def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):
 
 # sha256 of decide --property all and oracle (affine and projective),
 # strata and chpairs, in JSON and text, over the benchmark catalog.
-CATALOG_OUTPUT_DIGEST = "59ffec9278a5faa196e2541d8826a8f4b696095f28b97637a29ee2a348b08e62"
+CATALOG_OUTPUT_DIGEST = "928fee7686b332e98d500a36f39d58491f57be2bc966f261a6269d8309a2676b"
 
 
 def test_catalog_output_bytes_are_pinned(capsys, monkeypatch):

@@ -165,8 +165,7 @@ def test_acceptance_suite_passes_under_optimize_flag():
             {"kind": "full-rank", "row_indices": (0, 5)}),
     Verdict("SSP", "affine", True, {"kind": "full-rank"}),
     Verdict("SP", "affine", False,
-            {"kind": "generator-in-cone", "index": 0, "coefficients": [0, 1],
-             "pair": (7, 0)}),
+            {"kind": "generator-in-cone", "coefficients": [0, 1], "pair": (7, 0)}),
 ])
 def test_malformed_certificate_is_a_problem_not_a_crash(verdict):
     ws = WeightSystem.from_rows([[1, 0], [0, 1]])
@@ -186,7 +185,7 @@ _PYRAMID_ROWS = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
 # rational and a row index is no float or bool).
 _FLOAT_CASES = [
     ([[1], [10]], lambda x: Verdict("SP", "affine", False, {
-        "kind": "generator-in-cone", "index": 0, "coefficients": [0, x], "pair": [1, 0]}),
+        "kind": "generator-in-cone", "coefficients": [0, x], "pair": [1, 0]}),
      Fraction(1, 10), 0.1),
     ([[1], [-10]], lambda x: Verdict("WSP", "affine", False, {
         "kind": "line-in-cone", "relation": [1, x], "pair": [0, 1]}),
@@ -267,7 +266,7 @@ def test_never_vanishing_index_is_tied_to_its_pair():
 
 
 # Certificate fields whose leaves are positions: weights, except rows.
-_INDEX_KEYS = {"index", "pair", "face_indices", "stratum_indices", "stratum", "row_indices"}
+_INDEX_KEYS = {"pair", "face_indices", "stratum_indices", "strata", "row_indices"}
 
 
 def _leaves(obj, path=()):
@@ -391,8 +390,8 @@ _CONELESS_KERNEL_WITNESS = {"kind": "kernel-witness", "pair": [0, 1],
     (WeightSystem.from_rows([[0]]), lambda: vacuous("SP", "affine").certificate, "SSP", True),
     (_ONE_TWO, lambda: _CONELESS_KERNEL_WITNESS, "SSP", False),
     (_ONE_TWO, lambda: {"kind": "affine-dependence", "relation": [2, -1]}, "SSP", False),
-    (_LINE_AND_RAY, lambda: {"kind": "line-in-cone", "relation": (1, 1, 0), "pair": (0, 2),
-                             "index": 0}, "WSP", False),
+    (_LINE_AND_RAY, lambda: {"kind": "line-in-cone", "relation": (1, 1, 0), "pair": (0, 2)},
+     "WSP", False),
 ], ids=["edge-separation-as-ssp", "kernel-witness-as-sp", "zero-weight-as-wsp",
         "vacuous-as-ssp", "kernel-witness-without-cone", "affine-dependence-as-affine",
         "line-in-cone-pair-off-the-relation"])
@@ -449,7 +448,9 @@ def test_a_kernel_witness_on_independent_weights_is_refused_by_its_depth():
 
 def test_shared_face_relations_are_read_in_pair_order():
     """Relation k of a ``shared-face-interior`` certificate belongs to
-    ``pair[k]``: the relations swapped, or only one of them, are refused."""
+    ``pair[k]``: the relations swapped, or only one of them, are refused.
+    Swapped, each relation uses its own weight, which is on the face, and
+    the problems say so rather than call it off the face."""
     ws = WeightSystem.from_rows([[1, 1], [2, 2], [1, 0]])
     verdict = decide(ws, "WSP")
     assert verdict.kind == "shared-face-interior" and check_verdict(ws, verdict) == []
@@ -457,6 +458,11 @@ def test_shared_face_relations_are_read_in_pair_order():
     for relations in ((second, first), (first,)):
         mutant = Verdict("WSP", "affine", False, {**verdict.certificate, "relations": relations})
         assert check_verdict(ws, mutant), relations
+    swapped = {**verdict.certificate, "relations": (second, first)}
+    problems = check_verdict(ws, Verdict("WSP", "affine", False, swapped))
+    assert {"relation of weight 0 uses weight 0", "relation of weight 1 uses weight 1"} <= set(
+        problems)
+    assert "relation supported off the face" not in problems
 
 
 # (1, 1) is the sum of (1, 0) and (0, 1): it lies on no edge of the cone.
@@ -505,6 +511,32 @@ def test_forged_holding_certificates_fail_on_the_face_witnesses(rows, prop, prob
     witnesses = tuple(cones.smallest_face(ws, (i,)).witness for i in range(ws.n))
     forged = Verdict(prop, "affine", True, {"kind": kind, "face_witnesses": witnesses})
     assert check_verdict(ws, forged) == problems
+
+
+@pytest.mark.parametrize("rows, prop, listed, problems", [
+    (_PYRAMID_ROWS, "WSP", ((0, 2), (1,), (2,), (3,)), ["entry 0 is not a stratum"]),
+    (_PYRAMID_ROWS, "WSP", ((1,), (1,), (2,), (3,)), ["stratum 0 does not hold weight 0"]),
+    (_PYRAMID_ROWS, "SP", ((0,), (1,), (2,)), [
+        "one stratum per weight required",
+        "malformed certificate: IndexError('tuple index out of range')"]),
+    (_PYRAMID_ROWS, "SP", ((0, 1), (1,), (2,), (3,)), ["stratum 0 holds another weight"]),
+    (_PYRAMID_ROWS, "WSP", ((0, 1), (1,), (2,), (3,)), []),
+    ([[1, 0], [2, 0], [0, 1]], "WSP", ((0, 1), (0, 1), (2,)),
+     ["no stratum distinguishes weights 0 and 1"]),
+], ids=["not-a-stratum", "stratum-misses-its-weight", "one-entry-short",
+        "separation-entry-holds-two", "distinguished-entry-holds-two", "shared-lowest-stratum"])
+def test_listed_strata_are_checked_one_per_weight(rows, prop, listed, problems):
+    """A holding ``strata-*`` certificate lists, for each weight k, a
+    stratum holding k.  SP and WSP hold on the square pyramid, on the four
+    rays.  Two opposite rays (0, 2) span no face; an edge (0, 1) is a
+    stratum holding weight 0 that also holds weight 1, which SP refuses
+    and WSP accepts, as the ray (1,) still misses weight 0.  On (1, 0),
+    (2, 0), (0, 1), WSP fails: weights 0 and 1 share their lowest stratum."""
+    ws = WeightSystem.from_rows(rows)
+    kind = {"SP": "strata-separation", "WSP": "strata-distinguished"}[prop]
+    forged = Verdict(prop, "affine", True, {"kind": kind, "strata": listed})
+    assert check_verdict(ws, forged) == problems
+    assert decide(ws, prop).holds == (rows is _PYRAMID_ROWS)
 
 
 @pytest.mark.parametrize("rows, prop, witnesses, problems", [
@@ -564,8 +596,8 @@ _STRATA_KINDS = {"strata-missed-hyperplane", "strata-forcing-pair", "strata-sepa
 def _forgeries(ws, verdict, rng):
     """Well-formed ``strata-*`` certificates on the system of an oracle
     verdict, true or false: on an SP verdict, every missed coordinate,
-    forcing pair and equivalent pair; on a holding verdict, its pair
-    witnesses with one stratum at a time swapped for a random set."""
+    forcing pair and equivalent pair; on a holding verdict, its listed
+    strata with two of them swapped, or one replaced by a random set."""
     n, mode = ws.n, verdict.mode
     if verdict.property_name == "SP":
         for i in range(n):
@@ -578,13 +610,15 @@ def _forgeries(ws, verdict, rng):
                                                       "pair": (j, i)})
                     yield Verdict("WSP", mode, False, {"kind": "strata-equivalent-pair",
                                                        "pair": (j, i)})
-    witnesses = verdict.certificate.get("pair_witnesses", ())
-    for k in range(min(len(witnesses), 4)):
-        swapped = list(witnesses)
-        stratum = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
-        swapped[k] = {**witnesses[k], "stratum": stratum}
-        yield Verdict(verdict.property_name, mode, True,
-                      {**verdict.certificate, "pair_witnesses": tuple(swapped)})
+    listed = verdict.certificate.get("strata", ())
+    for k in range(min(len(listed), 4)):
+        swapped, replaced = list(listed), list(listed)
+        other = rng.choice([j for j in range(n) if j != k])
+        swapped[k], swapped[other] = listed[other], listed[k]
+        replaced[k] = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        for forged in (swapped, replaced):
+            yield Verdict(verdict.property_name, mode, True,
+                          {**verdict.certificate, "strata": tuple(forged)})
 
 
 def test_strata_checks_match_the_lattice_reference():

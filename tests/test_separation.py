@@ -150,6 +150,22 @@ def test_moment_curve_certificates_hold_one_witness_per_weight():
         assert len(verdict.certificate["face_witnesses"]) == 40
 
 
+def test_affine_sp_reads_each_minimal_face_once():
+    """A holding SP verdict reads the lineality face and each weight's
+    minimal face once: on the projective moment curve (t, t^2, t^3),
+    t = 1..150, 151 smallest faces are computed, as many as there are
+    cache misses, although the cache keeps fewer than 150 of them."""
+    ws = WeightSystem.from_rows([[t, t ** 2, t ** 3] for t in range(1, 151)])
+    clear_cone_caches()
+    try:
+        verdict = decide(ws, "SP", "projective")
+        assert verdict.kind == "edge-separation"
+        assert len(verdict.certificate["face_witnesses"]) == 150
+        assert torsep.cones._smallest_face_cached.cache_info().misses == 151
+    finally:
+        clear_cone_caches()
+
+
 def test_projective_ssp_examples():
     triangle = WeightSystem.from_rows([[0, 0], [1, 0], [0, 1]])
     assert _verified(triangle, decide_projective_ssp(triangle)).holds

@@ -4,12 +4,14 @@ import random
 from helpers import (
     M_WEIGHTS,
     N_WEIGHTS,
+    fuzz_oracle_verdicts,
     fuzz_weights,
     golden_verdicts,
     random_weights,
     reference_characteristic_pairs,
 )
-from torsep.cones import WeightSystem, homogenize
+from torsep import verification
+from torsep.cones import WeightSystem, homogenize, smallest_face
 from torsep.linalg import rank
 from torsep.strata import (
     characteristic_pairs,
@@ -18,6 +20,7 @@ from torsep.strata import (
     ssp_coordinate_witness,
     strata,
 )
+from torsep.verdict import Verdict
 from torsep.verification import check_verdict
 
 
@@ -73,6 +76,41 @@ def test_oracle_wsp_examples():
     assert check_verdict(bad, v) == []
     ok = WeightSystem.from_rows([[0], [3]])
     assert oracle_wsp(ok).holds
+
+
+def test_holding_oracle_certificates_list_each_weights_smallest_face():
+    """Each holding oracle certificate, on the golden systems and the fuzz
+    draws, lists n strata and nothing else: entry k is the smallest face
+    of weight k (of the homogenized weights in projective mode)."""
+    kinds = set()
+    for ws, verdict in [*golden_verdicts(), *fuzz_oracle_verdicts(71, 60)]:
+        if verdict.kind in ("strata-separation", "strata-distinguished"):
+            target = homogenize(ws) if verdict.mode == "projective" else ws
+            assert sorted(verdict.certificate) == ["kind", "strata"]
+            assert verdict.certificate["strata"] == tuple(
+                smallest_face(target, (k,)).indices for k in range(target.n))
+            kinds.add(verdict.kind)
+    assert kinds == {"strata-separation", "strata-distinguished"}
+
+
+def test_oracle_certificates_take_one_smallest_face_per_weight(monkeypatch):
+    """On the projective moment curve (t, t^2, t^3), t = 1..150, both
+    oracle verdicts hold on one stratum per weight, and re-verifying each
+    takes at most n smallest-face queries, not one per pair."""
+    ws = WeightSystem.from_rows([[t, t ** 2, t ** 3] for t in range(1, 151)])
+    queries = []
+
+    def counting(*args):
+        queries.append(args)
+        return smallest_face(*args)
+
+    monkeypatch.setattr(verification, "smallest_face", counting)
+    for oracle, kind in ((oracle_sp, "strata-separation"), (oracle_wsp, "strata-distinguished")):
+        v = oracle(homogenize(ws))
+        assert v.kind == kind and len(v.certificate["strata"]) == ws.n
+        queries.clear()
+        assert check_verdict(ws, Verdict(v.property_name, "projective", True, v.certificate)) == []
+        assert len(queries) <= ws.n
 
 
 def test_characteristic_pairs_plane():
