@@ -228,6 +228,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=16)
+def _parse(argv: tuple) -> argparse.Namespace:
+    """The parsed arguments of ``argv``, parsed once per process for up to
+    16 distinct argvs.  Parsing reads neither the environment nor the
+    input, only ``argv``; ``--help`` and usage errors leave by
+    ``SystemExit``, which is never cached, so each repeat exits again."""
+    return _build_parser().parse_args(argv)
+
+
 def _process_one(text: str, args, line: int | None = None) -> int:
     """Run one instance, input line ``line`` of a ``--batch`` run, on empty ``cones`` caches.
 
@@ -259,7 +268,8 @@ def _process_one(text: str, args, line: int | None = None) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # Each call gets its own copy, so no route changes what a later call reads.
+    args = argparse.Namespace(**vars(_parse(tuple(sys.argv[1:] if argv is None else argv))))
     try:
         if args.command == "binary" and args.form is not None:
             if args.batch:

@@ -297,7 +297,9 @@ def smallest_face(ws: WeightSystem, positions) -> ConeFace:
     return _smallest_face_cached(ws, mask)
 
 
-@lru_cache(maxsize=64)
+# As many faces as ``enumerate_faces`` lets one instance hold, so SP and
+# WSP on one instance compute each minimal face once.
+@lru_cache(maxsize=MAX_FACES)
 def _smallest_face_cached(ws: WeightSystem, mask: int) -> ConeFace:
     face, normals = (1 << ws.n) - 1, [(0,) * ws.dim]
     for zero, facet in zip(_zero_masks(ws), facets(ws)):

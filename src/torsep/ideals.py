@@ -52,13 +52,17 @@ class Binomial(namedtuple("Binomial", "a b")):
 
     @classmethod
     def from_vector(cls, c) -> "Binomial":
-        """Binomial attached to an integer relation vector (nonzero)."""
+        """Binomial attached to an integer relation vector (nonzero).
+
+        Its split is disjoint and nonnegative by construction, so the
+        record is built without ``__new__``'s per-entry checks."""
         c = tuple(c)
         if not any(c):
             raise InputError("zero vector has no binomial")
         if next(x for x in c if x) < 0:
             c = tuple(-x for x in c)
-        return cls(tuple(x if x > 0 else 0 for x in c), tuple(-x if x < 0 else 0 for x in c))
+        return cls._make((tuple(x if x > 0 else 0 for x in c),
+                          tuple(-x if x < 0 else 0 for x in c)))
 
     @property
     def vector(self) -> tuple[int, ...]:

@@ -586,32 +586,66 @@ def test_binary_form_with_batch_is_an_input_error(capsys, monkeypatch):
     assert err == "error: --form cannot be combined with --batch\n"
 
 
-def test_parser_is_built_once_and_survives_exits(capsys, monkeypatch):
-    """Many calls share one parser; a usage error and ``--help`` leave it
-    as it was, so a later call reports what a fresh process does."""
-    built = []
-    init = argparse.ArgumentParser.__init__
+def test_parser_is_built_once_and_survives_exits(capsys, monkeypatch, tmp_path):
+    """Many calls share one parser and parse each distinct argv once; a
+    usage error and ``--help`` leave both as they were and exit on every
+    repeat, so a later call reports what a fresh process does."""
+    built, parsed = [], []
+    init, parse_args = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self.prog)
 
+    def counting_parse_args(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_args(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting_parse_args)
     monkeypatch.delenv("TORSEP_SEED", raising=False)
-    argv = ["verify", "--format", "json", "-"]
+    argv, other = ["verify", "--format", "json", "-"], ["decide", "--format", "json", "-"]
     cli._build_parser.cache_clear()
+    cli._parse.cache_clear()
     try:
         for _ in range(4):
-            assert run_cli(capsys, argv, stdin=M_JSON, monkeypatch=monkeypatch)[0] == 0
+            for args in (argv, other):
+                assert run_cli(capsys, args, stdin=M_JSON, monkeypatch=monkeypatch)[0] == 0
+        assert parsed == ["torsep"] * 2
         for bad, status in ((["verify", "--seed", "x", "-"], 2), (["decide", "--help"], 0)):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(bad)
-            assert exc.value.code == status
-        capsys.readouterr()
+            printed = []
+            for _ in range(3):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(bad)
+                assert exc.value.code == status
+                printed.append(capsys.readouterr())
+            assert printed[0] == printed[1] == printed[2] and any(printed[0])
         here = run_cli(capsys, argv, stdin=FIVE_JSON, monkeypatch=monkeypatch)
         assert built.count("torsep") == 1
+        # A route that changes its arguments changes no later call's.
+        seen, route = [], cli._COMMANDS["decide"].route
+
+        def mutating(ws, args):
+            seen.append(dict(vars(args)))
+            args.mode, args.property, args.format = "projective", "sp", "text"
+            return route(ws, args)
+
+        monkeypatch.setitem(cli._COMMANDS, "decide",
+                            cli._COMMANDS["decide"]._replace(route=mutating))
+        for _ in range(3):
+            assert run_cli(capsys, other, stdin=M_JSON, monkeypatch=monkeypatch)[0] == 0
+        assert seen == [{"command": "decide", "input": "-", "format": "json", "timing": False,
+                         "batch": False, "mode": "affine", "property": "all"}] * 3
+        # More distinct argvs than the bound leave the cache at its bound.
+        bound = cli._parse.cache_info().maxsize
+        for k in range(bound + 4):
+            path = tmp_path / f"{k}.json"
+            path.write_text(M_JSON, encoding="utf-8")
+            assert run_cli(capsys, ["chpairs", str(path)])[0] == 0
+        assert cli._parse.cache_info().currsize == bound
     finally:
         cli._build_parser.cache_clear()
+        cli._parse.cache_clear()
     env = subprocess_env()
     fresh = subprocess.run([sys.executable, "-m", "torsep", *argv], input=FIVE_JSON,
                            env=env, capture_output=True, text=True, timeout=120)
@@ -810,14 +844,49 @@ def test_graver_weight_guard_exits_two(capsys, monkeypatch, command, instance):
     assert json.loads(out) == {"line": 1, "error": _GRAVER_GUARD, "exit_class": 2}
 
 
+def _catalog():
+    """The workloads of ``perfbench/catalog.json``: name -> its entries."""
+    return json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "catalog.json").read_text(encoding="utf-8"))["workloads"]
+
+
+def _instance_line(entry):
+    return json.dumps({"d": entry["d"], "weights": entry["weights"]}) + "\n"
+
+
 def _catalog_stream(skip=()):
     """The instances of ``perfbench/catalog.json`` (260), but for the
     workloads named in ``skip``, as one batch stream."""
-    catalog = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                          / "catalog.json").read_text(encoding="utf-8"))
-    return "".join(json.dumps({"d": e["d"], "weights": e["weights"]}) + "\n"
-                   for name, entries in catalog["workloads"].items() if name not in skip
-                   for e in entries)
+    return "".join(_instance_line(e) for name, entries in _catalog().items()
+                   if name not in skip for e in entries)
+
+
+def test_per_call_reports_match_the_batch_reports(capsys, monkeypatch):
+    """The decide-wide and verify-small catalog instances, one ``main``
+    call each with the entry's own argv, decide and verify alternating as
+    the benchmark's closed-loop worker calls them, print what a
+    ``--batch`` run of the same argv prints for each: no state of one
+    call, parsed arguments included, reaches the next."""
+    workloads = _catalog()
+    entries = [e for pair in zip(workloads["decide-wide"], workloads["verify-small"])
+               for e in pair] + workloads["verify-small"][len(workloads["decide-wide"]):]
+    per_call, by_argv = [], {}
+    for entry in entries:
+        argv = [*entry["argv"], "--format", "json", "-"]
+        code, out, err = run_cli(capsys, argv, stdin=_instance_line(entry),
+                                 monkeypatch=monkeypatch)
+        assert (code, err) == (0, ""), entry
+        per_call.append((tuple(argv), out))
+        by_argv.setdefault(tuple(argv), []).append(_instance_line(entry))
+    assert len(by_argv) == 3
+    batch = {}
+    for argv, lines in by_argv.items():
+        code, out, err = run_cli(capsys, [*argv[:-1], "--batch", "-"], stdin="".join(lines),
+                                 monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        batch[argv] = iter(out.splitlines(keepends=True))
+    assert all(out == next(batch[argv]) for argv, out in per_call)
+    assert all(next(lines, None) is None for lines in batch.values())
 
 
 def test_no_verdict_path_calls_lp_feasible(capsys, monkeypatch):

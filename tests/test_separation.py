@@ -152,14 +152,19 @@ def test_moment_curve_certificates_hold_one_witness_per_weight():
 
 def test_affine_sp_reads_each_minimal_face_once():
     """A holding SP verdict reads the lineality face and each weight's
-    minimal face once: on the projective moment curve (t, t^2, t^3),
-    t = 1..150, 151 smallest faces are computed, as many as there are
-    cache misses, although the cache keeps fewer than 150 of them."""
+    minimal face once, and WSP after it reads them again from the cache:
+    on the projective moment curve (t, t^2, t^3), t = 1..150, 151
+    smallest faces are computed for both, as many as there are cache
+    misses."""
     ws = WeightSystem.from_rows([[t, t ** 2, t ** 3] for t in range(1, 151)])
     clear_cone_caches()
     try:
         verdict = decide(ws, "SP", "projective")
         assert verdict.kind == "edge-separation"
+        assert len(verdict.certificate["face_witnesses"]) == 150
+        assert torsep.cones._smallest_face_cached.cache_info().misses == 151
+        verdict = decide(ws, "WSP", "projective")
+        assert verdict.kind == "face-separation"
         assert len(verdict.certificate["face_witnesses"]) == 150
         assert torsep.cones._smallest_face_cached.cache_info().misses == 151
     finally:
